@@ -11,37 +11,33 @@ use crate::action::Direction;
 use crate::schedule::Schedule;
 
 impl Schedule {
-    /// Peak number of live activation checkpoints per device, measured on
-    /// the schedule's exact timing (unit costs). Each checkpoint is one
-    /// (micro-batch, stage) pair hosted by that device; multiply by the
-    /// per-checkpoint bytes (`bfpp_model::checkpoint_memory_per_layer_bytes`
-    /// × layers per stage) for a memory figure.
+    /// Peak number of live activation checkpoints per device under the
+    /// schedule's execution. Each checkpoint is one (micro-batch, stage)
+    /// pair hosted by that device; multiply by the per-checkpoint bytes
+    /// (`bfpp_model::checkpoint_memory_per_layer_bytes` × layers per
+    /// stage) for a memory figure.
+    ///
+    /// A checkpoint is written when its forward ends and freed when its
+    /// backward ends. A device runs its actions one after another in
+    /// schedule order, so its action end times strictly increase along
+    /// that order under any positive costs: the peak is the largest
+    /// prefix sum of +1 (forward) / −1 (backward) over the device's
+    /// action list, with no timing pass.
     pub fn peak_checkpoints_per_device(&self) -> Vec<u32> {
-        let timing = self.exact_timing(1, 2);
-        let n_pp = self.n_pp();
-        let mut peaks = vec![0u32; n_pp as usize];
-        for d in 0..n_pp {
-            // Events: +1 at each forward end, −1 at each backward end, for
-            // this device's actions. At equal timestamps allocate before
-            // freeing (conservative).
-            let mut events: Vec<(u64, i32)> = timing
-                .device_timings(d)
-                .iter()
-                .map(|t| match t.action.dir {
-                    Direction::Forward => (t.end, 1),
-                    Direction::Backward => (t.end, -1),
-                })
-                .collect();
-            events.sort_by_key(|&(time, delta)| (time, -delta));
-            let mut live = 0i32;
-            let mut peak = 0i32;
-            for (_, delta) in events {
-                live += delta;
-                peak = peak.max(live);
-            }
-            peaks[d as usize] = peak as u32;
-        }
-        peaks
+        self.devices()
+            .map(|(_, actions)| {
+                let mut live = 0i32;
+                let mut peak = 0i32;
+                for a in actions {
+                    live += match a.dir {
+                        Direction::Forward => 1,
+                        Direction::Backward => -1,
+                    };
+                    peak = peak.max(live);
+                }
+                peak as u32
+            })
+            .collect()
     }
 
     /// The worst device's peak checkpoint count.
@@ -106,5 +102,54 @@ mod tests {
     fn small_pipeline_single_microbatch() {
         let s = Schedule::generate(ScheduleKind::GPipe, Placement::linear(1), 1).unwrap();
         assert_eq!(s.peak_checkpoints(), 1);
+    }
+
+    /// The live-checkpoint count replayed on the exact unit-cost timing:
+    /// +1 at each forward end, −1 at each backward end, time-sorted with
+    /// allocation before freeing at equal timestamps.
+    fn peaks_on_exact_timing(s: &Schedule) -> Vec<u32> {
+        let timing = s.exact_timing(1, 2);
+        (0..s.n_pp())
+            .map(|d| {
+                let mut events: Vec<(u64, i32)> = timing
+                    .device_timings(d)
+                    .iter()
+                    .map(|t| match t.action.dir {
+                        Direction::Forward => (t.end, 1),
+                        Direction::Backward => (t.end, -1),
+                    })
+                    .collect();
+                events.sort_by_key(|&(time, delta)| (time, -delta));
+                let (mut live, mut peak) = (0i32, 0i32);
+                for (_, delta) in events {
+                    live += delta;
+                    peak = peak.max(live);
+                }
+                peak as u32
+            })
+            .collect()
+    }
+
+    #[test]
+    fn action_order_peaks_equal_exact_timing_peaks() {
+        for kind in ScheduleKind::ALL {
+            for (n_pp, n_loop) in [(1, 1), (2, 1), (4, 1), (4, 2), (4, 4), (8, 2)] {
+                let p = if n_loop == 1 {
+                    Placement::linear(n_pp)
+                } else {
+                    Placement::looping(n_pp, n_loop)
+                };
+                for n_mb in [1, 2, 3, 4, 8, 12, 16] {
+                    let Ok(s) = Schedule::generate(kind, p, n_mb) else {
+                        continue;
+                    };
+                    assert_eq!(
+                        s.peak_checkpoints_per_device(),
+                        peaks_on_exact_timing(&s),
+                        "{kind} {p} n_mb={n_mb}"
+                    );
+                }
+            }
+        }
     }
 }

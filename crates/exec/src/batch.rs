@@ -1,4 +1,5 @@
-//! Topology classes: one CSR per shape class, SoA duration batches.
+//! Topology classes: one replay workspace per shape class, SoA duration
+//! batches.
 //!
 //! Two enumerated candidates that share a schedule and the same set of
 //! structural lowering decisions produce op graphs that are *identical
@@ -25,40 +26,48 @@
 //! a mixed-fleet member and a homogeneous member with the same key still
 //! share one topology. The template carries the per-op pair index so a
 //! member's row can be filled from per-device duration vectors just as
-//! cheaply as from the scalar table. So the search lowers
-//! **one representative per class**, records the solver's replay trace
-//! once ([`bfpp_sim::SolveScratch`]), and evaluates every other member
-//! from a structure-of-arrays duration batch: a `BatchTemplate` maps
-//! each op index to its duration *kind* (fwd/bwd/p2p/gather/reduce) and
-//! its perturbation slot, so filling a member's row is two table lookups
-//! per op, and re-timing it is the solver's allocation-free trace
-//! replay. Both halves are bit-identical to the per-candidate path
+//! cheaply as from the scalar table.
+//!
+//! So the search builds **one replay workspace per class**, straight
+//! from the key and its schedule: [`ClassBase::build`] walks the
+//! lowering's op-emission rules (`crate::lower::emit_ops`, the same
+//! walk that builds an `OpGraph` for [`crate::lower`]) into flat
+//! per-op resource and dependency arrays, and
+//! [`bfpp_sim::ReplayWorkspace::discover`] turns those into the
+//! solver's CSR index and records its replay trace with one discovery
+//! solve. No graph, resource name, tag, memory annotation or duration
+//! is built for a class. Every member is then evaluated from a
+//! structure-of-arrays duration batch: a `BatchTemplate` maps each op
+//! index to its duration *kind* (fwd/bwd/p2p/gather/reduce) and its
+//! perturbation slot, so filling a member's row is two table lookups per
+//! op, and re-timing it is the solver's allocation-free trace replay.
+//! Both halves are bit-identical to lowering and solving the member
 //! (`fill_row` reproduces lowering's perturbed durations exactly — same
 //! per-op salt, same class/device factors — and trace replay is
 //! bit-identical to a full solve), which is what lets the batched search
 //! return exactly the same winners and counters.
 //!
-//! A `ClassBase` is deliberately *graph-free*: it keeps only the
-//! prebuilt workspace, the template, and the few per-class scalars the
+//! A `ClassBase` is *graph-free* by construction: it keeps only the
+//! replay workspace, the template, and the few per-class scalars the
 //! measurement layer needs. That makes it independent of model, cluster
 //! and kernel — a base built for a key is valid for **any** request that
 //! produces that key, so the process-wide [`ClassCache`] can share bases
 //! across methods, batch sizes, models and planner requests. Results
 //! never depend on cache contents, only on the key — a hit merely skips
-//! the lower + CSR-build + discovery-solve work.
+//! the class build.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use bfpp_cluster::ClusterSpec;
-use bfpp_core::{Direction, ScheduleKind};
+use bfpp_core::{Schedule, ScheduleKind};
 use bfpp_model::TransformerConfig;
 use bfpp_parallel::{DataParallelism, ParallelConfig, Placement};
-use bfpp_sim::{OpClass, Perturbation, ResourceId, SimDuration, SolveScratch, SolveStats, Solver};
+use bfpp_sim::{OpClass, Perturbation, ReplayWorkspace, ResourceId, SimDuration, SolveStats};
 
 use crate::candidates::Candidate;
-use crate::lower::{Durations, LoweredGraph, OpTag};
+use crate::lower::{emit_ops, Charge, Durations, OpSink, OpTag, Shape};
 use crate::measure::{measure_from_parts, Measurement};
 use crate::overlap::OverlapConfig;
 
@@ -67,45 +76,46 @@ use crate::overlap::OverlapConfig;
 /// queue orders) and differ only in op durations. See the module docs
 /// for why exactly these fields and no others.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct ClassKey {
+pub struct ClassKey {
     kind: ScheduleKind,
     placement: Placement,
     num_microbatches: u32,
-    dp: DataParallelism,
-    /// Whether data parallelism is active (`n_dp > 1`) — gates every
-    /// gather/reduce emission.
-    dp_active: bool,
-    overlap_dp: bool,
-    overlap_pp: bool,
-    /// Whether *every* stage-boundary transfer duration is exactly zero
-    /// — the one duration predicate that gates op emission. Lowering
-    /// gates sends class-wide (any non-zero pair emits the full send
-    /// set; zero-duration sends on fast pairs are harmless no-ops), so
-    /// this stays a single bit under heterogeneous fabrics instead of a
+    /// DP mode and activity, stream overlap, and the send gate. The send
+    /// gate is the one duration predicate that gates op emission.
+    /// Lowering gates sends class-wide (any non-zero pair emits the full
+    /// send set; zero-duration sends on fast pairs are harmless no-ops),
+    /// so it stays a single bit under heterogeneous fabrics instead of a
     /// per-pair mask.
-    p2p_zero: bool,
+    shape: Shape,
 }
 
 impl ClassKey {
-    /// The topology class of `cand` under `overlap`, given its computed
-    /// base durations (needed only for the zero-transfer gate).
-    pub(crate) fn of(cand: &Candidate, overlap: OverlapConfig, d: &Durations) -> ClassKey {
+    /// The topology class of `cand` under `overlap`, given its base
+    /// durations `d` (needed only for the send gate).
+    pub fn of(cand: &Candidate, overlap: OverlapConfig, d: &Durations) -> ClassKey {
         ClassKey {
             kind: cand.kind,
             placement: cand.placement,
             num_microbatches: cand.batch.num_microbatches,
-            dp: cand.dp,
-            dp_active: cand.grid.n_dp > 1,
-            overlap_dp: overlap.dp,
-            overlap_pp: overlap.pp,
-            p2p_zero: !d.emits_sends(),
+            shape: Shape::of(&cand.config(), overlap, d),
         }
     }
 
     /// The schedule kind of every member — the granularity of
     /// [`ClassCache::invalidate_kind`].
-    pub(crate) fn schedule_kind(&self) -> ScheduleKind {
+    pub fn schedule_kind(&self) -> ScheduleKind {
         self.kind
+    }
+
+    /// The placement of every member (with the kind and micro-batch
+    /// count, what picks the class's schedule).
+    pub fn placement(&self) -> Placement {
+        self.placement
+    }
+
+    /// The micro-batch count of every member.
+    pub fn num_microbatches(&self) -> u32 {
+        self.num_microbatches
     }
 }
 
@@ -117,9 +127,8 @@ impl ClassKey {
 /// indexed loads per op with no branching on `Op` structs. For members
 /// with per-device durations the same arrays still apply — the device
 /// comes from `slots[i] >> 1` via `resource_device`, and `p2p_pair[i]`
-/// names the stage-pair link a send op crosses (`dev` for forward
-/// sends, `(dev + n_pp - 1) % n_pp` for backward ones, matching
-/// lowering exactly).
+/// names the stage-pair link a send op crosses (the pair the walk in
+/// `crate::lower` charges).
 #[derive(Debug)]
 struct BatchTemplate {
     kinds: Vec<u8>,
@@ -133,14 +142,61 @@ const KIND_P2P: u8 = 2;
 const KIND_GATHER: u8 = 3;
 const KIND_REDUCE: u8 = 4;
 
-/// One topology class's shared evaluation state: the prebuilt solver
-/// workspace (CSR index + replay trace of the class topology), the SoA
-/// duration template, and the per-class scalars measurement needs. Holds
-/// **no graph** — after construction the representative's
-/// [`LoweredGraph`] is dropped, which is what makes a base
-/// model/cluster/kernel-independent and shareable process-wide.
+/// The [`OpSink`] of a class build: plain stream and op indices, the
+/// flat resource/edge arrays [`ReplayWorkspace::discover`] takes, and
+/// the template — no graph, names, tags, durations or memory effects.
+#[derive(Default)]
+struct ClassSink {
+    resource_device: Vec<u32>,
+    op_resource: Vec<u32>,
+    deps: Vec<(u32, u32)>,
+    kinds: Vec<u8>,
+    slots: Vec<u32>,
+    p2p_pair: Vec<u32>,
+}
+
+impl OpSink for ClassSink {
+    type Op = u32;
+    type Stream = u32;
+
+    fn stream(&mut self, dev: u32, _label: &'static str) -> u32 {
+        self.resource_device.push(dev);
+        self.resource_device.len() as u32 - 1
+    }
+
+    fn op(&mut self, stream: u32, _dev: u32, _tag: OpTag, charge: Charge, deps: &[u32]) -> u32 {
+        let op = self.op_resource.len() as u32;
+        self.op_resource.push(stream);
+        for &dep in deps {
+            self.deps.push((op, dep));
+        }
+        let (kind, pair) = match charge {
+            Charge::Fwd => (KIND_FWD, 0),
+            Charge::Bwd => (KIND_BWD, 0),
+            Charge::P2p { pair } => (KIND_P2P, pair),
+            Charge::Gather => (KIND_GATHER, 0),
+            Charge::Reduce { .. } => (KIND_REDUCE, 0),
+        };
+        self.kinds.push(kind);
+        self.slots
+            .push(2 * stream + (charge.class() == OpClass::Compute) as u32);
+        self.p2p_pair.push(pair);
+        op
+    }
+
+    fn dep(&mut self, op: u32, dep: u32) {
+        self.deps.push((op, dep));
+    }
+}
+
+/// One topology class's shared evaluation state: the replay workspace
+/// (CSR index + replay trace of the class topology), the SoA duration
+/// template, and the per-class scalars measurement needs. Built straight
+/// from the key and its schedule — no graph ever exists — which is what
+/// makes a base model/cluster/kernel-independent and shareable
+/// process-wide.
 #[derive(Debug)]
-pub(crate) struct ClassBase {
+pub struct ClassBase {
     n_ops: usize,
     kind: ScheduleKind,
     peak_checkpoints: u32,
@@ -151,88 +207,94 @@ pub(crate) struct ClassBase {
     resource_device: Vec<u32>,
     template: BatchTemplate,
     /// The workspace never leaves this lock: replay mutates only its
-    /// scratch timing buffers, so concurrent evaluators of the same
-    /// class serialize briefly instead of rebuilding the CSR index.
-    scratch: Mutex<SolveScratch>,
+    /// timing buffers, so concurrent evaluators of the same class
+    /// serialize briefly instead of rebuilding the CSR index.
+    replay: Mutex<ReplayWorkspace>,
 }
 
 impl ClassBase {
-    /// Builds the class base from a clean representative lowering: runs
-    /// the one discovery solve that records the replay trace, extracts
-    /// the SoA template, and drops everything else. Returns `None` if
-    /// the topology deadlocks — in which case *every* member of the
-    /// class would fail its per-candidate solve identically (deadlock is
-    /// a property of the topology, not of durations).
-    pub(crate) fn build(dp: DataParallelism, lowered: &LoweredGraph) -> Option<ClassBase> {
-        let mut solver = Solver::new(&lowered.graph);
-        solver.solve_makespan().ok()?;
-        let scratch = solver.into_scratch();
-        debug_assert!(scratch.has_trace(), "a successful solve records the trace");
-
-        let n_ops = lowered.graph.num_ops();
-        let n_pp = lowered.compute_resources.len() as u32;
-        let mut kinds = Vec::with_capacity(n_ops);
-        let mut slots = Vec::with_capacity(n_ops);
-        let mut p2p_pair = Vec::with_capacity(n_ops);
-        for id in lowered.graph.op_ids() {
-            let op = lowered.graph.op(id);
-            let dev = lowered.resource_device[op.resource().index()];
-            let (kind, is_compute, pair) = match op.tag() {
-                OpTag::Compute(a) => (
-                    match a.dir {
-                        Direction::Forward => KIND_FWD,
-                        Direction::Backward => KIND_BWD,
-                    },
-                    1u32,
-                    0,
-                ),
-                // A forward send crosses the (dev, dev+1) boundary; a
-                // backward send re-crosses the boundary the activation
-                // arrived over — the same pair indices lowering charges.
-                OpTag::PpSend { dir, .. } => (
-                    KIND_P2P,
-                    0,
-                    match dir {
-                        Direction::Forward => dev,
-                        Direction::Backward => (dev + n_pp - 1) % n_pp,
-                    },
-                ),
-                OpTag::DpGather { .. } => (KIND_GATHER, 0, 0),
-                OpTag::DpReduce { .. } => (KIND_REDUCE, 0, 0),
-            };
-            kinds.push(kind);
-            slots.push(2 * op.resource().index() as u32 + is_compute);
-            p2p_pair.push(pair);
-        }
-
+    /// Builds the class base of `key` from its schedule (generated for
+    /// the key's kind, placement and micro-batch count): one walk of the
+    /// lowering's op-emission rules into flat arrays, then the one
+    /// discovery solve that records the replay trace. Returns `None` if
+    /// the topology deadlocks — in which case lowering and solving *any*
+    /// member fails identically (deadlock is a property of the topology,
+    /// not of durations).
+    pub fn build(key: &ClassKey, schedule: &Schedule) -> Option<ClassBase> {
+        debug_assert_eq!(
+            (
+                schedule.kind(),
+                schedule.placement(),
+                schedule.num_microbatches()
+            ),
+            (key.kind, key.placement, key.num_microbatches),
+            "schedule generated for the class"
+        );
+        let mut sink = ClassSink::default();
+        let compute = emit_ops(schedule, key.shape, &mut sink);
+        let ClassSink {
+            mut resource_device,
+            op_resource,
+            deps,
+            mut kinds,
+            mut slots,
+            mut p2p_pair,
+        } = sink;
+        let n_ops = op_resource.len();
+        let replay = ReplayWorkspace::discover(resource_device.len(), op_resource, &deps).ok()?;
+        resource_device.shrink_to_fit();
+        kinds.shrink_to_fit();
+        slots.shrink_to_fit();
+        p2p_pair.shrink_to_fit();
         Some(ClassBase {
             n_ops,
-            kind: lowered.schedule.kind(),
-            peak_checkpoints: lowered.peak_checkpoints,
-            reduce_is_all_reduce: dp == DataParallelism::Unsharded,
-            compute_resources: lowered.compute_resources.clone(),
-            resource_device: lowered.resource_device.clone(),
+            kind: key.kind,
+            peak_checkpoints: schedule.peak_checkpoints(),
+            reduce_is_all_reduce: key.shape.dp == DataParallelism::Unsharded,
+            compute_resources: compute
+                .into_iter()
+                .map(|r| ResourceId::from_index(r as usize))
+                .collect(),
+            resource_device,
             template: BatchTemplate {
                 kinds,
                 slots,
                 p2p_pair,
             },
-            scratch: Mutex::new(scratch),
+            replay: Mutex::new(replay),
         })
     }
 
     /// Ops in the class topology (also the stored size charged against
     /// cache budgets).
-    pub(crate) fn num_ops(&self) -> usize {
+    pub fn num_ops(&self) -> usize {
         self.n_ops
     }
 
+    /// The charge rule of template kind `kind` (pair `pair` for sends).
+    fn charge(&self, kind: u8, pair: u32) -> Charge {
+        match kind {
+            KIND_FWD => Charge::Fwd,
+            KIND_BWD => Charge::Bwd,
+            KIND_P2P => Charge::P2p { pair },
+            KIND_GATHER => Charge::Gather,
+            _ => Charge::Reduce {
+                all_reduce: self.reduce_is_all_reduce,
+            },
+        }
+    }
+
     /// Fills one member's duration row, bit-identical to what lowering
-    /// that member under `perturbation` would produce: the same per-op
-    /// salt (insertion index), the same class/device factor for the
-    /// randomness-free fast path. `factors` is caller scratch reused
-    /// across rows.
-    pub(crate) fn fill_row(
+    /// that member under `perturbation` would produce
+    /// ([`crate::LoweredGraph::perturbed_durations`] of its clean
+    /// lowering): the same per-op salt (insertion index), the same
+    /// class/device factor for the randomness-free fast path. `factors`
+    /// is caller scratch reused across rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` is not the class's op count.
+    pub fn fill_row(
         &self,
         d: &Durations,
         perturbation: &Perturbation,
@@ -240,40 +302,22 @@ impl ClassBase {
         out: &mut [SimDuration],
     ) {
         assert_eq!(out.len(), self.n_ops, "row sized for this topology");
-        let table = [
-            d.fwd,
-            d.bwd,
-            d.p2p,
-            d.dp_gather,
-            if self.reduce_is_all_reduce {
-                d.dp_reduce_ar
-            } else {
-                d.dp_reduce_rs
-            },
-        ];
         let kinds = &self.template.kinds;
         let slots = &self.template.slots;
         let pairs = &self.template.p2p_pair;
+        // Homogeneous members charge every op from a 5-entry table (no
+        // device or pair enters a scalar duration). A member with
+        // per-device durations reads its base time through the same
+        // rule lowering uses: the op's device (from its perturbation
+        // slot) for kernels and collectives, its stage-pair index for
+        // sends. The table lookup stays inline in the row loops; only
+        // the per-device rule is a call.
+        let table = [KIND_FWD, KIND_BWD, KIND_P2P, KIND_GATHER, KIND_REDUCE]
+            .map(|kind| self.charge(kind, 0).base(d, 0));
         let hetero = d.per_device.is_some();
-        // A member with per-device durations reads its base time through
-        // the same accessors lowering uses: the op's device (from its
-        // perturbation slot) for kernels and collectives, its stage-pair
-        // index for sends. Homogeneous members keep the 5-entry table.
-        let base_of = |i: usize| -> SimDuration {
+        let per_device_base = |i: usize| -> SimDuration {
             let dev = self.resource_device[(slots[i] >> 1) as usize];
-            match kinds[i] {
-                KIND_FWD => d.fwd_on(dev),
-                KIND_BWD => d.bwd_on(dev),
-                KIND_P2P => d.p2p_pair(pairs[i]),
-                KIND_GATHER => d.dp_gather_on(dev),
-                _ => {
-                    if self.reduce_is_all_reduce {
-                        d.dp_reduce_ar_on(dev)
-                    } else {
-                        d.dp_reduce_rs_on(dev)
-                    }
-                }
-            }
+            self.charge(kinds[i], pairs[i]).base(d, dev)
         };
         if !perturbation.has_randomness() {
             factors.clear();
@@ -283,7 +327,7 @@ impl ClassBase {
             }
             for (i, slot) in out.iter_mut().enumerate() {
                 let base = if hetero {
-                    base_of(i)
+                    per_device_base(i)
                 } else {
                     table[kinds[i] as usize]
                 };
@@ -300,7 +344,7 @@ impl ClassBase {
             };
             let dev = self.resource_device[(slot >> 1) as usize];
             let base = if hetero {
-                base_of(i)
+                per_device_base(i)
             } else {
                 table[kinds[i] as usize]
             };
@@ -308,10 +352,11 @@ impl ClassBase {
         }
     }
 
-    /// Checks out the class workspace for a run of [`ClassBase::
-    /// measure_row`] calls — lock once per member batch, not per row.
-    pub(crate) fn lock_scratch(&self) -> MutexGuard<'_, SolveScratch> {
-        match self.scratch.lock() {
+    /// Checks out the class's replay workspace for a run of
+    /// [`ReplayWorkspace::replay_stats_into`] (or `measure_row`) calls —
+    /// lock once per member batch, not per row.
+    pub fn lock_replay(&self) -> MutexGuard<'_, ReplayWorkspace> {
+        match self.replay.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         }
@@ -322,14 +367,14 @@ impl ClassBase {
     /// solving that member. `stats` is caller scratch reused across rows.
     pub(crate) fn measure_row(
         &self,
-        scratch: &mut SolveScratch,
+        replay: &mut ReplayWorkspace,
         stats: &mut SolveStats,
         model: &TransformerConfig,
         cluster: &ClusterSpec,
         cfg: &ParallelConfig,
         row: &[SimDuration],
     ) -> Measurement {
-        scratch.replay_stats_into(row, stats);
+        replay.replay_stats_into(row, stats);
         let compute_busy = stats
             .utilization_over(self.compute_resources.iter().copied())
             .mean;
@@ -379,8 +424,9 @@ impl std::fmt::Debug for ClassCache {
 
 impl Default for ClassCache {
     fn default() -> Self {
-        // ~2M stored ops: hundreds of search-scale classes, bounded to a
-        // few hundred MB of workspaces in the worst case.
+        // ~2M stored ops: hundreds of search-scale classes. A base holds
+        // ~33 bytes per op (CSR index, replay trace and timing buffer:
+        // 24; duration template: 9), so the cache tops out near 66 MB.
         ClassCache::with_max_ops(2_000_000)
     }
 }
@@ -499,11 +545,13 @@ mod tests {
     use super::*;
     use crate::candidates::SplitStrategy;
     use crate::kernel::KernelModel;
-    use crate::lower::{compute_durations, lower};
+    use crate::lower::{lower, LoweredGraph};
     use crate::measure::measure_lowered;
     use bfpp_cluster::presets;
+    use bfpp_core::Direction;
     use bfpp_model::presets as models;
     use bfpp_parallel::{BatchConfig, Grid};
+    use bfpp_sim::Solver;
 
     fn candidate(n_dp: u32, n_tp: u32, s_mb: u32, n_mb: u32) -> Candidate {
         Candidate {
@@ -522,10 +570,16 @@ mod tests {
         let k = KernelModel::v100();
         let overlap = OverlapConfig::full();
         let cfg = cand.config();
-        let d = compute_durations(&model, &cluster, &cfg, &k, overlap.comm_multiplier);
+        let d = Durations::new(&model, &cluster, &cfg, &k, overlap);
         let key = ClassKey::of(cand, overlap, &d);
         let lowered = lower(&model, &cluster, &cfg, cand.kind, overlap, &k).unwrap();
         (cfg, d, key, lowered)
+    }
+
+    fn build(key: &ClassKey) -> ClassBase {
+        let schedule =
+            Schedule::generate(key.kind, key.placement, key.num_microbatches).expect("schedule");
+        ClassBase::build(key, &schedule).expect("acyclic")
     }
 
     #[test]
@@ -545,19 +599,58 @@ mod tests {
     }
 
     #[test]
-    fn batched_member_measurement_is_bit_identical_to_lowering() {
-        // Build the base from candidate `a`, then measure candidate `b`
-        // (same class, different durations) through the batch path and
-        // through a full lower + solve. Must agree bit-for-bit.
+    fn direct_build_matches_the_lowered_graph() {
+        // The class template matches what the lowered graph's own ops
+        // say: same op count, kinds, perturbation slots, send pairs and
+        // device map.
         let a = candidate(4, 2, 1, 12);
+        let (_, _, key, lowered) = class_parts(&a);
+        let base = build(&key);
+        let g = &lowered.graph;
+        assert_eq!(base.num_ops(), g.num_ops());
+        assert_eq!(base.resource_device, lowered.resource_device);
+        assert_eq!(base.compute_resources, lowered.compute_resources);
+        assert_eq!(base.peak_checkpoints, lowered.peak_checkpoints);
+        let n_pp = lowered.compute_resources.len() as u32;
+        for id in g.op_ids() {
+            let op = g.op(id);
+            let i = id.index();
+            let dev = lowered.resource_device[op.resource().index()];
+            let (kind, pair) = match op.tag() {
+                OpTag::Compute(act) => match act.dir {
+                    Direction::Forward => (KIND_FWD, 0),
+                    Direction::Backward => (KIND_BWD, 0),
+                },
+                OpTag::PpSend { dir, .. } => match dir {
+                    Direction::Forward => (KIND_P2P, dev),
+                    Direction::Backward => (KIND_P2P, (dev + n_pp - 1) % n_pp),
+                },
+                OpTag::DpGather { .. } => (KIND_GATHER, 0),
+                OpTag::DpReduce { .. } => (KIND_REDUCE, 0),
+            };
+            let is_compute = matches!(op.tag(), OpTag::Compute(_)) as u32;
+            assert_eq!(base.template.kinds[i], kind, "op {i}");
+            assert_eq!(base.template.p2p_pair[i], pair, "op {i}");
+            assert_eq!(
+                base.template.slots[i],
+                2 * op.resource().index() as u32 + is_compute,
+                "op {i}"
+            );
+        }
+        assert_eq!(base.lock_replay().num_ops(), g.num_ops());
+    }
+
+    #[test]
+    fn batched_member_measurement_is_bit_identical_to_lowering() {
+        // Build the base from the key alone, then measure a member
+        // through the batch path and through a full lower + solve. Must
+        // agree bit-for-bit.
         let b = candidate(2, 4, 2, 12);
         let model = models::bert_52b();
         let cluster = presets::dgx1_v100(8);
-        let (_, _, ka, la) = class_parts(&a);
         let (cfg_b, d_b, kb, lb) = class_parts(&b);
-        assert_eq!(ka, kb);
 
-        let base = ClassBase::build(a.dp, &la).expect("acyclic");
+        let base = build(&kb);
         let mut row = vec![SimDuration::ZERO; base.num_ops()];
         let mut factors = Vec::new();
         for p in [
@@ -575,14 +668,10 @@ mod tests {
             lb.perturbed_durations(&p, &mut expect);
             assert_eq!(row, expect, "{p:?}");
 
-            let mut stats = SolveStats {
-                makespan: SimDuration::ZERO,
-                busy: Vec::new(),
-                peak_memory: None,
-            };
-            let mut scratch = base.lock_scratch();
-            let m = base.measure_row(&mut scratch, &mut stats, &model, &cluster, &cfg_b, &row);
-            drop(scratch);
+            let mut stats = empty_stats();
+            let mut replay = base.lock_replay();
+            let m = base.measure_row(&mut replay, &mut stats, &model, &cluster, &cfg_b, &row);
+            drop(replay);
             let mut solver = Solver::new(&lb.graph);
             let full = solver.solve_stats_with_durations(&row).unwrap();
             assert_eq!(stats.makespan, full.makespan, "{p:?}");
@@ -596,8 +685,8 @@ mod tests {
     #[test]
     fn cache_bounds_evicts_fifo_and_invalidates_by_kind() {
         let a = candidate(4, 2, 1, 12);
-        let (_, _, key, lowered) = class_parts(&a);
-        let base = Arc::new(ClassBase::build(a.dp, &lowered).expect("acyclic"));
+        let (_, _, key, _) = class_parts(&a);
+        let base = Arc::new(build(&key));
 
         let cache = ClassCache::with_max_ops(base.num_ops() as u64);
         cache.insert(key, Arc::clone(&base));
@@ -609,8 +698,8 @@ mod tests {
 
         // A second class overflows the budget: FIFO evicts the first.
         let c = candidate(4, 2, 2, 6);
-        let (_, _, key2, lowered2) = class_parts(&c);
-        let base2 = Arc::new(ClassBase::build(c.dp, &lowered2).expect("acyclic"));
+        let (_, _, key2, _) = class_parts(&c);
+        let base2 = Arc::new(build(&key2));
         cache.insert(key2, base2);
         assert!(cache.lookup(&key).is_none(), "FIFO evicted");
         assert!(cache.lookup(&key2).is_some());

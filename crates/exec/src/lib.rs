@@ -75,8 +75,8 @@ pub use candidates::{speed_proportional_layers, Candidate, SplitStrategy};
 pub use executor::Executor;
 pub use kernel::KernelModel;
 pub use lower::{
-    lower, lower_perturbed, lower_with_schedule, lower_with_schedule_perturbed, LoweredGraph,
-    OpTag, TraceInfo,
+    lower, lower_perturbed, lower_with_schedule, lower_with_schedule_perturbed, Durations,
+    LoweredGraph, OpTag, TraceInfo,
 };
 pub use measure::{
     measure_stats, measure_timeline, simulate, simulate_perturbed, simulate_with_schedule,

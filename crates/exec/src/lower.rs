@@ -15,6 +15,12 @@
 //! ([`OverlapConfig`]), its operations are placed directly on the compute
 //! stream instead, serializing with the kernels — which is exactly what a
 //! blocking NCCL call does.
+//!
+//! Which ops and edges exist is decided in one place, the structural walk
+//! `emit_ops`, which hands them to an `OpSink`: here a sink that builds
+//! the named, tagged, perturbed [`OpGraph`] with its memory annotations;
+//! in `crate::batch` a graph-free sink that records a topology class's
+//! flat arrays.
 
 use std::sync::Arc;
 
@@ -195,16 +201,21 @@ impl LoweredGraph {
 }
 
 /// Per-operation durations of one configuration, as charged to the
-/// simulated streams. `fwd`/`bwd` fold in the non-overlapped
-/// tensor-parallel all-reduce time.
+/// simulated streams: forward and backward kernels (folding in the
+/// non-overlapped tensor-parallel all-reduce time), stage-boundary
+/// transfers, and the data-parallel gather and reductions. Lowering
+/// charges each op one of these; a topology class
+/// ([`crate::batch::ClassBase::fill_row`]) charges a member's row from
+/// them the same way.
 ///
 /// On a homogeneous cluster with a uniform layer split the scalar fields
 /// are the whole story (`per_device` is `None`) and every float in them
 /// is computed exactly as it always was. Heterogeneous fleets (or
-/// non-uniform layer splits) additionally carry [`PerDeviceDurations`];
+/// non-uniform layer splits) additionally carry `PerDeviceDurations`;
 /// the scalars are then the max over devices and consumers must go
-/// through the `*_on` / [`Durations::p2p_pair`] accessors.
-pub(crate) struct Durations {
+/// through the `*_on` / `p2p_pair` accessors.
+#[derive(Debug)]
+pub struct Durations {
     pub(crate) fwd: SimDuration,
     pub(crate) bwd: SimDuration,
     pub(crate) p2p: SimDuration,
@@ -231,6 +242,24 @@ pub(crate) struct PerDeviceDurations {
 }
 
 impl Durations {
+    /// The analytic per-op durations of `cfg` on `model`/`cluster` under
+    /// `kernel`, with `overlap`'s communication multiplier applied — what
+    /// lowering charges each op before any perturbation.
+    pub fn new(
+        model: &TransformerConfig,
+        cluster: &ClusterSpec,
+        cfg: &ParallelConfig,
+        kernel: &KernelModel,
+        overlap: OverlapConfig,
+    ) -> Durations {
+        let m = overlap.comm_multiplier;
+        if cluster.is_hetero() || !matches!(cfg.layer_split, LayerSplit::Uniform) {
+            compute_durations_hetero(model, cluster, cfg, kernel, m)
+        } else {
+            compute_durations_homogeneous(model, cluster, cfg, kernel, m)
+        }
+    }
+
     pub(crate) fn fwd_on(&self, dev: u32) -> SimDuration {
         match &self.per_device {
             Some(p) => p.fwd[dev as usize],
@@ -287,6 +316,291 @@ impl Durations {
             None => !self.p2p.is_zero(),
         }
     }
+}
+
+/// Which [`Durations`] entry an op is charged, and where: the one rule
+/// both the graph lowering and a topology class's row fill
+/// (`crate::batch`) read an op's base duration through.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Charge {
+    /// A forward kernel on the op's device.
+    Fwd,
+    /// A backward (+ recompute) kernel on the op's device.
+    Bwd,
+    /// A stage-boundary transfer over pipeline pair `pair`
+    /// ([`Durations::p2p_pair`]).
+    P2p {
+        /// The pair index.
+        pair: u32,
+    },
+    /// A data-parallel weight all-gather on the op's device.
+    Gather,
+    /// A data-parallel gradient reduction on the op's device: an
+    /// all-reduce under `DP_0`, a reduce-scatter when sharded.
+    Reduce {
+        /// Whether the reduction is an all-reduce.
+        all_reduce: bool,
+    },
+}
+
+impl Charge {
+    /// The op's base (unperturbed) duration when it runs on `dev`.
+    pub(crate) fn base(self, d: &Durations, dev: u32) -> SimDuration {
+        match self {
+            Charge::Fwd => d.fwd_on(dev),
+            Charge::Bwd => d.bwd_on(dev),
+            Charge::P2p { pair } => d.p2p_pair(pair),
+            Charge::Gather => d.dp_gather_on(dev),
+            Charge::Reduce { all_reduce: true } => d.dp_reduce_ar_on(dev),
+            Charge::Reduce { all_reduce: false } => d.dp_reduce_rs_on(dev),
+        }
+    }
+
+    /// The perturbation class: kernels are compute, the rest is
+    /// communication.
+    pub(crate) fn class(self) -> OpClass {
+        match self {
+            Charge::Fwd | Charge::Bwd => OpClass::Compute,
+            _ => OpClass::Communication,
+        }
+    }
+}
+
+/// Every input that decides a lowering's *structure* besides its
+/// schedule: which DP collectives exist, which streams exist, and
+/// whether sends exist. Durations, model, cluster and kernel never
+/// enter it (see `crate::batch` for why these fields and no others).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct Shape {
+    /// The data-parallel sharding level (picks the collectives).
+    pub(crate) dp: DataParallelism,
+    /// Whether data parallelism is active (`n_dp > 1`) — gates every
+    /// gather/reduce emission.
+    pub(crate) dp_active: bool,
+    /// Whether DP collectives get their own stream per device.
+    pub(crate) overlap_dp: bool,
+    /// Whether pipeline sends get their own stream per device.
+    pub(crate) overlap_pp: bool,
+    /// Whether pipeline sends are emitted ([`Durations::emits_sends`]).
+    pub(crate) emits_sends: bool,
+}
+
+impl Shape {
+    /// The shape of `cfg` lowered under `overlap` with durations `d`.
+    pub(crate) fn of(cfg: &ParallelConfig, overlap: OverlapConfig, d: &Durations) -> Shape {
+        Shape {
+            dp: cfg.dp,
+            dp_active: cfg.grid.n_dp > 1,
+            overlap_dp: overlap.dp,
+            overlap_pp: overlap.pp,
+            emits_sends: d.emits_sends(),
+        }
+    }
+}
+
+/// Receives the streams, ops and edges of one lowering, in order, from
+/// [`emit_ops`]. Op handles must be stable for the whole walk.
+pub(crate) trait OpSink {
+    /// An emitted op.
+    type Op: Copy;
+    /// An emitted stream (FIFO resource).
+    type Stream: Copy;
+
+    /// Appends stream `label` (`compute`, `dp` or `pp`) of device `dev`.
+    fn stream(&mut self, dev: u32, label: &'static str) -> Self::Stream;
+
+    /// Appends an op on `stream` of device `dev`, waiting for `deps`.
+    fn op(
+        &mut self,
+        stream: Self::Stream,
+        dev: u32,
+        tag: OpTag,
+        charge: Charge,
+        deps: &[Self::Op],
+    ) -> Self::Op;
+
+    /// Adds a late edge: `op` also waits for `dep`, which may have been
+    /// emitted after it.
+    fn dep(&mut self, op: Self::Op, dep: Self::Op);
+}
+
+/// The op-emission rules of a lowering, walked once per topology: per
+/// device, in schedule order, the fully-sharded weight gather before
+/// each stage run (double-buffered: it also waits for run `k - 2`), the
+/// kernel, its outgoing pipeline send (when `shape.emits_sends`), and
+/// the DP reductions (`DP_FS` after each backward run; `DP_0`/`DP_PS`
+/// after a stage's last backward, `DP_PS` chaining its re-gather); then
+/// the late cross-device edges. [`lower_with_schedule_perturbed`] feeds
+/// this to an [`OpGraph`]; `crate::batch` feeds it to a graph-free class
+/// builder. Returns each device's compute stream.
+pub(crate) fn emit_ops<S: OpSink>(
+    schedule: &Schedule,
+    shape: Shape,
+    sink: &mut S,
+) -> Vec<S::Stream> {
+    let n_pp = schedule.n_pp();
+    let n_mb = schedule.num_microbatches();
+    let n_stage = schedule.placement().num_stages();
+
+    let compute: Vec<S::Stream> = (0..n_pp).map(|dev| sink.stream(dev, "compute")).collect();
+    let dp_streams: Vec<S::Stream> = (0..n_pp)
+        .map(|dev| {
+            if shape.overlap_dp {
+                sink.stream(dev, "dp")
+            } else {
+                compute[dev as usize]
+            }
+        })
+        .collect();
+    let pp_streams: Vec<S::Stream> = (0..n_pp)
+        .map(|dev| {
+            if shape.overlap_pp {
+                sink.stream(dev, "pp")
+            } else {
+                compute[dev as usize]
+            }
+        })
+        .collect();
+
+    let idx = |mb: u32, stage: StageId| (mb * n_stage + stage.0) as usize;
+    let cidx = |a: &Action| {
+        (match a.dir {
+            Direction::Forward => 0,
+            Direction::Backward => 1,
+        }) * (n_mb * n_stage) as usize
+            + idx(a.microbatch, a.stage)
+    };
+    let mut compute_op: Vec<Option<S::Op>> = vec![None; (2 * n_mb * n_stage) as usize];
+    // Pipeline sends keyed like compute ops.
+    let mut send_op: Vec<Option<S::Op>> = vec![None; (2 * n_mb * n_stage) as usize];
+
+    let use_fs = shape.dp == DataParallelism::FullySharded && shape.dp_active;
+    let last_stage = StageId(n_stage - 1);
+    let reduce = Charge::Reduce {
+        all_reduce: shape.dp == DataParallelism::Unsharded,
+    };
+
+    for dev in 0..n_pp {
+        let actions = schedule.device_actions(dev);
+        let runs: Vec<StageRun> = schedule.stage_runs(dev);
+        // Map action index -> run index starting there, and run ends.
+        let mut run_start_at = vec![usize::MAX; actions.len()];
+        let mut run_end_at = vec![usize::MAX; actions.len()];
+        for (k, r) in runs.iter().enumerate() {
+            run_start_at[r.start] = k;
+            run_end_at[r.start + r.len - 1] = k;
+        }
+        // Last compute op of each run (filled during the walk).
+        let mut run_last_op: Vec<Option<S::Op>> = vec![None; runs.len()];
+
+        // Per-stage last backward action index (for DP_0/DP_PS reduction).
+        let mut last_bwd_at = vec![usize::MAX; n_stage as usize];
+        for (i, a) in actions.iter().enumerate() {
+            if a.dir == Direction::Backward {
+                last_bwd_at[a.stage.0 as usize] = i;
+            }
+        }
+
+        let dp = dp_streams[dev as usize];
+        for (i, a) in actions.iter().enumerate() {
+            // Fully sharded: gather this run's weights before its first
+            // action; double-buffered, so the gather also waits for the
+            // buffer freed by run k-2. Mid-run actions inherit the wait
+            // through the compute stream's FIFO order.
+            let mut gather: Option<S::Op> = None;
+            if use_fs && run_start_at[i] != usize::MAX {
+                let k = run_start_at[i];
+                let freed = if k >= 2 { run_last_op[k - 2] } else { None };
+                let tag = OpTag::DpGather { stage: a.stage };
+                gather = Some(sink.op(dp, dev, tag, Charge::Gather, freed.as_slice()));
+            }
+
+            let charge = match a.dir {
+                Direction::Forward => Charge::Fwd,
+                Direction::Backward => Charge::Bwd,
+            };
+            let tag = OpTag::Compute(*a);
+            let op = sink.op(compute[dev as usize], dev, tag, charge, gather.as_slice());
+            compute_op[cidx(a)] = Some(op);
+            if run_end_at[i] != usize::MAX {
+                run_last_op[run_end_at[i]] = Some(op);
+            }
+
+            // Outgoing pipeline transfer, issued right after the kernel in
+            // this device's stream order.
+            let sends_forward = a.dir == Direction::Forward && a.stage != last_stage;
+            let sends_backward = a.dir == Direction::Backward && a.stage.0 > 0;
+            if (sends_forward || sends_backward) && shape.emits_sends {
+                // A forward send leaves device `dev` for `dev + 1`; a
+                // backward send travels the pair below, `dev - 1 ↔ dev`
+                // (both mod N_PP — looping placements wrap).
+                let pair = match a.dir {
+                    Direction::Forward => dev,
+                    Direction::Backward => (dev + n_pp - 1) % n_pp,
+                };
+                let tag = OpTag::PpSend {
+                    dir: a.dir,
+                    microbatch: a.microbatch,
+                    from_stage: a.stage,
+                };
+                let send = sink.op(
+                    pp_streams[dev as usize],
+                    dev,
+                    tag,
+                    Charge::P2p { pair },
+                    &[op],
+                );
+                send_op[cidx(a)] = Some(send);
+            }
+
+            // Fully sharded: flush (reduce-scatter) gradients at the end
+            // of each backward run.
+            if use_fs && run_end_at[i] != usize::MAX && a.dir == Direction::Backward {
+                sink.op(dp, dev, OpTag::DpReduce { stage: a.stage }, reduce, &[op]);
+            }
+
+            // DP_0 / DP_PS: one reduction per stage after its last
+            // backward. DP_PS chains the weight all-gather behind it.
+            if !use_fs && shape.dp_active && last_bwd_at[a.stage.0 as usize] == i {
+                let rs = sink.op(dp, dev, OpTag::DpReduce { stage: a.stage }, reduce, &[op]);
+                match shape.dp {
+                    DataParallelism::Unsharded => {}
+                    DataParallelism::PartiallySharded => {
+                        let tag = OpTag::DpGather { stage: a.stage };
+                        sink.op(dp, dev, tag, Charge::Gather, &[rs]);
+                    }
+                    DataParallelism::FullySharded => unreachable!("use_fs covers this"),
+                }
+            }
+        }
+    }
+
+    // Wire cross-device pipeline dependencies: a consumer waits for the
+    // transfer out of its producer (or directly for the producer kernel
+    // when transfers are free).
+    let producer = |a: Action| {
+        send_op[cidx(&a)]
+            .or(compute_op[cidx(&a)])
+            .expect("all compute ops created")
+    };
+    for mb in 0..n_mb {
+        for s in 0..n_stage {
+            let stage = StageId(s);
+            // Forward: fwd(mb, s+1) waits for the transfer out of s.
+            if s + 1 < n_stage {
+                let consumer = compute_op[cidx(&Action::fwd(mb, StageId(s + 1)))]
+                    .expect("all compute ops created");
+                sink.dep(consumer, producer(Action::fwd(mb, stage)));
+            }
+            // Backward: bwd(mb, s-1) waits for the transfer out of s.
+            if s > 0 {
+                let consumer = compute_op[cidx(&Action::bwd(mb, StageId(s - 1)))]
+                    .expect("all compute ops created");
+                sink.dep(consumer, producer(Action::bwd(mb, stage)));
+            }
+        }
+    }
+    compute
 }
 
 /// The slower of two links (worse tier, then lower bandwidth) — the
@@ -354,20 +668,6 @@ fn dp_collective_seconds_links(
         }
     } else {
         flat(inter)
-    }
-}
-
-pub(crate) fn compute_durations(
-    model: &TransformerConfig,
-    cluster: &ClusterSpec,
-    cfg: &ParallelConfig,
-    kernel: &KernelModel,
-    comm_multiplier: f64,
-) -> Durations {
-    if cluster.is_hetero() || !matches!(cfg.layer_split, LayerSplit::Uniform) {
-        compute_durations_hetero(model, cluster, cfg, kernel, comm_multiplier)
-    } else {
-        compute_durations_homogeneous(model, cluster, cfg, kernel, comm_multiplier)
     }
 }
 
@@ -457,7 +757,7 @@ fn compute_durations_homogeneous(
     }
 }
 
-/// [`compute_durations`] for heterogeneous fleets and/or non-uniform
+/// [`Durations::new`] for heterogeneous fleets and/or non-uniform
 /// layer splits: every duration is computed per pipeline device, using
 /// that device's own GPU speed, its node's links, and its layer share.
 /// As everywhere in the lowering, one pipeline "column" (DP rank 0, TP
@@ -693,289 +993,40 @@ pub fn lower_with_schedule_perturbed(
 ) -> Result<LoweredGraph, SimulateError> {
     cfg.validate(model, cluster)
         .map_err(SimulateError::Config)?;
-    debug_assert_eq!(schedule.n_pp(), cfg.placement.n_pp());
+    debug_assert_eq!(schedule.placement(), cfg.placement);
     debug_assert_eq!(schedule.num_microbatches(), cfg.batch.num_microbatches);
 
-    let d = compute_durations(model, cluster, cfg, kernel, overlap.comm_multiplier);
-    let grid = cfg.grid;
-    let n_pp = grid.n_pp;
-    let n_mb = cfg.batch.num_microbatches;
-    let n_stage = cfg.placement.num_stages();
+    let d = Durations::new(model, cluster, cfg, kernel, overlap);
+    let n_pp = cfg.grid.n_pp;
 
     // Size the graph up front: per device, every action yields a kernel,
     // at most one send, and at most two DP collectives; cross-device
     // wiring adds at most two late edges per (microbatch, stage).
-    let total_actions = 2 * n_mb as usize * n_stage as usize;
+    let total_actions = schedule.num_actions();
     let op_bound = 4 * total_actions;
-    let mut graph: OpGraph<OpTag> =
-        OpGraph::with_capacity(3 * n_pp as usize, op_bound, 3 * op_bound);
-    let mut resource_device: Vec<u32> = Vec::with_capacity(3 * n_pp as usize);
-    let compute_resources: Vec<ResourceId> = (0..n_pp)
-        .map(|dev| {
-            resource_device.push(dev);
-            graph.add_resource(format!("gpu{dev}.compute"))
-        })
-        .collect();
-    let dp_resources: Vec<ResourceId> = (0..n_pp)
-        .map(|dev| {
-            if overlap.dp {
-                resource_device.push(dev);
-                graph.add_resource(format!("gpu{dev}.dp"))
-            } else {
-                compute_resources[dev as usize]
-            }
-        })
-        .collect();
-    let pp_resources: Vec<ResourceId> = (0..n_pp)
-        .map(|dev| {
-            if overlap.pp {
-                resource_device.push(dev);
-                graph.add_resource(format!("gpu{dev}.pp"))
-            } else {
-                compute_resources[dev as usize]
-            }
-        })
-        .collect();
-
-    let idx = |mb: u32, stage: StageId| (mb * n_stage + stage.0) as usize;
-    let mut compute_op: Vec<Option<OpId>> = vec![None; (2 * n_mb * n_stage) as usize];
-    let cidx = |a: &Action| {
-        (match a.dir {
-            Direction::Forward => 0,
-            Direction::Backward => 1,
-        }) * (n_mb * n_stage) as usize
-            + idx(a.microbatch, a.stage)
+    let mut sink = GraphSink {
+        graph: OpGraph::with_capacity(3 * n_pp as usize, op_bound, 3 * op_bound),
+        resource_device: Vec::with_capacity(3 * n_pp as usize),
+        d: &d,
+        perturbation,
+        op_perturb: Vec::with_capacity(op_bound),
+        mem_effects: Vec::with_capacity(total_actions + 2 * n_pp as usize),
+        last_kernel: None,
     };
-    // Pipeline sends keyed like compute ops.
-    let mut send_op: Vec<Option<OpId>> = vec![None; (2 * n_mb * n_stage) as usize];
+    let compute_resources = emit_ops(&schedule, Shape::of(cfg, overlap, &d), &mut sink);
+    sink.close_activations();
+    let GraphSink {
+        graph,
+        resource_device,
+        op_perturb,
+        mem_effects,
+        ..
+    } = sink;
 
-    let use_fs = cfg.dp == DataParallelism::FullySharded && grid.n_dp > 1;
-    let last_stage = StageId(n_stage - 1);
-
-    // Memory annotations: one checkpoint per (micro-batch, stage) pinned
-    // at its forward kernel's end and freed at its backward's end —
-    // matching `Schedule::peak_checkpoints_per_device`, since a device's
-    // FIFO compute stream replays its action order — plus one working
-    // activation buffer per device spanning its first to last kernel.
-    let mut mem_effects: Vec<MemEffect> = Vec::with_capacity(total_actions + 2 * n_pp as usize);
-
-    // Perturb durations at insertion time, salted by the op's index in
-    // the graph: a pure function of (perturbation, lowering order), so
-    // perturbed graphs are bit-identical across runs and caller threading.
-    let pert = |g: &OpGraph<OpTag>, base: SimDuration, class: OpClass, dev: u32| {
-        perturbation.perturb(base, class, dev, g.num_ops() as u64)
-    };
-
-    for dev in 0..n_pp {
-        let actions = schedule.device_actions(dev);
-        let runs: Vec<StageRun> = schedule.stage_runs(dev);
-        // Map action index -> run index starting there, and run ends.
-        let mut run_start_at = vec![usize::MAX; actions.len()];
-        let mut run_end_at = vec![usize::MAX; actions.len()];
-        for (k, r) in runs.iter().enumerate() {
-            run_start_at[r.start] = k;
-            run_end_at[r.start + r.len - 1] = k;
-        }
-        // Last compute op of each run (filled during the walk).
-        let mut run_last_op: Vec<Option<OpId>> = vec![None; runs.len()];
-
-        // Per-stage last backward action index (for DP_0/DP_PS reduction).
-        let mut last_bwd_at = vec![usize::MAX; n_stage as usize];
-        for (i, a) in actions.iter().enumerate() {
-            if a.dir == Direction::Backward {
-                last_bwd_at[a.stage.0 as usize] = i;
-            }
-        }
-
-        for (i, a) in actions.iter().enumerate() {
-            // Fully sharded: gather this run's weights before its first
-            // action; double-buffered, so the gather also waits for the
-            // buffer freed by run k-2. Mid-run actions inherit the wait
-            // through the compute stream's FIFO order.
-            let mut extra_dep: Option<OpId> = None;
-            if use_fs && run_start_at[i] != usize::MAX {
-                let k = run_start_at[i];
-                let mut deps: Vec<OpId> = Vec::new();
-                if k >= 2 {
-                    if let Some(prev) = run_last_op[k - 2] {
-                        deps.push(prev);
-                    }
-                }
-                let dur = pert(&graph, d.dp_gather_on(dev), OpClass::Communication, dev);
-                let g = graph.add_op(
-                    dp_resources[dev as usize],
-                    dur,
-                    &deps,
-                    OpTag::DpGather { stage: a.stage },
-                );
-                extra_dep = Some(g);
-            }
-
-            let duration = match a.dir {
-                Direction::Forward => d.fwd_on(dev),
-                Direction::Backward => d.bwd_on(dev),
-            };
-            let duration = pert(&graph, duration, OpClass::Compute, dev);
-            let deps: Vec<OpId> = extra_dep.into_iter().collect();
-            let op = graph.add_op(
-                compute_resources[dev as usize],
-                duration,
-                &deps,
-                OpTag::Compute(*a),
-            );
-            compute_op[cidx(a)] = Some(op);
-            if i == 0 {
-                mem_effects.push(MemEffect {
-                    op,
-                    device: dev,
-                    class: BufferClass::Activations,
-                    delta: 1,
-                    edge: EventEdge::Start,
-                });
-            }
-            mem_effects.push(MemEffect {
-                op,
-                device: dev,
-                class: BufferClass::Checkpoints,
-                delta: match a.dir {
-                    Direction::Forward => 1,
-                    Direction::Backward => -1,
-                },
-                edge: EventEdge::End,
-            });
-            if i == actions.len() - 1 {
-                mem_effects.push(MemEffect {
-                    op,
-                    device: dev,
-                    class: BufferClass::Activations,
-                    delta: -1,
-                    edge: EventEdge::End,
-                });
-            }
-            if run_end_at[i] != usize::MAX {
-                run_last_op[run_end_at[i]] = Some(op);
-            }
-
-            // Outgoing pipeline transfer, issued right after the kernel in
-            // this device's stream order.
-            let sends_forward = a.dir == Direction::Forward && a.stage != last_stage;
-            let sends_backward = a.dir == Direction::Backward && a.stage.0 > 0;
-            if (sends_forward || sends_backward) && d.emits_sends() {
-                // A forward send leaves device `dev` for `dev + 1`; a
-                // backward send travels the pair below, `dev - 1 ↔ dev`
-                // (both mod N_PP — looping placements wrap).
-                let pair = match a.dir {
-                    Direction::Forward => dev,
-                    Direction::Backward => (dev + n_pp - 1) % n_pp,
-                };
-                let dur = pert(&graph, d.p2p_pair(pair), OpClass::Communication, dev);
-                let send = graph.add_op(
-                    pp_resources[dev as usize],
-                    dur,
-                    &[op],
-                    OpTag::PpSend {
-                        dir: a.dir,
-                        microbatch: a.microbatch,
-                        from_stage: a.stage,
-                    },
-                );
-                send_op[cidx(a)] = Some(send);
-            }
-
-            // Fully sharded: flush (reduce-scatter) gradients at the end
-            // of each backward run.
-            if use_fs && run_end_at[i] != usize::MAX && a.dir == Direction::Backward {
-                let dur = pert(&graph, d.dp_reduce_rs_on(dev), OpClass::Communication, dev);
-                graph.add_op(
-                    dp_resources[dev as usize],
-                    dur,
-                    &[op],
-                    OpTag::DpReduce { stage: a.stage },
-                );
-            }
-
-            // DP_0 / DP_PS: one reduction per stage after its last
-            // backward. DP_PS chains the weight all-gather behind it.
-            if !use_fs && grid.n_dp > 1 && last_bwd_at[a.stage.0 as usize] == i {
-                match cfg.dp {
-                    DataParallelism::Unsharded => {
-                        let dur = pert(&graph, d.dp_reduce_ar_on(dev), OpClass::Communication, dev);
-                        graph.add_op(
-                            dp_resources[dev as usize],
-                            dur,
-                            &[op],
-                            OpTag::DpReduce { stage: a.stage },
-                        );
-                    }
-                    DataParallelism::PartiallySharded => {
-                        let dur = pert(&graph, d.dp_reduce_rs_on(dev), OpClass::Communication, dev);
-                        let rs = graph.add_op(
-                            dp_resources[dev as usize],
-                            dur,
-                            &[op],
-                            OpTag::DpReduce { stage: a.stage },
-                        );
-                        let dur = pert(&graph, d.dp_gather_on(dev), OpClass::Communication, dev);
-                        graph.add_op(
-                            dp_resources[dev as usize],
-                            dur,
-                            &[rs],
-                            OpTag::DpGather { stage: a.stage },
-                        );
-                    }
-                    DataParallelism::FullySharded => unreachable!("use_fs covers this"),
-                }
-            }
-        }
-    }
-
-    // Wire cross-device pipeline dependencies.
-    for mb in 0..n_mb {
-        for s in 0..n_stage {
-            let stage = StageId(s);
-            // Forward: fwd(mb, s+1) waits for the transfer out of s (or
-            // directly for fwd(mb, s) when transfers are free / same dev).
-            if s + 1 < n_stage {
-                let consumer = compute_op[cidx(&Action::fwd(mb, StageId(s + 1)))]
-                    .expect("all compute ops created");
-                let producer_fwd = Action::fwd(mb, stage);
-                match send_op[cidx(&producer_fwd)] {
-                    Some(send) => graph.add_dep(consumer, send),
-                    None => {
-                        let p = compute_op[cidx(&producer_fwd)].expect("created");
-                        graph.add_dep(consumer, p);
-                    }
-                }
-            }
-            // Backward: bwd(mb, s-1) waits for the transfer out of s.
-            if s > 0 {
-                let consumer = compute_op[cidx(&Action::bwd(mb, StageId(s - 1)))]
-                    .expect("all compute ops created");
-                let producer_bwd = Action::bwd(mb, stage);
-                match send_op[cidx(&producer_bwd)] {
-                    Some(send) => graph.add_dep(consumer, send),
-                    None => {
-                        let p = compute_op[cidx(&producer_bwd)].expect("created");
-                        graph.add_dep(consumer, p);
-                    }
-                }
-            }
-        }
-    }
-
-    let per_device_kernels = n_mb as u64 * cfg.placement.n_loop() as u64;
+    let per_device_kernels = cfg.batch.num_microbatches as u64 * cfg.placement.n_loop() as u64;
     let ideal_compute_seconds = (0..n_pp)
         .map(|dev| per_device_kernels as f64 * (d.fwd_on(dev) + d.bwd_on(dev)).as_secs_f64())
         .fold(0.0, f64::max);
-
-    let op_perturb = graph
-        .op_ids()
-        .map(|id| {
-            let op = graph.op(id);
-            let is_compute = matches!(op.tag(), OpTag::Compute(_)) as u32;
-            (op.duration(), 2 * op.resource().index() as u32 + is_compute)
-        })
-        .collect();
 
     let mem_spec = MemorySpec {
         devices: (0..n_pp)
@@ -996,6 +1047,103 @@ pub fn lower_with_schedule_perturbed(
         op_perturb,
         mem_spec,
     })
+}
+
+/// The [`OpSink`] of a full lowering: named streams, tagged ops with
+/// perturbed durations, the dense perturbation inputs, and the memory
+/// annotations.
+struct GraphSink<'a> {
+    graph: OpGraph<OpTag>,
+    resource_device: Vec<u32>,
+    d: &'a Durations,
+    /// Perturbs durations at insertion time, salted by the op's index in
+    /// the graph: a pure function of (perturbation, lowering order), so
+    /// perturbed graphs are bit-identical across runs and caller
+    /// threading.
+    perturbation: &'a Perturbation,
+    op_perturb: Vec<(SimDuration, u32)>,
+    /// Memory annotations: one checkpoint per (micro-batch, stage) pinned
+    /// at its forward kernel's end and freed at its backward's end —
+    /// matching `Schedule::peak_checkpoints_per_device`, since a device's
+    /// FIFO compute stream replays its action order — plus one working
+    /// activation buffer per device spanning its first to last kernel.
+    mem_effects: Vec<MemEffect>,
+    /// The latest kernel and its device: a kernel on a new device closes
+    /// the previous device's activation buffer.
+    last_kernel: Option<(u32, OpId)>,
+}
+
+impl GraphSink<'_> {
+    /// Frees the working activation buffer of the device whose kernels
+    /// ended with the latest one.
+    fn close_activations(&mut self) {
+        if let Some((device, op)) = self.last_kernel.take() {
+            self.mem_effects.push(MemEffect {
+                op,
+                device,
+                class: BufferClass::Activations,
+                delta: -1,
+                edge: EventEdge::End,
+            });
+        }
+    }
+}
+
+impl OpSink for GraphSink<'_> {
+    type Op = OpId;
+    type Stream = ResourceId;
+
+    fn stream(&mut self, dev: u32, label: &'static str) -> ResourceId {
+        self.resource_device.push(dev);
+        self.graph.add_resource(format!("gpu{dev}.{label}"))
+    }
+
+    fn op(
+        &mut self,
+        stream: ResourceId,
+        dev: u32,
+        tag: OpTag,
+        charge: Charge,
+        deps: &[OpId],
+    ) -> OpId {
+        let class = charge.class();
+        let salt = self.graph.num_ops() as u64;
+        let duration = self
+            .perturbation
+            .perturb(charge.base(self.d, dev), class, dev, salt);
+        let op = self.graph.add_op(stream, duration, deps, tag);
+        let is_compute = (class == OpClass::Compute) as u32;
+        self.op_perturb
+            .push((duration, 2 * stream.index() as u32 + is_compute));
+        if let OpTag::Compute(a) = tag {
+            if self.last_kernel.is_none_or(|(last, _)| last != dev) {
+                self.close_activations();
+                self.mem_effects.push(MemEffect {
+                    op,
+                    device: dev,
+                    class: BufferClass::Activations,
+                    delta: 1,
+                    edge: EventEdge::Start,
+                });
+            }
+            self.mem_effects.push(MemEffect {
+                op,
+                device: dev,
+                class: BufferClass::Checkpoints,
+                delta: match a.dir {
+                    Direction::Forward => 1,
+                    Direction::Backward => -1,
+                },
+                edge: EventEdge::End,
+            });
+            self.last_kernel = Some((dev, op));
+        }
+        op
+    }
+
+    fn dep(&mut self, op: OpId, dep: OpId) {
+        self.graph.add_dep(op, dep);
+    }
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ use bfpp_model::TransformerConfig;
 
 use crate::candidates::Candidate;
 use crate::kernel::KernelModel;
-use crate::lower::compute_durations;
+use crate::lower::Durations;
 use crate::measure::MEMORY_HEADROOM;
 use crate::memory::memory_with_checkpoints;
 use crate::overlap::OverlapConfig;
@@ -142,7 +142,7 @@ pub fn lower_bound_tflops(
     kernel: &KernelModel,
 ) -> f64 {
     let cfg = cand.config_on(model, cluster);
-    let d = compute_durations(model, cluster, &cfg, kernel, overlap.comm_multiplier);
+    let d = Durations::new(model, cluster, &cfg, kernel, overlap);
     let seconds_lb = if d.per_device.is_some() {
         // Heterogeneous (or non-uniformly split) stages: the scalar
         // fields are maxima over devices, and feeding maxima to the

@@ -42,7 +42,7 @@ use crate::batch::{ClassBase, ClassCache, ClassKey};
 use crate::candidates::{enumerate, Candidate};
 use crate::executor::{Executor, ScopedTask};
 use crate::kernel::KernelModel;
-use crate::lower::{compute_durations, lower_with_schedule, Durations, LoweredGraph};
+use crate::lower::{lower_with_schedule, Durations, LoweredGraph};
 use crate::measure::{
     measure_lowered, measure_with_durations, simulate_perturbed, simulate_with_schedule_perturbed,
     Measurement,
@@ -135,10 +135,11 @@ impl std::fmt::Display for Method {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalMode {
     /// Partition each chunk's survivors by topology class
-    /// (`crate::batch`), lower **one clean representative per class**,
-    /// and evaluate every other member from an SoA duration batch
-    /// replayed over the class's prebuilt solver workspace. Work-stealing
-    /// granularity is a batch of classes, not a candidate. The default.
+    /// (`crate::batch`), build **one replay workspace per class**
+    /// straight from its key and schedule (no op graph), and evaluate
+    /// every member from an SoA duration batch replayed over it.
+    /// Work-stealing granularity is a batch of classes, not a candidate.
+    /// The default.
     #[default]
     Batched,
     /// The classic engine: every survivor is lowered and solved
@@ -229,8 +230,8 @@ pub struct SearchEnv {
     /// Topology-class base cache for [`EvalMode::Batched`]. Bases are
     /// model/cluster/kernel-independent, so the process-wide
     /// [`ClassCache::global`] is the default even for private
-    /// environments — a hit skips lowering and CSR construction but can
-    /// never change a result.
+    /// environments — a hit skips the class build (op walk, CSR index,
+    /// discovery solve) but can never change a result.
     pub classes: Arc<ClassCache>,
     /// Warm-start store. `None` disables both recording and replay.
     pub warm: Option<Arc<WarmCache>>,
@@ -781,6 +782,7 @@ pub fn search_observed(
                     &mut class_order,
                     threads,
                     &env.executor,
+                    env.metrics.as_deref(),
                 );
             } else if threads <= 1 {
                 evaluate_slice(
@@ -877,8 +879,8 @@ pub fn search_observed(
             // Batched runs record topology-class bases (in the serial
             // first-seen order, so storage under the shared op budget is
             // deterministic); a warm replay then re-times whole classes.
-            // Bases are perturbation-independent — built from clean
-            // representatives — so even a perturbed cold run records them.
+            // Bases are perturbation-independent — built from the key
+            // alone — so even a perturbed cold run records them.
             let resolved_classes = lock_resolved(&resolved);
             for class_key in &class_order {
                 if let Some((base, _)) = resolved_classes.get(class_key) {
@@ -909,8 +911,7 @@ pub fn search_observed(
             // batched evaluation, no re-lowering and no CSR rebuild.
             let class_probe = if batched {
                 best_cand.as_ref().and_then(|cand| {
-                    let d =
-                        compute_durations(model, cluster, &b.cfg, kernel, overlap.comm_multiplier);
+                    let d = Durations::new(model, cluster, &b.cfg, kernel, overlap);
                     let class_key = ClassKey::of(cand, overlap, &d);
                     let base = lock_resolved(&resolved)
                         .get(&class_key)
@@ -919,9 +920,9 @@ pub fn search_observed(
                     let mut factors = Vec::new();
                     base.fill_row(&d, &probe, &mut factors, &mut row);
                     let mut solve_stats = crate::batch::empty_stats();
-                    let mut scratch = base.lock_scratch();
+                    let mut replay = base.lock_replay();
                     Some(base.measure_row(
-                        &mut scratch,
+                        &mut replay,
                         &mut solve_stats,
                         model,
                         cluster,
@@ -1182,6 +1183,7 @@ fn evaluate_chunk_batched(
     class_order: &mut Vec<ClassKey>,
     threads: usize,
     executor: &Executor,
+    metrics: Option<&MetricsRegistry>,
 ) {
     // Serial pre-pass: deterministic grouping in first-seen key order.
     let mut groups: Vec<(ClassKey, Vec<BatchItem>)> = Vec::new();
@@ -1193,7 +1195,7 @@ fn evaluate_chunk_batched(
             // candidate inside lowering.
             continue;
         }
-        let d = compute_durations(model, cluster, &cfg, kernel, overlap.comm_multiplier);
+        let d = Durations::new(model, cluster, &cfg, kernel, overlap);
         let key = ClassKey::of(cand, overlap, &d);
         let gi = match group_index.get(&key) {
             Some(&gi) => gi,
@@ -1220,44 +1222,28 @@ fn evaluate_chunk_batched(
     let mut out: Vec<EvalSlot> = (0..total).map(|_| EvalSlot::default()).collect();
     let task_count = threads.clamp(1, groups.len());
     let per = groups.len().div_ceil(task_count);
+    let ctx = GroupCtx {
+        model,
+        cluster,
+        cache,
+        stats,
+        perturbation,
+        warm_rec,
+        classes,
+        resolved,
+        metrics,
+    };
     if task_count <= 1 {
-        eval_groups(
-            model,
-            cluster,
-            cache,
-            stats,
-            &groups,
-            &mut out,
-            overlap,
-            kernel,
-            perturbation,
-            warm_rec,
-            classes,
-            resolved,
-        );
+        eval_groups(&ctx, &groups, &mut out);
     } else {
+        let ctx = &ctx;
         let mut tasks: Vec<ScopedTask<'_>> = Vec::with_capacity(task_count);
         let mut rest: &mut [EvalSlot] = &mut out;
         for gchunk in groups.chunks(per) {
             let n: usize = gchunk.iter().map(|(_, members)| members.len()).sum();
             let (mine, tail) = rest.split_at_mut(n);
             rest = tail;
-            let task: ScopedTask<'_> = Box::new(move || {
-                eval_groups(
-                    model,
-                    cluster,
-                    cache,
-                    stats,
-                    gchunk,
-                    mine,
-                    overlap,
-                    kernel,
-                    perturbation,
-                    warm_rec,
-                    classes,
-                    resolved,
-                );
-            });
+            let task: ScopedTask<'_> = Box::new(move || eval_groups(ctx, gchunk, mine));
             tasks.push(task);
         }
         executor.scope_run(tasks);
@@ -1272,23 +1258,22 @@ fn evaluate_chunk_batched(
     }
 }
 
+/// What every batched pool task of one chunk shares.
+struct GroupCtx<'a> {
+    model: &'a TransformerConfig,
+    cluster: &'a ClusterSpec,
+    cache: &'a ScheduleCache,
+    stats: &'a CacheStats,
+    perturbation: &'a Perturbation,
+    warm_rec: Option<&'a SweepRecord>,
+    classes: &'a ClassCache,
+    resolved: &'a Mutex<HashMap<ClassKey, (Arc<ClassBase>, bool)>>,
+    metrics: Option<&'a MetricsRegistry>,
+}
+
 /// Evaluates a contiguous run of class groups into their group-ordered
 /// slots — the body of one batched pool task.
-#[allow(clippy::too_many_arguments)]
-fn eval_groups(
-    model: &TransformerConfig,
-    cluster: &ClusterSpec,
-    cache: &ScheduleCache,
-    stats: &CacheStats,
-    groups: &[(ClassKey, Vec<BatchItem>)],
-    out: &mut [EvalSlot],
-    overlap: OverlapConfig,
-    kernel: &KernelModel,
-    perturbation: &Perturbation,
-    warm_rec: Option<&SweepRecord>,
-    classes: &ClassCache,
-    resolved: &Mutex<HashMap<ClassKey, (Arc<ClassBase>, bool)>>,
-) {
+fn eval_groups(ctx: &GroupCtx<'_>, groups: &[(ClassKey, Vec<BatchItem>)], out: &mut [EvalSlot]) {
     let mut factors: Vec<f64> = Vec::new();
     let mut solve_stats = crate::batch::empty_stats();
     let mut pos = 0;
@@ -1297,48 +1282,33 @@ fn eval_groups(
         pos += members.len();
 
         // Resolve the class base: request-local map (stable provenance)
-        // → warm record → shared class cache → build from a clean
-        // representative. A failed resolution fails the whole class,
-        // which is per-candidate parity: schedule generation and
-        // deadlock depend only on class-level inputs.
-        let hit = lock_resolved(resolved).get(key).cloned();
+        // → warm record → shared class cache → build from the key and
+        // its schedule. A failed resolution fails the whole class, which
+        // is per-candidate parity: schedule generation and deadlock
+        // depend only on class-level inputs.
+        let hit = lock_resolved(ctx.resolved).get(key).cloned();
         let (base, from_record) = match hit {
             Some(found) => found,
             None => {
-                let (built, from_record) = if let Some(b) =
-                    warm_rec.and_then(|rec| rec.class_base(key))
-                {
-                    (Some(b), true)
-                } else if let Some(b) = classes.lookup(key) {
-                    (Some(b), false)
-                } else {
-                    let rep = &members[0];
-                    let built = cache
-                        .get_or_generate_tracked(
-                            key.schedule_kind(),
-                            rep.cfg.placement,
-                            rep.cfg.batch.num_microbatches,
-                            stats,
-                        )
-                        .ok()
-                        .and_then(|schedule| {
-                            lower_with_schedule(model, cluster, &rep.cfg, schedule, overlap, kernel)
-                                .ok()
-                        })
-                        .and_then(|lowered| ClassBase::build(rep.cfg.dp, &lowered))
-                        .map(Arc::new);
-                    if let Some(b) = &built {
-                        classes.insert(*key, Arc::clone(b));
-                        if let Some(rec) = warm_rec {
-                            // A rebuilt evicted base is re-offered to
-                            // the record for the next replay.
-                            rec.store_class(*key, Arc::clone(b));
+                let (built, from_record) =
+                    if let Some(b) = ctx.warm_rec.and_then(|rec| rec.class_base(key)) {
+                        (Some(b), true)
+                    } else if let Some(b) = ctx.classes.lookup(key) {
+                        (Some(b), false)
+                    } else {
+                        let built = build_class(ctx, key);
+                        if let Some(b) = &built {
+                            ctx.classes.insert(*key, Arc::clone(b));
+                            if let Some(rec) = ctx.warm_rec {
+                                // A rebuilt evicted base is re-offered to
+                                // the record for the next replay.
+                                rec.store_class(*key, Arc::clone(b));
+                            }
                         }
-                    }
-                    (built, false)
-                };
+                        (built, false)
+                    };
                 let Some(b) = built else { continue };
-                lock_resolved(resolved).insert(*key, (Arc::clone(&b), from_record));
+                lock_resolved(ctx.resolved).insert(*key, (Arc::clone(&b), from_record));
                 (b, from_record)
             }
         };
@@ -1347,21 +1317,44 @@ fn eval_groups(
         // re-timed against the single prebuilt workspace.
         let mut batch = DurationMatrix::new(base.num_ops());
         for item in members {
-            base.fill_row(&item.d, perturbation, &mut factors, batch.push_row());
+            base.fill_row(&item.d, ctx.perturbation, &mut factors, batch.push_row());
         }
-        let mut scratch = base.lock_scratch();
+        let mut replay = base.lock_replay();
         for (row, (item, slot)) in members.iter().zip(slots.iter_mut()).enumerate() {
             slot.measurement = Some(base.measure_row(
-                &mut scratch,
+                &mut replay,
                 &mut solve_stats,
-                model,
-                cluster,
+                ctx.model,
+                ctx.cluster,
                 &item.cfg,
                 batch.row(row),
             ));
             slot.warm_hit = from_record;
         }
     }
+}
+
+/// Builds the base of a class-cache miss from its key and schedule,
+/// counting the build (`search_class_builds_total`) and timing it
+/// (`search_class_build_ns`, schedule lookup excluded) on this pool
+/// thread — one clock pair per class, none per op.
+fn build_class(ctx: &GroupCtx<'_>, key: &ClassKey) -> Option<Arc<ClassBase>> {
+    let schedule = ctx
+        .cache
+        .get_or_generate_tracked(
+            key.schedule_kind(),
+            key.placement(),
+            key.num_microbatches(),
+            ctx.stats,
+        )
+        .ok()?;
+    let t0 = ctx.metrics.map(|_| Instant::now());
+    let built = ClassBase::build(key, &schedule);
+    if let (Some(metrics), Some(t0)) = (ctx.metrics, t0) {
+        metrics.counter_incr("search_class_builds_total");
+        metrics.observe_duration("search_class_build_ns", t0.elapsed());
+    }
+    built.map(Arc::new)
 }
 
 /// The layered engine's winner, without the report.

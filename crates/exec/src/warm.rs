@@ -257,8 +257,12 @@ impl std::fmt::Debug for Entries {
 
 impl Default for WarmCache {
     fn default() -> Self {
-        // 64 sweeps × 8M ops ≈ the working set of a full Figure 5 + 6 +
-        // Tables E reproduction, a few GiB at the default limits.
+        // 64 sweeps × 8M stored ops each. A batched search stores class
+        // bases at ~33 bytes per op (see `ClassCache`), so a full record
+        // holds ~260 MB; a per-candidate search stores lowerings, whose op
+        // graph, annotations and solver workspace cost several times
+        // that per op. A record holds only the classes its search
+        // resolved: 3.4M ops for the jittered 1T/32×A100 request.
         WarmCache::with_limits(64, 8_000_000)
     }
 }

@@ -1,16 +1,106 @@
-//! Property test of the batched topology-class evaluator: for random
-//! methods, batch sizes, limits and perturbations, `EvalMode::Batched`
-//! (one CSR per shape class, SoA duration rows, trace replay) must be
-//! **bit-identical** to `EvalMode::PerCandidate` (lower + full solve per
-//! candidate) — same winner, same measurement to the bit, same prune
-//! counters — at every thread count.
+//! Property tests of the batched topology-class evaluator.
+//!
+//! Per class: a base built straight from `(ClassKey, Schedule)` must
+//! agree with a full `lower_with_schedule` + `Solver` over the member's
+//! `OpGraph` — row fill equals `LoweredGraph::perturbed_durations`,
+//! replay equals `solve_stats_with_durations`, and a class fails exactly
+//! when the graph fails — for random kind, placement, micro-batch
+//! count, DP mode, DP activity, overlap flags and zero/non-zero
+//! transfers, on homogeneous and mixed fleets.
+//!
+//! Per search: for random methods, batch sizes, limits and
+//! perturbations, `EvalMode::Batched` (one replay workspace per shape
+//! class, SoA duration rows, trace replay) must be **bit-identical** to
+//! `EvalMode::PerCandidate` (lower + full solve per candidate) — same
+//! winner, same measurement to the bit, same prune counters — at every
+//! thread count.
 
-use bfpp_cluster::presets::dgx1_v100;
+use std::sync::Arc;
+
+use bfpp_cluster::presets::{dgx1_v100, mixed_v100_a100, mixed_v100_a100_asym};
+use bfpp_cluster::ClusterSpec;
+use bfpp_core::{Schedule, ScheduleKind};
+use bfpp_exec::batch::{ClassBase, ClassKey};
 use bfpp_exec::search::{best_config_with_report, EvalMode, Method, SearchOptions};
-use bfpp_exec::KernelModel;
+use bfpp_exec::{
+    lower_with_schedule, Candidate, Durations, KernelModel, OverlapConfig, SplitStrategy,
+};
 use bfpp_model::presets::bert_6_6b;
-use bfpp_sim::Perturbation;
+use bfpp_parallel::{BatchConfig, DataParallelism, Grid, Placement};
+use bfpp_sim::{Perturbation, SimDuration, SolveStats, Solver};
 use proptest::prelude::*;
+
+/// One class to build: a candidate on a fleet under an overlap setting.
+#[derive(Debug, Clone)]
+struct ClassCase {
+    cluster: ClusterSpec,
+    cand: Candidate,
+    overlap: OverlapConfig,
+}
+
+fn class_cases() -> impl Strategy<Value = ClassCase> {
+    (
+        (
+            proptest::sample::select(vec![
+                dgx1_v100(1),
+                dgx1_v100(2),
+                mixed_v100_a100(1, 1),
+                mixed_v100_a100_asym(1, 1),
+            ]),
+            proptest::sample::select(ScheduleKind::ALL.to_vec()),
+            proptest::sample::select(vec![1u32, 2, 4, 8]),
+            proptest::sample::select(vec![1u32, 2, 4]),
+        ),
+        proptest::sample::select(vec![1u32, 2, 3, 4, 6, 8]),
+        proptest::sample::select(vec![
+            DataParallelism::Unsharded,
+            DataParallelism::PartiallySharded,
+            DataParallelism::FullySharded,
+        ]),
+        proptest::sample::select(vec![1u32, 2, 4, 8]),
+        (any::<bool>(), any::<bool>()),
+        // A zero multiplier zeroes every transfer: no sends, free DP.
+        proptest::sample::select(vec![1.0f64, 2.5, 0.0]),
+        proptest::sample::select(vec![
+            SplitStrategy::Uniform,
+            SplitStrategy::SpeedProportional,
+        ]),
+    )
+        .prop_map(
+            |((cluster, kind, n_pp, n_loop), n_mb, dp, n_tp, (ov_dp, ov_pp), mult, split)| {
+                let n_dp = (cluster.num_gpus() / (n_pp * n_tp)).max(1);
+                let placement = if n_loop == 1 {
+                    Placement::linear(n_pp)
+                } else {
+                    Placement::looping(n_pp, n_loop)
+                };
+                ClassCase {
+                    cluster,
+                    cand: Candidate {
+                        grid: Grid::new(n_dp, n_tp, n_pp),
+                        placement,
+                        batch: BatchConfig::new(n_mb, 1),
+                        kind,
+                        dp,
+                        split,
+                    },
+                    overlap: OverlapConfig {
+                        dp: ov_dp,
+                        pp: ov_pp,
+                        comm_multiplier: mult,
+                    },
+                }
+            },
+        )
+}
+
+fn empty_stats() -> SolveStats {
+    SolveStats {
+        makespan: SimDuration::ZERO,
+        busy: Vec::new(),
+        peak_memory: None,
+    }
+}
 
 fn perturbations() -> Vec<Perturbation> {
     vec![
@@ -44,6 +134,68 @@ fn searches() -> impl Strategy<Value = (Method, u64, SearchOptions)> {
                 },
             )
         })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// A class built from its key and schedule is the member's lowered
+    /// graph up to representation: same durations under every
+    /// perturbation, same replayed timeline aggregates, same failures.
+    #[test]
+    fn direct_class_build_matches_full_lowering(case in class_cases()) {
+        let model = bert_6_6b();
+        let kernel = KernelModel::v100();
+        let ClassCase { cluster, cand, overlap } = case;
+        // Shapes the fleet cannot host are skipped (the speed-proportional
+        // split is only defined for a grid that fits).
+        if cand.config().validate(&model, &cluster).is_err() {
+            return;
+        }
+        let cfg = cand.config_on(&model, &cluster);
+        if cfg.validate(&model, &cluster).is_err() {
+            return;
+        }
+        let schedule = match Schedule::generate(cand.kind, cand.placement, cand.batch.num_microbatches) {
+            Ok(s) => Arc::new(s),
+            Err(_) => {
+                // Unschedulable: lowering the member fails too.
+                prop_assert!(bfpp_exec::lower(&model, &cluster, &cfg, cand.kind, overlap, &kernel).is_err());
+                return;
+            }
+        };
+        let d = Durations::new(&model, &cluster, &cfg, &kernel, overlap);
+        let key = ClassKey::of(&cand, overlap, &d);
+        let base = ClassBase::build(&key, &schedule);
+        let lowered = lower_with_schedule(&model, &cluster, &cfg, Arc::clone(&schedule), overlap, &kernel)
+            .expect("a valid configuration lowers");
+        let mut solver = Solver::new(&lowered.graph);
+        let solved = solver.solve_makespan();
+        let Some(base) = base else {
+            prop_assert!(solved.is_err(), "class failed but the graph solves: {cand:?}");
+            return;
+        };
+        prop_assert!(solved.is_ok(), "graph deadlocks but the class built: {cand:?}");
+        prop_assert_eq!(base.num_ops(), lowered.graph.num_ops());
+
+        let mut row = vec![SimDuration::ZERO; base.num_ops()];
+        let mut factors = Vec::new();
+        let mut expect = Vec::new();
+        let mut stats = empty_stats();
+        for p in [
+            Perturbation::none(),
+            Perturbation::with_seed(11).with_straggler(cand.grid.n_pp - 1, 1.4),
+            Perturbation::with_seed(5).with_jitter(0.2).with_link_degradation(1.3),
+        ] {
+            base.fill_row(&d, &p, &mut factors, &mut row);
+            lowered.perturbed_durations(&p, &mut expect);
+            prop_assert_eq!(&row, &expect, "{:?} under {:?}", cand, p);
+            base.lock_replay().replay_stats_into(&row, &mut stats);
+            let full = solver.solve_stats_with_durations(&row).expect("solvable");
+            prop_assert_eq!(stats.makespan, full.makespan, "{:?} under {:?}", cand, p);
+            prop_assert_eq!(&stats.busy, &full.busy, "{:?} under {:?}", cand, p);
+        }
+    }
 }
 
 proptest! {

@@ -511,10 +511,11 @@ impl Planner {
         planner
     }
 
-    /// Shared constructor body: adopt (or install) the environment's
-    /// registry so engine-side and planner-side metrics share one
-    /// snapshot.
-    fn over(mut env: SearchEnv) -> Planner {
+    /// A planner over a caller-built environment (its own executor,
+    /// caches and warm store), with no admission limit. Adopts the
+    /// environment's metrics registry, or installs one, so engine-side
+    /// and planner-side metrics share one snapshot.
+    pub fn over(mut env: SearchEnv) -> Planner {
         let metrics = match &env.metrics {
             Some(m) => Arc::clone(m),
             None => {

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bfpp_exec::search::{Method, SearchOptions};
-use bfpp_exec::{KernelModel, MetricsSnapshot};
+use bfpp_exec::{ClassCache, Executor, KernelModel, MetricsSnapshot, SearchEnv};
 use bfpp_planner::chaos::{PanicPoint, SessionFault};
 use bfpp_planner::{PlanEvent, PlanRequest, Planner, RejectReason, SessionOutcome};
 use bfpp_sim::metrics::validate_prometheus;
@@ -235,4 +235,43 @@ fn progress_snapshot_matches_the_final_report() {
     assert!(!p.warm_start);
     assert!(p.best_millitflops > 0, "a winner was streamed");
     assert_eq!(p.visited(), report.enumerated, "every candidate decided");
+}
+
+/// Class construction is counted at class granularity: on a planner
+/// whose class cache starts private and empty, a cold request builds
+/// exactly one base per class-cache miss, and times each build once.
+/// A warm replay of the same cell builds nothing.
+#[test]
+fn cold_request_counts_one_class_build_per_cache_miss() {
+    let classes = Arc::new(ClassCache::new());
+    let planner = Planner::over(SearchEnv {
+        executor: Executor::new(2),
+        classes: Arc::clone(&classes),
+        ..SearchEnv::service()
+    });
+    let req = quick_req(Method::BreadthFirst, 16, 2);
+    let (_, report) = planner.plan(&req);
+    let snap = planner.metrics_snapshot();
+    let builds = snap.counter("search_class_builds_total");
+    assert!(builds > 0, "a cold request builds classes");
+    assert!(
+        builds <= report.simulated,
+        "at most one class per simulated config"
+    );
+    assert_eq!(builds, snap.counter("class_cache_misses_total"));
+    assert_eq!(builds, classes.misses());
+    assert_eq!(classes.len() as u64, builds, "every built base is cached");
+    let timed = snap
+        .histogram("search_class_build_ns")
+        .expect("class builds are timed");
+    assert_eq!(timed.count(), builds, "one build-time sample per class");
+
+    planner.plan(&req);
+    let warm = planner.metrics_snapshot();
+    assert_eq!(warm.counter("search_warm_starts_total"), 1);
+    assert_eq!(
+        warm.counter("search_class_builds_total"),
+        builds,
+        "a warm replay resolves every class from its record"
+    );
 }

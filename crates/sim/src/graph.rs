@@ -28,6 +28,17 @@ impl ResourceId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// The resource at `index` in insertion order — for topologies built
+    /// without an [`OpGraph`] ([`crate::ReplayWorkspace::discover`]),
+    /// whose resources are plain indices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` does not fit a resource id (`u32`).
+    pub fn from_index(index: usize) -> ResourceId {
+        ResourceId(u32::try_from(index).expect("resource index fits u32"))
+    }
 }
 
 /// A single operation: a fixed-duration task bound to one resource.

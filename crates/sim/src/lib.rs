@@ -61,7 +61,8 @@ pub use observe::{
 };
 pub use perturb::{OpClass, Perturbation};
 pub use solver::{
-    DeadlockError, DurationMatrix, ScheduledOp, SolveScratch, SolveStats, Solver, Timeline,
+    DeadlockError, DurationMatrix, ReplayWorkspace, ScheduledOp, SolveScratch, SolveStats, Solver,
+    Timeline,
 };
 pub use stats::{ResourceStats, UtilizationSummary};
 pub use time::{SimDuration, SimTime};

@@ -155,15 +155,37 @@ impl Error for DeadlockError {}
 /// unfinished dependency or (when its deps are all done) by the current
 /// head of its resource's FIFO queue. Following that single "binding
 /// blocker" edge from any blocked op must revisit a node — that loop is
-/// the unresolvable cycle. Shared by the event-driven solver and the
-/// reference round-robin solver so their reports agree exactly.
+/// the unresolvable cycle. The reference round-robin solver's entry
+/// point; the event-driven solver walks the same
+/// [`blocking_cycle_with`], so their reports agree exactly.
+#[cfg(any(test, feature = "reference-solver"))]
 pub(crate) fn blocking_cycle<T>(
     graph: &OpGraph<T>,
     done: &[bool],
     queue_pos: &[usize],
     start: OpId,
 ) -> Vec<OpId> {
-    let mut seen_at: Vec<Option<usize>> = vec![None; graph.num_ops()];
+    blocking_cycle_with(
+        graph.num_ops(),
+        start,
+        |op| graph.deps_of(op).iter().copied().find(|d| !done[d.index()]),
+        |op| {
+            let r = graph.op(op).resource().index();
+            graph.resource_queues[r][queue_pos[r]]
+        },
+    )
+}
+
+/// [`blocking_cycle`] over any topology representation: `pending_dep`
+/// names an unfinished dependency of an op (if any), and `queue_head` the
+/// current head of the op's resource queue.
+fn blocking_cycle_with(
+    n: usize,
+    start: OpId,
+    pending_dep: impl Fn(OpId) -> Option<OpId>,
+    queue_head: impl Fn(OpId) -> OpId,
+) -> Vec<OpId> {
+    let mut seen_at: Vec<Option<usize>> = vec![None; n];
     let mut chain: Vec<OpId> = Vec::new();
     let mut cur = start;
     loop {
@@ -172,18 +194,9 @@ pub(crate) fn blocking_cycle<T>(
         }
         seen_at[cur.index()] = Some(chain.len());
         chain.push(cur);
-        let resource = graph.op(cur).resource();
-        cur = match graph
-            .deps_of(cur)
-            .iter()
-            .copied()
-            .find(|d| !done[d.index()])
-        {
-            Some(dep) => dep,
-            // Deps all done yet unscheduled: blocked behind its queue's
-            // current (dep-blocked) head.
-            None => graph.resource_queues[resource.index()][queue_pos[resource.index()]],
-        };
+        // Deps all done yet unscheduled: blocked behind its queue's
+        // current (dep-blocked) head.
+        cur = pending_dep(cur).unwrap_or_else(|| queue_head(cur));
     }
 }
 
@@ -227,6 +240,137 @@ struct ResourceState {
     head: u32,
 }
 
+/// What trace replay reads, and all it reads: the CSR reverse-dependency
+/// index, each op's resource, the recorded processing order, and the
+/// replay loop's own timing buffers. [`SolveScratch`] wraps it with the
+/// discovery event loop's buffers; [`ReplayWorkspace`] wraps it alone.
+#[derive(Debug, Clone, Default)]
+struct ReplayCore {
+    /// CSR row pointers: dependents of op `i` live at
+    /// `dependents[indptr[i] .. indptr[i + 1]]`.
+    indptr: Vec<u32>,
+    /// CSR column indices: flat arena of reverse dependency edges.
+    dependents: Vec<OpId>,
+    /// Per-op resource index, copied out of the topology so the hot
+    /// loops read a dense array instead of chasing `Op` structs.
+    op_resource: Vec<u32>,
+    /// Number of resources in the topology.
+    num_resources: usize,
+    /// The consumed ready worklist of a successful full solve, in
+    /// processing order — a *replay trace*. The event loop's processing
+    /// order is duration-independent (pushes depend only on pending-dep
+    /// counters and queue positions, never on times), so one recorded
+    /// trace is a valid schedule order for *any* duration vector over
+    /// this topology; [`ReplayCore::replay`] re-times it without queue
+    /// or counter bookkeeping.
+    trace: Vec<OpId>,
+    /// Per-op dependency-ready time (dense 8-byte lanes: the replay
+    /// touches nothing else per dependent).
+    ready_time: Vec<SimTime>,
+    /// Per-resource free time.
+    free: Vec<SimTime>,
+    /// Per-resource busy sum.
+    busy: Vec<SimDuration>,
+}
+
+impl ReplayCore {
+    fn num_ops(&self) -> usize {
+        self.indptr.len().saturating_sub(1)
+    }
+
+    /// The replay engine: walks the recorded trace once, re-timing every
+    /// op under `durations`. The trace respects dependency order (an op
+    /// was pushed only after all its deps ran) and per-resource FIFO
+    /// order (only queue heads are pushed), and an op's start time —
+    /// `max(resource free, deps done)` — is a pure function of
+    /// already-processed ops under both orders, so the replayed times are
+    /// bit-identical to a full event-driven solve under the same
+    /// durations, with none of the queue/counter bookkeeping. `RECORD`
+    /// additionally fills the per-op `start`/`end` arrays (timeline and
+    /// memory-peak paths). Callers guarantee `trace` is complete for
+    /// this topology.
+    fn replay<const RECORD: bool>(
+        &mut self,
+        durations: &[SimDuration],
+        start: &mut Vec<SimTime>,
+        end: &mut Vec<SimTime>,
+    ) -> SimDuration {
+        let n = self.num_ops();
+        assert_eq!(
+            durations.len(),
+            n,
+            "duration override must cover every op (got {}, topology has {n})",
+            durations.len()
+        );
+        let num_resources = self.num_resources;
+        let ReplayCore {
+            indptr,
+            dependents,
+            op_resource,
+            trace,
+            ready_time,
+            free,
+            busy,
+            ..
+        } = self;
+        ready_time.clear();
+        ready_time.resize(n, SimTime::ZERO);
+        free.clear();
+        free.resize(num_resources, SimTime::ZERO);
+        busy.clear();
+        busy.resize(num_resources, SimDuration::ZERO);
+        if RECORD {
+            start.resize(n, SimTime::ZERO);
+            end.resize(n, SimTime::ZERO);
+        }
+        // SAFETY: every `OpId` in `trace` was consumed from the ready
+        // worklist of a successful full solve over this topology, whose
+        // ids come from `queue_arena`/`dependents` — checked `< n` when
+        // the topology was built (see the SAFETY argument in
+        // `SolveScratch::run_events`), so `i` indexes
+        // `ready_time`/`op_resource`/`durations` and (under `RECORD`)
+        // `start`/`end`, and `i + 1 <= n` indexes `indptr`. `op_resource`
+        // entries were checked `< num_resources` at the same time,
+        // bounding the `free`/`busy` accesses, and `indptr` is a prefix
+        // sum bounded by `dependents.len()`. Rebuilding an index clears
+        // its trace, so a trace can never be replayed against a
+        // differently shaped topology.
+        for &op_id in trace.iter() {
+            let i = op_id.index();
+            debug_assert!(i < n);
+            let r = unsafe { *op_resource.get_unchecked(i) } as usize;
+            debug_assert!(r < num_resources);
+            let d = unsafe { *durations.get_unchecked(i) };
+            let free_at = unsafe { free.get_unchecked_mut(r) };
+            let ready_at = (*free_at).max(unsafe { *ready_time.get_unchecked(i) });
+            let finish = ready_at + d;
+            *free_at = finish;
+            unsafe { *busy.get_unchecked_mut(r) += d };
+            if RECORD {
+                unsafe {
+                    *start.get_unchecked_mut(i) = ready_at;
+                    *end.get_unchecked_mut(i) = finish;
+                }
+            }
+            let (lo, hi) = unsafe {
+                (
+                    *indptr.get_unchecked(i) as usize,
+                    *indptr.get_unchecked(i + 1) as usize,
+                )
+            };
+            debug_assert!(lo <= hi && hi <= dependents.len());
+            for &dependent in unsafe { dependents.get_unchecked(lo..hi) } {
+                let j = dependent.index();
+                debug_assert!(j < n);
+                let rt = unsafe { ready_time.get_unchecked_mut(j) };
+                *rt = (*rt).max(finish);
+            }
+        }
+        let makespan = free.iter().copied().max().unwrap_or(SimTime::ZERO);
+        makespan.duration_since(SimTime::ZERO)
+    }
+}
+
 /// Reusable solver workspace: the CSR reverse-dependency index plus every
 /// per-solve buffer. Passing one scratch through
 /// [`OpGraph::solve_with`] / [`Solver::with_scratch`] lets thousands of
@@ -234,20 +378,17 @@ struct ResourceState {
 /// heap allocation after warm-up.
 #[derive(Debug, Clone, Default)]
 pub struct SolveScratch {
-    /// CSR row pointers: dependents of op `i` live at
-    /// `dependents[indptr[i] .. indptr[i + 1]]`.
-    indptr: Vec<u32>,
-    /// CSR column indices: flat arena of reverse dependency edges.
-    dependents: Vec<OpId>,
-    /// Scatter cursors used while filling `dependents`.
+    /// The topology index, replay trace and replay buffers.
+    core: ReplayCore,
+    /// Whether `core.trace` holds a complete trace for the current
+    /// topology. Cleared by [`build_csr`]; deadlocked solves never set it.
+    trace_ready: bool,
+    /// Scatter cursors used while filling `dependents` and the queues.
     fill_cursor: Vec<u32>,
     /// Pristine per-op state (dependency count + resource index,
     /// `deps_ready` zeroed), built once per graph; every solve resets
     /// `state` with one flat copy of this template.
     init_state: Vec<OpState>,
-    /// Per-op resource index, copied out of the graph so the hot loop
-    /// reads a dense array instead of chasing `Op` structs.
-    op_resource: Vec<u32>,
     /// Per-op base duration, copied out of the graph: solves without a
     /// duration override index this, so both paths run the same loop.
     op_duration: Vec<SimDuration>,
@@ -269,27 +410,6 @@ pub struct SolveScratch {
     end: Vec<SimTime>,
     /// Per-resource packed solve state (free time, queue cursor, head).
     res: Vec<ResourceState>,
-    /// The consumed ready worklist of the last successful full solve, in
-    /// processing order — a *replay trace*. The event loop's processing
-    /// order is duration-independent (pushes depend only on pending-dep
-    /// counters and queue positions, never on times), so one recorded
-    /// trace is a valid schedule order for *any* duration vector over
-    /// this topology; `SolveScratch::replay` re-times it without queue
-    /// or counter bookkeeping.
-    trace: Vec<OpId>,
-    /// Whether `trace` holds a complete trace for the current topology.
-    /// Cleared by [`build_csr`]; deadlocked solves never set it.
-    trace_ready: bool,
-    /// Per-op dependency-ready time, used by the replay loop in place of
-    /// the packed `OpState` (dense 8-byte lanes instead of 16-byte
-    /// structs: the replay touches nothing else per dependent).
-    ready_time: Vec<SimTime>,
-    /// Per-resource free time for the replay loop (SoA twin of
-    /// `ResourceState::free_at`).
-    replay_free: Vec<SimTime>,
-    /// Per-resource busy sum for the replay loop (SoA twin of
-    /// `ResourceState::busy`).
-    replay_busy: Vec<SimDuration>,
 }
 
 impl SolveScratch {
@@ -301,11 +421,19 @@ impl SolveScratch {
     /// Creates a workspace pre-sized for graphs of the given shape.
     pub fn with_capacity(ops: usize, edges: usize, resources: usize) -> Self {
         SolveScratch {
-            indptr: Vec::with_capacity(ops + 1),
-            dependents: Vec::with_capacity(edges),
+            core: ReplayCore {
+                indptr: Vec::with_capacity(ops + 1),
+                dependents: Vec::with_capacity(edges),
+                op_resource: Vec::with_capacity(ops),
+                num_resources: 0,
+                trace: Vec::with_capacity(ops),
+                ready_time: Vec::with_capacity(ops),
+                free: Vec::with_capacity(resources),
+                busy: Vec::with_capacity(resources),
+            },
+            trace_ready: false,
             fill_cursor: Vec::with_capacity(ops),
             init_state: Vec::with_capacity(ops),
-            op_resource: Vec::with_capacity(ops),
             op_duration: Vec::with_capacity(ops),
             queue_indptr: Vec::with_capacity(resources + 1),
             queue_arena: Vec::with_capacity(ops),
@@ -314,11 +442,6 @@ impl SolveScratch {
             start: Vec::with_capacity(ops),
             end: Vec::with_capacity(ops),
             res: Vec::with_capacity(resources),
-            trace: Vec::with_capacity(ops),
-            trace_ready: false,
-            ready_time: Vec::with_capacity(ops),
-            replay_free: Vec::with_capacity(resources),
-            replay_busy: Vec::with_capacity(resources),
         }
     }
 
@@ -331,16 +454,16 @@ impl SolveScratch {
 
     /// Number of ops in the topology this workspace was last built for.
     pub fn num_ops(&self) -> usize {
-        self.indptr.len().saturating_sub(1)
+        self.core.num_ops()
     }
 
     /// Re-times the recorded trace under `durations`, writing the
     /// makespan and per-resource busy sums into `stats` (its `busy`
     /// buffer is reused, so a caller looping over many duration rows
     /// allocates nothing). This is the graph-free half of the duration
-    /// re-solve: the workspace alone carries the topology, so callers
-    /// holding a prebuilt scratch for a topology *class* (see
-    /// `exec::batch`) can evaluate members without any graph in hand.
+    /// re-solve: the workspace alone carries the topology.
+    /// [`ReplayWorkspace`] is the same replay without the discovery
+    /// buffers, for callers that keep many topologies alive.
     ///
     /// # Panics
     ///
@@ -350,84 +473,170 @@ impl SolveScratch {
         let makespan = self.replay::<false>(durations);
         stats.makespan = makespan;
         stats.busy.clear();
-        stats.busy.extend_from_slice(&self.replay_busy);
+        stats.busy.extend_from_slice(&self.core.busy);
         stats.peak_memory = None;
     }
 
-    /// The replay engine: walks the recorded trace once, re-timing every
-    /// op under `durations`. The trace respects dependency order (an op
-    /// was pushed only after all its deps ran) and per-resource FIFO
-    /// order (only queue heads are pushed), and an op's start time —
-    /// `max(resource free, deps done)` — is a pure function of
-    /// already-processed ops under both orders, so the replayed times are
-    /// bit-identical to a full event-driven solve under the same
-    /// durations, with none of the queue/counter bookkeeping. `RECORD`
-    /// additionally fills the per-op `start`/`end` arrays (timeline and
-    /// memory-peak paths).
+    /// [`ReplayCore::replay`] behind the recorded-trace check.
     fn replay<const RECORD: bool>(&mut self, durations: &[SimDuration]) -> SimDuration {
         assert!(
             self.trace_ready,
             "replay requires a recorded trace (run one full solve first)"
         );
-        let n = self.num_ops();
-        assert_eq!(
-            durations.len(),
-            n,
-            "duration override must cover every op (got {}, topology has {n})",
-            durations.len()
-        );
-        let num_resources = self.queue_indptr.len().saturating_sub(1);
+        self.core
+            .replay::<RECORD>(durations, &mut self.start, &mut self.end)
+    }
+
+    /// The discovery event loop. Schedules every op exactly once: an op
+    /// enters the ready queue when its pending-dep counter hits zero
+    /// *and* it heads its resource's FIFO queue; scheduling it advances
+    /// the queue (which may ready the next head) and decrements its CSR
+    /// dependents (which may ready ops that were already at their queue
+    /// head). Each op's start time depends only on previously scheduled
+    /// ops, so the worklist order never affects the timeline —
+    /// determinism needs no tie-breaking at all. A successful solve
+    /// records its worklist as the replay trace (once per built index).
+    ///
+    /// Runs over the built index alone, so graph-built and flat-built
+    /// workspaces share it. On a stall, returns how many ops ran (the
+    /// consumed worklist prefix) for the caller's deadlock report.
+    /// `RECORD` fills the per-op `start`/`end` arrays.
+    fn run_events<const RECORD: bool>(
+        &mut self,
+        durations: Option<&[SimDuration]>,
+    ) -> Result<SimDuration, usize> {
+        let n = self.core.num_ops();
+        let num_resources = self.core.num_resources;
+        if let Some(d) = durations {
+            assert_eq!(
+                d.len(),
+                n,
+                "duration override must cover every op (got {}, graph has {n})",
+                d.len()
+            );
+        }
+        // Split borrows: the topology caches stay shared while the
+        // per-solve buffers are written.
         let SolveScratch {
-            indptr,
-            dependents,
-            op_resource,
-            state: _,
+            core:
+                ReplayCore {
+                    indptr,
+                    dependents,
+                    trace,
+                    ..
+                },
+            trace_ready,
+            init_state,
+            op_duration,
+            queue_indptr,
+            queue_arena,
+            state,
+            ready,
             start,
             end,
-            trace,
-            ready_time,
-            replay_free,
-            replay_busy,
+            res,
             ..
         } = self;
-        ready_time.clear();
-        ready_time.resize(n, SimTime::ZERO);
-        replay_free.clear();
-        replay_free.resize(num_resources, SimTime::ZERO);
-        replay_busy.clear();
-        replay_busy.resize(num_resources, SimDuration::ZERO);
+        // Without an override, the base durations cached at build time
+        // serve as the "override": both paths run one slice-indexed loop.
+        let ds: &[SimDuration] = durations.unwrap_or(op_duration);
+        debug_assert_eq!(ds.len(), n);
+
+        state.clear();
+        state.extend_from_slice(init_state);
+        // `end`/`start` are only read for ops scheduled *this* solve, so
+        // stale values from a previous solve need no zeroing.
         if RECORD {
             start.resize(n, SimTime::ZERO);
             end.resize(n, SimTime::ZERO);
         }
-        // SAFETY: every `OpId` in `trace` was consumed from the ready
-        // worklist of a successful full solve over this topology, whose
-        // ids come from `queue_arena`/`dependents` — validated `< n` at
-        // `add_op` time (see the SAFETY argument in `run_impl`), so `i`
-        // indexes `ready_time`/`op_resource`/`durations` and (under
-        // `RECORD`) `start`/`end`, and `i + 1 <= n` indexes `indptr`.
-        // `op_resource` entries were in-range resource ids at `add_op`
-        // time, bounding the `replay_free`/`replay_busy` accesses, and
-        // `indptr` is a prefix sum bounded by `dependents.len()`.
-        // `build_csr` clears `trace_ready`, so a trace can never be
-        // replayed against a differently shaped topology.
-        for &op_id in trace.iter() {
+        ready.clear();
+
+        // Seed: cache every queue's head; heads with no pending deps are
+        // ready.
+        res.clear();
+        for r in 0..num_resources {
+            let (lo, hi) = (queue_indptr[r], queue_indptr[r + 1]);
+            let head = if lo < hi {
+                let first = queue_arena[lo as usize];
+                if state[first.index()].pending == 0 {
+                    ready.push(first);
+                }
+                first.0
+            } else {
+                u32::MAX
+            };
+            res.push(ResourceState {
+                free_at: SimTime::ZERO,
+                busy: SimDuration::ZERO,
+                next_pos: lo,
+                limit: hi,
+                head,
+            });
+        }
+
+        // The worklist is consumed FIFO via a cursor (never popped):
+        // processing order then tracks the schedule's wave order, which
+        // keeps the scattered per-op state accesses roughly sequential.
+        // Each op enters the list exactly once, so it tops out at `n`.
+        //
+        // SAFETY (for the `get_unchecked` accesses below): every `OpId`
+        // reaching the worklist comes from `queue_arena` or `dependents`.
+        // Both index builders check every id they store `< n`: `build_csr`
+        // copies ids the graph validated at `add_op`/`add_dep` time, and
+        // `build_flat` asserts each dependency edge's ops `< n` (and fills
+        // the queues with `0..n`). So every op index is `< n` — the length
+        // of `state`, `ds`, and (when `RECORD`) `start`/`end` — and
+        // `i + 1 <= n` indexes `indptr` (length `n + 1`). Every
+        // `OpState::resource` was checked `< num_resources` by the same
+        // builders (`add_op` for graphs, the resource assertion in
+        // `build_flat`), so it indexes `res` (length `num_resources`).
+        // `next_pos < rs.limit <= queue_arena.len()` guards the arena
+        // read, and `indptr` is a prefix sum bounded by
+        // `dependents.len()`. These invariants hold for any input
+        // topology (they do not depend on acyclicity), and the debug
+        // assertions below re-check them in debug builds.
+        let mut cursor = 0usize;
+        while cursor < ready.len() {
+            let op_id = ready[cursor];
+            cursor += 1;
             let i = op_id.index();
             debug_assert!(i < n);
-            let r = unsafe { *op_resource.get_unchecked(i) } as usize;
-            debug_assert!(r < num_resources);
-            let d = unsafe { *durations.get_unchecked(i) };
-            let free = unsafe { replay_free.get_unchecked_mut(r) };
-            let ready_at = (*free).max(unsafe { *ready_time.get_unchecked(i) });
+            let st_i = unsafe { *state.get_unchecked(i) };
+            debug_assert!((st_i.resource as usize) < num_resources);
+            let rs = unsafe { res.get_unchecked_mut(st_i.resource as usize) };
+
+            // `deps_ready` was folded in as each dependency finished, so
+            // scheduling never re-walks the dependency list.
+            let d = unsafe { *ds.get_unchecked(i) };
+            let ready_at = rs.free_at.max(st_i.deps_ready);
             let finish = ready_at + d;
-            *free = finish;
-            unsafe { *replay_busy.get_unchecked_mut(r) += d };
+            rs.busy += d;
             if RECORD {
                 unsafe {
                     *start.get_unchecked_mut(i) = ready_at;
                     *end.get_unchecked_mut(i) = finish;
                 }
             }
+            rs.free_at = finish;
+            let next_pos = rs.next_pos + 1;
+            rs.next_pos = next_pos;
+
+            // The next op on this queue may now be schedulable.
+            if next_pos < rs.limit {
+                let next = unsafe { *queue_arena.get_unchecked(next_pos as usize) };
+                rs.head = next.0;
+                if unsafe { state.get_unchecked(next.index()) }.pending == 0 {
+                    ready.push(next);
+                }
+            } else {
+                rs.head = u32::MAX;
+            }
+            // Dependents lose one pending dep and absorb this end time;
+            // those already heading their queue become ready. (An op is
+            // pushed exactly once: the two conditions — counter reaching
+            // zero and reaching the queue head — complete in some order,
+            // and only the later event pushes.)
             let (lo, hi) = unsafe {
                 (
                     *indptr.get_unchecked(i) as usize,
@@ -438,13 +647,225 @@ impl SolveScratch {
             for &dependent in unsafe { dependents.get_unchecked(lo..hi) } {
                 let j = dependent.index();
                 debug_assert!(j < n);
-                let rt = unsafe { ready_time.get_unchecked_mut(j) };
-                *rt = (*rt).max(finish);
+                let st = unsafe { state.get_unchecked_mut(j) };
+                st.deps_ready = st.deps_ready.max(finish);
+                st.pending -= 1;
+                if st.pending == 0 {
+                    let rq = st.resource as usize;
+                    if unsafe { res.get_unchecked(rq) }.head == dependent.0 {
+                        ready.push(dependent);
+                    }
+                }
             }
         }
-        let makespan = replay_free.iter().copied().max().unwrap_or(SimTime::ZERO);
-        makespan.duration_since(SimTime::ZERO)
+
+        if cursor != n {
+            return Err(cursor);
+        }
+
+        // A successful solve's consumed worklist is a replay trace for
+        // any duration vector over this topology (processing order is
+        // duration-independent); record it once per built index.
+        if !*trace_ready {
+            trace.clear();
+            trace.extend_from_slice(ready);
+            *trace_ready = true;
+        }
+
+        // Every resource's `free_at` is its last op's end time, so the
+        // makespan is their max — no per-op max in the hot loop.
+        let makespan = res.iter().map(|r| r.free_at).max().unwrap_or(SimTime::ZERO);
+        Ok(makespan.duration_since(SimTime::ZERO))
     }
+
+    /// The [`DeadlockError`] of a solve that stalled after `ran` ops.
+    /// Reports the lowest-numbered resource with a blocked head — the
+    /// same choice the reference round-robin solver makes, so errors are
+    /// bit-identical too. The scheduled set is exactly the consumed
+    /// worklist prefix (each op is pushed once and processed once).
+    /// `deps_of` lists an op's dependencies and `resource_name` names a
+    /// resource.
+    fn deadlock<'d>(
+        &self,
+        ran: usize,
+        deps_of: impl Fn(OpId) -> &'d [OpId],
+        resource_name: impl Fn(usize) -> String,
+    ) -> DeadlockError {
+        let n = self.core.num_ops();
+        let mut done = vec![false; n];
+        for &op in &self.ready[..ran] {
+            done[op.index()] = true;
+        }
+        let head = |r: usize| {
+            let pos = self.res[r].next_pos;
+            (pos < self.queue_indptr[r + 1]).then(|| self.queue_arena[pos as usize])
+        };
+        let (r, stuck) = (0..self.core.num_resources)
+            .find_map(|r| head(r).map(|op| (r, op)))
+            .expect("unscheduled ops must sit on some queue");
+        let cycle = blocking_cycle_with(
+            n,
+            stuck,
+            |op| deps_of(op).iter().copied().find(|d| !done[d.index()]),
+            |op| {
+                head(self.core.op_resource[op.index()] as usize)
+                    .expect("a blocked op's queue is not drained")
+            },
+        );
+        DeadlockError {
+            stuck_op: stuck,
+            resource: ResourceId(r as u32),
+            resource_name: resource_name(r),
+            cycle,
+            unscheduled: n - ran,
+        }
+    }
+}
+
+/// A topology's replay workspace and nothing else: the CSR index, each
+/// op's resource and a recorded replay trace, plus the replay loop's
+/// timing buffers. Built graph-free by [`ReplayWorkspace::discover`];
+/// none of the discovery event loop's buffers (pending counters,
+/// queues, base durations, worklist) survive the build, so it holds
+/// about a third of a [`SolveScratch`]'s bytes per op. Holding no
+/// event-loop state, it can only replay, never solve: a trace is
+/// always present, so replay needs no trace check.
+#[derive(Debug, Clone)]
+pub struct ReplayWorkspace {
+    core: ReplayCore,
+}
+
+impl ReplayWorkspace {
+    /// Builds the replay workspace of a topology given as flat arrays,
+    /// with no [`OpGraph`]: op `i` runs on resource `op_resource[i]`,
+    /// and each `(op, dep)` pair of `deps` makes `op` wait for `dep`.
+    /// Ops count as submitted in index order, so each resource's FIFO
+    /// queue is its ops in index order. The CSR index and queue arrays
+    /// are exactly those [`Solver::new`] builds for the graph with the
+    /// same ops and edges (in any edge order), and the replay trace is
+    /// the one its first solve records.
+    ///
+    /// ```
+    /// use bfpp_sim::{OpGraph, ReplayWorkspace, SimDuration, SolveStats, Solver};
+    ///
+    /// let ns = SimDuration::from_nanos;
+    /// // Two streams; op 2 waits for op 1 on the other stream.
+    /// let mut ws = ReplayWorkspace::discover(2, vec![0, 1, 0], &[(1, 0), (2, 1)]).unwrap();
+    /// let mut stats = SolveStats { makespan: ns(0), busy: Vec::new(), peak_memory: None };
+    /// ws.replay_stats_into(&[ns(5), ns(4), ns(3)], &mut stats);
+    /// assert_eq!(stats.makespan, ns(12));
+    ///
+    /// // The same topology as a graph solves identically.
+    /// let mut g: OpGraph<()> = OpGraph::new();
+    /// let (a, b) = (g.add_resource("a"), g.add_resource("b"));
+    /// let x = g.add_op(a, ns(5), &[], ());
+    /// let y = g.add_op(b, ns(4), &[x], ());
+    /// g.add_op(a, ns(3), &[y], ());
+    /// assert_eq!(Solver::new(&g).solve_stats().unwrap(), stats);
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeadlockError`] if the topology admits no schedule. The
+    /// flat arrays carry no resource names, so the error names the
+    /// blocked resource by index (`"#3"`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a resource index is `>= num_resources`, or an op index
+    /// in `deps` is `>= op_resource.len()`: the discovery and replay
+    /// loops index by these without bounds checks.
+    pub fn discover(
+        num_resources: usize,
+        op_resource: Vec<u32>,
+        deps: &[(u32, u32)],
+    ) -> Result<ReplayWorkspace, DeadlockError> {
+        TRANSIENT_SCRATCH.with(|cell| {
+            let mut s = cell.take();
+            build_flat(&mut s, num_resources, op_resource, deps);
+            let outcome = match s.run_events::<false>(None) {
+                Ok(_) => {
+                    s.trace_ready = false;
+                    let core = &mut s.core;
+                    Ok(ReplayWorkspace {
+                        core: ReplayCore {
+                            indptr: std::mem::take(&mut core.indptr),
+                            dependents: std::mem::take(&mut core.dependents),
+                            op_resource: {
+                                let mut v = std::mem::take(&mut core.op_resource);
+                                v.shrink_to_fit();
+                                v
+                            },
+                            num_resources,
+                            trace: std::mem::take(&mut core.trace),
+                            ready_time: Vec::new(),
+                            free: Vec::new(),
+                            busy: Vec::new(),
+                        },
+                    })
+                }
+                Err(ran) => {
+                    let forward = forward_deps(s.core.num_ops(), deps);
+                    Err(s.deadlock(ran, |op| forward.row(op), |r| format!("#{r}")))
+                }
+            };
+            cell.set(s);
+            outcome
+        })
+    }
+
+    /// Number of ops in the topology.
+    pub fn num_ops(&self) -> usize {
+        self.core.num_ops()
+    }
+
+    /// Re-times the recorded trace under `durations`, writing the
+    /// makespan and per-resource busy sums into `stats` — bit-identical
+    /// to [`SolveScratch::replay_stats_into`] on a workspace built for
+    /// the same topology (both run one replay loop).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `durations.len()` differs from the topology's op count.
+    pub fn replay_stats_into(&mut self, durations: &[SimDuration], stats: &mut SolveStats) {
+        stats.makespan = self
+            .core
+            .replay::<false>(durations, &mut Vec::new(), &mut Vec::new());
+        stats.busy.clear();
+        stats.busy.extend_from_slice(&self.core.busy);
+        stats.peak_memory = None;
+    }
+}
+
+/// Per-op dependency lists of a flat edge list, for deadlock reports.
+struct ForwardDeps {
+    indptr: Vec<u32>,
+    deps: Vec<OpId>,
+}
+
+impl ForwardDeps {
+    fn row(&self, op: OpId) -> &[OpId] {
+        let i = op.index();
+        &self.deps[self.indptr[i] as usize..self.indptr[i + 1] as usize]
+    }
+}
+
+fn forward_deps(n: usize, edges: &[(u32, u32)]) -> ForwardDeps {
+    let mut indptr = vec![0u32; n + 1];
+    for &(op, _) in edges {
+        indptr[op as usize + 1] += 1;
+    }
+    for i in 1..=n {
+        indptr[i] += indptr[i - 1];
+    }
+    let mut cursor = indptr[..n].to_vec();
+    let mut deps = vec![OpId(0); edges.len()];
+    for &(op, dep) in edges {
+        let c = &mut cursor[op as usize];
+        deps[*c as usize] = OpId(dep);
+        *c += 1;
+    }
+    ForwardDeps { indptr, deps }
 }
 
 /// A dense batch of duration vectors: one contiguous row of `n_ops`
@@ -544,12 +965,12 @@ impl<'g, T> Solver<'g, T> {
     /// recoverable condition.
     pub fn with_prebuilt_scratch(graph: &'g OpGraph<T>, scratch: SolveScratch) -> Self {
         assert_eq!(
-            scratch.indptr.len(),
+            scratch.core.indptr.len(),
             graph.num_ops() + 1,
             "prebuilt scratch op count does not match the graph"
         );
         assert_eq!(
-            scratch.dependents.len(),
+            scratch.core.dependents.len(),
             graph.num_edges(),
             "prebuilt scratch edge count does not match the graph"
         );
@@ -671,7 +1092,7 @@ impl<'g, T> Solver<'g, T> {
         let makespan = self.s.replay::<false>(durations);
         Ok(SolveStats {
             makespan,
-            busy: self.s.replay_busy.clone(),
+            busy: self.s.core.busy.clone(),
             peak_memory: None,
         })
     }
@@ -785,7 +1206,7 @@ impl<'g, T> Solver<'g, T> {
         let makespan = self.s.replay::<true>(durations);
         let mut stats = SolveStats {
             makespan,
-            busy: self.s.replay_busy.clone(),
+            busy: self.s.core.busy.clone(),
             peak_memory: None,
         };
         stats.peak_memory = Some(self.scratch_peaks(mem));
@@ -814,220 +1235,27 @@ impl<'g, T> Solver<'g, T> {
         }
     }
 
-    /// The event loop. Schedules every op exactly once: an op enters the
-    /// ready queue when its pending-dep counter hits zero *and* it heads
-    /// its resource's FIFO queue; scheduling it advances the queue (which
-    /// may ready the next head) and decrements its CSR dependents (which
-    /// may ready ops that were already at their queue head). Each op's
-    /// start time depends only on previously scheduled ops, so the
-    /// worklist order never affects the timeline — determinism needs no
-    /// tie-breaking at all.
+    /// Runs the discovery event loop ([`SolveScratch::run_events`]) over
+    /// this graph's index, naming the graph's resources and dependency
+    /// lists in a deadlock report.
     fn run(
         &mut self,
         durations: Option<&[SimDuration]>,
         record_starts: bool,
     ) -> Result<SimDuration, DeadlockError> {
-        if record_starts {
-            self.run_impl::<true>(durations)
+        let outcome = if record_starts {
+            self.s.run_events::<true>(durations)
         } else {
-            self.run_impl::<false>(durations)
-        }
-    }
-
-    /// [`Solver::run`], monomorphized over whether per-op start/end
-    /// times are recorded (timeline solves) or skipped (makespan/stats
-    /// solves).
-    fn run_impl<const RECORD: bool>(
-        &mut self,
-        durations: Option<&[SimDuration]>,
-    ) -> Result<SimDuration, DeadlockError> {
+            self.s.run_events::<false>(durations)
+        };
         let graph = self.graph;
-        let s = &mut self.s;
-        let n = graph.num_ops();
-        let num_resources = graph.resource_queues.len();
-        if let Some(d) = durations {
-            assert_eq!(
-                d.len(),
-                n,
-                "duration override must cover every op (got {}, graph has {n})",
-                d.len()
-            );
-        }
-        // Split borrows: the topology caches stay shared while the
-        // per-solve buffers are written.
-        let SolveScratch {
-            indptr,
-            dependents,
-            init_state,
-            op_duration,
-            queue_indptr,
-            queue_arena,
-            state,
-            ready,
-            start,
-            end,
-            res,
-            trace,
-            trace_ready,
-            ..
-        } = s;
-        // Without an override, the base durations cached at build time
-        // serve as the "override": both paths run one slice-indexed loop.
-        let ds: &[SimDuration] = durations.unwrap_or(op_duration);
-
-        state.clear();
-        state.extend_from_slice(init_state);
-        // `end`/`start` are only read for ops scheduled *this* solve, so
-        // stale values from a previous solve need no zeroing.
-        if RECORD {
-            start.resize(n, SimTime::ZERO);
-            end.resize(n, SimTime::ZERO);
-        }
-        ready.clear();
-
-        // Seed: cache every queue's head; heads with no pending deps are
-        // ready.
-        res.clear();
-        for r in 0..num_resources {
-            let (lo, hi) = (queue_indptr[r], queue_indptr[r + 1]);
-            let head = if lo < hi {
-                let first = queue_arena[lo as usize];
-                if state[first.index()].pending == 0 {
-                    ready.push(first);
-                }
-                first.0
-            } else {
-                u32::MAX
-            };
-            res.push(ResourceState {
-                free_at: SimTime::ZERO,
-                busy: SimDuration::ZERO,
-                next_pos: lo,
-                limit: hi,
-                head,
-            });
-        }
-
-        // The worklist is consumed FIFO via a cursor (never popped):
-        // processing order then tracks the schedule's wave order, which
-        // keeps the scattered per-op state accesses roughly sequential.
-        // Each op enters the list exactly once, so it tops out at `n`.
-        //
-        // SAFETY (for the `get_unchecked` accesses below): every `OpId`
-        // reaching the worklist comes from `queue_arena` or `dependents`,
-        // which hold ids the graph validated at `add_op` time, so every
-        // op index is `< n` — the length of `state`, `ds`, and (when
-        // `RECORD`) `start`/`end`, and `i + 1 <= n` indexes `indptr`
-        // (length `n + 1`). Every `OpState::resource` was an in-range
-        // resource id at `add_op` time, so it indexes `res` (length
-        // `num_resources`). `next_pos < rs.limit <= queue_arena.len()`
-        // guards the arena read, and `indptr` is a prefix sum bounded by
-        // `dependents.len()`. These invariants hold for any input graph
-        // (they do not depend on acyclicity), and the debug assertions
-        // below re-check them in debug builds.
-        let mut cursor = 0usize;
-        while cursor < ready.len() {
-            let op_id = ready[cursor];
-            cursor += 1;
-            let i = op_id.index();
-            debug_assert!(i < n);
-            let st_i = unsafe { *state.get_unchecked(i) };
-            debug_assert!((st_i.resource as usize) < num_resources);
-            let rs = unsafe { res.get_unchecked_mut(st_i.resource as usize) };
-
-            // `deps_ready` was folded in as each dependency finished, so
-            // scheduling never re-walks the dependency list.
-            let d = unsafe { *ds.get_unchecked(i) };
-            let ready_at = rs.free_at.max(st_i.deps_ready);
-            let finish = ready_at + d;
-            rs.busy += d;
-            if RECORD {
-                unsafe {
-                    *start.get_unchecked_mut(i) = ready_at;
-                    *end.get_unchecked_mut(i) = finish;
-                }
-            }
-            rs.free_at = finish;
-            let next_pos = rs.next_pos + 1;
-            rs.next_pos = next_pos;
-
-            // The next op on this queue may now be schedulable.
-            if next_pos < rs.limit {
-                let next = unsafe { *queue_arena.get_unchecked(next_pos as usize) };
-                rs.head = next.0;
-                if unsafe { state.get_unchecked(next.index()) }.pending == 0 {
-                    ready.push(next);
-                }
-            } else {
-                rs.head = u32::MAX;
-            }
-            // Dependents lose one pending dep and absorb this end time;
-            // those already heading their queue become ready. (An op is
-            // pushed exactly once: the two conditions — counter reaching
-            // zero and reaching the queue head — complete in some order,
-            // and only the later event pushes.)
-            let (lo, hi) = unsafe {
-                (
-                    *indptr.get_unchecked(i) as usize,
-                    *indptr.get_unchecked(i + 1) as usize,
-                )
-            };
-            debug_assert!(lo <= hi && hi <= dependents.len());
-            for &dependent in unsafe { dependents.get_unchecked(lo..hi) } {
-                let j = dependent.index();
-                debug_assert!(j < n);
-                let st = unsafe { state.get_unchecked_mut(j) };
-                st.deps_ready = st.deps_ready.max(finish);
-                st.pending -= 1;
-                if st.pending == 0 {
-                    let rq = st.resource as usize;
-                    if unsafe { res.get_unchecked(rq) }.head == dependent.0 {
-                        ready.push(dependent);
-                    }
-                }
-            }
-        }
-
-        if cursor != n {
-            // Report the lowest-numbered resource with a blocked head —
-            // the same choice the reference round-robin solver makes, so
-            // errors are bit-identical too. `blocking_cycle` is shared
-            // with the reference solver and takes queue-relative
-            // positions and a done array, so convert back from the arena
-            // offsets; the scheduled set is exactly the consumed worklist
-            // prefix (each op is pushed once and processed once).
-            let rel_pos: Vec<usize> = (0..num_resources)
-                .map(|r| (res[r].next_pos - queue_indptr[r]) as usize)
-                .collect();
-            let mut done = vec![false; n];
-            for &op in &ready[..cursor] {
-                done[op.index()] = true;
-            }
-            let (r, stuck) = (0..num_resources)
-                .find_map(|r| graph.resource_queues[r].get(rel_pos[r]).map(|&op| (r, op)))
-                .expect("unscheduled ops must sit on some queue");
-            return Err(DeadlockError {
-                stuck_op: stuck,
-                resource: ResourceId(r as u32),
-                resource_name: graph.resource_names[r].clone(),
-                cycle: blocking_cycle(graph, &done, &rel_pos, stuck),
-                unscheduled: n - cursor,
-            });
-        }
-
-        // A successful solve's consumed worklist is a replay trace for
-        // any duration vector over this topology (processing order is
-        // duration-independent); record it once per built index.
-        if !*trace_ready {
-            trace.clear();
-            trace.extend_from_slice(ready);
-            *trace_ready = true;
-        }
-
-        // Every resource's `free_at` is its last op's end time, so the
-        // makespan is their max — no per-op max in the hot loop.
-        let makespan = res.iter().map(|r| r.free_at).max().unwrap_or(SimTime::ZERO);
-        Ok(makespan.duration_since(SimTime::ZERO))
+        outcome.map_err(|ran| {
+            self.s.deadlock(
+                ran,
+                |op| graph.deps_of(op),
+                |r| graph.resource_names[r].clone(),
+            )
+        })
     }
 
     /// Collects the per-op times of the last successful [`Solver::run`]
@@ -1038,7 +1266,7 @@ impl<'g, T> Solver<'g, T> {
         let scheduled = (0..graph.num_ops())
             .map(|i| ScheduledOp {
                 op: OpId(i as u32),
-                resource: ResourceId(s.op_resource[i]),
+                resource: ResourceId(s.core.op_resource[i]),
                 start: s.start[i],
                 end: s.end[i],
             })
@@ -1059,17 +1287,19 @@ impl<'g, T> Solver<'g, T> {
 /// loop reads instead of the graph.
 fn build_csr<T>(graph: &OpGraph<T>, scratch: &mut SolveScratch) {
     let n = graph.num_ops();
+    let core = &mut scratch.core;
     // Any recorded replay trace belonged to the previous topology.
-    scratch.trace.clear();
+    core.trace.clear();
     scratch.trace_ready = false;
-    scratch.indptr.clear();
-    scratch.indptr.resize(n + 1, 0);
+    core.num_resources = graph.resource_queues.len();
+    core.indptr.clear();
+    core.indptr.resize(n + 1, 0);
     scratch.init_state.clear();
-    scratch.op_resource.clear();
+    core.op_resource.clear();
     scratch.op_duration.clear();
     for id in graph.op_ids() {
         let op = graph.op(id);
-        scratch.op_resource.push(op.resource().0);
+        core.op_resource.push(op.resource().0);
         scratch.op_duration.push(op.duration());
     }
     scratch.queue_indptr.clear();
@@ -1087,36 +1317,132 @@ fn build_csr<T>(graph: &OpGraph<T>, scratch: &mut SolveScratch) {
         scratch.init_state.push(OpState {
             deps_ready: SimTime::ZERO,
             pending: deps.len() as u32,
-            resource: scratch.op_resource[id.index()],
+            resource: core.op_resource[id.index()],
         });
         for d in deps {
-            scratch.indptr[d.index() + 1] += 1;
+            core.indptr[d.index() + 1] += 1;
         }
     }
     for i in 1..=n {
-        scratch.indptr[i] += scratch.indptr[i - 1];
+        core.indptr[i] += core.indptr[i - 1];
     }
-    scratch.dependents.clear();
-    scratch.dependents.resize(graph.num_edges(), OpId(0));
+    core.dependents.clear();
+    core.dependents.resize(graph.num_edges(), OpId(0));
     // Fill using a moving cursor per row (cursor[i] ends at indptr[i+1]).
     scratch.fill_cursor.clear();
-    scratch.fill_cursor.extend_from_slice(&scratch.indptr[..n]);
+    scratch.fill_cursor.extend_from_slice(&core.indptr[..n]);
     for id in graph.op_ids() {
         for d in graph.deps_of(id) {
             let c = &mut scratch.fill_cursor[d.index()];
-            scratch.dependents[*c as usize] = id;
+            core.dependents[*c as usize] = id;
             *c += 1;
         }
     }
 }
 
+/// [`build_csr`] for a topology given as flat arrays (see
+/// [`ReplayWorkspace::discover`]), producing the same arrays `build_csr`
+/// makes for the equivalent graph. Every index the unchecked loops will
+/// read is checked here, since no [`OpGraph`] validated it: resources
+/// `< num_resources`, dependency-edge ops `< n`. Base durations are zero
+/// — the one solve a flat index gets is discovery, whose processing
+/// order never reads times.
+fn build_flat(
+    scratch: &mut SolveScratch,
+    num_resources: usize,
+    op_resource: Vec<u32>,
+    deps: &[(u32, u32)],
+) {
+    let n = op_resource.len();
+    for &r in &op_resource {
+        assert!(
+            (r as usize) < num_resources,
+            "op resource {r} out of range ({num_resources} resources)"
+        );
+    }
+    for &(op, dep) in deps {
+        assert!(
+            (op as usize) < n && (dep as usize) < n,
+            "dependency edge ({op} waits for {dep}) names an op outside 0..{n}"
+        );
+    }
+    let core = &mut scratch.core;
+    core.trace.clear();
+    scratch.trace_ready = false;
+    core.num_resources = num_resources;
+
+    // FIFO queues: ops counted per resource, then scattered in index
+    // (= submission) order, laying down the per-solve state template on
+    // the same pass.
+    scratch.queue_indptr.clear();
+    scratch.queue_indptr.resize(num_resources + 1, 0);
+    for &r in &op_resource {
+        scratch.queue_indptr[r as usize + 1] += 1;
+    }
+    for r in 1..=num_resources {
+        scratch.queue_indptr[r] += scratch.queue_indptr[r - 1];
+    }
+    scratch.queue_arena.clear();
+    scratch.queue_arena.resize(n, OpId(0));
+    scratch.fill_cursor.clear();
+    scratch
+        .fill_cursor
+        .extend_from_slice(&scratch.queue_indptr[..num_resources]);
+    scratch.init_state.clear();
+    for (i, &resource) in op_resource.iter().enumerate() {
+        let c = &mut scratch.fill_cursor[resource as usize];
+        scratch.queue_arena[*c as usize] = OpId(i as u32);
+        *c += 1;
+        scratch.init_state.push(OpState {
+            deps_ready: SimTime::ZERO,
+            pending: 0,
+            resource,
+        });
+    }
+
+    // CSR reverse index and pending counts, as `build_csr` lays them.
+    core.indptr.clear();
+    core.indptr.resize(n + 1, 0);
+    for &(op, dep) in deps {
+        scratch.init_state[op as usize].pending += 1;
+        core.indptr[dep as usize + 1] += 1;
+    }
+    for i in 1..=n {
+        core.indptr[i] += core.indptr[i - 1];
+    }
+    core.dependents.clear();
+    core.dependents.resize(deps.len(), OpId(0));
+    scratch.fill_cursor.clear();
+    scratch.fill_cursor.extend_from_slice(&core.indptr[..n]);
+    // `build_csr` visits dependents in op-index order, so each row lists
+    // them ascending; an edge added late (from an earlier op) arrives
+    // out of that order here and is insertion-sorted into its row. Rows
+    // are a few entries long.
+    for &(op, dep) in deps {
+        let row_start = core.indptr[dep as usize] as usize;
+        let c = &mut scratch.fill_cursor[dep as usize];
+        let mut at = *c as usize;
+        *c += 1;
+        while at > row_start && core.dependents[at - 1].0 > op {
+            core.dependents[at] = core.dependents[at - 1];
+            at -= 1;
+        }
+        core.dependents[at] = OpId(op);
+    }
+    scratch.op_duration.clear();
+    scratch.op_duration.resize(n, SimDuration::ZERO);
+    core.op_resource = op_resource;
+}
+
 thread_local! {
     /// Workspace reused by the transient-solve entry points
-    /// ([`OpGraph::solve`] / [`OpGraph::solve_makespan`]): without it,
-    /// every call re-allocates (and, for large graphs, page-faults in)
-    /// several MB of scratch. The cell retains the capacity of the
-    /// largest graph solved on this thread — bounded and cheap for the
-    /// graph sizes this workspace simulates.
+    /// ([`OpGraph::solve`] / [`OpGraph::solve_makespan`]) and by
+    /// [`ReplayWorkspace::discover`], whose discovery buffers stay here
+    /// while the replay arrays move out: without it, every call
+    /// re-allocates (and, for large graphs, page-faults in) several MB
+    /// of scratch. The cell retains the capacity of the largest topology
+    /// solved on this thread — bounded and cheap for the graph sizes
+    /// this workspace simulates.
     static TRANSIENT_SCRATCH: std::cell::Cell<SolveScratch> =
         std::cell::Cell::new(SolveScratch::new());
 }
@@ -1487,5 +1813,125 @@ mod tests {
         g.add_op(r, ns(1), &[], ());
         let mut solver = Solver::new(&g);
         let _ = solver.solve_with_durations(&[]);
+    }
+
+    /// A random topology built both as a graph and as flat arrays: ops
+    /// on `resources` streams with creation-time deps on earlier ops,
+    /// plus late edges in any direction (which may deadlock).
+    fn random_topology(seed: u64, late: usize) -> (OpGraph<()>, Vec<u32>, Vec<(u32, u32)>) {
+        let mut x = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let mut next = |m: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) % m
+        };
+        let resources = 1 + next(4) as usize;
+        let n = 1 + next(40) as usize;
+        let mut g: OpGraph<()> = OpGraph::new();
+        let rids: Vec<ResourceId> = (0..resources)
+            .map(|r| g.add_resource(format!("r{r}")))
+            .collect();
+        let mut op_resource = Vec::new();
+        let mut edges = Vec::new();
+        for i in 0..n as u32 {
+            let r = next(resources as u64) as u32;
+            let deps: Vec<OpId> = (0..next(3))
+                .filter(|_| i > 0)
+                .map(|_| OpId(next(u64::from(i)) as u32))
+                .collect();
+            g.add_op(rids[r as usize], ns(1 + next(9)), &deps, ());
+            op_resource.push(r);
+            edges.extend(deps.iter().map(|d| (i, d.0)));
+        }
+        for _ in 0..late {
+            let (op, dep) = (next(n as u64) as u32, next(n as u64) as u32);
+            if op != dep {
+                g.add_dep(OpId(op), OpId(dep));
+                edges.push((op, dep));
+            }
+        }
+        (g, op_resource, edges)
+    }
+
+    #[test]
+    fn flat_index_matches_graph_index() {
+        for seed in 0..200 {
+            let (g, op_resource, edges) = random_topology(seed, (seed % 4) as usize);
+            let mut from_graph = SolveScratch::new();
+            build_csr(&g, &mut from_graph);
+            let mut flat = SolveScratch::new();
+            build_flat(&mut flat, g.num_resources(), op_resource, &edges);
+            assert_eq!(flat.core.indptr, from_graph.core.indptr, "seed {seed}");
+            assert_eq!(
+                flat.core.dependents, from_graph.core.dependents,
+                "seed {seed}"
+            );
+            assert_eq!(flat.core.op_resource, from_graph.core.op_resource);
+            assert_eq!(flat.core.num_resources, from_graph.core.num_resources);
+            assert_eq!(flat.queue_indptr, from_graph.queue_indptr, "seed {seed}");
+            assert_eq!(flat.queue_arena, from_graph.queue_arena, "seed {seed}");
+            let init = |s: &SolveScratch| {
+                s.init_state
+                    .iter()
+                    .map(|st| (st.pending, st.resource))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(init(&flat), init(&from_graph), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn discovered_workspace_replays_like_the_graph_solver() {
+        let mut deadlocks = 0;
+        for seed in 0..300 {
+            let (g, op_resource, edges) = random_topology(seed, (seed % 5) as usize);
+            let mut solver = Solver::new(&g);
+            let full = solver.solve_stats();
+            let flat = ReplayWorkspace::discover(g.num_resources(), op_resource, &edges);
+            match (full, flat) {
+                (Ok(full), Ok(mut ws)) => {
+                    let scratch = solver.into_scratch();
+                    assert_eq!(ws.core.trace, scratch.core.trace, "seed {seed}");
+                    assert_eq!(ws.num_ops(), g.num_ops());
+                    assert_eq!(ws.core.num_resources, g.num_resources());
+                    let durs: Vec<SimDuration> = g.op_ids().map(|id| g.op(id).duration()).collect();
+                    let mut stats = SolveStats {
+                        makespan: SimDuration::ZERO,
+                        busy: Vec::new(),
+                        peak_memory: None,
+                    };
+                    ws.replay_stats_into(&durs, &mut stats);
+                    assert_eq!(stats, full, "seed {seed}");
+                }
+                (Err(graph_err), Err(flat_err)) => {
+                    deadlocks += 1;
+                    assert_eq!(flat_err.stuck_op, graph_err.stuck_op, "seed {seed}");
+                    assert_eq!(flat_err.resource, graph_err.resource);
+                    assert_eq!(flat_err.cycle, graph_err.cycle, "seed {seed}");
+                    assert_eq!(flat_err.unscheduled, graph_err.unscheduled);
+                    assert_eq!(
+                        flat_err.resource_name,
+                        format!("#{}", flat_err.resource.index())
+                    );
+                }
+                (full, flat) => panic!("seed {seed}: graph {full:?} vs flat {:?}", flat.err()),
+            }
+        }
+        assert!(deadlocks > 0, "some random topologies deadlock");
+    }
+
+    #[test]
+    #[should_panic(expected = "names an op outside")]
+    fn discover_rejects_an_out_of_range_dependency() {
+        let _ = ReplayWorkspace::discover(1, vec![0, 0], &[(1, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn discover_rejects_an_out_of_range_resource() {
+        let _ = ReplayWorkspace::discover(2, vec![0, 2], &[(1, 0)]);
     }
 }
