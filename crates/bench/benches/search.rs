@@ -104,9 +104,9 @@ fn plan_request(method: Method, perturbation: Perturbation) -> PlanRequest {
 
 /// Planner service: the same perturbed Figure 5a sweep (a straggler
 /// appeared — re-plan around it) planned cold (fresh planner: every
-/// candidate enumerated, lowered and solved from scratch) vs warm (from
-/// the clean run's recorded base: replayed pruning, cached lowerings and
-/// built solver workspaces, duration-only re-solves). The ratio is what
+/// candidate enumerated and every topology class built from scratch) vs
+/// warm (from the clean run's record: replayed pruning and recorded
+/// class bases, row fill and trace replay only). The ratio is what
 /// warm-start re-planning saves on the identical request.
 fn bench_planner(c: &mut Criterion) {
     let probe = Perturbation::with_seed(0xB1F).with_straggler(4, 1.5);

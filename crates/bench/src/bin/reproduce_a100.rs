@@ -4,16 +4,12 @@
 //! kernel calibration and link tiers) for GPT-3.
 
 use bfpp_bench::figures::{figure5_sweep, figure5_table};
-use bfpp_bench::{quick_mode, BenchArgs};
+use bfpp_bench::BenchArgs;
 
 fn main() {
     let model = bfpp_model::presets::gpt3();
     let cluster = bfpp_cluster::presets::dgx_a100_80gb(8);
-    let batches: Vec<u64> = if quick_mode() {
-        vec![16, 128]
-    } else {
-        vec![8, 16, 32, 64, 128, 256, 512]
-    };
+    let batches: Vec<u64> = vec![8, 16, 32, 64, 128, 256, 512];
     eprintln!(
         "projecting {} on {} ({} GPUs)...",
         model.name,

@@ -1,6 +1,4 @@
 //! Runs every reproduction driver in sequence (the full evaluation).
-//!
-//! Set `BFPP_QUICK=1` for a fast smoke run.
 
 use bfpp_analytic::tradeoff::TradeoffModel;
 use bfpp_bench::figures::{
@@ -9,10 +7,9 @@ use bfpp_bench::figures::{
 };
 use bfpp_bench::robustness::{most_graceful, robustness_table, straggler_sweep, SEVERITIES};
 use bfpp_bench::tables::{table_5_1, table_e};
-use bfpp_bench::{quick_mode, BenchArgs};
+use bfpp_bench::BenchArgs;
 
 fn main() {
-    let quick = quick_mode();
     let opts = BenchArgs::from_env().search_options();
     let sizes: Vec<u32> = vec![256, 512, 1024, 2048, 4096, 8192, 16384, 32768];
 
@@ -41,8 +38,7 @@ fn main() {
 
     // Straggler sensitivity: degradation curves of the four schedules.
     eprintln!("sweeping straggler severities...");
-    let severities: &[f64] = if quick { &[1.0, 2.0] } else { &SEVERITIES };
-    let straggler_rows = straggler_sweep(&model, &cluster, severities);
+    let straggler_rows = straggler_sweep(&model, &cluster, &SEVERITIES);
     println!("\n# Straggler sensitivity (CSV)");
     print!("{}", robustness_table(&straggler_rows).to_csv());
     if let Some((kind, worst)) = most_graceful(&straggler_rows) {
@@ -54,12 +50,7 @@ fn main() {
 
     let tradeoff = TradeoffModel::paper_52b(&model, cluster.node.gpu.peak_fp16_flops);
     eprintln!("sweeping 52b / InfiniBand...");
-    let rows = figure5_sweep(
-        &model,
-        &cluster,
-        &figure5_batches("52b", false, quick),
-        &opts,
-    );
+    let rows = figure5_sweep(&model, &cluster, &figure5_batches("52b", false), &opts);
     println!("\n# Figure 5a (CSV)");
     print!("{}", figure5_table(&rows, cluster.num_gpus()).to_csv());
     println!("\n# Table E.1 (CSV)");
@@ -87,12 +78,7 @@ fn main() {
     let model = bfpp_model::presets::bert_6_6b();
     let tradeoff = TradeoffModel::paper_6_6b(&model, cluster.node.gpu.peak_fp16_flops);
     eprintln!("sweeping 6.6b / InfiniBand...");
-    let rows = figure5_sweep(
-        &model,
-        &cluster,
-        &figure5_batches("6.6b", false, quick),
-        &opts,
-    );
+    let rows = figure5_sweep(&model, &cluster, &figure5_batches("6.6b", false), &opts);
     println!("\n# Figure 5b (CSV)");
     print!("{}", figure5_table(&rows, cluster.num_gpus()).to_csv());
     println!("\n# Table E.2 (CSV)");
@@ -114,7 +100,7 @@ fn main() {
     // 6.6 B Ethernet: Figure 5c, Table E.3.
     let eth = bfpp_cluster::presets::dgx1_v100_ethernet(8);
     eprintln!("sweeping 6.6b / Ethernet...");
-    let rows = figure5_sweep(&model, &eth, &figure5_batches("6.6b", true, quick), &opts);
+    let rows = figure5_sweep(&model, &eth, &figure5_batches("6.6b", true), &opts);
     println!("\n# Figure 5c (CSV)");
     print!("{}", figure5_table(&rows, eth.num_gpus()).to_csv());
     println!("\n# Table E.3 (CSV)");

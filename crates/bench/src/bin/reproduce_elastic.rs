@@ -17,7 +17,6 @@
 //! * `--mixed` runs the flap on the heterogeneous `mixed_v100_a100`
 //!   fleet (the A100 island's last node flaps) instead of the
 //!   homogeneous 4× DGX-1 fleet.
-//! * Set `BFPP_QUICK=1` to shrink the search limits for smoke-testing.
 //!
 //! The final line reports the warm-over-cold re-plan speedup; the warm
 //! re-plan and the cold re-plan of the same degraded topology are
@@ -25,10 +24,10 @@
 
 use std::time::Instant;
 
-use bfpp_bench::{quick_mode, BenchArgs};
+use bfpp_bench::BenchArgs;
 use bfpp_cluster::presets::{dgx1_v100, mixed_v100_a100};
 use bfpp_cluster::NodeId;
-use bfpp_exec::search::{Method, SearchOptions, SearchReport, SearchResult};
+use bfpp_exec::search::{Method, SearchReport, SearchResult};
 use bfpp_exec::KernelModel;
 use bfpp_model::presets::bert_52b;
 use bfpp_planner::{ClusterDelta, PlanRequest, Planner};
@@ -45,18 +44,8 @@ fn main() {
         dgx1_v100(4)
     };
     let flapping = NodeId(cluster.num_nodes - 1);
-    let opts = if quick_mode() {
-        SearchOptions {
-            max_microbatch: 4,
-            max_loop: 8,
-            max_actions: 30_000,
-            ..args.search_options()
-        }
-    } else {
-        args.search_options()
-    };
     let req = PlanRequest {
-        opts,
+        opts: args.search_options(),
         ..PlanRequest::new(
             model.clone(),
             cluster.clone(),

@@ -3,13 +3,13 @@
 
 use bfpp_analytic::tradeoff::TradeoffModel;
 use bfpp_bench::figures::{figure1, figure5_batches, figure5_sweep};
-use bfpp_bench::{quick_mode, BenchArgs};
+use bfpp_bench::BenchArgs;
 
 fn main() {
     let model = bfpp_model::presets::bert_52b();
     let cluster = bfpp_cluster::presets::dgx1_v100(8);
     let tradeoff = TradeoffModel::paper_52b(&model, cluster.node.gpu.peak_fp16_flops);
-    let batches = figure5_batches("52b", false, quick_mode());
+    let batches = figure5_batches("52b", false);
     let rows = figure5_sweep(
         &model,
         &cluster,

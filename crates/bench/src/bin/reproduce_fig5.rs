@@ -13,7 +13,7 @@
 use bfpp_bench::figures::{
     figure5_batches, figure5_sweep, figure5_table, sweep_mem_trace, sweep_trace,
 };
-use bfpp_bench::{quick_mode, write_trace, BenchArgs};
+use bfpp_bench::{write_trace, BenchArgs};
 
 fn main() {
     let args = BenchArgs::from_env();
@@ -26,7 +26,7 @@ fn main() {
     } else {
         bfpp_cluster::presets::dgx1_v100(8)
     };
-    let batches = figure5_batches(&model_name, ethernet, quick_mode());
+    let batches = figure5_batches(&model_name, ethernet);
     let opts = args.search_options();
     eprintln!(
         "sweeping {} on {} over {:?}...",

@@ -15,7 +15,7 @@
 
 use bfpp_analytic::tradeoff::TradeoffModel;
 use bfpp_bench::figures::{figure5_batches, figure5_sweep, figure6, sweep_mem_trace, sweep_trace};
-use bfpp_bench::{quick_mode, write_trace, BenchArgs};
+use bfpp_bench::{write_trace, BenchArgs};
 
 fn main() {
     let args = BenchArgs::from_env();
@@ -29,7 +29,7 @@ fn main() {
     } else {
         TradeoffModel::paper_6_6b(&model, peak)
     };
-    let batches = figure5_batches(&model_name, false, quick_mode());
+    let batches = figure5_batches(&model_name, false);
     let rows = figure5_sweep(&model, &cluster, &batches, &args.search_options());
     let sizes: Vec<u32> = [256u32, 512, 1024, 2048, 4096, 8192, 16384, 32768]
         .into_iter()

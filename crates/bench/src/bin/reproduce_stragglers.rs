@@ -31,12 +31,7 @@ fn main() {
         "# Straggler sensitivity — {} on {}, device {} slowed by each multiplier",
         model.name, cluster.name, STRAGGLER_DEVICE
     );
-    let severities: &[f64] = if bfpp_bench::quick_mode() {
-        &[1.0, 1.5, 2.0]
-    } else {
-        &SEVERITIES
-    };
-    let rows = straggler_sweep(&model, &cluster, severities);
+    let rows = straggler_sweep(&model, &cluster, &SEVERITIES);
     let t = robustness_table(&rows);
     print!("{}", t.to_text());
     println!();
@@ -49,7 +44,7 @@ fn main() {
             worst * 100.0
         );
     }
-    let worst = severities.last().copied().unwrap_or(2.0);
+    let worst = SEVERITIES[SEVERITIES.len() - 1];
     if let Some(path) = args.trace() {
         write_trace(&path, &straggler_trace(&model, &cluster, worst));
     }

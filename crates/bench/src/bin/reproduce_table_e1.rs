@@ -4,13 +4,13 @@
 
 use bfpp_bench::figures::{figure5_batches, figure5_sweep};
 use bfpp_bench::tables::table_e;
-use bfpp_bench::{quick_mode, BenchArgs};
+use bfpp_bench::BenchArgs;
 
 fn main() {
     let args = BenchArgs::from_env();
     let model = bfpp_model::presets::bert_52b();
     let cluster = bfpp_cluster::presets::dgx1_v100(8);
-    let batches = figure5_batches("52b", false, quick_mode());
+    let batches = figure5_batches("52b", false);
     let opts = args.search_options();
     let rows = figure5_sweep(&model, &cluster, &batches, &opts);
     println!("# Table E.1 — optimal configurations, 52 B model, 64 V100s");

@@ -162,18 +162,13 @@ pub struct SweepRow {
 }
 
 /// The batch sizes of each Figure 5 panel.
-pub fn figure5_batches(model: &str, ethernet: bool, quick: bool) -> Vec<u64> {
-    let full: Vec<u64> = if ethernet {
+pub fn figure5_batches(model: &str, ethernet: bool) -> Vec<u64> {
+    if ethernet {
         vec![64, 96, 128, 192, 256, 384, 512]
     } else if model.contains("52") {
         vec![8, 9, 12, 16, 24, 32, 48, 64, 128, 256, 512]
     } else {
         vec![8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512]
-    };
-    if quick {
-        full.into_iter().step_by(3).collect()
-    } else {
-        full
     }
 }
 
@@ -789,9 +784,8 @@ mod tests {
 
     #[test]
     fn batch_lists_match_paper() {
-        assert_eq!(figure5_batches("52b", false, false).len(), 11);
-        assert!(figure5_batches("6.6b", false, false).contains(&384));
-        assert_eq!(figure5_batches("6.6b", true, false)[0], 64);
-        assert!(figure5_batches("52b", false, true).len() < 11);
+        assert_eq!(figure5_batches("52b", false).len(), 11);
+        assert!(figure5_batches("6.6b", false).contains(&384));
+        assert_eq!(figure5_batches("6.6b", true)[0], 64);
     }
 }

@@ -6,8 +6,6 @@
 //! The Criterion benches under `benches/` measure the harness's own
 //! moving parts (solver, schedule generation, collectives, search,
 //! training step).
-//!
-//! Set `BFPP_QUICK=1` to shrink the sweeps for smoke-testing.
 
 pub mod cli;
 pub mod figures;
@@ -16,14 +14,6 @@ pub mod robustness;
 pub mod tables;
 
 pub use cli::BenchArgs;
-
-/// True when the `BFPP_QUICK` environment variable asks for reduced
-/// sweeps.
-pub fn quick_mode() -> bool {
-    std::env::var("BFPP_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
 
 /// Parses a `--threads N` flag from an argument list (the search worker
 /// count; `0` = available parallelism). Missing or malformed values fall
@@ -74,13 +64,6 @@ pub fn write_trace(path: &str, json: &str) {
 
 #[cfg(test)]
 mod tests {
-    #[test]
-    fn quick_mode_reads_env() {
-        // Can't mutate the environment safely in parallel tests; just
-        // exercise the call.
-        let _ = super::quick_mode();
-    }
-
     #[test]
     fn threads_arg_parses_the_flag() {
         assert_eq!(super::threads_arg(&["--threads", "4"]), 4);

@@ -150,10 +150,10 @@ pub struct ReplanRow {
 /// the planner to *re-search* the configuration space per severity — the
 /// "one device went slow, re-plan around it" workflow. The first
 /// severity runs cold and records a warm-start base; every later
-/// severity replays the recorded enumeration and re-solves durations
-/// only, so the sweep's cost is one search plus cheap re-solves (and
-/// each row's winner is bit-identical to a from-scratch perturbed
-/// search).
+/// severity replays the recorded enumeration and re-times the recorded
+/// topology-class bases only, so the sweep's cost is one search plus
+/// cheap replays (and each row's winner is bit-identical to a
+/// from-scratch perturbed search).
 pub fn replan_sweep(
     planner: &Planner,
     model: &TransformerConfig,

@@ -546,7 +546,7 @@ mod tests {
     use crate::candidates::SplitStrategy;
     use crate::kernel::KernelModel;
     use crate::lower::{lower, LoweredGraph};
-    use crate::measure::measure_lowered;
+    use crate::measure::{measure_lowered, measure_stats};
     use bfpp_cluster::presets;
     use bfpp_core::Direction;
     use bfpp_model::presets as models;
@@ -643,8 +643,9 @@ mod tests {
     #[test]
     fn batched_member_measurement_is_bit_identical_to_lowering() {
         // Build the base from the key alone, then measure a member
-        // through the batch path and through a full lower + solve. Must
-        // agree bit-for-bit.
+        // through the batch path and through a full lower + solve under
+        // every perturbation. Must agree bit-for-bit: this is where
+        // per-member measurement equality is pinned.
         let b = candidate(2, 4, 2, 12);
         let model = models::bert_52b();
         let cluster = presets::dgx1_v100(8);
@@ -676,6 +677,11 @@ mod tests {
             let full = solver.solve_stats_with_durations(&row).unwrap();
             assert_eq!(stats.makespan, full.makespan, "{p:?}");
             assert_eq!(stats.busy, full.busy, "{p:?}");
+            assert_eq!(
+                m,
+                measure_stats(&model, &cluster, &cfg_b, &lb, &full),
+                "{p:?}"
+            );
             if p.is_identity() {
                 assert_eq!(m, measure_lowered(&model, &cluster, &cfg_b, &lb), "{p:?}");
             }

@@ -79,15 +79,14 @@ pub use lower::{
     LoweredGraph, OpTag, TraceInfo,
 };
 pub use measure::{
-    measure_stats, measure_timeline, simulate, simulate_perturbed, simulate_with_schedule,
-    simulate_with_schedule_perturbed, Measurement, SimulateError,
+    measure_stats, measure_timeline, simulate, simulate_perturbed, Measurement, SimulateError,
 };
 pub use memory::estimate_memory;
 pub use memprof::{chrome_trace_with_memory, link_spans, memory_profile, peak_attribution};
 pub use observe::{attribution, chrome_trace, op_category, TraceBuilder};
 pub use overlap::OverlapConfig;
 pub use prune::{lower_bound_tflops, PruneReason};
-pub use search::{EvalMode, ProgressSnapshot, SearchEnv, SearchProgress, SearchReport};
+pub use search::{ProgressSnapshot, SearchEnv, SearchProgress, SearchReport};
 pub use warm::WarmCache;
 
 // Re-exported so search/bench callers can build fault models and consume

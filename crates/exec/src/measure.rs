@@ -3,17 +3,16 @@
 use std::cell::RefCell;
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
 
 use bfpp_cluster::ClusterSpec;
-use bfpp_core::{Schedule, ScheduleError, ScheduleKind};
+use bfpp_core::{ScheduleError, ScheduleKind};
 use bfpp_model::TransformerConfig;
 use bfpp_parallel::{ConfigError, ParallelConfig};
 
-use bfpp_sim::{Perturbation, SimDuration, SolveScratch, SolveStats, Solver, Timeline};
+use bfpp_sim::{Perturbation, SimDuration, SolveScratch, SolveStats, Timeline};
 
 use crate::kernel::KernelModel;
-use crate::lower::{lower_perturbed, lower_with_schedule_perturbed, LoweredGraph};
+use crate::lower::{lower_perturbed, LoweredGraph};
 use crate::memory::memory_with_checkpoints;
 use crate::overlap::OverlapConfig;
 
@@ -138,63 +137,10 @@ pub fn simulate_perturbed(
     Ok(measure_lowered(model, cluster, cfg, &lowered))
 }
 
-/// [`simulate`] with an already generated (possibly cached and shared)
-/// schedule, as the configuration search uses it. The schedule's kind
-/// replaces the `kind` argument of [`simulate`].
-///
-/// # Errors
-///
-/// Returns [`SimulateError`] for invalid configurations.
-pub fn simulate_with_schedule(
-    model: &TransformerConfig,
-    cluster: &ClusterSpec,
-    cfg: &ParallelConfig,
-    schedule: Arc<Schedule>,
-    overlap: OverlapConfig,
-    kernel: &KernelModel,
-) -> Result<Measurement, SimulateError> {
-    simulate_with_schedule_perturbed(
-        model,
-        cluster,
-        cfg,
-        schedule,
-        overlap,
-        kernel,
-        &Perturbation::none(),
-    )
-}
-
-/// [`simulate_with_schedule`] under a deterministic [`Perturbation`]; see
-/// [`simulate_perturbed`].
-///
-/// # Errors
-///
-/// As [`simulate_with_schedule`].
-pub fn simulate_with_schedule_perturbed(
-    model: &TransformerConfig,
-    cluster: &ClusterSpec,
-    cfg: &ParallelConfig,
-    schedule: Arc<Schedule>,
-    overlap: OverlapConfig,
-    kernel: &KernelModel,
-    perturbation: &Perturbation,
-) -> Result<Measurement, SimulateError> {
-    let lowered = lower_with_schedule_perturbed(
-        model,
-        cluster,
-        cfg,
-        schedule,
-        overlap,
-        kernel,
-        perturbation,
-    )?;
-    Ok(measure_lowered(model, cluster, cfg, &lowered))
-}
-
 thread_local! {
-    /// Per-thread solver workspace: the search evaluates thousands of
-    /// candidates per worker thread, and reusing one scratch removes
-    /// every per-solve allocation after the first.
+    /// Per-thread solver workspace: an exhaustive sweep simulates
+    /// thousands of candidates per thread, and reusing one scratch
+    /// removes every per-solve allocation after the first.
     static SCRATCH: RefCell<SolveScratch> = RefCell::new(SolveScratch::new());
 }
 
@@ -234,40 +180,6 @@ pub fn measure_timeline(
     )
 }
 
-/// Measures a configuration from its *clean* base lowering under
-/// `perturbation`, re-solving durations only: the warm-start evaluation
-/// path. Bit-identical to [`simulate_with_schedule_perturbed`] on the
-/// same schedule — [`LoweredGraph::perturbed_durations`] reproduces the
-/// perturbed lowering's durations exactly, and
-/// [`bfpp_sim::Solver::solve_stats_with_durations`] + [`measure_stats`]
-/// reproduce the measurement of a full solve (both equalities are
-/// tested). `durations` is caller scratch, reused across candidates.
-/// `prebuilt` optionally supplies a workspace whose CSR index was
-/// already built for this exact lowering; the workspace (index intact)
-/// is always returned for the caller to stash against the next re-plan.
-pub(crate) fn measure_with_durations(
-    model: &TransformerConfig,
-    cluster: &ClusterSpec,
-    cfg: &ParallelConfig,
-    lowered: &LoweredGraph,
-    perturbation: &Perturbation,
-    durations: &mut Vec<SimDuration>,
-    prebuilt: Option<SolveScratch>,
-) -> (Option<Measurement>, SolveScratch) {
-    lowered.perturbed_durations(perturbation, durations);
-    let mut solver = match prebuilt {
-        // Steady state: the record kept the built CSR index of this
-        // lowering, so even the O(V + E) rebuild is skipped.
-        Some(built) => Solver::with_prebuilt_scratch(&lowered.graph, built),
-        None => Solver::new(&lowered.graph),
-    };
-    let solved = solver.solve_stats_with_durations(durations);
-    let out = solved
-        .ok()
-        .map(|stats| measure_stats(model, cluster, cfg, lowered, &stats));
-    (out, solver.into_scratch())
-}
-
 /// As [`measure_timeline`], from the aggregate [`SolveStats`] of a solve
 /// ([`bfpp_sim::Solver::solve_stats_with_durations`]) — the cheapest
 /// per-point path in a perturbation sweep, and bit-identical to
@@ -294,9 +206,9 @@ pub fn measure_stats(
 }
 
 /// The metric derivation itself, from the handful of scalars a solve
-/// produces — no [`LoweredGraph`] in sight, so the topology-class batch
-/// path (`crate::batch`), which drops graphs after building its replay
-/// workspace, shares the exact arithmetic of every other path.
+/// produces — no [`LoweredGraph`] in sight, so the topology-class path
+/// (`crate::batch`), which never builds a graph, shares the exact
+/// arithmetic of every other path.
 pub(crate) fn measure_from_parts(
     model: &TransformerConfig,
     cluster: &ClusterSpec,

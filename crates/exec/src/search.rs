@@ -14,8 +14,10 @@
 //! 2. [`crate::prune`] rejects candidates whose closed-form memory lower
 //!    bound cannot fit, or whose Eq. (3)/(7) throughput upper bound
 //!    cannot beat the best result so far;
-//! 3. survivors are simulated on a scoped worker pool, sharing generated
-//!    schedules through a [`ScheduleCache`];
+//! 3. survivors are grouped by topology class ([`crate::batch`]) and
+//!    simulated on a scoped worker pool — one replay workspace per
+//!    class, re-timed per member — sharing generated schedules through
+//!    a [`ScheduleCache`];
 //! 4. results reduce serially in candidate order, so the winner (and
 //!    every [`SearchReport`] counter) is bit-identical to the exhaustive
 //!    serial reference ([`best_config_exhaustive`]) for any thread count.
@@ -42,11 +44,8 @@ use crate::batch::{ClassBase, ClassCache, ClassKey};
 use crate::candidates::{enumerate, Candidate};
 use crate::executor::{Executor, ScopedTask};
 use crate::kernel::KernelModel;
-use crate::lower::{lower_with_schedule, Durations, LoweredGraph};
-use crate::measure::{
-    measure_lowered, measure_with_durations, simulate_perturbed, simulate_with_schedule_perturbed,
-    Measurement,
-};
+use crate::lower::Durations;
+use crate::measure::{simulate_perturbed, Measurement};
 use crate::overlap::OverlapConfig;
 use crate::prune::{lower_bound_tflops, prune_reason, PruneReason};
 use crate::warm::{self, Outcome, SweepRecord, WarmCache};
@@ -129,25 +128,6 @@ impl std::fmt::Display for Method {
     }
 }
 
-/// How survivors reach the simulator. Both modes are bit-identical —
-/// same winners, same [`SearchReport`] headline counters for any thread
-/// count — they differ only in how the work is organized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvalMode {
-    /// Partition each chunk's survivors by topology class
-    /// (`crate::batch`), build **one replay workspace per class**
-    /// straight from its key and schedule (no op graph), and evaluate
-    /// every member from an SoA duration batch replayed over it.
-    /// Work-stealing granularity is a batch of classes, not a candidate.
-    /// The default.
-    #[default]
-    Batched,
-    /// The classic engine: every survivor is lowered and solved
-    /// individually. Kept as the bit-identity reference and for
-    /// workloads whose candidates rarely share a topology.
-    PerCandidate,
-}
-
 /// Limits on the configuration enumeration and evaluation.
 #[derive(Debug, Clone)]
 pub struct SearchOptions {
@@ -179,10 +159,6 @@ pub struct SearchOptions {
     /// deterministic: the same budget truncates at the same chunk
     /// boundary every run. `None` = unbounded.
     pub max_candidates: Option<u64>,
-    /// How survivors are evaluated ([`EvalMode::Batched`] by default).
-    /// Never part of a warm-start request signature: both modes produce
-    /// and consume the same records bit-identically.
-    pub eval: EvalMode,
 }
 
 impl SearchOptions {
@@ -209,7 +185,6 @@ impl Default for SearchOptions {
             perturbation: Perturbation::none(),
             deadline: None,
             max_candidates: None,
-            eval: EvalMode::default(),
         }
     }
 }
@@ -227,11 +202,11 @@ pub struct SearchEnv {
     /// Generated-schedule cache, shareable across concurrent requests
     /// (per-request traffic is attributed via [`CacheStats`]).
     pub schedules: Arc<ScheduleCache>,
-    /// Topology-class base cache for [`EvalMode::Batched`]. Bases are
-    /// model/cluster/kernel-independent, so the process-wide
-    /// [`ClassCache::global`] is the default even for private
-    /// environments — a hit skips the class build (op walk, CSR index,
-    /// discovery solve) but can never change a result.
+    /// Topology-class base cache: every survivor is evaluated through
+    /// its class's base. Bases are model/cluster/kernel-independent, so
+    /// the process-wide [`ClassCache::global`] is the default even for
+    /// private environments — a hit skips the class build (op walk, CSR
+    /// index, discovery solve) but can never change a result.
     pub classes: Arc<ClassCache>,
     /// Warm-start store. `None` disables both recording and replay.
     pub warm: Option<Arc<WarmCache>>,
@@ -320,12 +295,13 @@ pub struct SearchReport {
     /// `robust_tflops / best`: the fraction of clean throughput the
     /// winner retains under the reference probe (lower = more fragile).
     pub retention: Option<f64>,
-    /// Cached clean lowerings reused from a warm-start record instead of
-    /// being rebuilt. Always `0` for a cold search or a [`SearchEnv`]
-    /// without a warm store. Not a CSV column (single-request CSV output
-    /// is byte-stable across engine versions), and — like `counters` —
-    /// excluded from the bit-stability guarantee across *concurrent*
-    /// requests racing to populate one record; within one request it is
+    /// Simulated candidates whose topology-class base came from a
+    /// warm-start record instead of the class cache or a fresh build.
+    /// Always `0` for a cold search or a [`SearchEnv`] without a warm
+    /// store. Not a CSV column (single-request CSV output is byte-stable
+    /// across engine versions), and — like `counters` — excluded from
+    /// the bit-stability guarantee across *concurrent* requests racing
+    /// to populate one record; within one request it is
     /// thread-count-invariant.
     pub warm_hits: u64,
     /// Whether the search was cancelled before visiting every candidate.
@@ -531,9 +507,7 @@ enum Plan {
 #[derive(Default)]
 struct EvalSlot {
     measurement: Option<Measurement>,
-    /// The clean lowering, kept only when a recording run wants it.
-    lowering: Option<Arc<LoweredGraph>>,
-    /// Whether a warm record supplied the lowering.
+    /// Whether a warm record supplied the candidate's class base.
     warm_hit: bool,
 }
 
@@ -548,11 +522,12 @@ struct EvalSlot {
 ///   on the calling thread — each time the incumbent is replaced. The
 ///   final call's result equals the returned winner.
 /// * With a warm store in `env`, a completed cold search records its
-///   [per-candidate outcomes](crate::warm), and a later request with the
-///   same signature (perturbation and thread count excepted) replays
-///   them: no re-enumeration, no re-lowering for candidates whose clean
-///   base lowering was retained — only duration re-solves. Warm results
-///   are bit-identical to the cold engine's for the same request.
+///   [per-candidate outcomes and class bases](crate::warm), and a later
+///   request with the same signature (perturbation and thread count
+///   excepted) replays them: no re-enumeration, and no class build for
+///   a class whose base the record retained — only row fill and trace
+///   replay. Warm results are bit-identical to the cold engine's for
+///   the same request.
 #[allow(clippy::too_many_arguments)]
 pub fn search_streaming(
     model: &TransformerConfig,
@@ -630,21 +605,12 @@ pub fn search_observed(
         ..SearchReport::default()
     };
 
-    // A cold search through a warm-capable env records outcomes (and,
-    // when unperturbed, the clean lowerings) for future warm starts.
-    let clean = opts.perturbation.is_identity();
+    // A cold search through a warm-capable env records outcomes (and
+    // the class bases it resolved) for future warm starts.
     let mut recorder: Option<Vec<Outcome>> = match (&plan, &env.warm) {
         (Plan::Cold(_), Some(_)) => Some(Vec::with_capacity(total)),
         _ => None,
     };
-    // Lowerings retained for the future warm record, capped at the
-    // store's per-record op budget *as the reduction runs* — a large
-    // cold search must not hold every survivor's lowering in memory
-    // only for the record to reject most of them at insert time. A
-    // dropped lowering costs nothing but a rebuild-on-miss later.
-    let mut recorded_lowerings: Vec<(Candidate, Arc<LoweredGraph>)> = Vec::new();
-    let record_budget = env.warm.as_ref().map_or(0, |w| w.record_budget());
-    let mut recorded_ops: u64 = 0;
     if matches!(plan, Plan::Warm(_)) {
         counters.incr("warm_start");
     }
@@ -654,12 +620,11 @@ pub fn search_observed(
             .store(matches!(plan, Plan::Warm(_)), Ordering::Relaxed);
     }
 
-    let batched = opts.eval == EvalMode::Batched;
-    // Batched-mode request state: every class base this request resolved
-    // (with its warm-record provenance, so `warm_hits` is thread-count
-    // invariant — a key resolves exactly once per request), plus the
-    // serial first-seen key order, which is the deterministic storage
-    // order for a future warm record.
+    // Request state: every class base this request resolved (with its
+    // warm-record provenance, so `warm_hits` is thread-count invariant —
+    // a key resolves exactly once per request), plus the serial
+    // first-seen key order, which is the deterministic storage order
+    // for a future warm record.
     let resolved: Mutex<HashMap<ClassKey, (Arc<ClassBase>, bool)>> = Mutex::new(HashMap::new());
     let mut class_order: Vec<ClassKey> = Vec::new();
 
@@ -747,84 +712,36 @@ pub fn search_observed(
         }
         report.simulated += survivors.len() as u64;
 
-        // Parallel evaluation: contiguous slices of the survivor list,
-        // one pool task per slice, results written into order-indexed
-        // slots (no locks, no reordering). Tasks are capped so each gets
-        // a few simulations — queueing a task for one candidate costs
-        // more than simulating it. This affects only scheduling, never
-        // results.
+        // Parallel evaluation by topology class; results land in
+        // order-indexed slots (no locks, no reordering). Tasks are capped
+        // so each gets a few simulations — queueing a task for one
+        // candidate costs more than simulating it. This affects only
+        // scheduling, never results.
         let threads = threads.min(survivors.len().div_ceil(4));
         let mut slots: Vec<EvalSlot> = (0..survivors.len()).map(|_| EvalSlot::default()).collect();
-        let perturbation = &opts.perturbation;
         let warm_rec: Option<&SweepRecord> = match &plan {
             Plan::Warm(rec) => Some(rec),
             Plan::Cold(_) => None,
         };
-        // Lowerings are worth keeping only when they are clean bases
-        // (and only the per-candidate engine records them — batched
-        // runs record whole class bases instead).
-        let keep_lowerings = recorder.is_some() && clean && !batched;
         counters.time("evaluate", || {
-            if batched {
-                evaluate_chunk_batched(
-                    model,
-                    cluster,
-                    cache,
-                    &stats,
-                    &survivors,
-                    &mut slots,
-                    overlap,
-                    kernel,
-                    perturbation,
-                    warm_rec,
-                    &env.classes,
-                    &resolved,
-                    &mut class_order,
-                    threads,
-                    &env.executor,
-                    env.metrics.as_deref(),
-                );
-            } else if threads <= 1 {
-                evaluate_slice(
-                    model,
-                    cluster,
-                    cache,
-                    &stats,
-                    &survivors,
-                    &mut slots,
-                    overlap,
-                    kernel,
-                    perturbation,
-                    warm_rec,
-                    keep_lowerings,
-                );
-            } else {
-                let per = survivors.len().div_ceil(threads).max(1);
-                let stats = &stats;
-                let tasks: Vec<ScopedTask<'_>> = survivors
-                    .chunks(per)
-                    .zip(slots.chunks_mut(per))
-                    .map(|(cands, out)| {
-                        let task: ScopedTask<'_> = Box::new(move || {
-                            evaluate_slice(
-                                model,
-                                cluster,
-                                cache,
-                                stats,
-                                cands,
-                                out,
-                                overlap,
-                                kernel,
-                                perturbation,
-                                warm_rec,
-                                keep_lowerings,
-                            );
-                        });
-                        task
-                    })
-                    .collect();
-                env.executor.scope_run(tasks);
-            }
+            evaluate_chunk(
+                model,
+                cluster,
+                cache,
+                &stats,
+                &survivors,
+                &mut slots,
+                overlap,
+                kernel,
+                &opts.perturbation,
+                warm_rec,
+                &env.classes,
+                &resolved,
+                &mut class_order,
+                threads,
+                &env.executor,
+                env.metrics.as_deref(),
+            );
         });
 
         // Serial in-order reduction: strictly-greater replaces, so the
@@ -833,13 +750,6 @@ pub fn search_observed(
         // in deterministic candidate order.
         for (cand, slot) in survivors.iter().zip(slots) {
             report.warm_hits += u64::from(slot.warm_hit);
-            if let Some(lowered) = slot.lowering {
-                let ops = lowered.graph.num_ops() as u64;
-                if recorded_ops + ops <= record_budget {
-                    recorded_ops += ops;
-                    recorded_lowerings.push((*cand, lowered));
-                }
-            }
             let Some(m) = slot.measurement else { continue };
             if !m.fits(cluster.min_memory_bytes()) {
                 continue;
@@ -873,11 +783,8 @@ pub fn search_observed(
     if !cancelled && !timed_out {
         if let (Some(outcomes), Some(w), Some(key)) = (recorder, &env.warm, warm_key) {
             let record = SweepRecord::new(outcomes, w.record_budget());
-            for (cand, lowered) in recorded_lowerings {
-                record.store_lowering(cand, lowered);
-            }
-            // Batched runs record topology-class bases (in the serial
-            // first-seen order, so storage under the shared op budget is
+            // The record keeps topology-class bases (in the serial
+            // first-seen order, so storage under the op budget is
             // deterministic); a warm replay then re-times whole classes.
             // Bases are perturbation-independent — built from the key
             // alone — so even a perturbed cold run records them.
@@ -901,78 +808,24 @@ pub fn search_observed(
     // fastest exit with best-so-far.
     if let (Some(b), false) = (&best, cancelled || timed_out) {
         counters.time("probe", || {
+            // The probe is a duration-only delta on the winner, so it is
+            // answered from the winner's resolved class base — the same
+            // bit-identical substitution as evaluation, no lowering and
+            // no CSR rebuild.
             let probe = Perturbation::reference_probe();
-            // The probe is a duration-only delta on the winner, so a warm
-            // run answers it from the recorded clean base — the same
-            // bit-identical substitution as warm evaluation, skipping the
-            // perturbed re-lowering entirely.
-            // Batched mode answers the probe from the winner's resolved
-            // class base — the same bit-identical substitution as
-            // batched evaluation, no re-lowering and no CSR rebuild.
-            let class_probe = if batched {
-                best_cand.as_ref().and_then(|cand| {
-                    let d = Durations::new(model, cluster, &b.cfg, kernel, overlap);
-                    let class_key = ClassKey::of(cand, overlap, &d);
-                    let base = lock_resolved(&resolved)
-                        .get(&class_key)
-                        .map(|(base, _)| Arc::clone(base))?;
-                    let mut row = vec![SimDuration::ZERO; base.num_ops()];
-                    let mut factors = Vec::new();
-                    base.fill_row(&d, &probe, &mut factors, &mut row);
-                    let mut solve_stats = crate::batch::empty_stats();
-                    let mut replay = base.lock_replay();
-                    Some(base.measure_row(
-                        &mut replay,
-                        &mut solve_stats,
-                        model,
-                        cluster,
-                        &b.cfg,
-                        &row,
-                    ))
-                })
-            } else {
-                None
-            };
-            let warm_base = match (&plan, &best_cand) {
-                (Plan::Warm(rec), Some(cand)) => {
-                    rec.lowering(cand).map(|lowered| (&**rec, cand, lowered))
-                }
-                _ => None,
-            };
-            let probed = if class_probe.is_some() {
-                class_probe
-            } else {
-                match warm_base {
-                    Some((rec, cand, lowered)) => {
-                        let mut durations = Vec::new();
-                        let (m, built) = measure_with_durations(
-                            model,
-                            cluster,
-                            &b.cfg,
-                            &lowered,
-                            &probe,
-                            &mut durations,
-                            rec.take_scratch(cand),
-                        );
-                        rec.put_scratch(cand, built);
-                        m
-                    }
-                    None => cache
-                        .get_or_generate_tracked(
-                            b.kind,
-                            b.cfg.placement,
-                            b.cfg.batch.num_microbatches,
-                            &stats,
-                        )
-                        .ok()
-                        .and_then(|schedule| {
-                            simulate_with_schedule_perturbed(
-                                model, cluster, &b.cfg, schedule, b.overlap, kernel, &probe,
-                            )
-                            .ok()
-                        }),
-                }
-            };
+            let probed = best_cand.as_ref().and_then(|cand| {
+                let d = Durations::new(model, cluster, &b.cfg, kernel, overlap);
+                let class_key = ClassKey::of(cand, overlap, &d);
+                let base = lock_resolved(&resolved)
+                    .get(&class_key)
+                    .map(|(base, _)| Arc::clone(base))?;
+                let mut row = vec![SimDuration::ZERO; base.num_ops()];
+                let mut factors = Vec::new();
+                base.fill_row(&d, &probe, &mut factors, &mut row);
+                let mut solve_stats = crate::batch::empty_stats();
+                let mut replay = base.lock_replay();
+                Some(base.measure_row(&mut replay, &mut solve_stats, model, cluster, &b.cfg, &row))
+            });
             if let Some(m) = probed {
                 report.robust_tflops = Some(m.tflops_per_gpu);
                 report.retention = Some(m.tflops_per_gpu / b.measurement.tflops_per_gpu);
@@ -982,8 +835,9 @@ pub fn search_observed(
     // Per-request attribution: this request's own traffic on the
     // (possibly process-shared) schedule cache, not the cache's
     // since-process-start totals — so multi-request reports sum
-    // correctly. Warm lowering reuse skips the schedule cache entirely,
-    // so a warm request's totals can be below `simulated`.
+    // correctly. The schedule cache is consulted once per class build,
+    // so a request whose classes all resolve from the class cache or a
+    // warm record shows no traffic at all.
     counters.add("cache_hits", stats.hits());
     counters.add("cache_misses", stats.misses());
     if report.warm_hits > 0 {
@@ -1045,102 +899,8 @@ pub fn search_observed(
     (best, report)
 }
 
-/// Evaluates one contiguous survivor slice into its order-indexed
-/// slots — the body of one pool task. Three paths, all producing
-/// bit-identical measurements for the same candidate and perturbation:
-/// the plain path (lower under the request's perturbation, solve), the
-/// recording path (lower clean, solve, keep the lowering), and the warm
-/// path (reuse a recorded clean lowering, re-solve durations only).
-#[allow(clippy::too_many_arguments)]
-fn evaluate_slice(
-    model: &TransformerConfig,
-    cluster: &ClusterSpec,
-    cache: &ScheduleCache,
-    stats: &CacheStats,
-    cands: &[Candidate],
-    out: &mut [EvalSlot],
-    overlap: OverlapConfig,
-    kernel: &KernelModel,
-    perturbation: &Perturbation,
-    warm_rec: Option<&SweepRecord>,
-    keep_lowerings: bool,
-) {
-    let mut durations: Vec<SimDuration> = Vec::new();
-    for (cand, slot) in cands.iter().zip(out.iter_mut()) {
-        let cfg = cand.config_on(model, cluster);
-        if let Some(rec) = warm_rec {
-            let lowered = match rec.lowering(cand) {
-                Some(lowered) => {
-                    slot.warm_hit = true;
-                    lowered
-                }
-                None => {
-                    // Budget-evicted (or recorded by a perturbed cold
-                    // run): rebuild the clean base and re-offer it.
-                    let Ok(schedule) = cache.get_or_generate_tracked(
-                        cand.kind,
-                        cfg.placement,
-                        cfg.batch.num_microbatches,
-                        stats,
-                    ) else {
-                        continue;
-                    };
-                    let Ok(lowered) =
-                        lower_with_schedule(model, cluster, &cfg, schedule, overlap, kernel)
-                    else {
-                        continue;
-                    };
-                    let lowered = Arc::new(lowered);
-                    rec.store_lowering(*cand, Arc::clone(&lowered));
-                    lowered
-                }
-            };
-            let (measurement, built) = measure_with_durations(
-                model,
-                cluster,
-                &cfg,
-                &lowered,
-                perturbation,
-                &mut durations,
-                rec.take_scratch(cand),
-            );
-            slot.measurement = measurement;
-            rec.put_scratch(cand, built);
-        } else {
-            let Ok(schedule) = cache.get_or_generate_tracked(
-                cand.kind,
-                cfg.placement,
-                cfg.batch.num_microbatches,
-                stats,
-            ) else {
-                continue;
-            };
-            if keep_lowerings {
-                let Ok(lowered) =
-                    lower_with_schedule(model, cluster, &cfg, schedule, overlap, kernel)
-                else {
-                    continue;
-                };
-                slot.measurement = Some(measure_lowered(model, cluster, &cfg, &lowered));
-                slot.lowering = Some(Arc::new(lowered));
-            } else {
-                slot.measurement = simulate_with_schedule_perturbed(
-                    model,
-                    cluster,
-                    &cfg,
-                    schedule,
-                    overlap,
-                    kernel,
-                    perturbation,
-                )
-                .ok();
-            }
-        }
-    }
-}
-
-/// One batched survivor: its original chunk position plus the
-/// per-candidate inputs the class evaluator needs.
+/// One survivor: its original chunk position plus the per-candidate
+/// inputs the class evaluator needs.
 struct BatchItem {
     cand_idx: usize,
     cfg: ParallelConfig,
@@ -1156,18 +916,18 @@ fn lock_resolved<'a>(
     }
 }
 
-/// Batched chunk evaluation: a serial pre-pass validates each survivor,
+/// Chunk evaluation: a serial pre-pass validates each survivor,
 /// computes its analytic durations, and groups survivors by topology
 /// class in first-seen order; the groups are then split into at most
 /// `threads` contiguous pool tasks (work-stealing granularity = a batch
 /// of classes), each of which resolves its classes' bases and re-times
-/// members by SoA trace replay. Bit-identical to [`evaluate_slice`] per
-/// candidate: validation failures leave the same empty slots, a class
-/// whose schedule cannot generate (or whose topology deadlocks) fails
-/// exactly the candidates the per-candidate path would fail, and row
-/// fill + replay reproduce lower + solve to the bit.
+/// members by SoA trace replay. Bit-identical to lowering and solving
+/// each candidate ([`best_config_exhaustive`]): validation failures
+/// leave empty slots, a class whose schedule cannot generate (or whose
+/// topology deadlocks) fails exactly the candidates lowering would
+/// fail, and row fill + replay reproduce lower + solve to the bit.
 #[allow(clippy::too_many_arguments)]
-fn evaluate_chunk_batched(
+fn evaluate_chunk(
     model: &TransformerConfig,
     cluster: &ClusterSpec,
     cache: &ScheduleCache,
@@ -1191,8 +951,7 @@ fn evaluate_chunk_batched(
     for (cand_idx, cand) in survivors.iter().enumerate() {
         let cfg = cand.config_on(model, cluster);
         if cfg.validate(model, cluster).is_err() {
-            // Slot stays empty — the per-candidate path fails the same
-            // candidate inside lowering.
+            // Slot stays empty — lowering fails the same candidate.
             continue;
         }
         let d = Durations::new(model, cluster, &cfg, kernel, overlap);
@@ -1258,7 +1017,7 @@ fn evaluate_chunk_batched(
     }
 }
 
-/// What every batched pool task of one chunk shares.
+/// What every pool task of one chunk shares.
 struct GroupCtx<'a> {
     model: &'a TransformerConfig,
     cluster: &'a ClusterSpec,
@@ -1272,7 +1031,7 @@ struct GroupCtx<'a> {
 }
 
 /// Evaluates a contiguous run of class groups into their group-ordered
-/// slots — the body of one batched pool task.
+/// slots — the body of one pool task.
 fn eval_groups(ctx: &GroupCtx<'_>, groups: &[(ClassKey, Vec<BatchItem>)], out: &mut [EvalSlot]) {
     let mut factors: Vec<f64> = Vec::new();
     let mut solve_stats = crate::batch::empty_stats();
@@ -1283,9 +1042,9 @@ fn eval_groups(ctx: &GroupCtx<'_>, groups: &[(ClassKey, Vec<BatchItem>)], out: &
 
         // Resolve the class base: request-local map (stable provenance)
         // → warm record → shared class cache → build from the key and
-        // its schedule. A failed resolution fails the whole class, which
-        // is per-candidate parity: schedule generation and deadlock
-        // depend only on class-level inputs.
+        // its schedule. A failed resolution fails the whole class, as
+        // lowering would fail each member: schedule generation and
+        // deadlock depend only on class-level inputs.
         let hit = lock_resolved(ctx.resolved).get(key).cloned();
         let (base, from_record) = match hit {
             Some(found) => found,
@@ -1697,24 +1456,38 @@ mod tests {
         let model = models::bert_6_6b();
         let cluster = presets::dgx1_v100(8);
         let k = KernelModel::v100();
-        // The per-candidate path consults the schedule cache once per
-        // simulated candidate; the batched path consults it at most
-        // once per topology class (and not at all when the global class
-        // cache is already warm), so the strict traffic assertions only
-        // hold per-candidate.
-        let opts = SearchOptions {
-            eval: EvalMode::PerCandidate,
-            ..quick_opts()
+        // The schedule cache is consulted once per class build, i.e.
+        // once per class-cache miss: a private, empty class cache makes
+        // that traffic independent of what other searches in this
+        // process left in the global one.
+        let classes = Arc::new(ClassCache::new());
+        let env = SearchEnv {
+            classes: Arc::clone(&classes),
+            ..SearchEnv::private()
         };
-        let (r, report) =
-            best_config_with_report(&model, &cluster, Method::BreadthFirst, 16, &k, &opts);
+        let (r, report) = search_streaming(
+            &model,
+            &cluster,
+            Method::BreadthFirst,
+            16,
+            &k,
+            &quick_opts(),
+            &env,
+            None,
+            None,
+        );
         assert!(r.is_some());
         let c = &report.counters;
-        assert!(
-            c.count("cache_hits") + c.count("cache_misses") >= report.simulated,
-            "every simulated candidate consults the schedule cache: {c:?}"
+        assert!(classes.misses() > 0, "a cold class cache misses");
+        assert_eq!(
+            c.count("cache_hits") + c.count("cache_misses"),
+            classes.misses(),
+            "every class build consults the schedule cache once: {c:?}"
         );
-        assert!(c.count("cache_hits") > 0, "repeat keys must hit");
+        assert!(
+            c.count("cache_hits") > 0,
+            "classes sharing a schedule must hit"
+        );
         for phase in ["enumerate", "prune", "evaluate", "probe"] {
             assert!(
                 c.spans().any(|(name, _)| name == phase),
@@ -1807,7 +1580,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_replays_bit_identically_and_reuses_lowerings() {
+    fn warm_start_replays_bit_identically_and_reuses_class_bases() {
         let model = models::bert_6_6b();
         let cluster = presets::dgx1_v100(8);
         let k = KernelModel::v100();
@@ -1873,7 +1646,7 @@ mod tests {
         );
         assert!(
             warm_rep.warm_hits > 0,
-            "clean-run lowerings must be reused: {warm_rep:?}"
+            "recorded class bases must be reused: {warm_rep:?}"
         );
         assert_eq!(warm_rep.counters.count("warm_start"), 1);
         assert_eq!(env.warm.as_ref().unwrap().warm_starts(), 1);
@@ -1897,10 +1670,10 @@ mod tests {
 
     #[test]
     fn warm_records_are_keyed_by_kernel() {
-        // Recorded lowerings bake the kernel's durations in, and the
-        // recorded throughput bounds come from it — a request differing
-        // only in kernel must cold-search, not warm-hit the other
-        // kernel's record, and must match its own fresh cold engine.
+        // The recorded throughput bounds come from the kernel's
+        // durations — a request differing only in kernel must
+        // cold-search, not warm-hit the other kernel's record, and must
+        // match its own fresh cold engine.
         let model = models::bert_6_6b();
         let cluster = presets::dgx1_v100(8);
         let env = SearchEnv::service();

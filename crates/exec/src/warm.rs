@@ -13,25 +13,24 @@
 //!   ([`crate::prune::lower_bound_tflops`] — base durations; the search
 //!   widens it by `max_speedup()` per request).
 //!
-//! So a completed cold search records, per enumerated candidate, its
-//! `Outcome`: memory-pruned, or feasible with its throughput bound. A
-//! warm request replays that record — same chunking, same reduction —
-//! and only the simulations run, each via the duration-only re-solve
-//! path ([`crate::LoweredGraph::perturbed_durations`] +
-//! [`bfpp_sim::Solver::solve_stats_with_durations`]) over a cached clean
-//! lowering. Both legs of that substitution are bit-identical to the
-//! cold path (tested in `lower` and `bench::robustness`), which is what
-//! makes a warm search return *exactly* what the cold search would have.
+//! So a completed cold search records one payload: per enumerated
+//! candidate, its `Outcome` (memory-pruned, or feasible with its
+//! throughput bound), plus the topology-class bases
+//! ([`crate::batch::ClassBase`]) its survivors resolved. A warm request
+//! replays that record — same chunking, same reduction — and only the
+//! simulations run, each as a row fill and trace replay over the
+//! recorded base of its class. Bases are built from the class key
+//! alone, so they hold under any perturbation, and row fill + replay is
+//! bit-identical to lowering and solving the member (tested in `batch`
+//! and `tests/batch_equivalence.rs`), which is what makes a warm search
+//! return *exactly* what the cold search would have.
 //!
 //! The record cache is bounded two ways: entry count (FIFO eviction)
-//! and per-record stored lowering size (ops), since lowerings dominate
-//! memory. A record whose lowering budget is exhausted still warm-starts
-//! — missing lowerings are rebuilt (and counted as misses, not
-//! [`warm_hits`](crate::SearchReport::warm_hits)). Each stored lowering
-//! additionally retains at most one *built* solver workspace
-//! ([`bfpp_sim::SolveScratch`], size comparable to the lowering itself),
-//! checked out and returned around each warm solve so re-plans skip the
-//! O(V + E) CSR rebuild and pay only the duration re-solve.
+//! and per-record stored class-base size (ops), since bases dominate
+//! memory. A record whose op budget is exhausted still warm-starts: a
+//! missing base comes from the class cache or is rebuilt (and then
+//! re-offered to the record), and neither counts toward
+//! [`warm_hits`](crate::SearchReport::warm_hits).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,12 +38,10 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use bfpp_cluster::ClusterSpec;
 use bfpp_model::TransformerConfig;
-use bfpp_sim::SolveScratch;
 
 use crate::batch::{ClassBase, ClassKey};
 use crate::candidates::Candidate;
 use crate::kernel::KernelModel;
-use crate::lower::LoweredGraph;
 use crate::search::{Method, SearchOptions};
 
 /// The perturbation-independent fate of one enumerated candidate,
@@ -60,24 +57,13 @@ pub(crate) enum Outcome {
     Feasible { cand: Candidate, ub_tflops: f64 },
 }
 
-/// A stored clean base: the lowering plus (at most one) solver workspace
-/// whose CSR index was already built for it. The workspace circulates by
-/// take/put — a warm evaluation checks it out, re-solves durations on the
-/// prebuilt index, and returns it; concurrent sessions that lose the race
-/// simply rebuild (correctness never depends on the checkout).
-#[derive(Debug)]
-struct WarmBase {
-    lowered: Arc<LoweredGraph>,
-    scratch: Mutex<Option<SolveScratch>>,
-}
-
 /// One completed cold search, replayable under any perturbation:
-/// per-candidate outcomes plus the clean base lowerings of simulated
-/// survivors (filled lazily, bounded by the owning cache's op budget).
+/// per-candidate outcomes plus the topology-class bases its survivors
+/// resolved (bounded by the owning cache's op budget, and refilled when
+/// a replay rebuilds a base the budget dropped).
 #[derive(Debug)]
 pub struct SweepRecord {
     pub(crate) outcomes: Vec<Outcome>,
-    lowerings: Mutex<HashMap<Candidate, WarmBase>>,
     classes: Mutex<HashMap<ClassKey, Arc<ClassBase>>>,
     ops_stored: AtomicU64,
     max_ops: u64,
@@ -87,64 +73,10 @@ impl SweepRecord {
     pub(crate) fn new(outcomes: Vec<Outcome>, max_ops: u64) -> Self {
         SweepRecord {
             outcomes,
-            lowerings: Mutex::new(HashMap::new()),
             classes: Mutex::new(HashMap::new()),
             ops_stored: AtomicU64::new(0),
             max_ops,
         }
-    }
-
-    /// The cached clean lowering for `cand`, if the record holds one.
-    pub(crate) fn lowering(&self, cand: &Candidate) -> Option<Arc<LoweredGraph>> {
-        self.lock_lowerings()
-            .get(cand)
-            .map(|base| Arc::clone(&base.lowered))
-    }
-
-    /// Checks out the built solver workspace stored with `cand`'s
-    /// lowering, if any. The caller should return it via
-    /// [`SweepRecord::put_scratch`] after the solve.
-    pub(crate) fn take_scratch(&self, cand: &Candidate) -> Option<SolveScratch> {
-        self.lock_lowerings()
-            .get(cand)
-            .and_then(|base| base.scratch.lock().ok()?.take())
-    }
-
-    /// Returns a built workspace to `cand`'s base (first writer wins; a
-    /// workspace for an evicted candidate is silently dropped).
-    pub(crate) fn put_scratch(&self, cand: &Candidate, scratch: SolveScratch) {
-        if let Some(base) = self.lock_lowerings().get(cand) {
-            if let Ok(mut slot) = base.scratch.lock() {
-                slot.get_or_insert(scratch);
-            }
-        }
-    }
-
-    /// Offers a clean lowering for reuse by later warm runs. Silently
-    /// dropped once the record's op budget is spent — correctness never
-    /// depends on a store succeeding.
-    pub(crate) fn store_lowering(&self, cand: Candidate, lowered: Arc<LoweredGraph>) {
-        debug_assert!(!lowered.perturbed, "warm records hold clean bases only");
-        let ops = lowered.graph.num_ops() as u64;
-        // The existence check happens under the lowerings lock, before
-        // any budget is charged — a duplicate offer (two warm sessions
-        // racing to rebuild the same evicted base) must not consume
-        // budget it never stores against.
-        let mut lowerings = self.lock_lowerings();
-        if lowerings.contains_key(&cand) {
-            return;
-        }
-        if self.ops_stored.fetch_add(ops, Ordering::Relaxed) + ops > self.max_ops {
-            self.ops_stored.fetch_sub(ops, Ordering::Relaxed);
-            return;
-        }
-        lowerings.insert(
-            cand,
-            WarmBase {
-                lowered,
-                scratch: Mutex::new(None),
-            },
-        );
     }
 
     /// The cached topology-class base for `key`, if the record holds
@@ -156,8 +88,11 @@ impl SweepRecord {
     }
 
     /// Offers a topology-class base for reuse by later warm runs,
-    /// charged against the same op budget as stored lowerings. Silently
-    /// dropped once the budget is spent.
+    /// charged against the record's op budget. Silently dropped once the
+    /// budget is spent — correctness never depends on a store
+    /// succeeding. The existence check happens under the lock, before
+    /// any budget is charged, so a duplicate offer (two warm sessions
+    /// racing to rebuild the same evicted base) consumes nothing.
     pub(crate) fn store_class(&self, key: ClassKey, base: Arc<ClassBase>) {
         let ops = base.num_ops() as u64;
         let mut classes = self.lock_classes();
@@ -176,18 +111,6 @@ impl SweepRecord {
         self.lock_classes().len()
     }
 
-    /// Number of clean lowerings currently held.
-    pub fn lowerings_held(&self) -> usize {
-        self.lock_lowerings().len()
-    }
-
-    fn lock_lowerings(&self) -> MutexGuard<'_, HashMap<Candidate, WarmBase>> {
-        match self.lowerings.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
     fn lock_classes(&self) -> MutexGuard<'_, HashMap<ClassKey, Arc<ClassBase>>> {
         match self.classes.lock() {
             Ok(g) => g,
@@ -198,13 +121,12 @@ impl SweepRecord {
 
 /// The request signature a warm start must match exactly: everything
 /// that shapes enumeration, the analytic filters, and the recorded
-/// measurements. The kernel model is part of the signature — recorded
-/// clean lowerings bake its durations in, and the recorded throughput
-/// bounds depend on it — so requests differing only in kernel never
-/// share a record. Perturbation and thread count are deliberately
-/// absent — those are the parameters a warm start is allowed to vary
-/// (durations never change the candidate set, and thread count never
-/// changes any result).
+/// measurements. The kernel model is part of the signature — the
+/// recorded throughput bounds depend on it — so requests differing only
+/// in kernel never share a record. Perturbation and thread count are
+/// deliberately absent — those are the parameters a warm start is
+/// allowed to vary (durations never change the candidate set, and
+/// thread count never changes any result).
 pub(crate) fn request_key(
     model: &TransformerConfig,
     cluster: &ClusterSpec,
@@ -257,25 +179,23 @@ impl std::fmt::Debug for Entries {
 
 impl Default for WarmCache {
     fn default() -> Self {
-        // 64 sweeps × 8M stored ops each. A batched search stores class
-        // bases at ~33 bytes per op (see `ClassCache`), so a full record
-        // holds ~260 MB; a per-candidate search stores lowerings, whose op
-        // graph, annotations and solver workspace cost several times
-        // that per op. A record holds only the classes its search
-        // resolved: 3.4M ops for the jittered 1T/32×A100 request.
+        // 64 sweeps × 8M stored ops each. A record stores class bases at
+        // ~33 bytes per op (see `ClassCache`), so a full record holds
+        // ~260 MB. A record holds only the classes its search resolved:
+        // 3.4M ops for the jittered 1T/32×A100 request.
         WarmCache::with_limits(64, 8_000_000)
     }
 }
 
 impl WarmCache {
-    /// A cache with the default limits (64 records, 8M stored lowering
+    /// A cache with the default limits (64 records, 8M stored class-base
     /// ops each).
     pub fn new() -> Self {
         WarmCache::default()
     }
 
     /// A cache bounded to `max_entries` records of at most
-    /// `max_ops_per_record` stored lowering ops each.
+    /// `max_ops_per_record` stored class-base ops each.
     pub fn with_limits(max_entries: usize, max_ops_per_record: u64) -> Self {
         WarmCache {
             entries: Mutex::new(Entries {

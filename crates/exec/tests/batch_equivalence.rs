@@ -9,10 +9,11 @@
 //! transfers, on homogeneous and mixed fleets.
 //!
 //! Per search: for random methods, batch sizes, limits and
-//! perturbations, `EvalMode::Batched` (one replay workspace per shape
+//! perturbations, the engine (pruning, one replay workspace per shape
 //! class, SoA duration rows, trace replay) must be **bit-identical** to
-//! `EvalMode::PerCandidate` (lower + full solve per candidate) — same
-//! winner, same measurement to the bit, same prune counters — at every
+//! `best_config_exhaustive` (lower + full solve of every candidate) —
+//! same winner, same measurement to the bit, same robustness probe —
+//! with every candidate accounted for and the same counters at every
 //! thread count.
 
 use std::sync::Arc;
@@ -21,9 +22,12 @@ use bfpp_cluster::presets::{dgx1_v100, mixed_v100_a100, mixed_v100_a100_asym};
 use bfpp_cluster::ClusterSpec;
 use bfpp_core::{Schedule, ScheduleKind};
 use bfpp_exec::batch::{ClassBase, ClassKey};
-use bfpp_exec::search::{best_config_with_report, EvalMode, Method, SearchOptions};
+use bfpp_exec::search::{
+    best_config_exhaustive, best_config_with_report, Method, SearchOptions, SearchResult,
+};
 use bfpp_exec::{
-    lower_with_schedule, Candidate, Durations, KernelModel, OverlapConfig, SplitStrategy,
+    lower_with_schedule, simulate_perturbed, Candidate, Durations, KernelModel, OverlapConfig,
+    SplitStrategy,
 };
 use bfpp_model::presets::bert_6_6b;
 use bfpp_parallel::{BatchConfig, DataParallelism, Grid, Placement};
@@ -111,6 +115,29 @@ fn perturbations() -> Vec<Perturbation> {
             .with_jitter(0.1)
             .with_link_degradation(1.2),
     ]
+}
+
+/// The robustness columns the engine must report for `winner`: its
+/// throughput under [`Perturbation::reference_probe`], from a full
+/// lowering and solve, and that over its clean throughput.
+fn probe_oracle(
+    model: &bfpp_model::TransformerConfig,
+    cluster: &ClusterSpec,
+    kernel: &KernelModel,
+    winner: &SearchResult,
+) -> (f64, f64) {
+    let robust = simulate_perturbed(
+        model,
+        cluster,
+        &winner.cfg,
+        winner.kind,
+        winner.overlap,
+        kernel,
+        &Perturbation::reference_probe(),
+    )
+    .expect("the winner simulates under the probe")
+    .tflops_per_gpu;
+    (robust, robust / winner.measurement.tflops_per_gpu)
 }
 
 fn searches() -> impl Strategy<Value = (Method, u64, SearchOptions)> {
@@ -201,33 +228,33 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Grouping candidates into topology classes and re-timing them by
-    /// trace replay must never change the answer or the accounting.
+    /// Pruning, grouping candidates into topology classes and re-timing
+    /// them by trace replay must never change the answer: at every
+    /// thread count the engine returns the exhaustive reference's
+    /// winner, probes it exactly as a full lowering would, accounts for
+    /// every candidate, and reports the same counters.
     #[test]
-    fn batched_equals_per_candidate((method, batch, opts) in searches()) {
+    fn engine_equals_exhaustive((method, batch, opts) in searches()) {
         let model = bert_6_6b();
         let cluster = dgx1_v100(1);
         let kernel = KernelModel::v100();
-        let reference = best_config_with_report(
-            &model,
-            &cluster,
-            method,
-            batch,
-            &kernel,
-            &SearchOptions { eval: EvalMode::PerCandidate, threads: 1, ..opts.clone() },
-        );
+        let reference = best_config_exhaustive(&model, &cluster, method, batch, &kernel, &opts);
+        let probed = reference
+            .as_ref()
+            .map(|r| probe_oracle(&model, &cluster, &kernel, r));
+        let mut counters = None;
         for threads in [1usize, 2, 4] {
-            let batched = best_config_with_report(
+            let (engine, report) = best_config_with_report(
                 &model,
                 &cluster,
                 method,
                 batch,
                 &kernel,
-                &SearchOptions { eval: EvalMode::Batched, threads, ..opts.clone() },
+                &SearchOptions { threads, ..opts.clone() },
             );
             prop_assert_eq!(
-                &batched.0,
-                &reference.0,
+                &engine,
+                &reference,
                 "winner: {} @ batch {} threads {} with {:?}",
                 method,
                 batch,
@@ -235,69 +262,68 @@ proptest! {
                 &opts
             );
             prop_assert_eq!(
-                (
-                    batched.1.enumerated,
-                    batched.1.pruned_memory,
-                    batched.1.pruned_throughput,
-                    batched.1.simulated,
-                    batched.1.best,
-                    batched.1.robust_tflops,
-                    batched.1.retention,
-                ),
-                (
-                    reference.1.enumerated,
-                    reference.1.pruned_memory,
-                    reference.1.pruned_throughput,
-                    reference.1.simulated,
-                    reference.1.best,
-                    reference.1.robust_tflops,
-                    reference.1.retention,
-                ),
-                "report: {} @ batch {} threads {}",
+                report.best,
+                reference.as_ref().map(|r| r.measurement.tflops_per_gpu)
+            );
+            prop_assert_eq!(
+                report.robust_tflops.zip(report.retention),
+                probed,
+                "probe: {} @ batch {} threads {}",
                 method,
                 batch,
                 threads
             );
+            prop_assert_eq!(
+                report.enumerated,
+                report.pruned_memory + report.pruned_throughput + report.simulated
+            );
+            let these = (
+                report.enumerated,
+                report.pruned_memory,
+                report.pruned_throughput,
+                report.simulated,
+            );
+            prop_assert_eq!(*counters.get_or_insert(these), these, "threads {}", threads);
         }
     }
 }
 
 /// The winner's full measurement — makespan, memory, utilization — must
-/// match to the bit on a known-nontrivial cell (the paper's Fig. 5a
-/// shape), not merely compare equal through the throughput ordering.
+/// match the exhaustive reference to the bit on a known-nontrivial cell
+/// (the paper's Fig. 5a shape), not merely compare equal through the
+/// throughput ordering.
 #[test]
 fn fig5a_cell_winner_measurement_is_bit_identical() {
     let model = bert_6_6b();
     let cluster = dgx1_v100(8);
     let kernel = KernelModel::v100();
-    let mk = |eval: EvalMode, threads: usize| SearchOptions {
-        eval,
-        threads,
-        ..SearchOptions::default()
-    };
-    let (reference, _) = best_config_with_report(
-        &model,
-        &cluster,
-        Method::BreadthFirst,
-        16,
-        &kernel,
-        &mk(EvalMode::PerCandidate, 1),
-    );
-    let reference = reference.expect("Fig. 5a cell has a winner");
+    let opts = SearchOptions::default();
+    let reference =
+        best_config_exhaustive(&model, &cluster, Method::BreadthFirst, 16, &kernel, &opts)
+            .expect("Fig. 5a cell has a winner");
+    let probed = probe_oracle(&model, &cluster, &kernel, &reference);
     for threads in [1usize, 2, 4] {
-        let (batched, _) = best_config_with_report(
+        let (engine, report) = best_config_with_report(
             &model,
             &cluster,
             Method::BreadthFirst,
             16,
             &kernel,
-            &mk(EvalMode::Batched, threads),
+            &SearchOptions {
+                threads,
+                ..opts.clone()
+            },
         );
-        let batched = batched.expect("batched search finds the same winner");
-        assert_eq!(batched.cfg, reference.cfg, "threads={threads}");
+        let engine = engine.expect("the engine finds the same winner");
+        assert_eq!(engine.cfg, reference.cfg, "threads={threads}");
         assert_eq!(
-            batched.measurement, reference.measurement,
+            engine.measurement, reference.measurement,
             "threads={threads}: measurement must be bit-identical"
+        );
+        assert_eq!(
+            report.robust_tflops.zip(report.retention),
+            Some(probed),
+            "threads={threads}: probe must be bit-identical"
         );
     }
 }

@@ -1,16 +1,14 @@
 //! Heterogeneous-fleet counterparts of the engine equivalence suites:
 //! on mixed V100+A100 fleets (flat and asymmetric fabrics) the layered
-//! engine must equal the exhaustive serial reference, `EvalMode::Batched`
-//! must equal `EvalMode::PerCandidate` bit-for-bit, and every answer must
-//! be bit-identical across worker thread counts — including under
+//! engine — pruning, topology-class batching and trace replay — must
+//! equal the exhaustive serial reference bit-for-bit, and every answer
+//! must be bit-identical across worker thread counts — including under
 //! straggler/jitter perturbations composed on top of the hardware map.
 
 use bfpp_cluster::presets::{dgx1_v100, mixed_v100_a100, mixed_v100_a100_asym};
 use bfpp_cluster::ClusterSpec;
-use bfpp_exec::search::{
-    best_config_exhaustive, best_config_with_report, EvalMode, Method, SearchOptions,
-};
-use bfpp_exec::KernelModel;
+use bfpp_exec::search::{best_config_exhaustive, best_config_with_report, Method, SearchOptions};
+use bfpp_exec::{simulate_perturbed, KernelModel};
 use bfpp_model::presets::bert_6_6b;
 use bfpp_sim::Perturbation;
 use proptest::prelude::*;
@@ -64,73 +62,12 @@ fn searches() -> impl Strategy<Value = (ClusterSpec, Method, u64, SearchOptions)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// On a mixed fleet, class batching and trace replay must never
-    /// change the answer or the accounting relative to lowering and
-    /// fully solving every candidate — at every thread count.
-    #[test]
-    fn batched_equals_per_candidate_on_mixed_fleets(
-        (cluster, method, batch, opts) in searches()
-    ) {
-        let model = bert_6_6b();
-        let kernel = KernelModel::v100();
-        let reference = best_config_with_report(
-            &model,
-            &cluster,
-            method,
-            batch,
-            &kernel,
-            &SearchOptions { eval: EvalMode::PerCandidate, threads: 1, ..opts.clone() },
-        );
-        for threads in [1usize, 2, 4] {
-            let batched = best_config_with_report(
-                &model,
-                &cluster,
-                method,
-                batch,
-                &kernel,
-                &SearchOptions { eval: EvalMode::Batched, threads, ..opts.clone() },
-            );
-            prop_assert_eq!(
-                &batched.0,
-                &reference.0,
-                "winner: {} on {} @ batch {} threads {} with {:?}",
-                method,
-                cluster.name,
-                batch,
-                threads,
-                &opts
-            );
-            prop_assert_eq!(
-                (
-                    batched.1.enumerated,
-                    batched.1.pruned_memory,
-                    batched.1.pruned_throughput,
-                    batched.1.simulated,
-                    batched.1.best,
-                    batched.1.robust_tflops,
-                    batched.1.retention,
-                ),
-                (
-                    reference.1.enumerated,
-                    reference.1.pruned_memory,
-                    reference.1.pruned_throughput,
-                    reference.1.simulated,
-                    reference.1.best,
-                    reference.1.robust_tflops,
-                    reference.1.retention,
-                ),
-                "report: {} on {} @ batch {} threads {}",
-                method,
-                cluster.name,
-                batch,
-                threads
-            );
-        }
-    }
-
-    /// Pruning and parallelism must stay sound when stage speeds differ:
-    /// the layered engine equals the exhaustive reference on mixed
-    /// fleets, and every enumerated candidate is accounted for.
+    /// Pruning, class batching and parallelism must stay sound when
+    /// stage speeds differ: at every thread count the layered engine
+    /// equals the exhaustive reference on mixed fleets — winner,
+    /// robustness probe and retention to the bit — every enumerated
+    /// candidate is accounted for, and the counters do not depend on
+    /// the thread count.
     #[test]
     fn engine_equals_exhaustive_on_mixed_fleets(
         (cluster, method, batch, opts) in searches()
@@ -139,21 +76,61 @@ proptest! {
         let kernel = KernelModel::v100();
         let reference =
             best_config_exhaustive(&model, &cluster, method, batch, &kernel, &opts);
-        let (engine, report) =
-            best_config_with_report(&model, &cluster, method, batch, &kernel, &opts);
-        prop_assert_eq!(
-            &engine,
-            &reference,
-            "{} on {} @ batch {} with {:?}",
-            method,
-            cluster.name,
-            batch,
-            &opts
-        );
-        prop_assert_eq!(
-            report.enumerated,
-            report.pruned_memory + report.pruned_throughput + report.simulated
-        );
+        let probed = reference.as_ref().map(|r| {
+            let robust = simulate_perturbed(
+                &model,
+                &cluster,
+                &r.cfg,
+                r.kind,
+                r.overlap,
+                &kernel,
+                &Perturbation::reference_probe(),
+            )
+            .expect("the winner simulates under the probe")
+            .tflops_per_gpu;
+            (robust, robust / r.measurement.tflops_per_gpu)
+        });
+        let mut counters = None;
+        for threads in [1usize, 2, 4] {
+            let (engine, report) = best_config_with_report(
+                &model,
+                &cluster,
+                method,
+                batch,
+                &kernel,
+                &SearchOptions { threads, ..opts.clone() },
+            );
+            prop_assert_eq!(
+                &engine,
+                &reference,
+                "{} on {} @ batch {} threads {} with {:?}",
+                method,
+                cluster.name,
+                batch,
+                threads,
+                &opts
+            );
+            prop_assert_eq!(
+                report.robust_tflops.zip(report.retention),
+                probed,
+                "probe: {} on {} @ batch {} threads {}",
+                method,
+                cluster.name,
+                batch,
+                threads
+            );
+            prop_assert_eq!(
+                report.enumerated,
+                report.pruned_memory + report.pruned_throughput + report.simulated
+            );
+            let these = (
+                report.enumerated,
+                report.pruned_memory,
+                report.pruned_throughput,
+                report.simulated,
+            );
+            prop_assert_eq!(*counters.get_or_insert(these), these, "threads {}", threads);
+        }
     }
 }
 

@@ -29,7 +29,9 @@
 //! * `method` — `breadth_first` (default), `depth_first`,
 //!   `non_looped`, `no_pipeline`.
 //! * `kernel` — `v100` (default), `a100`, `ideal`.
-//! * `eval` — `batched` (default) or `per_candidate` evaluation.
+//! * `threads` — search worker count (`0` = available parallelism);
+//!   `max_microbatch` / `max_loop` / `max_actions` — enumeration
+//!   limits. Integers too large for their option are an `error`.
 //! * `deadline_ms` / `max_candidates` — per-request budgets: the
 //!   search stops at the bound with its best-so-far and reports
 //!   `"timed_out":true`.
@@ -42,6 +44,10 @@
 //!   `dgx1_v100_ethernet`, `dgx_a100_40gb`, `dgx_a100_80gb`). The
 //!   session plans the post-delta topology; a delta that does not
 //!   apply is answered with an `error` line.
+//!
+//! Fields not listed here are ignored. A line nested deeper than
+//! `bfpp_sim::json::MAX_DEPTH` arrays or objects is an `error`, like
+//! any other malformed JSON.
 //!
 //! Control lines:
 //!

@@ -24,8 +24,8 @@
 //!   sub-millisecond path `reproduce_elastic` measures.
 //!
 //! The re-planned search itself is the ordinary engine: bit-identical
-//! across thread counts, batched ≡ per-candidate, warm replay proven
-//! equal to cold recomputation. Elasticity adds no new evaluation
+//! across thread counts, equal to the exhaustive reference, warm replay
+//! proven equal to cold recomputation. Elasticity adds no new evaluation
 //! semantics — only a disciplined story for which cached state survives
 //! a topology change.
 

@@ -109,8 +109,9 @@
 //!
 //! The wire-facing half is `planner_daemon` (`src/bin`): newline-
 //! delimited JSON requests on stdin, streamed NDJSON events on stdout —
-//! see [`json`] for the dependency-free parser, [`wire`] for the
-//! request/response schema, and DESIGN.md §12–§13 for the architecture.
+//! see [`bfpp_sim::json`] for the dependency-free parser, [`wire`] for
+//! the request/response schema, and DESIGN.md §12–§13 for the
+//! architecture.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -132,7 +133,6 @@ use crate::chaos::{PanicPoint, SessionFault};
 
 pub mod chaos;
 pub mod elastic;
-pub mod json;
 pub mod wire;
 
 pub use elastic::{ClusterChange, ClusterDelta};
@@ -986,15 +986,25 @@ mod tests {
 
     #[test]
     fn panicked_session_becomes_a_failed_event_and_quarantines() {
-        let planner = Arc::new(Planner::with_threads(2));
-        let mut req = quick_req(Method::BreadthFirst, 16);
-        // Seed both caches so the quarantine has something to drop.
-        // Per-candidate evaluation populates the schedule cache even
-        // when the process-global class cache is already warm (batched
-        // evaluation would skip schedule generation entirely then).
-        req.opts.eval = bfpp_exec::search::EvalMode::PerCandidate;
-        planner.plan(&req);
+        // A private, empty class cache: every class of the seeding plan
+        // is built here, so the schedule cache sees traffic no matter
+        // what other tests left in the process-global class cache.
+        let classes = Arc::new(bfpp_exec::ClassCache::new());
+        let planner = Arc::new(Planner::over(SearchEnv {
+            executor: Executor::new(2),
+            classes: Arc::clone(&classes),
+            ..SearchEnv::service()
+        }));
+        let req = quick_req(Method::BreadthFirst, 16);
+        // Seed every cache so the quarantine has something to drop.
+        let (_, seeded) = planner.plan(&req);
         assert!(!planner.env().schedules.is_empty());
+        assert!(!classes.is_empty());
+        assert_eq!(
+            seeded.counters.count("cache_hits") + seeded.counters.count("cache_misses"),
+            classes.misses(),
+            "one schedule lookup per class build"
+        );
         assert_eq!(planner.warm().unwrap().len(), 1);
 
         let mut sabotaged = req.clone();
@@ -1009,6 +1019,7 @@ mod tests {
         let life = planner.lifecycle();
         assert_eq!(life.count("requests_failed"), 1);
         assert!(life.count("quarantined_schedules") > 0, "{life:?}");
+        assert!(life.count("quarantined_classes") > 0, "{life:?}");
         assert!(life.count("quarantined_warm_records") > 0, "{life:?}");
         assert_eq!(planner.warm().unwrap().len(), 0, "warm record quarantined");
 

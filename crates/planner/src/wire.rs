@@ -38,13 +38,11 @@
 use std::time::Duration;
 
 use bfpp_cluster::{presets as clusters, ClusterSpec, NodeId, NodeSpec};
-use bfpp_exec::search::{
-    EvalMode, Method, ProgressSnapshot, SearchOptions, SearchReport, SearchResult,
-};
+use bfpp_exec::search::{Method, ProgressSnapshot, SearchOptions, SearchReport, SearchResult};
 use bfpp_exec::{KernelModel, MetricsSnapshot};
+use bfpp_sim::json::{escape, Value};
 use bfpp_sim::Perturbation;
 
-use crate::json::{escape, Value};
 use crate::{ClusterDelta, PlanRequest, RejectReason};
 
 /// One parsed inbound line.
@@ -140,8 +138,10 @@ fn build_request(v: &Value) -> Result<PlanRequest, String> {
     let model = bfpp_model::presets::by_name(model_name)
         .ok_or_else(|| format!("unknown model {model_name:?}"))?;
 
-    let nodes_u64 = v.get("nodes").and_then(Value::as_u64).unwrap_or(8);
-    let nodes = u32::try_from(nodes_u64).map_err(|_| "field \"nodes\" too large".to_string())?;
+    let nodes = match v.get("nodes").and_then(Value::as_u64) {
+        Some(n) => u32_field("nodes", n)?,
+        None => 8,
+    };
     let cluster = cluster_by_name(
         v.get("cluster")
             .and_then(Value::as_str)
@@ -178,10 +178,10 @@ fn build_request(v: &Value) -> Result<PlanRequest, String> {
         opts.threads = t as usize;
     }
     if let Some(m) = v.get("max_microbatch").and_then(Value::as_u64) {
-        opts.max_microbatch = m as u32;
+        opts.max_microbatch = u32_field("max_microbatch", m)?;
     }
     if let Some(l) = v.get("max_loop").and_then(Value::as_u64) {
-        opts.max_loop = l as u32;
+        opts.max_loop = u32_field("max_loop", l)?;
     }
     if let Some(a) = v.get("max_actions").and_then(Value::as_u64) {
         opts.max_actions = a;
@@ -191,13 +191,6 @@ fn build_request(v: &Value) -> Result<PlanRequest, String> {
     }
     if let Some(c) = v.get("max_candidates").and_then(Value::as_u64) {
         opts.max_candidates = Some(c);
-    }
-    if let Some(e) = v.get("eval").and_then(Value::as_str) {
-        opts.eval = match e {
-            "batched" => EvalMode::Batched,
-            "per_candidate" | "per-candidate" => EvalMode::PerCandidate,
-            other => return Err(format!("unknown eval mode {other:?}")),
-        };
     }
     opts.perturbation = perturbation_of(v)?;
     Ok(PlanRequest {
@@ -210,6 +203,12 @@ fn build_request(v: &Value) -> Result<PlanRequest, String> {
         objective: Default::default(),
         fault: None,
     })
+}
+
+/// A wire integer that must fit a `u32` field: an oversized value is a
+/// typed error, never a silent truncation.
+fn u32_field(name: &str, n: u64) -> Result<u32, String> {
+    u32::try_from(n).map_err(|_| format!("field \"{name}\" too large"))
 }
 
 fn cluster_by_name(name: &str, nodes: u32) -> Result<ClusterSpec, String> {
@@ -257,8 +256,8 @@ fn delta_of(v: &Value) -> Result<Option<ClusterDelta>, String> {
         return Ok(None);
     };
     if let Some(n) = d.get("drop_node").and_then(Value::as_u64) {
-        let n = u32::try_from(n).map_err(|_| "field \"drop_node\" too large".to_string())?;
-        return Ok(Some(ClusterDelta::drop_node(NodeId(n))));
+        let node = NodeId(u32_field("drop_node", n)?);
+        return Ok(Some(ClusterDelta::drop_node(node)));
     }
     if let Some(name) = d.get("add_node").and_then(Value::as_str) {
         return Ok(Some(ClusterDelta::add_node(node_by_name(name)?)));
@@ -274,11 +273,12 @@ fn perturbation_of(v: &Value) -> Result<Perturbation, String> {
             .get("device")
             .and_then(Value::as_u64)
             .ok_or("straggler needs integer \"device\"")?;
+        let device = u32_field("device", device)?;
         let factor = s
             .get("factor")
             .and_then(Value::as_f64)
             .ok_or("straggler needs number \"factor\"")?;
-        p = p.with_straggler(device as u32, factor);
+        p = p.with_straggler(device, factor);
     }
     if let Some(j) = v.get("jitter").and_then(Value::as_f64) {
         p = p.with_jitter(j);
@@ -563,8 +563,6 @@ mod tests {
 
     #[test]
     fn pong_progress_and_stats_lines_are_valid_json() {
-        use crate::json::Value;
-
         let pong = pong_line();
         let v = Value::parse(&pong).expect("pong parses");
         assert_eq!(v.get("event").and_then(Value::as_str), Some("pong"));
@@ -636,6 +634,81 @@ mod tests {
         let line = error_line(&err);
         assert!(line.contains("\"event\":\"error\""), "{line}");
         assert!(line.contains("\"at\":10"), "{line}");
+    }
+
+    #[test]
+    fn deeply_nested_lines_fail_typed_instead_of_overflowing() {
+        let deep = "[".repeat(50_000);
+        let err = parse_line(&deep, "line-4").unwrap_err();
+        assert_eq!(err.id, "line-4");
+        assert_eq!(err.at, Some(bfpp_sim::json::MAX_DEPTH));
+        assert!(err.msg.contains("nesting"), "{}", err.msg);
+        assert!(error_line(&err).contains("\"event\":\"error\""));
+        // A deep value inside an otherwise valid request fails the same way.
+        let line = format!(
+            r#"{{"model":"bert-6.6b","batch":16,"x":{}}}"#,
+            "[".repeat(50_000)
+        );
+        assert!(parse_line(&line, "line-5").unwrap_err().at.is_some());
+    }
+
+    #[test]
+    fn oversized_u32_fields_fail_typed_instead_of_truncating() {
+        for (field, line) in [
+            (
+                "max_microbatch",
+                r#"{"id":"m","model":"bert-6.6b","batch":16,"max_microbatch":4294967297}"#,
+            ),
+            (
+                "max_loop",
+                r#"{"id":"m","model":"bert-6.6b","batch":16,"max_loop":4294967304}"#,
+            ),
+            (
+                "device",
+                r#"{"id":"m","model":"bert-6.6b","batch":16,"straggler":{"device":4294967300,"factor":1.5}}"#,
+            ),
+            (
+                "nodes",
+                r#"{"id":"m","model":"bert-6.6b","batch":16,"nodes":4294967296}"#,
+            ),
+            (
+                "drop_node",
+                r#"{"id":"m","model":"bert-6.6b","batch":16,"delta":{"drop_node":4294967296}}"#,
+            ),
+        ] {
+            let err = parse_line(line, "line-1").unwrap_err();
+            assert_eq!(err.id, "m", "{field}");
+            assert_eq!(err.at, None, "{field}: a field error, not a syntax error");
+            assert!(
+                err.msg.contains(field) && err.msg.contains("too large"),
+                "{field}: {}",
+                err.msg
+            );
+        }
+        // The largest u32 still fits.
+        let r = parse_line(
+            r#"{"model":"bert-6.6b","batch":16,"max_loop":4294967295,
+                "straggler":{"device":4294967295,"factor":1.5}}"#,
+            "line-1",
+        )
+        .unwrap();
+        match r {
+            Request::Plan { req, .. } => assert_eq!(req.opts.max_loop, u32::MAX),
+            other => panic!("not a plan line: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_legacy_eval_field_is_ignored() {
+        // Lines written for an older daemon that took an `eval` field
+        // still parse; like every other unknown field, it is ignored.
+        for eval in ["batched", "per-candidate", "anything"] {
+            let line = format!(r#"{{"model":"bert-6.6b","batch":16,"eval":"{eval}"}}"#);
+            assert!(matches!(
+                parse_line(&line, "line-1"),
+                Ok(Request::Plan { .. })
+            ));
+        }
     }
 
     #[test]

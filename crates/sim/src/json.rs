@@ -1,18 +1,34 @@
-//! A dependency-free JSON reader for the daemon's request wire format.
+//! The workspace's one JSON reader: a dependency-free RFC 8259 parser.
 //!
 //! The workspace builds without a crates registry, so instead of serde
-//! this module hand-rolls the small slice of JSON the daemon needs:
-//! parse one request object per line into a [`Value`] tree and read
-//! typed fields out of it. Output JSON is *written* with plain
-//! `format!` (see `planner_daemon`); only parsing lives here.
+//! this module hand-rolls the small slice of JSON the repo needs: the
+//! planner daemon parses one request object per line into a [`Value`]
+//! tree and reads typed fields out of it, and
+//! [`validate_json`](crate::observe::validate_json) checks exported
+//! traces and metrics with the same parser. Output JSON is *written*
+//! with plain `format!`, using [`escape`] for string contents.
 //!
-//! The grammar is full JSON (objects, arrays, strings with escapes,
-//! numbers, booleans, null); numbers are kept as `f64`, which is exact
-//! for every integer the request format uses (batch sizes, device
-//! ranks, thread counts — all far below 2^53).
+//! The grammar is strict RFC 8259 (objects, arrays, strings with
+//! escapes, numbers, booleans, null): numbers must match
+//! `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?` (so `01`, `1.` and a
+//! bare `-` are rejected), and strings may not contain raw control
+//! characters. `\u` escapes must name a Unicode scalar value — surrogate
+//! escapes are rejected rather than paired, since nothing in the repo
+//! emits them. Numbers are kept as `f64`, which is exact for every
+//! integer the request format uses (batch sizes, device ranks, thread
+//! counts — all far below 2^53).
+//!
+//! Nesting is capped at [`MAX_DEPTH`] arrays and objects, so hostile
+//! input (a line of 50,000 `[`) fails with a [`ParseError`] instead of
+//! overflowing the parser's stack.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// The deepest nesting of arrays and objects a document may have. Deeper
+/// input fails with a [`ParseError`] at the first bracket past the cap,
+/// which bounds the recursion of both parsing and dropping a [`Value`].
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,10 +50,18 @@ pub enum Value {
 impl Value {
     /// Parses one complete JSON document; trailing non-whitespace is an
     /// error.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ParseError`] carrying the byte offset of the first
+    /// syntax error, or of the first bracket nested deeper than
+    /// [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Value, ParseError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -108,8 +132,13 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
+    /// Byte offset of the next unread byte; always a char boundary of
+    /// `text`, since every step consumes ASCII or one whole scalar.
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -126,6 +155,12 @@ impl Parser<'_> {
 
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn skip_digits(&mut self) {
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
     }
@@ -150,8 +185,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'{') {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -239,12 +285,13 @@ impl Parser<'_> {
                             let hex = self
                                 .bytes
                                 .get(self.pos..self.pos + 4)
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| self.err("bad \\u escape"))?;
                             self.pos += 4;
-                            // Surrogate pairs are not needed by the
-                            // request format; reject rather than mangle.
+                            // Surrogate pairs are not needed by any
+                            // caller; reject rather than mangle.
                             let ch = char::from_u32(hex)
                                 .ok_or_else(|| self.err("\\u escape is not a scalar value"))?;
                             out.push(ch);
@@ -252,12 +299,12 @@ impl Parser<'_> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
+                Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let ch = s.chars().next().expect("non-empty by peek");
+                    let ch = self.text[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("non-empty by peek");
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -270,11 +317,27 @@ impl Parser<'_> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => self.skip_digits(),
+            _ => return Err(self.err("malformed number")),
+        }
+        if self.peek() == Some(b'.') {
             self.pos += 1;
+            if !matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.err("malformed fraction"));
+            }
+            self.skip_digits();
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if !matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.err("malformed exponent"));
+            }
+            self.skip_digits();
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
         text.parse::<f64>()
@@ -284,7 +347,7 @@ impl Parser<'_> {
 }
 
 /// Escapes `s` for embedding in a JSON string literal (the writer-side
-/// helper the daemon uses when echoing request ids and error text).
+/// helper for request ids, error text, trace names and metric keys).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for ch in s.chars() {
@@ -337,18 +400,40 @@ mod tests {
     fn strings_unescape_and_escape_round_trips() {
         let v = Value::parse(r#""a\"b\\c\nA""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\nA"));
-        let quoted = format!("\"{}\"", escape("a\"b\\c\nA\t"));
+        let quoted = format!("\"{}\"", escape("a\"b\\c\nA\t\u{1}"));
         let back = Value::parse(&quoted).unwrap();
-        assert_eq!(back.as_str(), Some("a\"b\\c\nA\t"));
+        assert_eq!(back.as_str(), Some("a\"b\\c\nA\t\u{1}"));
+        assert_eq!(Value::parse(r#""é""#).unwrap().as_str(), Some("é"));
     }
 
     #[test]
     fn numbers_parse_and_integer_coercion_is_strict() {
         assert_eq!(Value::parse("3.25").unwrap().as_f64(), Some(3.25));
         assert_eq!(Value::parse("-2e3").unwrap().as_f64(), Some(-2000.0));
+        assert_eq!(Value::parse("0.5E+1").unwrap().as_f64(), Some(5.0));
+        assert_eq!(Value::parse("-0").unwrap().as_f64(), Some(-0.0));
         assert_eq!(Value::parse("512").unwrap().as_u64(), Some(512));
         assert_eq!(Value::parse("1.5").unwrap().as_u64(), None);
         assert_eq!(Value::parse("-4").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_grammar() {
+        for bad in [
+            "01", "-01", "1.", "-", "+1", ".5", "1e", "1e+", "1.e3", "0x10", "--1",
+        ] {
+            assert!(Value::parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn strings_reject_raw_controls_and_surrogates() {
+        let e = Value::parse("\"bad\u{1}ctl\"").unwrap_err();
+        assert_eq!(e.at, 4, "{e}");
+        assert!(Value::parse("\"tab\there\"").is_err());
+        assert!(Value::parse(r#""\ud800""#).is_err(), "lone surrogate");
+        assert!(Value::parse(r#""\u+041""#).is_err(), "four hex digits");
+        assert!(Value::parse(r#""\x""#).is_err());
     }
 
     #[test]
@@ -374,5 +459,24 @@ mod tests {
             inner.and_then(|o| o.get("b")),
             Some(&Value::Arr(vec![Value::Num(1.0), Value::Num(2.0)]))
         );
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Value::parse(&nested(MAX_DEPTH)).is_ok());
+        let e = Value::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.at, MAX_DEPTH, "offset of the first bracket past the cap");
+        assert!(e.msg.contains("nesting"), "{e}");
+        // Objects count toward the same cap.
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert_eq!(Value::parse(&objects).unwrap_err().at, 5 * MAX_DEPTH);
+        // Far deeper input fails at the same offset, without recursing.
+        let e = Value::parse(&"[".repeat(50_000)).unwrap_err();
+        assert_eq!(e.at, MAX_DEPTH);
     }
 }

@@ -37,6 +37,7 @@
 
 mod critical_path;
 mod graph;
+pub mod json;
 pub mod memprof;
 pub mod metrics;
 pub mod observe;

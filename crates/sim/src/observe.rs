@@ -29,6 +29,7 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use crate::graph::{OpGraph, OpId, ResourceId};
+use crate::json::{escape, Value};
 use crate::solver::Timeline;
 use crate::time::SimDuration;
 
@@ -411,31 +412,12 @@ fn fmt_us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
 
-/// Escapes `s` for embedding inside a JSON string literal.
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn render_arg(value: &ArgValue) -> String {
     match value {
         ArgValue::U64(v) => v.to_string(),
         ArgValue::F64(v) if v.is_finite() => v.to_string(),
         ArgValue::F64(_) => "null".to_string(),
-        ArgValue::Str(s) => format!("\"{}\"", escape_json(s)),
+        ArgValue::Str(s) => format!("\"{}\"", escape(s)),
     }
 }
 
@@ -485,7 +467,7 @@ impl ChromeTraceWriter {
             let dur = timeline.end_of(op).as_nanos() - start;
             let mut ev = format!(
                 "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{}",
-                escape_json(&desc.name),
+                escape(&desc.name),
                 desc.category.name(),
                 fmt_us(start),
                 fmt_us(dur),
@@ -498,7 +480,7 @@ impl ChromeTraceWriter {
                     if i > 0 {
                         ev.push(',');
                     }
-                    let _ = write!(ev, "\"{}\":{}", escape_json(key), render_arg(value));
+                    let _ = write!(ev, "\"{}\":{}", escape(key), render_arg(value));
                 }
                 ev.push('}');
             }
@@ -555,7 +537,7 @@ impl ChromeTraceWriter {
             .or_insert_with(|| process.to_string());
         let mut ev = format!(
             "{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{},\"pid\":{},\"args\":{{",
-            escape_json(name),
+            escape(name),
             fmt_us(ts_ns),
             pid,
         );
@@ -563,7 +545,7 @@ impl ChromeTraceWriter {
             if i > 0 {
                 ev.push(',');
             }
-            let _ = write!(ev, "\"{}\":{}", escape_json(key), value);
+            let _ = write!(ev, "\"{}\":{}", escape(key), value);
         }
         ev.push_str("}}");
         self.counter_events.push(ev);
@@ -582,7 +564,7 @@ impl ChromeTraceWriter {
             events.push(format!(
                 "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"args\":{{\"name\":\"{}\"}}}}",
                 pid,
-                escape_json(name)
+                escape(name)
             ));
         }
         for ((pid, tid), (name, sort)) in &self.threads {
@@ -590,7 +572,7 @@ impl ChromeTraceWriter {
                 "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{},\"tid\":{},\"args\":{{\"name\":\"{}\"}}}}",
                 pid,
                 tid,
-                escape_json(name)
+                escape(name)
             ));
             events.push(format!(
                 "{{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":{},\"tid\":{},\"args\":{{\"sort_index\":{}}}}}",
@@ -775,190 +757,13 @@ impl SharedCounters {
 
 /// Validates that `s` is a single well-formed JSON value.
 ///
-/// A minimal recursive-descent checker (RFC 8259 grammar, no semantic
-/// interpretation) so trace output can be schema-checked in tests
-/// without a JSON dependency. Returns the byte offset and a message on
-/// the first error.
+/// A call into the workspace's one parser ([`crate::json`]: strict
+/// RFC 8259 grammar, nesting capped at [`crate::json::MAX_DEPTH`]), so
+/// trace and metrics output can be schema-checked in tests without a
+/// JSON dependency. Returns the byte offset and a message on the first
+/// error.
 pub fn validate_json(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut p = Parser { b, i: 0 };
-    p.skip_ws();
-    p.value()?;
-    p.skip_ws();
-    if p.i != b.len() {
-        return Err(format!("trailing data at byte {}", p.i));
-    }
-    Ok(())
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn err<T>(&self, msg: &str) -> Result<T, String> {
-        Err(format!("{msg} at byte {}", self.i))
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            self.err(&format!("expected '{}'", c as char))
-        }
-    }
-
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.b[self.i..].starts_with(lit.as_bytes()) {
-            self.i += lit.len();
-            Ok(())
-        } else {
-            self.err(&format!("expected '{lit}'"))
-        }
-    }
-
-    fn value(&mut self) -> Result<(), String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => self.err("expected a JSON value"),
-        }
-    }
-
-    fn object(&mut self) -> Result<(), String> {
-        self.expect(b'{')?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                _ => return self.err("expected ',' or '}'"),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<(), String> {
-        self.expect(b'[')?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                _ => return self.err("expected ',' or ']'"),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<(), String> {
-        self.expect(b'"')?;
-        loop {
-            match self.peek() {
-                None => return self.err("unterminated string"),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.peek() {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                            self.i += 1;
-                        }
-                        Some(b'u') => {
-                            self.i += 1;
-                            for _ in 0..4 {
-                                match self.peek() {
-                                    Some(c) if c.is_ascii_hexdigit() => self.i += 1,
-                                    _ => return self.err("bad \\u escape"),
-                                }
-                            }
-                        }
-                        _ => return self.err("bad escape"),
-                    }
-                }
-                Some(c) if c < 0x20 => return self.err("raw control character in string"),
-                Some(_) => self.i += 1,
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
-        match self.peek() {
-            Some(b'0') => self.i += 1,
-            Some(c) if c.is_ascii_digit() => {
-                while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                    self.i += 1;
-                }
-            }
-            _ => return self.err("bad number"),
-        }
-        if self.peek() == Some(b'.') {
-            self.i += 1;
-            if !matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                return self.err("bad fraction");
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.i += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.i += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.i += 1;
-            }
-            if !matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                return self.err("bad exponent");
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.i += 1;
-            }
-        }
-        Ok(())
-    }
+    Value::parse(s).map(drop).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]

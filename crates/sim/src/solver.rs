@@ -947,41 +947,6 @@ impl<'g, T> Solver<'g, T> {
         Solver { graph, s: scratch }
     }
 
-    /// Rebinds a workspace whose CSR index was already built for a graph
-    /// of this exact topology, skipping the O(V + E) rebuild — the
-    /// warm-start fast path: a cached lowering keeps its built scratch
-    /// alongside it, and every re-plan pays only the duration-only
-    /// re-solve. Sound because solves never mutate the index (the same
-    /// property that lets one solver run many duration vectors). A
-    /// recorded replay trace travels with the workspace: rebinding to a
-    /// graph of the same topology *class* (identical op/edge/queue
-    /// structure, durations free to differ — the caller's contract here)
-    /// keeps duration re-solves on the traced fast path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workspace shape does not match `graph` (wrong op,
-    /// edge or resource count) — that is a caller bug, never a
-    /// recoverable condition.
-    pub fn with_prebuilt_scratch(graph: &'g OpGraph<T>, scratch: SolveScratch) -> Self {
-        assert_eq!(
-            scratch.core.indptr.len(),
-            graph.num_ops() + 1,
-            "prebuilt scratch op count does not match the graph"
-        );
-        assert_eq!(
-            scratch.core.dependents.len(),
-            graph.num_edges(),
-            "prebuilt scratch edge count does not match the graph"
-        );
-        assert_eq!(
-            scratch.queue_indptr.len(),
-            graph.resource_queues.len() + 1,
-            "prebuilt scratch resource count does not match the graph"
-        );
-        Solver { graph, s: scratch }
-    }
-
     /// Releases the workspace for reuse with another graph.
     pub fn into_scratch(self) -> SolveScratch {
         self.s

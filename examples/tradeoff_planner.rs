@@ -31,7 +31,7 @@ fn main() {
     let rows = figure5_sweep(
         &model,
         &cluster,
-        &figure5_batches(&model_name, false, true),
+        &figure5_batches(&model_name, false),
         &SearchOptions::default(),
     );
 
