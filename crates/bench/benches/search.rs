@@ -141,7 +141,7 @@ fn bench_planner(c: &mut Criterion) {
         b.iter(|| {
             run_sweep(|m| {
                 let (result, report) = planner.plan(&plan_request(m, probe.clone()));
-                assert!(report.counters.count("warm_start") > 0);
+                assert!(report.warm_start);
                 result.map(|r| r.measurement.tflops_per_gpu).unwrap_or(0.0)
             })
         })

@@ -65,8 +65,8 @@ fn main() {
     let planner = Planner::with_threads(req.opts.threads);
     let quarantined = |planner: &Planner| {
         planner
-            .lifecycle()
-            .count("elastic_quarantined_warm_records")
+            .metrics_snapshot()
+            .counter("planner_elastic_quarantined_warm_records_total")
     };
 
     // Cold plan on the full fleet: the baseline the flap disturbs.

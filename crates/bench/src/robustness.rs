@@ -9,6 +9,8 @@
 //! throughput relative to its own unperturbed baseline — the degradation
 //! curve the `reproduce_stragglers` binary prints.
 
+use std::time::Instant;
+
 use bfpp_cluster::ClusterSpec;
 use bfpp_core::ScheduleKind;
 use bfpp_exec::search::{Method, SearchOptions, SearchReport, SearchResult};
@@ -16,8 +18,7 @@ use bfpp_exec::{lower, measure_stats, KernelModel, Measurement, OverlapConfig, P
 use bfpp_model::TransformerConfig;
 use bfpp_parallel::{BatchConfig, DataParallelism, Grid, ParallelConfig, Placement};
 use bfpp_planner::{PlanRequest, Planner};
-use bfpp_sim::observe::Counters;
-use bfpp_sim::{SimDuration, Solver};
+use bfpp_sim::{MetricsRegistry, SimDuration, Solver};
 
 use crate::report::Table;
 
@@ -80,13 +81,14 @@ pub fn straggler_sweep(
     cluster: &ClusterSpec,
     severities: &[f64],
 ) -> Vec<RobustnessRow> {
-    straggler_sweep_instrumented(model, cluster, severities, &mut Counters::new())
+    straggler_sweep_instrumented(model, cluster, severities, &MetricsRegistry::new())
 }
 
-/// [`straggler_sweep`], recording what the sweep did into `counters`:
-/// `lowerings` / `points` counts and the `lower` / `resolve` phase
-/// spans — the numbers behind the "lower once, re-solve per point"
-/// claim (see DESIGN.md §9).
+/// [`straggler_sweep`], recording what the sweep did into `metrics`:
+/// the `robustness_lowerings_total` / `robustness_points_total` counts
+/// and one `robustness_lower_ns` / `robustness_resolve_ns` wall-clock
+/// sample per lowering and per re-solve — the numbers behind the "lower
+/// once, re-solve per point" claim (see DESIGN.md §9).
 ///
 /// # Panics
 ///
@@ -95,30 +97,30 @@ pub fn straggler_sweep_instrumented(
     model: &TransformerConfig,
     cluster: &ClusterSpec,
     severities: &[f64],
-    counters: &mut Counters,
+    metrics: &MetricsRegistry,
 ) -> Vec<RobustnessRow> {
     let kernel = KernelModel::v100();
     let mut rows = Vec::new();
     let mut durations: Vec<SimDuration> = Vec::new();
     for kind in ScheduleKind::ALL {
         let cfg = config_for(kind);
-        counters.incr("lowerings");
-        let lowered = counters.time("lower", || {
-            lower(model, cluster, &cfg, kind, OverlapConfig::full(), &kernel)
-                .expect("straggler-sweep configurations are valid")
-        });
+        metrics.counter_incr("robustness_lowerings_total");
+        let started = Instant::now();
+        let lowered = lower(model, cluster, &cfg, kind, OverlapConfig::full(), &kernel)
+            .expect("straggler-sweep configurations are valid");
+        metrics.observe_duration("robustness_lower_ns", started.elapsed());
         let mut solver = Solver::new(&lowered.graph);
         let mut baseline = None;
         for &severity in severities {
-            counters.incr("points");
+            metrics.counter_incr("robustness_points_total");
             let perturbation =
                 Perturbation::with_seed(0xB1F).with_straggler(STRAGGLER_DEVICE, severity);
-            let stats = counters.time("resolve", || {
-                lowered.perturbed_durations(&perturbation, &mut durations);
-                solver
-                    .solve_stats_with_durations(&durations)
-                    .expect("lowered graphs are acyclic by construction")
-            });
+            let started = Instant::now();
+            lowered.perturbed_durations(&perturbation, &mut durations);
+            let stats = solver
+                .solve_stats_with_durations(&durations)
+                .expect("lowered graphs are acyclic by construction");
+            metrics.observe_duration("robustness_resolve_ns", started.elapsed());
             let m = measure_stats(model, cluster, &cfg, &lowered, &stats);
             let base = *baseline.get_or_insert(m.tflops_per_gpu);
             rows.push(RobustnessRow {
@@ -324,13 +326,23 @@ mod tests {
     #[test]
     fn instrumented_sweep_counts_lowerings_and_points() {
         let severities = [1.0, 1.5];
-        let mut counters = Counters::new();
-        let rows =
-            straggler_sweep_instrumented(&bert_52b(), &dgx1_v100(8), &severities, &mut counters);
+        let metrics = MetricsRegistry::new();
+        let rows = straggler_sweep_instrumented(&bert_52b(), &dgx1_v100(8), &severities, &metrics);
         assert_eq!(rows.len(), ScheduleKind::ALL.len() * severities.len());
-        assert_eq!(counters.count("lowerings"), ScheduleKind::ALL.len() as u64);
-        assert_eq!(counters.count("points"), rows.len() as u64);
-        assert!(counters.spans().any(|(name, _)| name == "resolve"));
+        let lowerings = metrics.counter("robustness_lowerings_total");
+        assert_eq!(lowerings, ScheduleKind::ALL.len() as u64);
+        assert_eq!(
+            metrics.counter("robustness_points_total"),
+            rows.len() as u64
+        );
+        let lower = metrics
+            .histogram("robustness_lower_ns")
+            .expect("lowerings timed");
+        assert_eq!(lower.count(), lowerings);
+        let resolve = metrics
+            .histogram("robustness_resolve_ns")
+            .expect("re-solves timed");
+        assert_eq!(resolve.count(), rows.len() as u64);
     }
 
     #[test]

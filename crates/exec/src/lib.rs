@@ -86,7 +86,7 @@ pub use memprof::{chrome_trace_with_memory, link_spans, memory_profile, peak_att
 pub use observe::{attribution, chrome_trace, op_category, TraceBuilder};
 pub use overlap::OverlapConfig;
 pub use prune::{lower_bound_tflops, PruneReason};
-pub use search::{ProgressSnapshot, SearchEnv, SearchProgress, SearchReport};
+pub use search::{PhaseSpans, ProgressSnapshot, SearchEnv, SearchProgress, SearchReport};
 pub use warm::WarmCache;
 
 // Re-exported so search/bench callers can build fault models and consume

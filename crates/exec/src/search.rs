@@ -37,7 +37,6 @@ use bfpp_cluster::ClusterSpec;
 use bfpp_core::{CacheStats, ScheduleCache, ScheduleKind};
 use bfpp_model::TransformerConfig;
 use bfpp_parallel::{DataParallelism, ParallelConfig};
-use bfpp_sim::observe::Counters;
 use bfpp_sim::{DurationMatrix, MetricsRegistry, Perturbation, SimDuration};
 
 use crate::batch::{ClassBase, ClassCache, ClassKey};
@@ -295,13 +294,16 @@ pub struct SearchReport {
     /// `robust_tflops / best`: the fraction of clean throughput the
     /// winner retains under the reference probe (lower = more fragile).
     pub retention: Option<f64>,
+    /// Whether the search replayed a warm-start record instead of
+    /// enumerating afresh. Not a CSV column.
+    pub warm_start: bool,
     /// Simulated candidates whose topology-class base came from a
     /// warm-start record instead of the class cache or a fresh build.
     /// Always `0` for a cold search or a [`SearchEnv`] without a warm
     /// store. Not a CSV column (single-request CSV output is byte-stable
-    /// across engine versions), and — like `counters` — excluded from
-    /// the bit-stability guarantee across *concurrent* requests racing
-    /// to populate one record; within one request it is
+    /// across engine versions), and — like the cache counts below —
+    /// excluded from the bit-stability guarantee across *concurrent*
+    /// requests racing to populate one record; within one request it is
     /// thread-count-invariant.
     pub warm_hits: u64,
     /// Whether the search was cancelled before visiting every candidate.
@@ -313,14 +315,48 @@ pub struct SearchReport {
     /// candidate. Like `cancelled`, a timed-out report describes the
     /// completed prefix and its `best` is best-so-far. Not a CSV column.
     pub timed_out: bool,
-    /// Instrumentation detail: phase wall-clock spans (`enumerate`,
-    /// `prune`, `evaluate`, `probe`) and schedule-cache `cache_hits` /
-    /// `cache_misses` counts. Diagnostic only — spans are host
-    /// wall-clock, and two workers racing on a cold cache key can both
-    /// count a miss — so, like [`SearchReport::wall_time`], this field
-    /// is excluded from the bit-stability guarantees (the headline
-    /// counters above remain thread-count-invariant).
-    pub counters: Counters,
+    /// This request's schedule-cache hits: the cache is consulted once
+    /// per class build, so a request whose classes all resolve from the
+    /// class cache or a warm record shows no traffic. Diagnostic only —
+    /// two workers racing on a cold cache key can both count a miss — so
+    /// the cache counts are excluded from the bit-stability guarantees.
+    pub cache_hits: u64,
+    /// This request's schedule-cache misses (see
+    /// [`cache_hits`](SearchReport::cache_hits)).
+    pub cache_misses: u64,
+    /// Wall-clock time spent in each search phase. Host wall-clock, so —
+    /// like [`SearchReport::wall_time`] — excluded from the
+    /// bit-stability guarantees.
+    pub phases: PhaseSpans,
+}
+
+/// Wall-clock time one search spent in each of its phases. A phase that
+/// did not run (no probe for a cancelled or timed-out search) stays
+/// zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhaseSpans {
+    /// Candidate enumeration, or the warm-record lookup that replaces
+    /// it.
+    pub enumerate: Duration,
+    /// The analytic memory and throughput filters, over every chunk.
+    pub prune: Duration,
+    /// Topology-class evaluation of the survivors, over every chunk.
+    pub evaluate: Duration,
+    /// The winner's robustness probe.
+    pub probe: Duration,
+}
+
+impl PhaseSpans {
+    /// The spans in phase order, each with the name its
+    /// `search_phase_<name>_ns` histogram uses.
+    pub fn named(&self) -> [(&'static str, Duration); 4] {
+        [
+            ("enumerate", self.enumerate),
+            ("prune", self.prune),
+            ("evaluate", self.evaluate),
+            ("probe", self.probe),
+        ]
+    }
 }
 
 impl SearchReport {
@@ -372,10 +408,16 @@ impl SearchReport {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
+        self.warm_start |= other.warm_start;
         self.warm_hits += other.warm_hits;
         self.cancelled |= other.cancelled;
         self.timed_out |= other.timed_out;
-        self.counters.merge(&other.counters);
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+        self.phases.enumerate += other.phases.enumerate;
+        self.phases.prune += other.phases.prune;
+        self.phases.evaluate += other.phases.evaluate;
+        self.phases.probe += other.phases.probe;
     }
 }
 
@@ -575,7 +617,6 @@ pub fn search_observed(
 ) -> (Option<SearchResult>, SearchReport) {
     let start = Instant::now();
     let overlap = method.overlap();
-    let mut counters = Counters::new();
     let stats = CacheStats::new();
     let cache = env.schedules.as_ref();
     let warm_key = env
@@ -586,22 +627,26 @@ pub fn search_observed(
     // Cold or warm: a warm record replays a prior cold search's
     // enumeration (the "enumerate" span then covers the record lookup —
     // the whole point is that it is near-free).
-    let plan = counters.time("enumerate", || {
-        let record = match (&env.warm, &warm_key) {
-            (Some(w), Some(k)) => w.lookup(k),
-            _ => None,
-        };
-        match record {
-            Some(rec) => Plan::Warm(rec),
-            None => Plan::Cold(enumerate(model, cluster, method, global_batch, opts).collect()),
-        }
-    });
+    let phase = Instant::now();
+    let record = match (&env.warm, &warm_key) {
+        (Some(w), Some(k)) => w.lookup(k),
+        _ => None,
+    };
+    let plan = match record {
+        Some(rec) => Plan::Warm(rec),
+        None => Plan::Cold(enumerate(model, cluster, method, global_batch, opts).collect()),
+    };
     let total = match &plan {
         Plan::Cold(cands) => cands.len(),
         Plan::Warm(rec) => rec.outcomes.len(),
     };
     let mut report = SearchReport {
         enumerated: total as u64,
+        warm_start: matches!(plan, Plan::Warm(_)),
+        phases: PhaseSpans {
+            enumerate: phase.elapsed(),
+            ..PhaseSpans::default()
+        },
         ..SearchReport::default()
     };
 
@@ -611,13 +656,9 @@ pub fn search_observed(
         (Plan::Cold(_), Some(_)) => Some(Vec::with_capacity(total)),
         _ => None,
     };
-    if matches!(plan, Plan::Warm(_)) {
-        counters.incr("warm_start");
-    }
     if let Some(p) = progress {
         p.enumerated.store(total as u64, Ordering::Relaxed);
-        p.warm_start
-            .store(matches!(plan, Plan::Warm(_)), Ordering::Relaxed);
+        p.warm_start.store(report.warm_start, Ordering::Relaxed);
     }
 
     // Request state: every class base this request resolved (with its
@@ -668,7 +709,8 @@ pub fn search_observed(
         // itself are read from the record.
         let speedup = opts.perturbation.max_speedup();
         let mut survivors: Vec<Candidate> = Vec::with_capacity(chunk_end - chunk_start);
-        counters.time("prune", || match &plan {
+        let phase = Instant::now();
+        match &plan {
             Plan::Cold(cands) => {
                 for cand in &cands[chunk_start..chunk_end] {
                     let reason =
@@ -705,7 +747,8 @@ pub fn search_observed(
                     }
                 }
             }
-        });
+        }
+        report.phases.prune += phase.elapsed();
         chunk_start = chunk_end;
         if survivors.is_empty() {
             continue;
@@ -723,26 +766,26 @@ pub fn search_observed(
             Plan::Warm(rec) => Some(rec),
             Plan::Cold(_) => None,
         };
-        counters.time("evaluate", || {
-            evaluate_chunk(
-                model,
-                cluster,
-                cache,
-                &stats,
-                &survivors,
-                &mut slots,
-                overlap,
-                kernel,
-                &opts.perturbation,
-                warm_rec,
-                &env.classes,
-                &resolved,
-                &mut class_order,
-                threads,
-                &env.executor,
-                env.metrics.as_deref(),
-            );
-        });
+        let phase = Instant::now();
+        evaluate_chunk(
+            model,
+            cluster,
+            cache,
+            &stats,
+            &survivors,
+            &mut slots,
+            overlap,
+            kernel,
+            &opts.perturbation,
+            warm_rec,
+            &env.classes,
+            &resolved,
+            &mut class_order,
+            threads,
+            &env.executor,
+            env.metrics.as_deref(),
+        );
+        report.phases.evaluate += phase.elapsed();
 
         // Serial in-order reduction: strictly-greater replaces, so the
         // first of equally fast candidates wins — the exhaustive serial
@@ -807,30 +850,30 @@ pub fn search_observed(
     // Skipped when cancelled or timed out — the caller asked for the
     // fastest exit with best-so-far.
     if let (Some(b), false) = (&best, cancelled || timed_out) {
-        counters.time("probe", || {
-            // The probe is a duration-only delta on the winner, so it is
-            // answered from the winner's resolved class base — the same
-            // bit-identical substitution as evaluation, no lowering and
-            // no CSR rebuild.
-            let probe = Perturbation::reference_probe();
-            let probed = best_cand.as_ref().and_then(|cand| {
-                let d = Durations::new(model, cluster, &b.cfg, kernel, overlap);
-                let class_key = ClassKey::of(cand, overlap, &d);
-                let base = lock_resolved(&resolved)
-                    .get(&class_key)
-                    .map(|(base, _)| Arc::clone(base))?;
-                let mut row = vec![SimDuration::ZERO; base.num_ops()];
-                let mut factors = Vec::new();
-                base.fill_row(&d, &probe, &mut factors, &mut row);
-                let mut solve_stats = crate::batch::empty_stats();
-                let mut replay = base.lock_replay();
-                Some(base.measure_row(&mut replay, &mut solve_stats, model, cluster, &b.cfg, &row))
-            });
-            if let Some(m) = probed {
-                report.robust_tflops = Some(m.tflops_per_gpu);
-                report.retention = Some(m.tflops_per_gpu / b.measurement.tflops_per_gpu);
-            }
+        let phase = Instant::now();
+        // The probe is a duration-only delta on the winner, so it is
+        // answered from the winner's resolved class base — the same
+        // bit-identical substitution as evaluation, no lowering and no
+        // CSR rebuild.
+        let probe = Perturbation::reference_probe();
+        let probed = best_cand.as_ref().and_then(|cand| {
+            let d = Durations::new(model, cluster, &b.cfg, kernel, overlap);
+            let class_key = ClassKey::of(cand, overlap, &d);
+            let base = lock_resolved(&resolved)
+                .get(&class_key)
+                .map(|(base, _)| Arc::clone(base))?;
+            let mut row = vec![SimDuration::ZERO; base.num_ops()];
+            let mut factors = Vec::new();
+            base.fill_row(&d, &probe, &mut factors, &mut row);
+            let mut solve_stats = crate::batch::empty_stats();
+            let mut replay = base.lock_replay();
+            Some(base.measure_row(&mut replay, &mut solve_stats, model, cluster, &b.cfg, &row))
         });
+        if let Some(m) = probed {
+            report.robust_tflops = Some(m.tflops_per_gpu);
+            report.retention = Some(m.tflops_per_gpu / b.measurement.tflops_per_gpu);
+        }
+        report.phases.probe = phase.elapsed();
     }
     // Per-request attribution: this request's own traffic on the
     // (possibly process-shared) schedule cache, not the cache's
@@ -838,12 +881,8 @@ pub fn search_observed(
     // correctly. The schedule cache is consulted once per class build,
     // so a request whose classes all resolve from the class cache or a
     // warm record shows no traffic at all.
-    counters.add("cache_hits", stats.hits());
-    counters.add("cache_misses", stats.misses());
-    if report.warm_hits > 0 {
-        counters.add("warm_hits", report.warm_hits);
-    }
-    report.counters = counters;
+    report.cache_hits = stats.hits();
+    report.cache_misses = stats.misses();
     report.wall_time = start.elapsed();
 
     // Request-end telemetry: one registry touch per request, after the
@@ -864,22 +903,15 @@ pub fn search_observed(
             report.pruned_throughput,
         );
         metrics.counter_add("search_candidates_simulated_total", report.simulated);
-        if matches!(plan, Plan::Warm(_)) {
+        if report.warm_start {
             metrics.counter_incr("search_warm_starts_total");
         }
         metrics.counter_add("search_warm_hits_total", report.warm_hits);
-        metrics.counter_add(
-            "search_cache_hits_total",
-            report.counters.count("cache_hits"),
-        );
-        metrics.counter_add(
-            "search_cache_misses_total",
-            report.counters.count("cache_misses"),
-        );
+        metrics.counter_add("search_cache_hits_total", report.cache_hits);
+        metrics.counter_add("search_cache_misses_total", report.cache_misses);
         metrics.observe("search_enumerated_per_request", report.enumerated);
         metrics.observe("search_simulated_per_request", report.simulated);
-        for phase in ["enumerate", "prune", "evaluate", "probe"] {
-            let span = report.counters.span(phase);
+        for (phase, span) in report.phases.named() {
             if span > Duration::ZERO {
                 metrics.observe(
                     &format!("search_phase_{phase}_ns"),
@@ -1418,9 +1450,7 @@ mod tests {
             robust_tflops: Some(45.2),
             retention: Some(0.877),
             warm_hits: 3,
-            cancelled: false,
-            timed_out: false,
-            counters: Counters::new(),
+            ..SearchReport::default()
         };
         assert_eq!(
             SearchReport::csv_header().split(',').count(),
@@ -1477,33 +1507,27 @@ mod tests {
             None,
         );
         assert!(r.is_some());
-        let c = &report.counters;
         assert!(classes.misses() > 0, "a cold class cache misses");
         assert_eq!(
-            c.count("cache_hits") + c.count("cache_misses"),
+            report.cache_hits + report.cache_misses,
             classes.misses(),
-            "every class build consults the schedule cache once: {c:?}"
+            "every class build consults the schedule cache once: {report:?}"
         );
-        assert!(
-            c.count("cache_hits") > 0,
-            "classes sharing a schedule must hit"
-        );
-        for phase in ["enumerate", "prune", "evaluate", "probe"] {
+        assert!(report.cache_hits > 0, "classes sharing a schedule must hit");
+        for (phase, span) in report.phases.named() {
             assert!(
-                c.spans().any(|(name, _)| name == phase),
-                "missing phase span {phase}: {c:?}"
+                span > Duration::ZERO,
+                "missing phase span {phase}: {report:?}"
             );
         }
-        assert!(c.render().contains("cache_hits="));
 
-        // Accumulation folds counters like the other columns.
+        // Accumulation folds the cache counts and spans like the other
+        // columns.
         let mut total = SearchReport::default();
         total.accumulate(&report);
         total.accumulate(&report);
-        assert_eq!(
-            total.counters.count("cache_misses"),
-            2 * c.count("cache_misses")
-        );
+        assert_eq!(total.cache_misses, 2 * report.cache_misses);
+        assert_eq!(total.phases.evaluate, 2 * report.phases.evaluate);
     }
 
     #[test]
@@ -1648,8 +1672,9 @@ mod tests {
             warm_rep.warm_hits > 0,
             "recorded class bases must be reused: {warm_rep:?}"
         );
-        assert_eq!(warm_rep.counters.count("warm_start"), 1);
-        assert_eq!(env.warm.as_ref().unwrap().warm_starts(), 1);
+        assert!(warm_rep.warm_start && !cold_rep.warm_start);
+        let metrics = env.metrics.as_deref().expect("service env has a registry");
+        assert_eq!(metrics.counter("search_warm_starts_total"), 1);
 
         // Identity warm replay reproduces the cold run exactly too.
         let (again_r, again_rep) = search_streaming(
@@ -1706,11 +1731,7 @@ mod tests {
             None,
             None,
         );
-        assert_eq!(
-            a100_rep.counters.count("warm_start"),
-            0,
-            "a different kernel must not warm-hit"
-        );
+        assert!(!a100_rep.warm_start, "a different kernel must not warm-hit");
         assert_eq!(a100_rep.warm_hits, 0);
         assert_eq!(env.warm.as_ref().unwrap().len(), 2, "separate records");
         let (ref_r, _) =

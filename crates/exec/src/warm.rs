@@ -166,7 +166,6 @@ pub struct WarmCache {
     entries: Mutex<Entries>,
     max_entries: usize,
     max_ops_per_record: u64,
-    warm_starts: AtomicU64,
 }
 
 impl std::fmt::Debug for Entries {
@@ -204,16 +203,11 @@ impl WarmCache {
             }),
             max_entries: max_entries.max(1),
             max_ops_per_record,
-            warm_starts: AtomicU64::new(0),
         }
     }
 
     pub(crate) fn lookup(&self, key: &str) -> Option<Arc<SweepRecord>> {
-        let rec = self.lock().map.get(key).cloned();
-        if rec.is_some() {
-            self.warm_starts.fetch_add(1, Ordering::Relaxed);
-        }
-        rec
+        self.lock().map.get(key).cloned()
     }
 
     pub(crate) fn insert(&self, key: String, record: SweepRecord) {
@@ -259,11 +253,6 @@ impl WarmCache {
     /// Whether the cache holds no records.
     pub fn is_empty(&self) -> bool {
         self.lock().map.is_empty()
-    }
-
-    /// How many searches warm-started from this cache so far.
-    pub fn warm_starts(&self) -> u64 {
-        self.warm_starts.load(Ordering::Relaxed)
     }
 
     fn lock(&self) -> MutexGuard<'_, Entries> {

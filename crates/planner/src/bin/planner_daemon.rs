@@ -45,22 +45,24 @@
 //!   session plans the post-delta topology; a delta that does not
 //!   apply is answered with an `error` line.
 //!
-//! Fields not listed here are ignored. A line nested deeper than
-//! `bfpp_sim::json::MAX_DEPTH` arrays or objects is an `error`, like
-//! any other malformed JSON.
+//! Fields not listed here are ignored. A listed field with the wrong
+//! type or outside its range (`jitter` in `[0, 1)`, `factor` and
+//! `link_degradation` finite and at least 1, `nodes` at least 1 and at
+//! most 256 for the mixed presets) is an `error` naming it. A line nested deeper than `bfpp_sim::json::MAX_DEPTH`
+//! arrays or objects is an `error`, like any other malformed JSON.
 //!
 //! Control lines:
 //!
 //! * `{"drain": true}` cancels every live session, joins them, emits a
-//!   final `{"event":"drained",...}` summary, and exits 0 — the
-//!   graceful-shutdown path.
+//!   final `{"event":"drained",...}` summary of the registry's session
+//!   outcome counters, and exits 0 — the graceful-shutdown path.
 //! * `{"ping": true}` answers immediately with
 //!   `{"event":"pong","version":...}` — a liveness probe that touches
 //!   nothing.
-//! * `{"stats": true}` answers with `{"event":"stats",...}`: the full
-//!   telemetry snapshot (lifecycle counters, search metrics, executor
-//!   gauges, latency-histogram summaries) as one JSON line, without
-//!   disturbing live sessions.
+//! * `{"stats": true}` answers with `{"event":"stats",...}`: a snapshot
+//!   of the planner's one metrics registry (session outcome counters,
+//!   search metrics, executor gauges, latency-histogram summaries) as
+//!   one JSON line, without disturbing live sessions.
 //!
 //! Responses (`id` echoes the request, or `line-N` if absent) are
 //! typed by `"event"`: `improved`, `done` (terminal, with `cancelled`
@@ -96,7 +98,7 @@ use bfpp_planner::wire::{
     rejected_line, stats_line, Request, WireError,
 };
 use bfpp_planner::{CancelToken, PlanEvent, Planner};
-use bfpp_sim::observe::Counters;
+use bfpp_sim::MetricsSnapshot;
 use crossbeam::channel::RecvTimeoutError;
 
 /// Default admission cap: enough for every realistic interactive load,
@@ -247,7 +249,7 @@ fn main() {
         let _ = session.pump.join();
     }
     write_metrics_file(&planner, args.metrics_path.as_deref());
-    eprintln!("planner_daemon: {}", summary(&planner.lifecycle()));
+    eprintln!("planner_daemon: {}", summary(&planner.metrics_snapshot()));
 }
 
 /// Writes the final telemetry snapshot as Prometheus text exposition —
@@ -279,7 +281,7 @@ fn reap_finished(sessions: &mut Vec<Session>) {
 
 /// The graceful-shutdown path: cancel every live session, join their
 /// pumps (each session still emits its terminal event, so clients see
-/// a complete protocol), flush counters, exit 0.
+/// a complete protocol), report the session outcome counters, exit 0.
 fn drain(out: &Arc<Mutex<std::io::Stdout>>, planner: &Planner, sessions: Vec<Session>) {
     for session in &sessions {
         session.token.cancel();
@@ -287,37 +289,40 @@ fn drain(out: &Arc<Mutex<std::io::Stdout>>, planner: &Planner, sessions: Vec<Ses
     for session in sessions {
         let _ = session.pump.join();
     }
-    let life = planner.lifecycle();
+    let snap = planner.metrics_snapshot();
+    let fields: Vec<String> = OUTCOMES
+        .iter()
+        .map(|(field, metric)| format!("\"{field}\":{}", snap.counter(metric)))
+        .collect();
     emit(
         out,
-        &format!(
-            "{{\"event\":\"drained\",\"submitted\":{},\"completed\":{},\"cancelled\":{},\
-             \"failed\":{},\"timed_out\":{},\"rejected\":{},\"leaked\":{}}}",
-            life.count("requests_submitted"),
-            life.count("requests_completed"),
-            life.count("requests_cancelled"),
-            life.count("requests_failed"),
-            life.count("requests_timed_out"),
-            life.count("requests_rejected"),
-            life.count("session_leaked"),
-        ),
+        &format!("{{\"event\":\"drained\",{}}}", fields.join(",")),
     );
-    eprintln!("planner_daemon: drained; {}", summary(&life));
+    eprintln!("planner_daemon: drained; {}", summary(&snap));
 }
 
-fn summary(life: &Counters) -> String {
-    format!(
-        "{} submitted, {} completed, {} cancelled, {} failed, {} timed out, {} rejected, \
-         {} leaked, {} warm-started",
-        life.count("requests_submitted"),
-        life.count("requests_completed"),
-        life.count("requests_cancelled"),
-        life.count("requests_failed"),
-        life.count("requests_timed_out"),
-        life.count("requests_rejected"),
-        life.count("session_leaked"),
-        life.count("warm_starts"),
-    )
+/// The session outcome counters the `drained` line and the exit summary
+/// report, keyed by their `drained` field names.
+const OUTCOMES: [(&str, &str); 7] = [
+    ("submitted", "planner_requests_submitted_total"),
+    ("completed", "planner_requests_completed_total"),
+    ("cancelled", "planner_requests_cancelled_total"),
+    ("failed", "planner_requests_failed_total"),
+    ("timed_out", "planner_requests_timed_out_total"),
+    ("rejected", "planner_requests_rejected_total"),
+    ("leaked", "planner_sessions_leaked_total"),
+];
+
+fn summary(snap: &MetricsSnapshot) -> String {
+    let mut parts: Vec<String> = OUTCOMES
+        .iter()
+        .map(|(field, metric)| format!("{} {}", snap.counter(metric), field.replace('_', " ")))
+        .collect();
+    parts.push(format!(
+        "{} warm-started",
+        snap.counter("search_warm_starts_total")
+    ));
+    parts.join(", ")
 }
 
 fn parse_args() -> Result<Args, String> {

@@ -90,9 +90,9 @@ impl Planner {
     /// Rewrites `req` for the topology after `delta`, quarantining the
     /// warm records the change invalidates: a dropped node voids every
     /// sweep recorded against the old topology; an added node voids
-    /// nothing. Counts `elastic_deltas` (and
-    /// `elastic_quarantined_warm_records` for drops) in
-    /// [`Planner::lifecycle`]. The returned request is ready for
+    /// nothing. Counts `planner_elastic_deltas_total` (and
+    /// `planner_elastic_quarantined_warm_records_total` for drops) in
+    /// [`Planner::metrics`]. The returned request is ready for
     /// [`Planner::plan`] / [`Planner::submit`](Planner::submit) —
     /// or for [`Planner::replan`], which does both steps at once.
     ///
@@ -108,10 +108,12 @@ impl Planner {
         let next = delta.apply(&req.cluster)?;
         if matches!(delta.change, ClusterChange::DropNode(_)) {
             let dropped = self.invalidate(&req.model, &req.cluster);
-            self.lifecycle
-                .add("elastic_quarantined_warm_records", dropped as u64);
+            self.metrics.counter_add(
+                "planner_elastic_quarantined_warm_records_total",
+                dropped as u64,
+            );
         }
-        self.lifecycle.incr("elastic_deltas");
+        self.metrics.counter_incr("planner_elastic_deltas_total");
         Ok(PlanRequest {
             cluster: next,
             ..req.clone()
@@ -182,9 +184,12 @@ mod tests {
         assert_eq!(degraded_req.cluster.num_nodes, 1);
         assert!(r1.is_some());
         assert_eq!(rep1.warm_hits, 0, "degraded topology never planned before");
-        let life = planner.lifecycle();
-        assert_eq!(life.count("elastic_deltas"), 1);
-        assert_eq!(life.count("elastic_quarantined_warm_records"), 1);
+        let m = planner.metrics();
+        assert_eq!(m.counter("planner_elastic_deltas_total"), 1);
+        assert_eq!(
+            m.counter("planner_elastic_quarantined_warm_records_total"),
+            1
+        );
 
         // The node returns: the restored spec is byte-identical to the
         // original, and adding quarantines nothing.
@@ -193,8 +198,8 @@ mod tests {
         assert_eq!(restored_req.cluster, req.cluster);
         assert_eq!(
             planner
-                .lifecycle()
-                .count("elastic_quarantined_warm_records"),
+                .metrics()
+                .counter("planner_elastic_quarantined_warm_records_total"),
             1,
             "adds never quarantine"
         );
@@ -246,6 +251,6 @@ mod tests {
             .replan(&req, &ClusterDelta::drop_node(NodeId(7)))
             .is_err());
         assert_eq!(planner.warm().unwrap().len(), warm_before);
-        assert_eq!(planner.lifecycle().count("elastic_deltas"), 0);
+        assert_eq!(planner.metrics().counter("planner_elastic_deltas_total"), 0);
     }
 }

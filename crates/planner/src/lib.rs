@@ -46,9 +46,17 @@
 //!   [`RejectReason`] instead of queueing unboundedly.
 //! * **Bounded teardown** — dropping a [`PlanHandle`] cancels and joins
 //!   the session but never blocks past [`PlanHandle::set_drop_timeout`];
-//!   a session that outlives the bound is detached and surfaced as a
-//!   `session_leaked` lifecycle counter, the same
+//!   a session that outlives the bound is detached and surfaced as the
+//!   `planner_sessions_leaked_total` registry counter, the same
 //!   deadline-wait discipline as `bfpp_collectives` timeouts.
+//!
+//! ## Accounting
+//!
+//! The planner books every session event once, in the
+//! [`MetricsRegistry`] the engine also records its per-request search
+//! metrics into ([`Planner::metrics_snapshot`]; DESIGN.md §16): outcome
+//! counters (`planner_requests_*_total`), session-duration histograms,
+//! leaked sessions, quarantine drops and elastic deltas.
 //!
 //! The [`chaos`] module provides the seeded fault instruments
 //! ([`chaos::SessionFault`], [`chaos::ChaosPlan`]) these promises are
@@ -126,7 +134,6 @@ use bfpp_exec::search::{
 };
 use bfpp_exec::{Executor, KernelModel, MetricsRegistry, MetricsSnapshot, WarmCache};
 use bfpp_model::TransformerConfig;
-use bfpp_sim::observe::{Counters, SharedCounters};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::chaos::{PanicPoint, SessionFault};
@@ -138,7 +145,8 @@ pub mod wire;
 pub use elastic::{ClusterChange, ClusterDelta};
 
 /// How long a dropped [`PlanHandle`] waits for its session to honor
-/// cancellation before detaching it (and counting `session_leaked`).
+/// cancellation before detaching it (and counting
+/// `planner_sessions_leaked_total`).
 /// Generous: a healthy session notices the flag at the next chunk
 /// boundary, milliseconds away.
 pub const DEFAULT_DROP_TIMEOUT: Duration = Duration::from_secs(5);
@@ -317,7 +325,7 @@ pub struct PlanHandle {
     events: Receiver<PlanEvent>,
     cancel: CancelToken,
     worker: Option<JoinHandle<()>>,
-    lifecycle: Arc<SharedCounters>,
+    metrics: Arc<MetricsRegistry>,
     drop_timeout: Duration,
     progress: Arc<SearchProgress>,
 }
@@ -432,7 +440,7 @@ impl Drop for PlanHandle {
             }
             let now = Instant::now();
             if now >= deadline {
-                self.lifecycle.incr("session_leaked");
+                self.metrics.counter_incr("planner_sessions_leaked_total");
                 return;
             }
             // Drain (and discard) buffered events while waiting so the
@@ -457,13 +465,12 @@ impl Drop for InFlightSlot {
     }
 }
 
-/// The service: shared infrastructure plus lifecycle accounting. Create
+/// The service: shared infrastructure plus its metrics registry. Create
 /// one per process (or one per test — every piece is self-contained)
 /// and submit requests from any thread.
 #[derive(Debug)]
 pub struct Planner {
     env: SearchEnv,
-    lifecycle: Arc<SharedCounters>,
     /// The telemetry registry — the same `Arc` installed in
     /// `env.metrics`, so the engine's per-request search metrics and the
     /// planner's lifecycle metrics land in one snapshot.
@@ -526,7 +533,6 @@ impl Planner {
         };
         Planner {
             env,
-            lifecycle: Arc::new(SharedCounters::new()),
             metrics,
             in_flight: AtomicUsize::new(0),
             max_in_flight: None,
@@ -536,15 +542,6 @@ impl Planner {
     /// The environment requests run over (shared caches, executor).
     pub fn env(&self) -> &SearchEnv {
         &self.env
-    }
-
-    /// Request-lifecycle counters: `requests_submitted`,
-    /// `requests_completed`, `requests_cancelled`, `requests_failed`,
-    /// `requests_timed_out`, `requests_rejected`, `session_leaked`,
-    /// `warm_starts`, `warm_hits`, the quarantine drop counts, and the
-    /// cumulative `request` wall-clock span.
-    pub fn lifecycle(&self) -> Counters {
-        self.lifecycle.snapshot()
     }
 
     /// The telemetry registry — shared with the engine via
@@ -557,7 +554,8 @@ impl Planner {
     }
 
     /// A full telemetry snapshot: planner lifecycle counters and
-    /// histograms, engine search metrics, plus point-in-time mirrors of
+    /// histograms (outcomes, leaked sessions, quarantine drops, elastic
+    /// deltas), engine search metrics, plus point-in-time mirrors of
     /// the executor (queue depth, steals, per-worker busy time) and the
     /// process-global topology-class cache. Outcome counters reconcile
     /// exactly — `planner_requests_submitted_total` equals the sum of
@@ -591,7 +589,6 @@ impl Planner {
     /// Bypasses admission (the caller's thread is the capacity) and
     /// ignores any injected fault.
     pub fn plan(&self, req: &PlanRequest) -> (Option<SearchResult>, SearchReport) {
-        self.lifecycle.incr("requests_submitted");
         self.metrics
             .counter_incr("planner_requests_submitted_total");
         let t0 = Instant::now();
@@ -629,9 +626,9 @@ impl Planner {
     /// # Errors
     ///
     /// Returns [`RejectReason::Saturated`] (and counts
-    /// `requests_rejected`) when the admission cap is reached. The
-    /// request is returned to the caller by value loss only — nothing
-    /// was queued, nothing runs.
+    /// `planner_requests_rejected_total`) when the admission cap is
+    /// reached. The request is returned to the caller by value loss
+    /// only — nothing was queued, nothing runs.
     pub fn try_submit(self: &Arc<Self>, req: PlanRequest) -> Result<PlanHandle, RejectReason> {
         if let Some(limit) = self.max_in_flight {
             let admitted = self
@@ -641,7 +638,6 @@ impl Planner {
                 })
                 .is_ok();
             if !admitted {
-                self.lifecycle.incr("requests_rejected");
                 self.metrics.counter_incr("planner_requests_rejected_total");
                 return Err(RejectReason::Saturated {
                     in_flight: limit,
@@ -651,7 +647,6 @@ impl Planner {
         } else {
             self.in_flight.fetch_add(1, Ordering::AcqRel);
         }
-        self.lifecycle.incr("requests_submitted");
         self.metrics
             .counter_incr("planner_requests_submitted_total");
         self.metrics.gauge_add("planner_in_flight", 1);
@@ -676,7 +671,7 @@ impl Planner {
             events: rx,
             cancel,
             worker: Some(worker),
-            lifecycle: Arc::clone(&self.lifecycle),
+            metrics: Arc::clone(&self.metrics),
             drop_timeout: DEFAULT_DROP_TIMEOUT,
             progress,
         })
@@ -746,11 +741,7 @@ impl Planner {
         }));
         match outcome {
             Ok((result, report)) => {
-                let warmth = if report.counters.count("warm_start") > 0 {
-                    "warm"
-                } else {
-                    "cold"
-                };
+                let warmth = if report.warm_start { "warm" } else { "cold" };
                 let first = first_improve_ns.load(Ordering::Relaxed);
                 if first > 0 {
                     self.metrics.observe(
@@ -763,8 +754,6 @@ impl Planner {
             }
             Err(payload) => {
                 self.quarantine(&req);
-                self.lifecycle.record_span("request", t0.elapsed());
-                self.lifecycle.incr("requests_failed");
                 self.metrics.counter_incr("planner_requests_failed_total");
                 self.metrics
                     .observe_duration("planner_session_ns_failed", t0.elapsed());
@@ -788,16 +777,19 @@ impl Planner {
             schedules_dropped += self.env.schedules.invalidate_kind(*kind);
             classes_dropped += self.env.classes.invalidate_kind(*kind);
         }
-        self.lifecycle
-            .add("quarantined_warm_records", warm_dropped as u64);
-        self.lifecycle
-            .add("quarantined_schedules", schedules_dropped as u64);
-        self.lifecycle
-            .add("quarantined_classes", classes_dropped as u64);
+        self.metrics.counter_add(
+            "planner_quarantined_warm_records_total",
+            warm_dropped as u64,
+        );
+        self.metrics.counter_add(
+            "planner_quarantined_schedules_total",
+            schedules_dropped as u64,
+        );
+        self.metrics
+            .counter_add("planner_quarantined_classes_total", classes_dropped as u64);
     }
 
     fn finish_accounting(&self, report: &SearchReport, t0: Instant) {
-        self.lifecycle.record_span("request", t0.elapsed());
         let outcome = if report.cancelled {
             "cancelled"
         } else if report.timed_out {
@@ -805,22 +797,13 @@ impl Planner {
         } else {
             "completed"
         };
-        self.lifecycle.incr(&format!("requests_{outcome}"));
         self.metrics
             .counter_incr(&format!("planner_requests_{outcome}_total"));
-        let warmth = if report.counters.count("warm_start") > 0 {
-            self.lifecycle.incr("warm_starts");
-            "warm"
-        } else {
-            "cold"
-        };
+        let warmth = if report.warm_start { "warm" } else { "cold" };
         self.metrics.observe_duration(
             &format!("planner_session_ns_{outcome}_{warmth}"),
             t0.elapsed(),
         );
-        if report.warm_hits > 0 {
-            self.lifecycle.add("warm_hits", report.warm_hits);
-        }
     }
 
     /// Drops every warm record for `(model, cluster)` — issue this when
@@ -910,9 +893,9 @@ mod tests {
                 engine_report.best
             )
         );
-        let life = planner.lifecycle();
-        assert_eq!(life.count("requests_submitted"), 1);
-        assert_eq!(life.count("requests_completed"), 1);
+        let m = planner.metrics();
+        assert_eq!(m.counter("planner_requests_submitted_total"), 1);
+        assert_eq!(m.counter("planner_requests_completed_total"), 1);
     }
 
     #[test]
@@ -938,7 +921,12 @@ mod tests {
         assert!(result.is_some());
         assert!(!report.cancelled);
         assert!(improvements > 0, "at least the winner streams");
-        assert_eq!(planner.lifecycle().count("requests_completed"), 1);
+        assert_eq!(
+            planner
+                .metrics()
+                .counter("planner_requests_completed_total"),
+            1
+        );
         eventually("in-flight census drains", || planner.in_flight() == 0);
     }
 
@@ -951,8 +939,8 @@ mod tests {
         assert_eq!(cold, warm);
         assert_eq!(cold_rep.enumerated, warm_rep.enumerated);
         assert!(warm_rep.warm_hits > 0, "{warm_rep:?}");
-        assert_eq!(planner.lifecycle().count("warm_starts"), 1);
-        assert!(planner.lifecycle().count("warm_hits") > 0);
+        assert_eq!(planner.metrics().counter("search_warm_starts_total"), 1);
+        assert!(planner.metrics().counter("search_warm_hits_total") > 0);
     }
 
     #[test]
@@ -963,7 +951,7 @@ mod tests {
         assert_eq!(planner.invalidate(&req.model, &req.cluster), 1);
         let (_, rep) = planner.plan(&req);
         assert_eq!(rep.warm_hits, 0, "record was dropped: cold again");
-        assert_eq!(rep.counters.count("warm_start"), 0);
+        assert!(!rep.warm_start);
     }
 
     #[test]
@@ -974,9 +962,10 @@ mod tests {
         let (_, report) = handle.wait();
         // Either the search finished before the flag landed (tiny quick
         // sweep) or it reports a cancelled prefix; both must account.
-        let life = planner.lifecycle();
+        let m = planner.metrics();
         assert_eq!(
-            life.count("requests_completed") + life.count("requests_cancelled"),
+            m.counter("planner_requests_completed_total")
+                + m.counter("planner_requests_cancelled_total"),
             1
         );
         assert!(
@@ -1001,7 +990,7 @@ mod tests {
         assert!(!planner.env().schedules.is_empty());
         assert!(!classes.is_empty());
         assert_eq!(
-            seeded.counters.count("cache_hits") + seeded.counters.count("cache_misses"),
+            seeded.cache_hits + seeded.cache_misses,
             classes.misses(),
             "one schedule lookup per class build"
         );
@@ -1016,11 +1005,12 @@ mod tests {
             SessionOutcome::Done { .. } => panic!("sabotaged session must fail"),
         }
 
-        let life = planner.lifecycle();
-        assert_eq!(life.count("requests_failed"), 1);
-        assert!(life.count("quarantined_schedules") > 0, "{life:?}");
-        assert!(life.count("quarantined_classes") > 0, "{life:?}");
-        assert!(life.count("quarantined_warm_records") > 0, "{life:?}");
+        let snap = planner.metrics_snapshot();
+        assert_eq!(snap.counter("planner_requests_failed_total"), 1);
+        for dropped in ["schedules", "classes", "warm_records"] {
+            let name = format!("planner_quarantined_{dropped}_total");
+            assert!(snap.counter(&name) > 0, "{name}: {snap:?}");
+        }
         assert_eq!(planner.warm().unwrap().len(), 0, "warm record quarantined");
 
         // The planner is still serviceable, and a re-plan (now cold
@@ -1043,7 +1033,10 @@ mod tests {
             }
             SessionOutcome::Done { .. } => panic!("pre-search panic must fail the session"),
         }
-        assert_eq!(planner.lifecycle().count("requests_failed"), 1);
+        assert_eq!(
+            planner.metrics().counter("planner_requests_failed_total"),
+            1
+        );
     }
 
     #[test]
@@ -1060,7 +1053,10 @@ mod tests {
             }
             Ok(_) => panic!("saturated planner must reject"),
         }
-        assert_eq!(planner.lifecycle().count("requests_rejected"), 1);
+        assert_eq!(
+            planner.metrics().counter("planner_requests_rejected_total"),
+            1
+        );
 
         // Capacity returns once the holder finishes.
         let _ = held.wait();
@@ -1088,7 +1084,10 @@ mod tests {
             "drop must respect its bound, took {:?}",
             t0.elapsed()
         );
-        assert_eq!(planner.lifecycle().count("session_leaked"), 1);
+        assert_eq!(
+            planner.metrics().counter("planner_sessions_leaked_total"),
+            1
+        );
         // The detached session still terminates and drains the census.
         eventually("leaked session eventually exits", || {
             planner.in_flight() == 0
@@ -1103,8 +1102,8 @@ mod tests {
         let (r, report) = planner.plan(&req);
         assert!(r.is_none());
         assert!(report.timed_out);
-        let life = planner.lifecycle();
-        assert_eq!(life.count("requests_timed_out"), 1);
-        assert_eq!(life.count("requests_completed"), 0);
+        let m = planner.metrics();
+        assert_eq!(m.counter("planner_requests_timed_out_total"), 1);
+        assert_eq!(m.counter("planner_requests_completed_total"), 0);
     }
 }

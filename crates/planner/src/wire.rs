@@ -9,8 +9,9 @@
 //! list, including the elastic `"delta"` object that re-plans a
 //! topology change) or a control line:
 //!
-//! * `{"drain": true}` — cancel and join every live session, flush
-//!   lifecycle counters, exit cleanly;
+//! * `{"drain": true}` — cancel and join every live session, answer
+//!   with a `drained` line of the metrics registry's session outcome
+//!   counters, exit cleanly;
 //! * `{"ping": true}` — liveness probe, answered immediately with a
 //!   `pong` carrying the daemon's version;
 //! * `{"stats": true}` — introspection: answered with a `stats` line
@@ -34,6 +35,13 @@
 //!   the byte offset of the failure in `"at"`) or an invalid field.
 //!   The daemon emits this and keeps reading — bad input is answered,
 //!   never fatal.
+//!
+//! Field checking is strict: an absent optional field takes its
+//! default, but a present one that has the wrong type (`"nodes":"2"`),
+//! is fractional where an integer is expected (`"deadline_ms":0.5`), or
+//! is outside the range its constructor accepts (`"jitter":1.5`,
+//! `"nodes":0`) is an `error` naming the field — never a silent default
+//! and never a panic on the daemon's read loop.
 
 use std::time::Duration;
 
@@ -63,7 +71,7 @@ pub enum Request {
         delta: Option<ClusterDelta>,
     },
     /// `{"drain": true}`: stop admitting, cancel and join every live
-    /// session, flush counters, exit 0.
+    /// session, report the session outcome counters, exit 0.
     Drain,
     /// `{"ping": true}`: liveness probe; answered with
     /// [`pong_line`] and nothing else changes.
@@ -112,48 +120,89 @@ pub fn parse_line(line: &str, fallback_id: &str) -> Result<Request, WireError> {
     if v.get("stats").and_then(Value::as_bool) == Some(true) {
         return Ok(Request::Stats);
     }
-    let id = v
-        .get("id")
-        .and_then(Value::as_str)
-        .unwrap_or(fallback_id)
-        .to_string();
-    match build_request(&v) {
-        Ok(req) => match delta_of(&v) {
-            Ok(delta) => Ok(Request::Plan {
-                id,
-                req: Box::new(req),
-                delta,
-            }),
-            Err(msg) => Err(WireError { id, at: None, msg }),
-        },
+    let id = match field(&v, "id", STRING, Value::as_str) {
+        Ok(id) => id.unwrap_or(fallback_id).to_string(),
+        Err(msg) => {
+            return Err(WireError {
+                id: fallback_id.to_string(),
+                at: None,
+                msg,
+            })
+        }
+    };
+    match build_request(&v).and_then(|req| Ok((req, delta_of(&v)?))) {
+        Ok((req, delta)) => Ok(Request::Plan {
+            id,
+            req: Box::new(req),
+            delta,
+        }),
         Err(msg) => Err(WireError { id, at: None, msg }),
     }
 }
 
+/// The largest `nodes` the two mixed presets accept. Both build one
+/// node spec per node on the daemon's read loop, and the asymmetric
+/// preset also adds a fabric link per cross-island node pair, so a huge
+/// count would stall every line queued behind it or exhaust memory. At
+/// this bound the asymmetric build takes about 0.1 s.
+const MAX_MIXED_NODES: u32 = 256;
+
+const STRING: &str = "a string";
+const NUMBER: &str = "a number";
+const INTEGER: &str = "a non-negative integer of at most 9e15";
+
+/// Reads the optional field `name` of `v` through `read` (one of
+/// [`Value`]'s typed accessors): `Ok(None)` when the field is absent,
+/// and an error naming the field when it is present but not `what` — a
+/// mistyped value never silently becomes the default.
+fn field<'v, T>(
+    v: &'v Value,
+    name: &str,
+    what: &str,
+    read: impl FnOnce(&'v Value) -> Option<T>,
+) -> Result<Option<T>, String> {
+    v.get(name)
+        .map(|x| read(x).ok_or_else(|| format!("field \"{name}\" must be {what}")))
+        .transpose()
+}
+
+/// An optional integer field that must fit a `u32`: an oversized value
+/// is a typed error, never a silent truncation.
+fn u32_field(v: &Value, name: &str) -> Result<Option<u32>, String> {
+    field(v, name, INTEGER, Value::as_u64)?
+        .map(|n| u32::try_from(n).map_err(|_| format!("field \"{name}\" too large")))
+        .transpose()
+}
+
+/// A perturbation slow-down multiplier: finite and at least 1, the
+/// range [`Perturbation`]'s constructors accept.
+fn slowdown(name: &str, m: f64) -> Result<f64, String> {
+    if m >= 1.0 && m.is_finite() {
+        Ok(m)
+    } else {
+        Err(format!(
+            "field \"{name}\" must be a finite number >= 1, got {m}"
+        ))
+    }
+}
+
 fn build_request(v: &Value) -> Result<PlanRequest, String> {
-    let model_name = v
-        .get("model")
-        .and_then(Value::as_str)
-        .ok_or("missing string field \"model\"")?;
+    let model_name =
+        field(v, "model", STRING, Value::as_str)?.ok_or("missing string field \"model\"")?;
     let model = bfpp_model::presets::by_name(model_name)
         .ok_or_else(|| format!("unknown model {model_name:?}"))?;
 
-    let nodes = match v.get("nodes").and_then(Value::as_u64) {
-        Some(n) => u32_field("nodes", n)?,
+    let nodes = match u32_field(v, "nodes")? {
+        Some(0) => return Err("field \"nodes\" must be at least 1".to_string()),
+        Some(n) => n,
         None => 8,
     };
     let cluster = cluster_by_name(
-        v.get("cluster")
-            .and_then(Value::as_str)
-            .unwrap_or("dgx1_v100"),
+        field(v, "cluster", STRING, Value::as_str)?.unwrap_or("dgx1_v100"),
         nodes,
     )?;
 
-    let method = match v
-        .get("method")
-        .and_then(Value::as_str)
-        .unwrap_or("breadth_first")
-    {
+    let method = match field(v, "method", STRING, Value::as_str)?.unwrap_or("breadth_first") {
         "breadth_first" | "breadth-first" => Method::BreadthFirst,
         "depth_first" | "depth-first" => Method::DepthFirst,
         "non_looped" | "non-looped" => Method::NonLooped,
@@ -161,37 +210,33 @@ fn build_request(v: &Value) -> Result<PlanRequest, String> {
         other => return Err(format!("unknown method {other:?}")),
     };
 
-    let kernel = match v.get("kernel").and_then(Value::as_str).unwrap_or("v100") {
+    let kernel = match field(v, "kernel", STRING, Value::as_str)?.unwrap_or("v100") {
         "v100" => KernelModel::v100(),
         "a100" => KernelModel::a100(),
         "ideal" => KernelModel::ideal(),
         other => return Err(format!("unknown kernel model {other:?}")),
     };
 
-    let global_batch = v
-        .get("batch")
-        .and_then(Value::as_u64)
-        .ok_or("missing integer field \"batch\"")?;
+    let global_batch =
+        field(v, "batch", INTEGER, Value::as_u64)?.ok_or("missing integer field \"batch\"")?;
 
     let mut opts = SearchOptions::default();
-    if let Some(t) = v.get("threads").and_then(Value::as_u64) {
-        opts.threads = t as usize;
+    if let Some(t) = field(v, "threads", INTEGER, Value::as_u64)? {
+        opts.threads = usize::try_from(t).map_err(|_| "field \"threads\" too large")?;
     }
-    if let Some(m) = v.get("max_microbatch").and_then(Value::as_u64) {
-        opts.max_microbatch = u32_field("max_microbatch", m)?;
+    if let Some(m) = u32_field(v, "max_microbatch")? {
+        opts.max_microbatch = m;
     }
-    if let Some(l) = v.get("max_loop").and_then(Value::as_u64) {
-        opts.max_loop = u32_field("max_loop", l)?;
+    if let Some(l) = u32_field(v, "max_loop")? {
+        opts.max_loop = l;
     }
-    if let Some(a) = v.get("max_actions").and_then(Value::as_u64) {
+    if let Some(a) = field(v, "max_actions", INTEGER, Value::as_u64)? {
         opts.max_actions = a;
     }
-    if let Some(d) = v.get("deadline_ms").and_then(Value::as_u64) {
+    if let Some(d) = field(v, "deadline_ms", INTEGER, Value::as_u64)? {
         opts.deadline = Some(Duration::from_millis(d));
     }
-    if let Some(c) = v.get("max_candidates").and_then(Value::as_u64) {
-        opts.max_candidates = Some(c);
-    }
+    opts.max_candidates = field(v, "max_candidates", INTEGER, Value::as_u64)?;
     opts.perturbation = perturbation_of(v)?;
     Ok(PlanRequest {
         model,
@@ -205,18 +250,17 @@ fn build_request(v: &Value) -> Result<PlanRequest, String> {
     })
 }
 
-/// A wire integer that must fit a `u32` field: an oversized value is a
-/// typed error, never a silent truncation.
-fn u32_field(name: &str, n: u64) -> Result<u32, String> {
-    u32::try_from(n).map_err(|_| format!("field \"{name}\" too large"))
-}
-
 fn cluster_by_name(name: &str, nodes: u32) -> Result<ClusterSpec, String> {
     // The mixed presets split `nodes` into a V100 island and an A100
     // island (V100s take the extra node when odd).
     let islands = || {
         if nodes < 2 {
             return Err(format!("cluster {name:?} needs at least 2 nodes"));
+        }
+        if nodes > MAX_MIXED_NODES {
+            return Err(format!(
+                "cluster {name:?} takes at most {MAX_MIXED_NODES} nodes, got {nodes}"
+            ));
         }
         Ok((nodes - nodes / 2, nodes / 2))
     };
@@ -255,36 +299,35 @@ fn delta_of(v: &Value) -> Result<Option<ClusterDelta>, String> {
     let Some(d) = v.get("delta") else {
         return Ok(None);
     };
-    if let Some(n) = d.get("drop_node").and_then(Value::as_u64) {
-        let node = NodeId(u32_field("drop_node", n)?);
-        return Ok(Some(ClusterDelta::drop_node(node)));
+    if let Some(node) = u32_field(d, "drop_node")? {
+        return Ok(Some(ClusterDelta::drop_node(NodeId(node))));
     }
-    if let Some(name) = d.get("add_node").and_then(Value::as_str) {
+    if let Some(name) = field(d, "add_node", STRING, Value::as_str)? {
         return Ok(Some(ClusterDelta::add_node(node_by_name(name)?)));
     }
     Err("delta needs integer \"drop_node\" or string \"add_node\"".to_string())
 }
 
+/// Parses the perturbation fields. Each value is range-checked here, so
+/// the `Perturbation` constructors' asserts can never fire on wire
+/// input.
 fn perturbation_of(v: &Value) -> Result<Perturbation, String> {
-    let seed = v.get("seed").and_then(Value::as_u64).unwrap_or(0);
+    let seed = field(v, "seed", INTEGER, Value::as_u64)?.unwrap_or(0);
     let mut p = Perturbation::with_seed(seed);
     if let Some(s) = v.get("straggler") {
-        let device = s
-            .get("device")
-            .and_then(Value::as_u64)
-            .ok_or("straggler needs integer \"device\"")?;
-        let device = u32_field("device", device)?;
-        let factor = s
-            .get("factor")
-            .and_then(Value::as_f64)
+        let device = u32_field(s, "device")?.ok_or("straggler needs integer \"device\"")?;
+        let factor = field(s, "factor", NUMBER, Value::as_f64)?
             .ok_or("straggler needs number \"factor\"")?;
-        p = p.with_straggler(device, factor);
+        p = p.with_straggler(device, slowdown("factor", factor)?);
     }
-    if let Some(j) = v.get("jitter").and_then(Value::as_f64) {
+    if let Some(j) = field(v, "jitter", NUMBER, Value::as_f64)? {
+        if !(0.0..1.0).contains(&j) {
+            return Err(format!("field \"jitter\" must be in [0, 1), got {j}"));
+        }
         p = p.with_jitter(j);
     }
-    if let Some(l) = v.get("link_degradation").and_then(Value::as_f64) {
-        p = p.with_link_degradation(l);
+    if let Some(l) = field(v, "link_degradation", NUMBER, Value::as_f64)? {
+        p = p.with_link_degradation(slowdown("link_degradation", l)?);
     }
     Ok(p)
 }
@@ -324,7 +367,7 @@ pub fn done_line(id: &str, result: Option<&SearchResult>, report: &SearchReport)
         body,
         report.enumerated,
         report.simulated,
-        report.counters.count("warm_start") > 0,
+        report.warm_start,
         report.warm_hits,
         report.cancelled,
         report.timed_out,
@@ -698,6 +741,97 @@ mod tests {
         }
     }
 
+    /// Parses `line` expecting a field error (not a syntax error) that
+    /// echoes the request id and names `field`.
+    fn field_error(line: &str, field: &str) -> String {
+        let err = parse_line(line, "line-1").unwrap_err();
+        assert_eq!(err.id, "f", "{line}");
+        assert_eq!(err.at, None, "{line}: a field error, not a syntax error");
+        assert!(err.msg.contains(field), "{line}: {}", err.msg);
+        err.msg
+    }
+
+    #[test]
+    fn out_of_range_values_fail_typed_instead_of_panicking() {
+        // Each of these reached an assert in `Perturbation::with_*` or
+        // `ClusterSpec::new` and killed the daemon's read loop.
+        for (field, value) in [
+            ("jitter", r#""jitter":1.5"#),
+            ("jitter", r#""jitter":-0.1"#),
+            ("factor", r#""straggler":{"device":0,"factor":0.5}"#),
+            ("factor", r#""straggler":{"device":0,"factor":1e999}"#),
+            ("link_degradation", r#""link_degradation":1e999"#),
+            ("link_degradation", r#""link_degradation":0.5"#),
+            ("nodes", r#""nodes":0"#),
+        ] {
+            field_error(
+                &format!(r#"{{"id":"f","model":"bert-6.6b","batch":16,{value}}}"#),
+                field,
+            );
+        }
+        // The edges of each range still parse.
+        let ok = r#"{"model":"bert-6.6b","batch":16,"nodes":1,"jitter":0,
+                     "straggler":{"device":0,"factor":1},"link_degradation":1}"#;
+        assert!(matches!(parse_line(ok, "line-1"), Ok(Request::Plan { .. })));
+    }
+
+    #[test]
+    fn mistyped_fields_fail_typed_instead_of_defaulting() {
+        for (field, value) in [
+            // Planned the default 8 nodes.
+            ("nodes", r#""nodes":"2""#),
+            // Ran with no deadline at all.
+            ("deadline_ms", r#""deadline_ms":0.5"#),
+            ("max_candidates", r#""max_candidates":-1"#),
+            ("threads", r#""threads":true"#),
+            ("seed", r#""seed":"7""#),
+            ("jitter", r#""jitter":"0.5""#),
+            ("cluster", r#""cluster":7"#),
+            ("method", r#""method":null"#),
+            ("kernel", r#""kernel":["a100"]"#),
+        ] {
+            field_error(
+                &format!(r#"{{"id":"f","model":"bert-6.6b","batch":16,{value}}}"#),
+                field,
+            );
+        }
+        // A batch past the exact-integer range of the wire's numbers is
+        // named as invalid, not as missing.
+        let msg = field_error(r#"{"id":"f","model":"bert-6.6b","batch":1e16}"#, "batch");
+        assert!(!msg.contains("missing"), "{msg}");
+        // A non-string id cannot be echoed: the error names it under the
+        // fallback id.
+        let err = parse_line(r#"{"id":5,"model":"bert-6.6b","batch":16}"#, "line-9").unwrap_err();
+        assert_eq!(err.id, "line-9");
+        assert!(err.msg.contains("\"id\""), "{}", err.msg);
+    }
+
+    #[test]
+    fn mixed_presets_bound_their_node_count() {
+        for cluster in ["mixed_v100_a100", "mixed_v100_a100_asym"] {
+            for nodes in [u64::from(MAX_MIXED_NODES) + 1, u64::from(u32::MAX)] {
+                let msg = field_error(
+                    &format!(
+                        r#"{{"id":"f","model":"bert-6.6b","batch":16,"cluster":"{cluster}","nodes":{nodes}}}"#
+                    ),
+                    cluster,
+                );
+                assert!(msg.contains("at most"), "{msg}");
+            }
+        }
+        let r = parse_line(
+            &format!(
+                r#"{{"model":"bert-6.6b","batch":16,"cluster":"mixed_v100_a100","nodes":{MAX_MIXED_NODES}}}"#
+            ),
+            "line-1",
+        )
+        .unwrap();
+        match r {
+            Request::Plan { req, .. } => assert_eq!(req.cluster.num_nodes, MAX_MIXED_NODES),
+            other => panic!("not a plan line: {other:?}"),
+        }
+    }
+
     #[test]
     fn a_legacy_eval_field_is_ignored() {
         // Lines written for an older daemon that took an `eval` field
@@ -737,13 +871,15 @@ mod tests {
     }
 
     #[test]
-    fn done_line_carries_the_timed_out_flag() {
+    fn done_line_carries_the_timed_out_and_warm_start_flags() {
         let report = SearchReport {
             timed_out: true,
+            warm_start: true,
             ..SearchReport::default()
         };
         let line = done_line("t", None, &report);
         assert!(line.contains("\"timed_out\":true"), "{line}");
+        assert!(line.contains("\"warm_start\":true"), "{line}");
         assert!(line.contains("\"ok\":false"), "{line}");
     }
 }

@@ -171,7 +171,10 @@ fn truncated_budget_sessions_are_deterministic_across_planners_and_threads() {
         let outcome = shared.submit(again).wait();
         assert!(outcome.1.timed_out, "budget must report as timed_out");
         assert_eq!(stable(&outcome), baseline, "threads={threads}");
-        assert_eq!(shared.lifecycle().count("requests_timed_out"), 1);
+        assert_eq!(
+            shared.metrics().counter("planner_requests_timed_out_total"),
+            1
+        );
     }
 }
 

@@ -71,7 +71,7 @@ fn snapshot_reconciles_exactly_with_observed_events() {
     // plus a distinct cold cell.
     let req = quick_req(Method::BreadthFirst, 16, 0);
     let (_, cold_rep) = planner.plan(&req);
-    assert_eq!(cold_rep.counters.count("warm_start"), 0);
+    assert!(!cold_rep.warm_start);
     let (_, warm_rep) = planner.plan(&req);
     assert!(warm_rep.warm_hits > 0);
     planner.plan(&quick_req(Method::DepthFirst, 8, 0));
@@ -101,6 +101,11 @@ fn snapshot_reconciles_exactly_with_observed_events() {
     assert_eq!(snap.counter("planner_requests_failed_total"), 1);
     assert_eq!(snap.counter("planner_requests_cancelled_total"), 0);
     assert_eq!(snap.counter("planner_requests_rejected_total"), 1);
+    // The panicked session's quarantine dropped every warm record of its
+    // (model, cluster): the no-pipeline, breadth-first and depth-first
+    // cells (the timed-out request recorded none). No session leaked.
+    assert_eq!(snap.counter("planner_quarantined_warm_records_total"), 3);
+    assert_eq!(snap.counter("planner_sessions_leaked_total"), 0);
     // The reconciliation invariant: submitted == Σ terminal outcomes.
     assert_eq!(
         snap.counter("planner_requests_completed_total")

@@ -57,8 +57,8 @@ pub use memprof::{
 };
 pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
 pub use observe::{
-    attribute, ArgValue, Breakdown, Category, ChromeTraceWriter, Counters, OpCategory,
-    ResourceBreakdown, SharedCounters, TraceOp, Track,
+    attribute, ArgValue, Breakdown, Category, ChromeTraceWriter, OpCategory, ResourceBreakdown,
+    TraceOp, Track,
 };
 pub use perturb::{OpClass, Perturbation};
 pub use solver::{

@@ -1,15 +1,19 @@
-//! Service-wide metrics: monotonic counters, gauges, and deterministic
-//! log-bucketed histograms, with Prometheus text and NDJSON renderers.
+//! The workspace's one metrics registry: monotonic counters, gauges, and
+//! deterministic log-bucketed histograms, with Prometheus text and
+//! NDJSON renderers.
 //!
-//! [`Counters`](crate::observe::Counters) answers "what did this one
-//! request do"; a long-running planner service also needs the
-//! *distributional* questions — what is the p99 plan latency, how is
-//! queue wait trending, what fraction of requests warm-start — asked of
-//! a live process. This module is that registry:
+//! Every count and wall-clock span the system keeps about itself lands
+//! here: the planner's session lifecycle, the engine's per-request
+//! search totals and phase spans, the training harness's retry loop and
+//! the robustness sweep's lower/re-solve split. One request's own tally
+//! travels in its typed `SearchReport` fields; anything that outlives a
+//! request — or that a live process is asked distributional questions
+//! about (the p99 plan latency, queue-wait trend, warm-start fraction)
+//! — is recorded into a [`MetricsRegistry`]:
 //!
-//! * **Counters** are monotonic `u64` totals (`requests_completed`,
-//!   `steals`). **Gauges** are signed instantaneous values (`in_flight`,
-//!   `queue_depth`).
+//! * **Counters** are monotonic `u64` totals
+//!   (`planner_requests_completed_total`, `executor_steals_total`).
+//!   **Gauges** are signed instantaneous values (`planner_in_flight`).
 //! * **Histograms** bucket `u64` observations (by convention
 //!   nanoseconds, metric names ending `_ns`) into *fixed power-of-two
 //!   boundaries*: bucket `k` holds `2^(k-1) ≤ v < 2^k` (bucket 0 holds
@@ -19,12 +23,10 @@
 //!   [`Histogram::merge`] is associative and commutative — proptested
 //!   in `tests/metrics_properties.rs`. Everything stored and rendered
 //!   is integral: no float formatting can wobble across platforms.
-//! * The registry is **lock-sharded** by metric-name hash (the same
-//!   interior-mutability discipline as
-//!   [`SharedCounters`](crate::observe::SharedCounters), spread over
-//!   [`SHARDS`] mutexes so hot counters on different names do not
-//!   serialize), and every lock recovers from poisoning — metrics must
-//!   survive a panicking session.
+//! * The registry is **lock-sharded** by metric-name hash (interior
+//!   mutability spread over [`SHARDS`] mutexes, so hot counters on
+//!   different names do not serialize), and every lock recovers from
+//!   poisoning — metrics must survive a panicking session.
 //!
 //! Rendering: [`MetricsSnapshot::render_prometheus`] emits the text
 //! exposition format (checkable with [`validate_prometheus`]);

@@ -1,6 +1,6 @@
-//! Observability: Chrome-trace export, time attribution, and counters.
+//! Observability: Chrome-trace export and time attribution.
 //!
-//! Three facilities, all dependency-free and deterministic:
+//! Two facilities, both dependency-free and deterministic:
 //!
 //! 1. [`ChromeTraceWriter`] — renders one or more solved [`Timeline`]s as
 //!    Chrome trace-event JSON (the format understood by `ui.perfetto.dev`
@@ -15,8 +15,10 @@
 //!    comm, comm-wait, bubble) and rolls the result into a [`Breakdown`]
 //!    whose categories tile the timeline exactly:
 //!    `sum over categories == makespan × num_resources`, asserted.
-//! 3. [`Counters`] — a tiny ordered count/span registry used to instrument
-//!    searches, retries and sweeps without pulling in a metrics crate.
+//!
+//! Counts and wall-clock spans of the system itself (searches, retries,
+//! sweeps, planner sessions) are not kept here: they all go to the one
+//! registry, [`crate::metrics::MetricsRegistry`].
 //!
 //! The classification of *busy* intervals is caller-defined (the simulator
 //! does not know what an op tag means): [`attribute`] and
@@ -26,7 +28,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
 
 use crate::graph::{OpGraph, OpId, ResourceId};
 use crate::json::{escape, Value};
@@ -596,162 +597,6 @@ impl ChromeTraceWriter {
 }
 
 // ---------------------------------------------------------------------------
-// Counters
-// ---------------------------------------------------------------------------
-
-/// A tiny ordered registry of named counts and wall-clock spans.
-///
-/// No external deps, no global state: create one, thread it through, and
-/// [`merge`](Counters::merge) sub-results upward. Counts are exact and
-/// deterministic; spans are host wall-clock and therefore *not* part of
-/// any bit-stability guarantee (reports compare them only for presence).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Counters {
-    counts: BTreeMap<String, u64>,
-    spans: BTreeMap<String, Duration>,
-}
-
-impl Counters {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `delta` to the named count.
-    pub fn add(&mut self, name: &str, delta: u64) {
-        *self.counts.entry(name.to_string()).or_insert(0) += delta;
-    }
-
-    /// Increments the named count by one.
-    pub fn incr(&mut self, name: &str) {
-        self.add(name, 1);
-    }
-
-    /// Adds a wall-clock duration to the named span.
-    pub fn record_span(&mut self, name: &str, dur: Duration) {
-        *self.spans.entry(name.to_string()).or_insert(Duration::ZERO) += dur;
-    }
-
-    /// Runs `f`, recording its wall-clock duration under `name`.
-    pub fn time<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
-        let t0 = Instant::now();
-        let out = f();
-        self.record_span(name, t0.elapsed());
-        out
-    }
-
-    /// The named count (0 if never touched).
-    pub fn count(&self, name: &str) -> u64 {
-        self.counts.get(name).copied().unwrap_or(0)
-    }
-
-    /// The named span total (zero if never touched).
-    pub fn span(&self, name: &str) -> Duration {
-        self.spans.get(name).copied().unwrap_or(Duration::ZERO)
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty() && self.spans.is_empty()
-    }
-
-    /// Iterates counts in name order.
-    pub fn counts(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counts.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// Iterates spans in name order.
-    pub fn spans(&self) -> impl Iterator<Item = (&str, Duration)> {
-        self.spans.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// Folds another registry into this one (counts add, spans add).
-    pub fn merge(&mut self, other: &Counters) {
-        for (name, v) in &other.counts {
-            *self.counts.entry(name.clone()).or_insert(0) += v;
-        }
-        for (name, d) in &other.spans {
-            *self.spans.entry(name.clone()).or_insert(Duration::ZERO) += *d;
-        }
-    }
-
-    /// One-line `key=value` rendering, counts first then spans (ms),
-    /// both in name order. Empty string when nothing was recorded.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in self.counts() {
-            if !out.is_empty() {
-                out.push(' ');
-            }
-            let _ = write!(out, "{name}={v}");
-        }
-        for (name, d) in self.spans() {
-            if !out.is_empty() {
-                out.push(' ');
-            }
-            let _ = write!(out, "{name}={:.3}ms", d.as_secs_f64() * 1e3);
-        }
-        out
-    }
-}
-
-/// A concurrency-safe [`Counters`]: the request-lifecycle registry of a
-/// long-lived service, where many request threads record into one
-/// process-wide set (`requests_submitted`, `requests_completed`,
-/// per-request spans, …). Interior mutability over a plain `Counters`;
-/// reads take a [`snapshot`](SharedCounters::snapshot), so renderings
-/// are always a consistent point-in-time view.
-#[derive(Debug, Default)]
-pub struct SharedCounters {
-    inner: std::sync::Mutex<Counters>,
-}
-
-impl SharedCounters {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        SharedCounters::default()
-    }
-
-    /// Adds `delta` to the named count.
-    pub fn add(&self, name: &str, delta: u64) {
-        self.lock().add(name, delta);
-    }
-
-    /// Increments the named count by one.
-    pub fn incr(&self, name: &str) {
-        self.lock().incr(name);
-    }
-
-    /// Adds a wall-clock duration to the named span.
-    pub fn record_span(&self, name: &str, dur: Duration) {
-        self.lock().record_span(name, dur);
-    }
-
-    /// Folds a finished sub-result (e.g. one request's [`Counters`])
-    /// into the shared set.
-    pub fn merge(&self, other: &Counters) {
-        self.lock().merge(other);
-    }
-
-    /// The named count (0 if never touched).
-    pub fn count(&self, name: &str) -> u64 {
-        self.lock().count(name)
-    }
-
-    /// A consistent copy of the current state.
-    pub fn snapshot(&self) -> Counters {
-        self.lock().clone()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Counters> {
-        match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // JSON well-formedness checker (for tests / examples)
 // ---------------------------------------------------------------------------
 
@@ -842,37 +687,6 @@ mod tests {
     }
 
     #[test]
-    fn counters_iterate_and_render_in_name_order_regardless_of_insertion() {
-        // Daemon snapshots and CSV trailers embed `render()`, so its
-        // byte-stability must not depend on which code path touched a
-        // counter first.
-        let names = ["warm_hits", "cache_hits", "enumerated", "pruned"];
-        let mut forward = Counters::new();
-        let mut backward = Counters::new();
-        for (i, n) in names.iter().enumerate() {
-            forward.add(n, i as u64 + 1);
-            forward.record_span(n, Duration::from_millis(i as u64 + 1));
-        }
-        for (i, n) in names.iter().enumerate().rev() {
-            backward.add(n, i as u64 + 1);
-            backward.record_span(n, Duration::from_millis(i as u64 + 1));
-        }
-        assert_eq!(forward, backward);
-        assert_eq!(forward.render(), backward.render());
-        let count_keys: Vec<&str> = forward.counts().map(|(k, _)| k).collect();
-        assert_eq!(
-            count_keys,
-            ["cache_hits", "enumerated", "pruned", "warm_hits"]
-        );
-        let span_keys: Vec<&str> = forward.spans().map(|(k, _)| k).collect();
-        assert_eq!(span_keys, count_keys, "spans sort like counts");
-        // Merging in a different order lands on the same rendering too.
-        let mut merged = Counters::new();
-        merged.merge(&backward);
-        assert_eq!(merged.render(), forward.render());
-    }
-
-    #[test]
     fn exporter_escapes_hostile_names() {
         let mut g: OpGraph<String> = OpGraph::new();
         let r = g.add_resource("gpu0.compute");
@@ -958,36 +772,6 @@ mod tests {
             w.finish()
         };
         assert_eq!(export(), export());
-    }
-
-    #[test]
-    fn counters_roundtrip_and_merge() {
-        let mut a = Counters::new();
-        a.incr("candidates");
-        a.add("candidates", 2);
-        a.record_span("phase", Duration::from_millis(5));
-        let mut b = Counters::new();
-        b.add("candidates", 4);
-        b.add("cache_hits", 1);
-        b.record_span("phase", Duration::from_millis(7));
-        a.merge(&b);
-        assert_eq!(a.count("candidates"), 7);
-        assert_eq!(a.count("cache_hits"), 1);
-        assert_eq!(a.count("absent"), 0);
-        assert_eq!(a.span("phase"), Duration::from_millis(12));
-        let line = a.render();
-        assert!(line.contains("candidates=7"));
-        assert!(line.contains("phase=12.000ms"));
-        assert!(Counters::new().is_empty());
-        assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn counters_time_records_a_span() {
-        let mut c = Counters::new();
-        let out = c.time("work", || 42);
-        assert_eq!(out, 42);
-        assert!(c.spans().any(|(name, _)| name == "work"));
     }
 
     #[test]

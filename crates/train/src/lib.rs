@@ -27,9 +27,9 @@
 //! for the fault model). The retry loop is observable:
 //! [`pipeline::run_batch_with_retry_instrumented`] records attempts,
 //! retries, per-cause failure counts and attempt/backoff wall-clock
-//! spans into a [`bfpp_sim::observe::Counters`], the same dependency-free
-//! registry the configuration search threads through its
-//! `SearchReport`.
+//! samples (`train_*`) into a [`bfpp_sim::MetricsRegistry`], the one
+//! registry the planner service and the configuration search record
+//! into as well.
 //!
 //! ```
 //! use bfpp_core::ScheduleKind;

@@ -47,12 +47,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bfpp_collectives::thread::{CollectiveError, CommGroup, CommHandle, PoisonReason};
 use bfpp_core::{Direction, Schedule, ScheduleKind};
 use bfpp_parallel::{DataParallelism, Placement, StageId};
-use bfpp_sim::observe::Counters;
+use bfpp_sim::MetricsRegistry;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::layers::Stage;
@@ -553,15 +553,17 @@ pub fn run_batch_with_retry(
         inputs,
         targets,
         harness,
-        &mut Counters::new(),
+        &MetricsRegistry::new(),
     )
 }
 
 /// [`run_batch_with_retry`], recording what the harness did into
-/// `counters`: `attempts` (total tries), `retries` (tries after a
-/// failure), per-root-cause failure counts (`failures.<kind>`), and the
-/// `attempt` / `backoff` wall-clock spans. Counters are only ever added
-/// to, so one registry can instrument a whole run of steps.
+/// `metrics`: `train_attempts_total` (total tries),
+/// `train_retries_total` (tries after a failure), per-root-cause
+/// failure counts (`train_failures_<cause>_total`), and one
+/// `train_attempt_ns` / `train_backoff_ns` wall-clock sample per attempt
+/// and per backoff sleep. Metrics are only ever added to, so one
+/// registry can instrument a whole run of steps.
 ///
 /// # Errors
 ///
@@ -574,34 +576,34 @@ pub fn run_batch_with_retry_instrumented(
     inputs: &[Tensor],
     targets: &[Tensor],
     harness: &HarnessOptions,
-    counters: &mut Counters,
+    metrics: &MetricsRegistry,
 ) -> Result<(TrainResult, Vec<OptimizerState>), TrainError> {
     let mut attempt = 0u32;
     loop {
-        counters.incr("attempts");
-        let result = counters.time("attempt", || {
-            try_run_batch_stateful(
-                spec,
-                stages.to_vec(),
-                states.to_vec(),
-                inputs,
-                targets,
-                harness,
-            )
-        });
+        metrics.counter_incr("train_attempts_total");
+        let started = Instant::now();
+        let result = try_run_batch_stateful(
+            spec,
+            stages.to_vec(),
+            states.to_vec(),
+            inputs,
+            targets,
+            harness,
+        );
+        metrics.observe_duration("train_attempt_ns", started.elapsed());
         match result {
             Ok(out) => return Ok(out),
             Err(e) if attempt < harness.retry.max_retries => {
-                counters.incr(&failure_counter(&e));
-                counters.incr("retries");
+                metrics.counter_incr(&failure_counter(&e));
+                metrics.counter_incr("train_retries_total");
                 attempt += 1;
                 let exp = 1u32 << (attempt - 1).min(16);
-                counters.time("backoff", || {
-                    thread::sleep(harness.retry.backoff.saturating_mul(exp));
-                });
+                let started = Instant::now();
+                thread::sleep(harness.retry.backoff.saturating_mul(exp));
+                metrics.observe_duration("train_backoff_ns", started.elapsed());
             }
             Err(e) => {
-                counters.incr(&failure_counter(&e));
+                metrics.counter_incr(&failure_counter(&e));
                 return Err(e);
             }
         }
@@ -619,7 +621,7 @@ fn failure_counter(e: &TrainError) -> String {
             FailureReason::ChannelClosed { .. } => "channel",
         },
     };
-    format!("failures.{kind}")
+    format!("train_failures_{kind}_total")
 }
 
 /// Best-effort text of a caught panic payload.
@@ -1355,22 +1357,26 @@ mod tests {
             },
             collective_timeout: Some(std::time::Duration::from_secs(10)),
         };
-        let mut counters = Counters::new();
+        let metrics = MetricsRegistry::new();
         run_batch_with_retry_instrumented(
-            &s,
-            &stages,
-            &states,
-            &inputs,
-            &targets,
-            &harness,
-            &mut counters,
+            &s, &stages, &states, &inputs, &targets, &harness, &metrics,
         )
         .expect("one transient failure is within the retry budget");
-        assert_eq!(counters.count("attempts"), 2);
-        assert_eq!(counters.count("retries"), 1);
-        assert_eq!(counters.count("failures.injected"), 1);
-        assert!(counters.span("attempt") > std::time::Duration::ZERO);
-        assert!(counters.span("backoff") >= std::time::Duration::from_millis(1));
+        assert_eq!(metrics.counter("train_attempts_total"), 2);
+        assert_eq!(metrics.counter("train_retries_total"), 1);
+        assert_eq!(metrics.counter("train_failures_injected_total"), 1);
+        let attempts = metrics
+            .histogram("train_attempt_ns")
+            .expect("attempts timed");
+        assert_eq!(attempts.count(), 2);
+        assert!(attempts.sum() > 0);
+        let backoff = metrics
+            .histogram("train_backoff_ns")
+            .expect("backoff timed");
+        assert!(
+            backoff.sum() >= 1_000_000,
+            "slept at least the 1 ms backoff"
+        );
     }
 
     #[test]
