@@ -266,17 +266,18 @@ fn bench_elastic(_c: &mut Criterion) {
 }
 
 /// Telemetry overhead guard: the identical Figure 5a sweep through
-/// `search_streaming`, once with `env.metrics = None` and once with a
-/// live registry. Instrumentation touches the registry once per request
-/// (request-end roll-up) and a handful of relaxed atomics per 32
-/// candidates, so the claim is <2% overhead on this workload; the
-/// assertion allows 25% so scheduler noise on a busy CI host can never
-/// flake it — a regression that *matters* (per-candidate registry
-/// traffic) shows up as 2-10x, not 1.25x. Compare the printed rates
-/// against the `candidates_per_sec` baselines in `BENCH_search.json`
-/// when reading results from a quiet host.
+/// `search` with no hooks, once with `env.metrics = None` and once with
+/// a live registry. Only the registry arm runs the book stage, which
+/// touches the registry once per request (request-end roll-up); the
+/// evaluate stage adds one counter and one timer per class build and
+/// nothing per candidate, so the claim is <2% overhead on this
+/// workload; the assertion allows 25% so scheduler noise on a busy CI
+/// host can never flake it — a regression that *matters*
+/// (per-candidate registry traffic) shows up as 2-10x, not 1.25x.
+/// Compare the printed rates against the `candidates_per_sec` baselines
+/// in `BENCH_search.json` when reading results from a quiet host.
 fn bench_telemetry_overhead(_c: &mut Criterion) {
-    use bfpp_exec::search::{search_streaming, SearchEnv};
+    use bfpp_exec::search::{search, SearchEnv, SearchHooks};
     use bfpp_exec::MetricsRegistry;
     use std::sync::Arc;
 
@@ -291,8 +292,16 @@ fn bench_telemetry_overhead(_c: &mut Criterion) {
         let t = Instant::now();
         for _ in 0..iters {
             for &m in Method::ALL.iter() {
-                let (_, report) =
-                    search_streaming(&model, &cluster, m, 48, &kernel, &opts, env, None, None);
+                let (_, report) = search(
+                    &model,
+                    &cluster,
+                    m,
+                    48,
+                    &kernel,
+                    &opts,
+                    env,
+                    SearchHooks::default(),
+                );
                 cands += report.enumerated;
             }
         }

@@ -178,7 +178,7 @@ pub fn figure5_batches(model: &str, ethernet: bool) -> Vec<u64> {
 /// every cell, so the sweep shares a schedule cache across cells and
 /// leaves warm-start records behind for any follow-up request. Each
 /// cell's result and report are value-identical to calling
-/// [`bfpp_exec::search::best_config_with_report`] directly (shared
+/// [`bfpp_exec::search::search`] over a private environment (shared
 /// caches only substitute equal values).
 pub fn figure5_sweep(
     model: &TransformerConfig,

@@ -7,20 +7,20 @@
 //! micro-batch shape, loop count and sharding level, simulate each, drop
 //! those that do not fit device memory, and keep the fastest.
 //!
-//! The engine is layered (see DESIGN.md § Search engine):
+//! The engine is one entry point, [`search`], run as named stages (see
+//! DESIGN.md § Search engine):
 //!
-//! 1. [`crate::candidates`] lazily enumerates typed [`Candidate`]s in a
-//!    fixed total order;
-//! 2. [`crate::prune`] rejects candidates whose closed-form memory lower
-//!    bound cannot fit, or whose Eq. (3)/(7) throughput upper bound
-//!    cannot beat the best result so far;
-//! 3. survivors are grouped by topology class ([`crate::batch`]) and
-//!    simulated on a scoped worker pool — one replay workspace per
-//!    class, re-timed per member — sharing generated schedules through
-//!    a [`ScheduleCache`];
-//! 4. results reduce serially in candidate order, so the winner (and
-//!    every [`SearchReport`] counter) is bit-identical to the exhaustive
-//!    serial reference ([`best_config_exhaustive`]) for any thread count.
+//! 1. **plan** — [`crate::candidates`] enumerates typed [`Candidate`]s
+//!    in a fixed total order (or a [warm record](crate::warm) replays);
+//! 2. **prune** — [`crate::prune`]'s closed-form memory and Eq. (3)/(7)
+//!    throughput bounds drop what cannot fit or cannot beat the best;
+//! 3. **evaluate** — survivors are grouped by topology class
+//!    ([`crate::batch`]) and re-timed on a scoped worker pool;
+//! 4. **reduce** — serially in candidate order, so the winner (and every
+//!    [`SearchReport`] counter) is bit-identical to the exhaustive serial
+//!    reference ([`best_config_exhaustive`]) for any thread count;
+//! 5. **record**, **probe**, **book** — warm record, robustness probe,
+//!    telemetry.
 //!
 //! Baseline fidelity: the depth-first method is simulated like the
 //! paper's Megatron-LM baseline — no network overlap, no sharding
@@ -29,15 +29,16 @@
 //! non-pipelined, DP_PS for non-looped").
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bfpp_cluster::ClusterSpec;
 use bfpp_core::{CacheStats, ScheduleCache, ScheduleKind};
 use bfpp_model::TransformerConfig;
 use bfpp_parallel::{DataParallelism, ParallelConfig};
-use bfpp_sim::{DurationMatrix, MetricsRegistry, Perturbation, SimDuration};
+use bfpp_sim::{DurationMatrix, MetricsRegistry, Perturbation};
 
 use crate::batch::{ClassBase, ClassCache, ClassKey};
 use crate::candidates::{enumerate, Candidate};
@@ -46,7 +47,7 @@ use crate::kernel::KernelModel;
 use crate::lower::Durations;
 use crate::measure::{simulate_perturbed, Measurement};
 use crate::overlap::OverlapConfig;
-use crate::prune::{lower_bound_tflops, prune_reason, PruneReason};
+use crate::prune::{exceeds_device_memory, lower_bound_tflops};
 use crate::warm::{self, Outcome, SweepRecord, WarmCache};
 
 /// The four methods compared in Figure 5 and Tables E.1–E.3.
@@ -510,68 +511,36 @@ impl ProgressSnapshot {
 /// thread-count-independent.
 const EVAL_CHUNK: usize = 32;
 
-/// Enumerates, prunes, simulates and ranks every valid configuration of
-/// `method` at `global_batch`; returns the fastest that fits device
-/// memory (or `None` if nothing fits) plus a [`SearchReport`] of what
-/// the search did. Equally fast configurations resolve to the earliest
-/// in enumeration order, exactly like [`best_config_exhaustive`].
-pub fn best_config_with_report(
-    model: &TransformerConfig,
-    cluster: &ClusterSpec,
-    method: Method,
-    global_batch: u64,
-    kernel: &KernelModel,
-    opts: &SearchOptions,
-) -> (Option<SearchResult>, SearchReport) {
-    search_streaming(
-        model,
-        cluster,
-        method,
-        global_batch,
-        kernel,
-        opts,
-        &SearchEnv::private(),
-        None,
-        None,
-    )
-}
-
-/// How one request traverses the candidate space: cold (a fresh
-/// enumeration, optionally recorded) or warm (replaying a prior cold
-/// search's perturbation-independent outcomes).
-enum Plan {
-    Cold(Vec<Candidate>),
-    Warm(Arc<SweepRecord>),
-}
-
-/// One survivor's evaluation output, written into an order-indexed slot
-/// by whichever worker ran it.
+/// The per-request hooks of [`search`], all optional:
+/// `SearchHooks::default()` is the plain one-shot search.
 #[derive(Default)]
-struct EvalSlot {
-    measurement: Option<Measurement>,
-    /// Whether a warm record supplied the candidate's class base.
-    warm_hit: bool,
+pub struct SearchHooks<'a> {
+    /// Checked between chunks; once set, the search stops, marks
+    /// [`SearchReport::cancelled`] and returns its best-so-far (skipping
+    /// the robustness probe).
+    pub cancel: Option<&'a AtomicBool>,
+    /// Called from the serial reduction — in candidate order, on the
+    /// calling thread — each time the incumbent is replaced. The final
+    /// call's result equals the returned winner.
+    pub on_improve: Option<&'a mut (dyn FnMut(&SearchResult) + Send)>,
+    /// Receives the counters and best-so-far at every chunk boundary and
+    /// is marked finished on return, so an observer thread (the daemon's
+    /// heartbeat) can report on an in-flight request.
+    pub progress: Option<&'a SearchProgress>,
 }
 
-/// The full service-grade engine: [`best_config_with_report`] plus an
-/// environment ([`SearchEnv`]), cooperative cancellation, and best-so-far
-/// streaming.
+/// Enumerates, prunes, simulates and ranks every valid configuration of
+/// `method` at `global_batch`, through the stages listed in the module
+/// docs; returns the fastest that fits device memory (or `None` if
+/// nothing fits) plus a [`SearchReport`] of what the search did. Equally
+/// fast configurations resolve to the earliest in enumeration order,
+/// exactly like [`best_config_exhaustive`].
 ///
-/// * `cancel` is checked between chunks; once set, the search stops,
-///   marks [`SearchReport::cancelled`] and returns its best-so-far
-///   (skipping the robustness probe).
-/// * `on_improve` fires from the serial reduction — in candidate order,
-///   on the calling thread — each time the incumbent is replaced. The
-///   final call's result equals the returned winner.
-/// * With a warm store in `env`, a completed cold search records its
-///   [per-candidate outcomes and class bases](crate::warm), and a later
-///   request with the same signature (perturbation and thread count
-///   excepted) replays them: no re-enumeration, and no class build for
-///   a class whose base the record retained — only row fill and trace
-///   replay. Warm results are bit-identical to the cold engine's for
-///   the same request.
+/// With a warm store in `env`, a completed cold search is recorded, and
+/// a later request with the same signature (perturbation and thread
+/// count excepted) replays it bit-identically ([`crate::warm`]).
 #[allow(clippy::too_many_arguments)]
-pub fn search_streaming(
+pub fn search(
     model: &TransformerConfig,
     cluster: &ClusterSpec,
     method: Method,
@@ -579,109 +548,46 @@ pub fn search_streaming(
     kernel: &KernelModel,
     opts: &SearchOptions,
     env: &SearchEnv,
-    cancel: Option<&AtomicBool>,
-    on_improve: Option<&mut (dyn FnMut(&SearchResult) + Send)>,
+    mut hooks: SearchHooks<'_>,
 ) -> (Option<SearchResult>, SearchReport) {
-    search_observed(
+    let start = Instant::now();
+    let req = Request {
         model,
         cluster,
         method,
-        global_batch,
         kernel,
         opts,
         env,
-        cancel,
-        on_improve,
-        None,
-    )
-}
+        overlap: method.overlap(),
+        threads: opts.effective_threads(),
+        stats: CacheStats::new(),
+    };
 
-/// [`search_streaming`] plus live observation: when `progress` is
-/// given, the engine publishes its counters and best-so-far into it at
-/// every chunk boundary and marks it finished on return, letting an
-/// observer thread (the daemon's heartbeat) report on an in-flight
-/// request without touching the search itself. With `progress = None`
-/// this *is* `search_streaming`.
-#[allow(clippy::too_many_arguments)]
-pub fn search_observed(
-    model: &TransformerConfig,
-    cluster: &ClusterSpec,
-    method: Method,
-    global_batch: u64,
-    kernel: &KernelModel,
-    opts: &SearchOptions,
-    env: &SearchEnv,
-    cancel: Option<&AtomicBool>,
-    mut on_improve: Option<&mut (dyn FnMut(&SearchResult) + Send)>,
-    progress: Option<&SearchProgress>,
-) -> (Option<SearchResult>, SearchReport) {
-    let start = Instant::now();
-    let overlap = method.overlap();
-    let stats = CacheStats::new();
-    let cache = env.schedules.as_ref();
-    let warm_key = env
-        .warm
-        .as_ref()
-        .map(|_| warm::request_key(model, cluster, method, global_batch, kernel, opts));
-
-    // Cold or warm: a warm record replays a prior cold search's
-    // enumeration (the "enumerate" span then covers the record lookup —
-    // the whole point is that it is near-free).
+    // The "enumerate" span covers a warm record's lookup in place of
+    // the enumeration — the whole point is that it is near-free.
     let phase = Instant::now();
-    let record = match (&env.warm, &warm_key) {
-        (Some(w), Some(k)) => w.lookup(k),
-        _ => None,
-    };
-    let plan = match record {
-        Some(rec) => Plan::Warm(rec),
-        None => Plan::Cold(enumerate(model, cluster, method, global_batch, opts).collect()),
-    };
-    let total = match &plan {
-        Plan::Cold(cands) => cands.len(),
-        Plan::Warm(rec) => rec.outcomes.len(),
-    };
+    let mut plan = req.plan(global_batch);
+    let total = plan.len();
     let mut report = SearchReport {
         enumerated: total as u64,
         warm_start: matches!(plan, Plan::Warm(_)),
-        phases: PhaseSpans {
-            enumerate: phase.elapsed(),
-            ..PhaseSpans::default()
-        },
         ..SearchReport::default()
     };
-
-    // A cold search through a warm-capable env records outcomes (and
-    // the class bases it resolved) for future warm starts.
-    let mut recorder: Option<Vec<Outcome>> = match (&plan, &env.warm) {
-        (Plan::Cold(_), Some(_)) => Some(Vec::with_capacity(total)),
-        _ => None,
-    };
-    if let Some(p) = progress {
-        p.enumerated.store(total as u64, Ordering::Relaxed);
+    report.phases.enumerate = phase.elapsed();
+    if let Some(p) = hooks.progress {
+        p.enumerated.store(report.enumerated, Ordering::Relaxed);
         p.warm_start.store(report.warm_start, Ordering::Relaxed);
     }
 
-    // Request state: every class base this request resolved (with its
-    // warm-record provenance, so `warm_hits` is thread-count invariant —
-    // a key resolves exactly once per request), plus the serial
-    // first-seen key order, which is the deterministic storage order
-    // for a future warm record.
-    let resolved: Mutex<HashMap<ClassKey, (Arc<ClassBase>, bool)>> = Mutex::new(HashMap::new());
-    let mut class_order: Vec<ClassKey> = Vec::new();
-
-    let threads = opts.effective_threads();
-    let mut best: Option<SearchResult> = None;
-    let mut best_cand: Option<Candidate> = None;
-    let mut cancelled = false;
-    let mut timed_out = false;
-
+    let mut table = ClassTable::default();
+    let mut best: Option<(Candidate, SearchResult)> = None;
     let mut chunk_start = 0;
     while chunk_start < total {
         // Cancellation and budgets share one cooperative checkpoint:
         // the chunk boundary. Between checkpoints the search runs
         // uninterrupted, so both terminate with a consistent prefix.
-        if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-            cancelled = true;
+        if hooks.cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
+            report.cancelled = true;
             break;
         }
         if opts
@@ -689,187 +595,50 @@ pub fn search_observed(
             .is_some_and(|limit| chunk_start as u64 >= limit)
             || opts.deadline.is_some_and(|d| start.elapsed() >= d)
         {
-            timed_out = true;
+            report.timed_out = true;
             break;
         }
-        let chunk_end = (chunk_start + EVAL_CHUNK).min(total);
-        let best_tflops = best.as_ref().map(|b| b.measurement.tflops_per_gpu);
+        let chunk = chunk_start..(chunk_start + EVAL_CHUNK).min(total);
+        chunk_start = chunk.end;
 
-        // Analytic pre-filters (closed-form, no simulation). Ties with
-        // the current best survive the bound filter: equally fast
-        // candidates lose to the earlier incumbent in the reduction, so
-        // pruning them would be sound too — but only strictly dominated
-        // candidates are *counted* as pruned. Under a jittery
-        // perturbation an op can run up to `max_speedup()` faster than
-        // its analytic duration, so the throughput bound is widened by
-        // that factor to stay sound (exactly 1.0 for identity — the
-        // unperturbed filter is unchanged bit-for-bit). A warm replay
-        // re-decides only the throughput half (its best-so-far
-        // trajectory is per-request); the memory half and the bound
-        // itself are read from the record.
-        let speedup = opts.perturbation.max_speedup();
-        let mut survivors: Vec<Candidate> = Vec::with_capacity(chunk_end - chunk_start);
+        let incumbent = best.as_ref().map(|(_, b)| b.measurement.tflops_per_gpu);
         let phase = Instant::now();
-        match &plan {
-            Plan::Cold(cands) => {
-                for cand in &cands[chunk_start..chunk_end] {
-                    let reason =
-                        prune_reason(model, cluster, cand, overlap, kernel, best_tflops, speedup);
-                    if let Some(rec) = recorder.as_mut() {
-                        rec.push(match reason {
-                            Some(PruneReason::Memory) => Outcome::Memory,
-                            _ => Outcome::Feasible {
-                                cand: *cand,
-                                ub_tflops: lower_bound_tflops(
-                                    model, cluster, cand, overlap, kernel,
-                                ),
-                            },
-                        });
-                    }
-                    match reason {
-                        Some(PruneReason::Memory) => report.pruned_memory += 1,
-                        Some(PruneReason::Throughput) => report.pruned_throughput += 1,
-                        None => survivors.push(*cand),
-                    }
-                }
-            }
-            Plan::Warm(rec) => {
-                for outcome in &rec.outcomes[chunk_start..chunk_end] {
-                    match outcome {
-                        Outcome::Memory => report.pruned_memory += 1,
-                        Outcome::Feasible { cand, ub_tflops } => {
-                            if best_tflops.is_some_and(|t| ub_tflops * speedup < t) {
-                                report.pruned_throughput += 1;
-                            } else {
-                                survivors.push(*cand);
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        let pruned = req.prune(&mut plan, chunk, incumbent);
         report.phases.prune += phase.elapsed();
-        chunk_start = chunk_end;
-        if survivors.is_empty() {
+        report.pruned_memory += pruned.memory;
+        report.pruned_throughput += pruned.throughput;
+        if pruned.survivors.is_empty() {
             continue;
         }
-        report.simulated += survivors.len() as u64;
+        report.simulated += pruned.survivors.len() as u64;
 
-        // Parallel evaluation by topology class; results land in
-        // order-indexed slots (no locks, no reordering). Tasks are capped
-        // so each gets a few simulations — queueing a task for one
-        // candidate costs more than simulating it. This affects only
-        // scheduling, never results.
-        let threads = threads.min(survivors.len().div_ceil(4));
-        let mut slots: Vec<EvalSlot> = (0..survivors.len()).map(|_| EvalSlot::default()).collect();
-        let warm_rec: Option<&SweepRecord> = match &plan {
-            Plan::Warm(rec) => Some(rec),
-            Plan::Cold(_) => None,
-        };
         let phase = Instant::now();
-        evaluate_chunk(
-            model,
-            cluster,
-            cache,
-            &stats,
-            &survivors,
-            &mut slots,
-            overlap,
-            kernel,
+        let (slots, warm_hits) = req.evaluate(
+            &pruned.survivors,
             &opts.perturbation,
-            warm_rec,
-            &env.classes,
-            &resolved,
-            &mut class_order,
-            threads,
-            &env.executor,
-            env.metrics.as_deref(),
+            plan.warm_record(),
+            &mut table,
         );
         report.phases.evaluate += phase.elapsed();
+        report.warm_hits += warm_hits;
 
-        // Serial in-order reduction: strictly-greater replaces, so the
-        // first of equally fast candidates wins — the exhaustive serial
-        // semantics. Improvements stream to the caller from here, i.e.
-        // in deterministic candidate order.
-        for (cand, slot) in survivors.iter().zip(slots) {
-            report.warm_hits += u64::from(slot.warm_hit);
-            let Some(m) = slot.measurement else { continue };
-            if !m.fits(cluster.min_memory_bytes()) {
-                continue;
-            }
-            let better = best
-                .as_ref()
-                .map(|b| m.tflops_per_gpu > b.measurement.tflops_per_gpu)
-                .unwrap_or(true);
-            if better {
-                let result = SearchResult {
-                    method,
-                    kind: cand.kind,
-                    cfg: cand.config_on(model, cluster),
-                    overlap,
-                    measurement: m,
-                };
-                if let Some(sink) = on_improve.as_deref_mut() {
-                    sink(&result);
-                }
-                best = Some(result);
-                best_cand = Some(*cand);
-            }
-        }
-        if let Some(p) = progress {
-            p.publish(&report, best.as_ref());
+        req.reduce(&pruned.survivors, slots, &mut best, &mut hooks.on_improve);
+        if let Some(p) = hooks.progress {
+            p.publish(&report, best.as_ref().map(|(_, b)| b));
         }
     }
 
-    // A *completed* cold search becomes a warm record (a cancelled or
-    // timed-out prefix would replay as a wrong candidate set).
-    if !cancelled && !timed_out {
-        if let (Some(outcomes), Some(w), Some(key)) = (recorder, &env.warm, warm_key) {
-            let record = SweepRecord::new(outcomes, w.record_budget());
-            // The record keeps topology-class bases (in the serial
-            // first-seen order, so storage under the op budget is
-            // deterministic); a warm replay then re-times whole classes.
-            // Bases are perturbation-independent — built from the key
-            // alone — so even a perturbed cold run records them.
-            let resolved_classes = lock_resolved(&resolved);
-            for class_key in &class_order {
-                if let Some((base, _)) = resolved_classes.get(class_key) {
-                    record.store_class(*class_key, Arc::clone(base));
-                }
-            }
-            drop(resolved_classes);
-            w.insert(key, record);
-        }
+    // Only a *completed* search records and probes: a cancelled or
+    // timed-out prefix would replay as a wrong candidate set, and its
+    // caller asked for the fastest exit with best-so-far.
+    let completed = !report.cancelled && !report.timed_out;
+    if completed {
+        record(plan, &table);
     }
-
-    report.cancelled = cancelled;
-    report.timed_out = timed_out;
-    report.best = best.as_ref().map(|b| b.measurement.tflops_per_gpu);
-    // Robustness columns: re-simulate the winner under the standardized
-    // reference straggler probe and report how much throughput survives.
-    // Skipped when cancelled or timed out — the caller asked for the
-    // fastest exit with best-so-far.
-    if let (Some(b), false) = (&best, cancelled || timed_out) {
+    report.best = best.as_ref().map(|(_, b)| b.measurement.tflops_per_gpu);
+    if let (Some((cand, b)), true) = (&best, completed) {
         let phase = Instant::now();
-        // The probe is a duration-only delta on the winner, so it is
-        // answered from the winner's resolved class base — the same
-        // bit-identical substitution as evaluation, no lowering and no
-        // CSR rebuild.
-        let probe = Perturbation::reference_probe();
-        let probed = best_cand.as_ref().and_then(|cand| {
-            let d = Durations::new(model, cluster, &b.cfg, kernel, overlap);
-            let class_key = ClassKey::of(cand, overlap, &d);
-            let base = lock_resolved(&resolved)
-                .get(&class_key)
-                .map(|(base, _)| Arc::clone(base))?;
-            let mut row = vec![SimDuration::ZERO; base.num_ops()];
-            let mut factors = Vec::new();
-            base.fill_row(&d, &probe, &mut factors, &mut row);
-            let mut solve_stats = crate::batch::empty_stats();
-            let mut replay = base.lock_replay();
-            Some(base.measure_row(&mut replay, &mut solve_stats, model, cluster, &b.cfg, &row))
-        });
-        if let Some(m) = probed {
+        if let Some(m) = req.probe(cand, &mut table) {
             report.robust_tflops = Some(m.tflops_per_gpu);
             report.retention = Some(m.tflops_per_gpu / b.measurement.tflops_per_gpu);
         }
@@ -881,274 +650,464 @@ pub fn search_observed(
     // correctly. The schedule cache is consulted once per class build,
     // so a request whose classes all resolve from the class cache or a
     // warm record shows no traffic at all.
-    report.cache_hits = stats.hits();
-    report.cache_misses = stats.misses();
+    report.cache_hits = req.stats.hits();
+    report.cache_misses = req.stats.misses();
     report.wall_time = start.elapsed();
+    req.book(&report);
 
-    // Request-end telemetry: one registry touch per request, after the
-    // hot loops. Candidate-flow counters and the per-request candidate
-    // histograms are deterministic (thread-count-invariant, like the
-    // report fields they mirror); the `*_ns` phase-span histograms and
-    // the cache hit/miss counters are wall-clock/racy diagnostics and
-    // are excluded from the bit-stability guarantee.
-    if let Some(metrics) = env.metrics.as_deref() {
-        metrics.counter_incr("search_requests_total");
-        metrics.counter_add("search_candidates_enumerated_total", report.enumerated);
-        metrics.counter_add(
-            "search_candidates_pruned_memory_total",
-            report.pruned_memory,
-        );
-        metrics.counter_add(
-            "search_candidates_pruned_throughput_total",
-            report.pruned_throughput,
-        );
-        metrics.counter_add("search_candidates_simulated_total", report.simulated);
-        if report.warm_start {
-            metrics.counter_incr("search_warm_starts_total");
-        }
-        metrics.counter_add("search_warm_hits_total", report.warm_hits);
-        metrics.counter_add("search_cache_hits_total", report.cache_hits);
-        metrics.counter_add("search_cache_misses_total", report.cache_misses);
-        metrics.observe("search_enumerated_per_request", report.enumerated);
-        metrics.observe("search_simulated_per_request", report.simulated);
-        for (phase, span) in report.phases.named() {
-            if span > Duration::ZERO {
-                metrics.observe(
-                    &format!("search_phase_{phase}_ns"),
-                    span.as_nanos().min(u128::from(u64::MAX)) as u64,
-                );
-            }
-        }
-        metrics.observe(
-            "search_wall_ns",
-            report.wall_time.as_nanos().min(u128::from(u64::MAX)) as u64,
-        );
-    }
-    if let Some(p) = progress {
+    let best = best.map(|(_, b)| b);
+    if let Some(p) = hooks.progress {
         p.publish(&report, best.as_ref());
         p.finished.store(true, Ordering::Release);
     }
     (best, report)
 }
 
-/// One survivor: its original chunk position plus the per-candidate
-/// inputs the class evaluator needs.
-struct BatchItem {
-    cand_idx: usize,
-    cfg: ParallelConfig,
-    d: Durations,
-}
-
-fn lock_resolved<'a>(
-    resolved: &'a Mutex<HashMap<ClassKey, (Arc<ClassBase>, bool)>>,
-) -> std::sync::MutexGuard<'a, HashMap<ClassKey, (Arc<ClassBase>, bool)>> {
-    match resolved.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Chunk evaluation: a serial pre-pass validates each survivor,
-/// computes its analytic durations, and groups survivors by topology
-/// class in first-seen order; the groups are then split into at most
-/// `threads` contiguous pool tasks (work-stealing granularity = a batch
-/// of classes), each of which resolves its classes' bases and re-times
-/// members by SoA trace replay. Bit-identical to lowering and solving
-/// each candidate ([`best_config_exhaustive`]): validation failures
-/// leave empty slots, a class whose schedule cannot generate (or whose
-/// topology deadlocks) fails exactly the candidates lowering would
-/// fail, and row fill + replay reproduce lower + solve to the bit.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_chunk(
-    model: &TransformerConfig,
-    cluster: &ClusterSpec,
-    cache: &ScheduleCache,
-    stats: &CacheStats,
-    survivors: &[Candidate],
-    slots: &mut [EvalSlot],
-    overlap: OverlapConfig,
-    kernel: &KernelModel,
-    perturbation: &Perturbation,
-    warm_rec: Option<&SweepRecord>,
-    classes: &ClassCache,
-    resolved: &Mutex<HashMap<ClassKey, (Arc<ClassBase>, bool)>>,
-    class_order: &mut Vec<ClassKey>,
-    threads: usize,
-    executor: &Executor,
-    metrics: Option<&MetricsRegistry>,
-) {
-    // Serial pre-pass: deterministic grouping in first-seen key order.
-    let mut groups: Vec<(ClassKey, Vec<BatchItem>)> = Vec::new();
-    let mut group_index: HashMap<ClassKey, usize> = HashMap::new();
-    for (cand_idx, cand) in survivors.iter().enumerate() {
-        let cfg = cand.config_on(model, cluster);
-        if cfg.validate(model, cluster).is_err() {
-            // Slot stays empty — lowering fails the same candidate.
-            continue;
-        }
-        let d = Durations::new(model, cluster, &cfg, kernel, overlap);
-        let key = ClassKey::of(cand, overlap, &d);
-        let gi = match group_index.get(&key) {
-            Some(&gi) => gi,
-            None => {
-                group_index.insert(key, groups.len());
-                if !class_order.contains(&key) {
-                    class_order.push(key);
-                }
-                groups.push((key, Vec::new()));
-                groups.len() - 1
-            }
-        };
-        groups[gi].1.push(BatchItem { cand_idx, cfg, d });
-    }
-    if groups.is_empty() {
-        return;
-    }
-
-    // Evaluate into group-contiguous slots, then scatter back to chunk
-    // order (groups partition the survivor indices, so the scatter is a
-    // move per member). Each class is resolved by exactly one task —
-    // groups never split across tasks.
-    let total: usize = groups.iter().map(|(_, members)| members.len()).sum();
-    let mut out: Vec<EvalSlot> = (0..total).map(|_| EvalSlot::default()).collect();
-    let task_count = threads.clamp(1, groups.len());
-    let per = groups.len().div_ceil(task_count);
-    let ctx = GroupCtx {
-        model,
-        cluster,
-        cache,
-        stats,
-        perturbation,
-        warm_rec,
-        classes,
-        resolved,
-        metrics,
-    };
-    if task_count <= 1 {
-        eval_groups(&ctx, &groups, &mut out);
-    } else {
-        let ctx = &ctx;
-        let mut tasks: Vec<ScopedTask<'_>> = Vec::with_capacity(task_count);
-        let mut rest: &mut [EvalSlot] = &mut out;
-        for gchunk in groups.chunks(per) {
-            let n: usize = gchunk.iter().map(|(_, members)| members.len()).sum();
-            let (mine, tail) = rest.split_at_mut(n);
-            rest = tail;
-            let task: ScopedTask<'_> = Box::new(move || eval_groups(ctx, gchunk, mine));
-            tasks.push(task);
-        }
-        executor.scope_run(tasks);
-    }
-
-    let mut pos = 0;
-    for (_, members) in &groups {
-        for item in members {
-            slots[item.cand_idx] = std::mem::take(&mut out[pos]);
-            pos += 1;
-        }
-    }
-}
-
-/// What every pool task of one chunk shares.
-struct GroupCtx<'a> {
+/// One request's fixed inputs and per-request state, shared by every
+/// stage of [`search`] and, read-only, by its pool tasks.
+struct Request<'a> {
     model: &'a TransformerConfig,
     cluster: &'a ClusterSpec,
-    cache: &'a ScheduleCache,
-    stats: &'a CacheStats,
-    perturbation: &'a Perturbation,
-    warm_rec: Option<&'a SweepRecord>,
-    classes: &'a ClassCache,
-    resolved: &'a Mutex<HashMap<ClassKey, (Arc<ClassBase>, bool)>>,
-    metrics: Option<&'a MetricsRegistry>,
+    method: Method,
+    kernel: &'a KernelModel,
+    opts: &'a SearchOptions,
+    env: &'a SearchEnv,
+    overlap: OverlapConfig,
+    threads: usize,
+    /// This request's traffic on the schedule cache.
+    stats: CacheStats,
 }
 
-/// Evaluates a contiguous run of class groups into their group-ordered
-/// slots — the body of one pool task.
-fn eval_groups(ctx: &GroupCtx<'_>, groups: &[(ClassKey, Vec<BatchItem>)], out: &mut [EvalSlot]) {
-    let mut factors: Vec<f64> = Vec::new();
-    let mut solve_stats = crate::batch::empty_stats();
-    let mut pos = 0;
-    for (key, members) in groups {
-        let slots = &mut out[pos..pos + members.len()];
-        pos += members.len();
+/// How one request traverses the candidate space.
+enum Plan<'a> {
+    /// A fresh enumeration. The prune stage classifies each chunk into
+    /// `outcomes` as it goes; with a warm store, `publish` names the
+    /// store and request key the completed search records them under.
+    Cold {
+        cands: Vec<Candidate>,
+        outcomes: Vec<Outcome>,
+        publish: Option<(&'a WarmCache, String)>,
+    },
+    /// A replay of a prior cold search's outcomes.
+    Warm(Arc<SweepRecord>),
+}
 
-        // Resolve the class base: request-local map (stable provenance)
-        // → warm record → shared class cache → build from the key and
-        // its schedule. A failed resolution fails the whole class, as
-        // lowering would fail each member: schedule generation and
-        // deadlock depend only on class-level inputs.
-        let hit = lock_resolved(ctx.resolved).get(key).cloned();
-        let (base, from_record) = match hit {
-            Some(found) => found,
-            None => {
-                let (built, from_record) =
-                    if let Some(b) = ctx.warm_rec.and_then(|rec| rec.class_base(key)) {
-                        (Some(b), true)
-                    } else if let Some(b) = ctx.classes.lookup(key) {
-                        (Some(b), false)
-                    } else {
-                        let built = build_class(ctx, key);
-                        if let Some(b) = &built {
-                            ctx.classes.insert(*key, Arc::clone(b));
-                            if let Some(rec) = ctx.warm_rec {
-                                // A rebuilt evicted base is re-offered to
-                                // the record for the next replay.
-                                rec.store_class(*key, Arc::clone(b));
-                            }
-                        }
-                        (built, false)
-                    };
-                let Some(b) = built else { continue };
-                lock_resolved(ctx.resolved).insert(*key, (Arc::clone(&b), from_record));
-                (b, from_record)
+impl Plan<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Plan::Cold { cands, .. } => cands.len(),
+            Plan::Warm(rec) => rec.outcomes.len(),
+        }
+    }
+
+    fn warm_record(&self) -> Option<&SweepRecord> {
+        match self {
+            Plan::Cold { .. } => None,
+            Plan::Warm(rec) => Some(rec),
+        }
+    }
+}
+
+/// What the prune stage kept of one chunk, and how many it dropped by
+/// each bound.
+#[derive(Debug, Default, PartialEq)]
+struct Pruned {
+    survivors: Vec<Candidate>,
+    memory: u64,
+    throughput: u64,
+}
+
+/// The one analytic pre-filter, over a chunk of either plan's outcomes
+/// — [`crate::prune::prune_reason`]'s decision, read off classified
+/// outcomes. Ties with the incumbent survive: equally fast candidates
+/// lose to the earlier incumbent in the reduction, so pruning them
+/// would be sound too — but only strictly dominated candidates are
+/// *counted* as pruned. Under a jittery perturbation an op can run up
+/// to `speedup` (`max_speedup()`) times faster than its analytic
+/// duration, so the throughput bound is widened by that factor to stay
+/// sound (exactly 1.0 for identity).
+fn filter(outcomes: &[Outcome], incumbent: Option<f64>, speedup: f64) -> Pruned {
+    let mut pruned = Pruned {
+        survivors: Vec::with_capacity(outcomes.len()),
+        ..Pruned::default()
+    };
+    for outcome in outcomes {
+        match outcome {
+            Outcome::Memory => pruned.memory += 1,
+            Outcome::Feasible { ub_tflops, .. }
+                if incumbent.is_some_and(|t| ub_tflops * speedup < t) =>
+            {
+                pruned.throughput += 1
+            }
+            Outcome::Feasible { cand, .. } => pruned.survivors.push(*cand),
+        }
+    }
+    pruned
+}
+
+/// A class's resolved base, and whether it came from the warm record
+/// (the provenance `warm_hits` counts).
+type Resolved = (Arc<ClassBase>, bool);
+
+/// Every class this request has grouped survivors into, in serial
+/// first-seen order (a warm record's storage order), with its base once
+/// resolved — at most once per request, so `warm_hits` is
+/// thread-count-invariant. Only serial code touches it: no lock.
+#[derive(Default)]
+struct ClassTable {
+    index: HashMap<ClassKey, usize>,
+    entries: Vec<(ClassKey, Option<Resolved>)>,
+}
+
+impl ClassTable {
+    /// The entry of `key`, appended unresolved on first sight.
+    fn slot(&mut self, key: ClassKey) -> usize {
+        *self.index.entry(key).or_insert_with(|| {
+            self.entries.push((key, None));
+            self.entries.len() - 1
+        })
+    }
+}
+
+/// One class's survivors within a chunk, with its table entry and its
+/// base (from the table, or resolved in place by its pool task).
+struct Group {
+    class: usize,
+    key: ClassKey,
+    resolved: Option<Resolved>,
+    members: Vec<Member>,
+}
+
+/// One survivor: its index, its row-fill inputs, and the measurement its
+/// pool task writes.
+struct Member {
+    idx: usize,
+    cfg: ParallelConfig,
+    d: Durations,
+    measurement: Option<Measurement>,
+}
+
+impl<'a> Request<'a> {
+    /// Plan stage: replay this request's warm record if the store holds
+    /// one, else enumerate afresh (to be recorded if the env has a
+    /// store).
+    fn plan(&self, global_batch: u64) -> Plan<'a> {
+        let (model, cluster, method, opts) = (self.model, self.cluster, self.method, self.opts);
+        let mut publish = None;
+        if let Some(warm) = self.env.warm.as_deref() {
+            let key = warm::request_key(model, cluster, method, global_batch, self.kernel, opts);
+            if let Some(rec) = warm.lookup(&key) {
+                return Plan::Warm(rec);
+            }
+            publish = Some((warm, key));
+        }
+        let cands: Vec<Candidate> = enumerate(model, cluster, method, global_batch, opts).collect();
+        Plan::Cold {
+            outcomes: Vec::with_capacity(cands.len()),
+            cands,
+            publish,
+        }
+    }
+
+    /// Prune stage over the next chunk. A cold plan first classifies the
+    /// chunk into the outcomes a warm record stores — memory-pruned, or
+    /// feasible with its unwidened throughput bound — so both plans then
+    /// drop candidates through the one [`filter`].
+    fn prune(&self, plan: &mut Plan<'_>, chunk: Range<usize>, incumbent: Option<f64>) -> Pruned {
+        let (model, cluster, overlap, kernel) =
+            (self.model, self.cluster, self.overlap, self.kernel);
+        let outcomes: &[Outcome] = match plan {
+            Plan::Warm(rec) => &rec.outcomes,
+            Plan::Cold {
+                cands, outcomes, ..
+            } => {
+                debug_assert_eq!(outcomes.len(), chunk.start, "chunks are pruned in order");
+                outcomes.extend(cands[chunk.clone()].iter().map(|&cand| {
+                    if exceeds_device_memory(model, cluster, &cand) {
+                        return Outcome::Memory;
+                    }
+                    let ub_tflops = lower_bound_tflops(model, cluster, &cand, overlap, kernel);
+                    Outcome::Feasible { cand, ub_tflops }
+                }));
+                outcomes
             }
         };
+        let speedup = self.opts.perturbation.max_speedup();
+        filter(&outcomes[chunk], incumbent, speedup)
+    }
 
-        // One SoA duration batch per class: a contiguous row per member,
-        // re-timed against the single prebuilt workspace.
-        let mut batch = DurationMatrix::new(base.num_ops());
-        for item in members {
-            base.fill_row(&item.d, ctx.perturbation, &mut factors, batch.push_row());
+    /// Evaluate stage: one measurement slot per survivor (empty where
+    /// lowering would fail), plus how many came from warm-record bases.
+    /// A serial pre-pass validates survivors and groups them by topology
+    /// class in first-seen order; at most `threads` pool tasks, each a
+    /// contiguous run of groups, resolve their bases and re-time members
+    /// by SoA trace replay; a serial scatter books the bases and restores
+    /// survivor order. Bit-identical to lowering and solving each
+    /// candidate ([`best_config_exhaustive`]).
+    fn evaluate(
+        &self,
+        survivors: &[Candidate],
+        perturbation: &Perturbation,
+        record: Option<&SweepRecord>,
+        table: &mut ClassTable,
+    ) -> (Vec<Option<Measurement>>, u64) {
+        let mut groups: Vec<Group> = Vec::new();
+        for (idx, cand) in survivors.iter().enumerate() {
+            let cfg = cand.config_on(self.model, self.cluster);
+            if cfg.validate(self.model, self.cluster).is_err() {
+                // Slot stays empty — lowering fails the same candidate.
+                continue;
+            }
+            let d = Durations::new(self.model, self.cluster, &cfg, self.kernel, self.overlap);
+            let key = ClassKey::of(cand, self.overlap, &d);
+            let class = table.slot(key);
+            let member = Member {
+                idx,
+                cfg,
+                d,
+                measurement: None,
+            };
+            match groups.iter_mut().find(|g| g.class == class) {
+                Some(g) => g.members.push(member),
+                None => groups.push(Group {
+                    class,
+                    key,
+                    resolved: table.entries[class].1.clone(),
+                    members: vec![member],
+                }),
+            }
         }
-        let mut replay = base.lock_replay();
-        for (row, (item, slot)) in members.iter().zip(slots.iter_mut()).enumerate() {
-            slot.measurement = Some(base.measure_row(
-                &mut replay,
-                &mut solve_stats,
-                ctx.model,
-                ctx.cluster,
-                &item.cfg,
-                batch.row(row),
-            ));
-            slot.warm_hit = from_record;
+
+        // Each class is resolved by exactly one task — groups never
+        // split across tasks. Tasks are capped so each gets a few
+        // simulations — queueing a task for one candidate costs more
+        // than simulating it. This affects only scheduling, never
+        // results.
+        let tasks = self
+            .threads
+            .min(survivors.len().div_ceil(4))
+            .min(groups.len());
+        if tasks <= 1 {
+            self.eval_groups(&mut groups, perturbation, record);
+        } else {
+            let per = groups.len().div_ceil(tasks);
+            self.env.executor.scope_run(
+                groups
+                    .chunks_mut(per)
+                    .map(|run| {
+                        Box::new(move || self.eval_groups(run, perturbation, record))
+                            as ScopedTask<'_>
+                    })
+                    .collect(),
+            );
         }
+
+        let mut slots: Vec<Option<Measurement>> = vec![None; survivors.len()];
+        let mut warm_hits = 0;
+        for group in groups {
+            if let Some((_, true)) = group.resolved {
+                warm_hits += group.members.len() as u64;
+            }
+            table.entries[group.class].1 = group.resolved;
+            for member in group.members {
+                slots[member.idx] = member.measurement;
+            }
+        }
+        (slots, warm_hits)
+    }
+
+    /// Evaluates a contiguous run of class groups in place — the body of
+    /// one pool task.
+    fn eval_groups(
+        &self,
+        groups: &mut [Group],
+        perturbation: &Perturbation,
+        record: Option<&SweepRecord>,
+    ) {
+        let mut factors: Vec<f64> = Vec::new();
+        let mut solve_stats = crate::batch::empty_stats();
+        for group in groups {
+            if group.resolved.is_none() {
+                group.resolved = self.resolve(&group.key, record);
+            }
+            // A failed resolution fails the whole class, as lowering
+            // would fail each member: schedule generation and deadlock
+            // depend only on class-level inputs.
+            let Some((base, _)) = &group.resolved else {
+                continue;
+            };
+            // One SoA duration batch per class: a contiguous row per
+            // member, re-timed against the single prebuilt workspace.
+            let mut batch = DurationMatrix::new(base.num_ops());
+            for member in &group.members {
+                base.fill_row(&member.d, perturbation, &mut factors, batch.push_row());
+            }
+            let mut replay = base.lock_replay();
+            for (row, member) in group.members.iter_mut().enumerate() {
+                member.measurement = Some(base.measure_row(
+                    &mut replay,
+                    &mut solve_stats,
+                    self.model,
+                    self.cluster,
+                    &member.cfg,
+                    batch.row(row),
+                ));
+            }
+        }
+    }
+
+    /// Resolves a class this request has not resolved yet: warm record
+    /// → shared class cache → build from the key and its schedule. A
+    /// build is counted (`search_class_builds_total`) and timed
+    /// (`search_class_build_ns`, schedule lookup excluded) on this pool
+    /// thread — one clock pair per class, none per op.
+    fn resolve(&self, key: &ClassKey, record: Option<&SweepRecord>) -> Option<Resolved> {
+        if let Some(base) = record.and_then(|rec| rec.class_base(key)) {
+            return Some((base, true));
+        }
+        if let Some(base) = self.env.classes.lookup(key) {
+            return Some((base, false));
+        }
+        let schedule = self
+            .env
+            .schedules
+            .get_or_generate_tracked(
+                key.schedule_kind(),
+                key.placement(),
+                key.num_microbatches(),
+                &self.stats,
+            )
+            .ok()?;
+        let metrics = self.env.metrics.as_deref();
+        let t0 = metrics.map(|_| Instant::now());
+        let built = ClassBase::build(key, &schedule);
+        if let (Some(metrics), Some(t0)) = (metrics, t0) {
+            metrics.counter_incr("search_class_builds_total");
+            metrics.observe_duration("search_class_build_ns", t0.elapsed());
+        }
+        let base = Arc::new(built?);
+        self.env.classes.insert(*key, Arc::clone(&base));
+        if let Some(rec) = record {
+            // A rebuilt evicted base is re-offered to the record for the
+            // next replay.
+            rec.store_class(*key, Arc::clone(&base));
+        }
+        Some((base, false))
+    }
+
+    /// Reduce stage: serial and in survivor order; strictly-greater
+    /// replaces, so the first of equally fast candidates wins — the
+    /// exhaustive serial semantics. Improvements stream to `on_improve`
+    /// from here, i.e. in deterministic candidate order.
+    fn reduce(
+        &self,
+        survivors: &[Candidate],
+        slots: Vec<Option<Measurement>>,
+        best: &mut Option<(Candidate, SearchResult)>,
+        on_improve: &mut Option<&mut (dyn FnMut(&SearchResult) + Send)>,
+    ) {
+        let capacity = self.cluster.min_memory_bytes();
+        for (cand, m) in survivors.iter().zip(slots) {
+            let Some(m) = m.filter(|m| m.fits(capacity)) else {
+                continue;
+            };
+            let better = best
+                .as_ref()
+                .map(|(_, b)| m.tflops_per_gpu > b.measurement.tflops_per_gpu)
+                .unwrap_or(true);
+            if better {
+                let result = SearchResult {
+                    method: self.method,
+                    kind: cand.kind,
+                    cfg: cand.config_on(self.model, self.cluster),
+                    overlap: self.overlap,
+                    measurement: m,
+                };
+                if let Some(sink) = on_improve.as_deref_mut() {
+                    sink(&result);
+                }
+                *best = Some((*cand, result));
+            }
+        }
+    }
+
+    /// Probe stage: the winner re-simulated under the standardized
+    /// reference straggler. It is a duration-only delta, so it runs
+    /// through the evaluate stage on the winner's already-resolved class
+    /// — no lowering and no class build.
+    fn probe(&self, winner: &Candidate, table: &mut ClassTable) -> Option<Measurement> {
+        let probe = Perturbation::reference_probe();
+        let (mut slots, _) = self.evaluate(std::slice::from_ref(winner), &probe, None, table);
+        slots.pop().flatten()
+    }
+
+    /// Book stage: one registry touch per request, after the hot loops.
+    /// Candidate-flow counters and the per-request candidate histograms
+    /// are deterministic (thread-count-invariant, like the report fields
+    /// they mirror); the `*_ns` phase-span histograms and the cache
+    /// hit/miss counters are wall-clock/racy diagnostics and are
+    /// excluded from the bit-stability guarantee.
+    fn book(&self, report: &SearchReport) {
+        let Some(metrics) = self.env.metrics.as_deref() else {
+            return;
+        };
+        metrics.counter_incr("search_requests_total");
+        if report.warm_start {
+            metrics.counter_incr("search_warm_starts_total");
+        }
+        for (name, n) in [
+            ("search_candidates_enumerated_total", report.enumerated),
+            (
+                "search_candidates_pruned_memory_total",
+                report.pruned_memory,
+            ),
+            (
+                "search_candidates_pruned_throughput_total",
+                report.pruned_throughput,
+            ),
+            ("search_candidates_simulated_total", report.simulated),
+            ("search_warm_hits_total", report.warm_hits),
+            ("search_cache_hits_total", report.cache_hits),
+            ("search_cache_misses_total", report.cache_misses),
+        ] {
+            metrics.counter_add(name, n);
+        }
+        metrics.observe("search_enumerated_per_request", report.enumerated);
+        metrics.observe("search_simulated_per_request", report.simulated);
+        for (phase, span) in report.phases.named() {
+            if span > Duration::ZERO {
+                metrics.observe_duration(&format!("search_phase_{phase}_ns"), span);
+            }
+        }
+        metrics.observe_duration("search_wall_ns", report.wall_time);
     }
 }
 
-/// Builds the base of a class-cache miss from its key and schedule,
-/// counting the build (`search_class_builds_total`) and timing it
-/// (`search_class_build_ns`, schedule lookup excluded) on this pool
-/// thread — one clock pair per class, none per op.
-fn build_class(ctx: &GroupCtx<'_>, key: &ClassKey) -> Option<Arc<ClassBase>> {
-    let schedule = ctx
-        .cache
-        .get_or_generate_tracked(
-            key.schedule_kind(),
-            key.placement(),
-            key.num_microbatches(),
-            ctx.stats,
-        )
-        .ok()?;
-    let t0 = ctx.metrics.map(|_| Instant::now());
-    let built = ClassBase::build(key, &schedule);
-    if let (Some(metrics), Some(t0)) = (ctx.metrics, t0) {
-        metrics.counter_incr("search_class_builds_total");
-        metrics.observe_duration("search_class_build_ns", t0.elapsed());
+/// Record stage: a completed cold search through a warm-capable env
+/// publishes its classified outcomes as they are, plus the class bases
+/// it resolved in first-seen order (so storage under the op budget is
+/// deterministic). Bases are perturbation-independent — built from the
+/// key alone — so even a perturbed cold run records them.
+fn record(plan: Plan<'_>, table: &ClassTable) {
+    let Plan::Cold {
+        outcomes,
+        publish: Some((warm, key)),
+        ..
+    } = plan
+    else {
+        return;
+    };
+    let record = SweepRecord::new(outcomes, warm.record_budget());
+    for (class, resolved) in &table.entries {
+        if let Some((base, _)) = resolved {
+            record.store_class(*class, Arc::clone(base));
+        }
     }
-    built.map(Arc::new)
+    warm.insert(key, record);
 }
 
-/// The layered engine's winner, without the report.
+/// The layered engine's winner, without the report: [`search`] over a
+/// [`SearchEnv::private`] environment with no hooks.
 pub fn best_config(
     model: &TransformerConfig,
     cluster: &ClusterSpec,
@@ -1157,7 +1116,18 @@ pub fn best_config(
     kernel: &KernelModel,
     opts: &SearchOptions,
 ) -> Option<SearchResult> {
-    best_config_with_report(model, cluster, method, global_batch, kernel, opts).0
+    let env = SearchEnv::private();
+    search(
+        model,
+        cluster,
+        method,
+        global_batch,
+        kernel,
+        opts,
+        &env,
+        SearchHooks::default(),
+    )
+    .0
 }
 
 /// The exhaustive serial reference: simulates *every* enumerated
@@ -1206,25 +1176,11 @@ pub fn best_config_exhaustive(
     best
 }
 
-/// Runs [`best_config`] over a set of batch sizes — one Figure 5 line.
-pub fn sweep(
-    model: &TransformerConfig,
-    cluster: &ClusterSpec,
-    method: Method,
-    batches: &[u64],
-    kernel: &KernelModel,
-    opts: &SearchOptions,
-) -> Vec<(u64, Option<SearchResult>)> {
-    batches
-        .iter()
-        .map(|&b| (b, best_config(model, cluster, method, b, kernel, opts)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::measure::simulate;
+    use crate::prune::{prune_reason, PruneReason};
     use bfpp_cluster::presets;
     use bfpp_model::presets as models;
 
@@ -1304,21 +1260,215 @@ mod tests {
     }
 
     #[test]
-    fn sweep_covers_all_batches() {
+    fn larger_batch_is_feasible_and_not_slower() {
         let model = models::bert_6_6b();
         let cluster = presets::dgx1_v100(8);
         let k = KernelModel::v100();
         let opts = quick_opts();
-        let rows = sweep(&model, &cluster, Method::BreadthFirst, &[16, 64], &k, &opts);
-        assert_eq!(rows.len(), 2);
-        assert!(rows.iter().all(|(_, r)| r.is_some()));
+        let [t16, t64] = [16, 64].map(|batch| {
+            best_config(&model, &cluster, Method::BreadthFirst, batch, &k, &opts)
+                .unwrap_or_else(|| panic!("batch {batch} must be feasible"))
+                .measurement
+                .tflops_per_gpu
+        });
         // Larger batch should not be slower for the same method.
-        let t16 = rows[0].1.as_ref().unwrap().measurement.tflops_per_gpu;
-        let t64 = rows[1].1.as_ref().unwrap().measurement.tflops_per_gpu;
         assert!(
             t64 >= t16 * 0.95,
             "bf 16 -> 64 should not regress: {t16} {t64}"
         );
+    }
+
+    /// What `prune_reason`, run candidate by candidate, decides for
+    /// `cands` against `incumbent`.
+    fn pruned_one_by_one(
+        req: &Request<'_>,
+        cands: &[Candidate],
+        incumbent: Option<f64>,
+        speedup: f64,
+    ) -> Pruned {
+        let mut expected = Pruned::default();
+        for cand in cands {
+            match prune_reason(
+                req.model,
+                req.cluster,
+                cand,
+                req.overlap,
+                req.kernel,
+                incumbent,
+                speedup,
+            ) {
+                Some(PruneReason::Memory) => expected.memory += 1,
+                Some(PruneReason::Throughput) => expected.throughput += 1,
+                None => expected.survivors.push(*cand),
+            }
+        }
+        expected
+    }
+
+    #[test]
+    fn prune_stage_decides_cold_and_warm_plans_like_prune_reason() {
+        let model = models::bert_52b();
+        let cluster = presets::dgx1_v100(8);
+        let k = KernelModel::v100();
+        let env = SearchEnv::private();
+        let method = Method::BreadthFirst;
+        for perturbation in [
+            Perturbation::none(),
+            Perturbation::with_seed(3).with_jitter(0.5),
+        ] {
+            let opts = SearchOptions {
+                perturbation,
+                ..quick_opts()
+            };
+            let speedup = opts.perturbation.max_speedup();
+            let req = Request {
+                model: &model,
+                cluster: &cluster,
+                method,
+                kernel: &k,
+                opts: &opts,
+                env: &env,
+                overlap: method.overlap(),
+                threads: 1,
+                stats: CacheStats::new(),
+            };
+            let cands: Vec<Candidate> = enumerate(&model, &cluster, method, 48, &opts).collect();
+            let chunks: Vec<Range<usize>> = (0..cands.len())
+                .step_by(EVAL_CHUNK)
+                .map(|s| s..(s + EVAL_CHUNK).min(cands.len()))
+                .collect();
+            assert!(chunks.len() > 1, "needs several chunks");
+
+            // Incumbents: none, then the median and the highest widened
+            // bound (the highest bound itself ties and survives).
+            let mut bounds: Vec<f64> = cands
+                .iter()
+                .filter(|c| !exceeds_device_memory(&model, &cluster, c))
+                .map(|c| lower_bound_tflops(&model, &cluster, c, req.overlap, &k) * speedup)
+                .collect();
+            bounds.sort_by(f64::total_cmp);
+            let incumbents = [None, Some(bounds[bounds.len() / 2]), bounds.last().copied()];
+
+            let mut totals = Pruned::default();
+            let mut classified = Vec::new();
+            for incumbent in incumbents {
+                let mut plan = req.plan(48);
+                for chunk in &chunks {
+                    let expected =
+                        pruned_one_by_one(&req, &cands[chunk.clone()], incumbent, speedup);
+                    let pruned = req.prune(&mut plan, chunk.clone(), incumbent);
+                    assert_eq!(pruned, expected, "cold chunk {chunk:?} at {incumbent:?}");
+                    totals.memory += pruned.memory;
+                    totals.throughput += pruned.throughput;
+                    totals.survivors.extend(pruned.survivors);
+                }
+                let Plan::Cold { outcomes, .. } = plan else {
+                    panic!("a private env plans cold");
+                };
+                classified = outcomes;
+            }
+            assert!(
+                totals.memory > 0 && totals.throughput > 0 && !totals.survivors.is_empty(),
+                "speedup {speedup}: every branch of the filter must be exercised"
+            );
+
+            // A warm plan over the classified outcomes decides every
+            // incumbent the same way.
+            let mut warm = Plan::Warm(Arc::new(SweepRecord::new(classified, 0)));
+            for incumbent in incumbents {
+                for chunk in &chunks {
+                    let expected =
+                        pruned_one_by_one(&req, &cands[chunk.clone()], incumbent, speedup);
+                    let pruned = req.prune(&mut warm, chunk.clone(), incumbent);
+                    assert_eq!(pruned, expected, "warm chunk {chunk:?} at {incumbent:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn record_stage_keeps_first_seen_classes_under_its_op_budget() {
+        let model = models::bert_6_6b();
+        let cluster = presets::dgx1_v100(8);
+        let k = KernelModel::v100();
+        let method = Method::BreadthFirst;
+        // One cold search and its identity warm replay through a fresh
+        // service env with a private class cache, under a record budget
+        // of `budget` ops: (classes the record held after the cold
+        // search, the replay's warm hits, the replay's simulations).
+        let run = |budget: u64, threads: usize| {
+            let opts = SearchOptions {
+                threads,
+                ..quick_opts()
+            };
+            let env = SearchEnv {
+                classes: Arc::new(ClassCache::new()),
+                warm: Some(Arc::new(WarmCache::with_limits(8, budget))),
+                ..SearchEnv::service()
+            };
+            let (cold, _) = search(
+                &model,
+                &cluster,
+                method,
+                16,
+                &k,
+                &opts,
+                &env,
+                SearchHooks::default(),
+            );
+            let key = warm::request_key(&model, &cluster, method, 16, &k, &opts);
+            let held = env
+                .warm
+                .as_deref()
+                .unwrap()
+                .lookup(&key)
+                .map(|rec| rec.classes_held());
+            let (replay, rep) = search(
+                &model,
+                &cluster,
+                method,
+                16,
+                &k,
+                &opts,
+                &env,
+                SearchHooks::default(),
+            );
+            assert!(
+                rep.warm_start,
+                "budget {budget}: an exhausted record still warm-starts"
+            );
+            assert!(cold.is_some());
+            assert_eq!(
+                replay, cold,
+                "budget {budget}, threads {threads}: replay == cold"
+            );
+            (
+                held.expect("a completed cold search is recorded"),
+                rep.warm_hits,
+                rep.simulated,
+            )
+        };
+        let (unlimited, _, _) = run(u64::MAX, 1);
+        for budget in [5_000, 0] {
+            let first = run(budget, 1);
+            for threads in [2, 4] {
+                assert_eq!(
+                    run(budget, threads),
+                    first,
+                    "budget {budget}, threads {threads}"
+                );
+            }
+            let (held, hits, simulated) = first;
+            if budget == 0 {
+                assert_eq!((held, hits), (0, 0));
+            } else {
+                assert!(0 < held && held < unlimited, "held {held} of {unlimited}");
+                assert!(
+                    0 < hits && hits < simulated,
+                    "{hits} warm hits of {simulated}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1329,8 +1479,16 @@ mod tests {
         let opts = quick_opts();
         // Batch 7 with no-pipeline: no n_dp drawn from the 64-GPU grid
         // divides 7, so nothing is even enumerable.
-        let (r, report) =
-            best_config_with_report(&model, &cluster, Method::NoPipeline, 7, &k, &opts);
+        let (r, report) = search(
+            &model,
+            &cluster,
+            Method::NoPipeline,
+            7,
+            &k,
+            &opts,
+            &SearchEnv::private(),
+            SearchHooks::default(),
+        );
         assert!(r.is_none());
         assert_eq!(report.enumerated, 0);
         assert_eq!(report.best, None);
@@ -1351,8 +1509,16 @@ mod tests {
                 threads,
                 ..quick_opts()
             };
-            let (r, report) =
-                best_config_with_report(&model, &cluster, Method::BreadthFirst, 16, &k, &opts);
+            let (r, report) = search(
+                &model,
+                &cluster,
+                Method::BreadthFirst,
+                16,
+                &k,
+                &opts,
+                &SearchEnv::private(),
+                SearchHooks::default(),
+            );
             assert_eq!(
                 r, reference,
                 "threads={threads} must match the serial reference"
@@ -1421,13 +1587,15 @@ mod tests {
         let model = models::bert_52b();
         let cluster = presets::dgx1_v100(8);
         let k = KernelModel::v100();
-        let (r, report) = best_config_with_report(
+        let (r, report) = search(
             &model,
             &cluster,
             Method::BreadthFirst,
             48,
             &k,
             &quick_opts(),
+            &SearchEnv::private(),
+            SearchHooks::default(),
         );
         assert!(r.is_some());
         assert!(
@@ -1495,7 +1663,7 @@ mod tests {
             classes: Arc::clone(&classes),
             ..SearchEnv::private()
         };
-        let (r, report) = search_streaming(
+        let (r, report) = search(
             &model,
             &cluster,
             Method::BreadthFirst,
@@ -1503,8 +1671,7 @@ mod tests {
             &k,
             &quick_opts(),
             &env,
-            None,
-            None,
+            SearchHooks::default(),
         );
         assert!(r.is_some());
         assert!(classes.misses() > 0, "a cold class cache misses");
@@ -1535,13 +1702,15 @@ mod tests {
         let model = models::bert_6_6b();
         let cluster = presets::dgx1_v100(8);
         let k = KernelModel::v100();
-        let (r, report) = best_config_with_report(
+        let (r, report) = search(
             &model,
             &cluster,
             Method::BreadthFirst,
             16,
             &k,
             &quick_opts(),
+            &SearchEnv::private(),
+            SearchHooks::default(),
         );
         assert!(r.is_some());
         let robust = report.robust_tflops.expect("winner must be probed");
@@ -1573,8 +1742,16 @@ mod tests {
                 threads,
                 ..perturbed.clone()
             };
-            let (r, report) =
-                best_config_with_report(&model, &cluster, Method::BreadthFirst, 16, &k, &opts);
+            let (r, report) = search(
+                &model,
+                &cluster,
+                Method::BreadthFirst,
+                16,
+                &k,
+                &opts,
+                &SearchEnv::private(),
+                SearchHooks::default(),
+            );
             assert_eq!(
                 r, reference,
                 "threads={threads}: perturbed winner must match the serial reference"
@@ -1612,7 +1789,7 @@ mod tests {
         let opts = quick_opts();
 
         // Cold request populates the warm store.
-        let (cold_r, cold_rep) = search_streaming(
+        let (cold_r, cold_rep) = search(
             &model,
             &cluster,
             Method::BreadthFirst,
@@ -1620,8 +1797,7 @@ mod tests {
             &k,
             &opts,
             &env,
-            None,
-            None,
+            SearchHooks::default(),
         );
         assert!(cold_r.is_some());
         assert_eq!(cold_rep.warm_hits, 0, "nothing to reuse on a cold run");
@@ -1635,7 +1811,7 @@ mod tests {
             perturbation: Perturbation::with_seed(7).with_straggler(3, 1.4),
             ..quick_opts()
         };
-        let (warm_r, warm_rep) = search_streaming(
+        let (warm_r, warm_rep) = search(
             &model,
             &cluster,
             Method::BreadthFirst,
@@ -1643,11 +1819,18 @@ mod tests {
             &k,
             &perturbed,
             &env,
-            None,
-            None,
+            SearchHooks::default(),
         );
-        let (ref_r, ref_rep) =
-            best_config_with_report(&model, &cluster, Method::BreadthFirst, 16, &k, &perturbed);
+        let (ref_r, ref_rep) = search(
+            &model,
+            &cluster,
+            Method::BreadthFirst,
+            16,
+            &k,
+            &perturbed,
+            &SearchEnv::private(),
+            SearchHooks::default(),
+        );
         assert_eq!(warm_r, ref_r, "warm replay must match the cold engine");
         assert_eq!(
             (
@@ -1677,7 +1860,7 @@ mod tests {
         assert_eq!(metrics.counter("search_warm_starts_total"), 1);
 
         // Identity warm replay reproduces the cold run exactly too.
-        let (again_r, again_rep) = search_streaming(
+        let (again_r, again_rep) = search(
             &model,
             &cluster,
             Method::BreadthFirst,
@@ -1685,8 +1868,7 @@ mod tests {
             &k,
             &opts,
             &env,
-            None,
-            None,
+            SearchHooks::default(),
         );
         assert_eq!(again_r, cold_r);
         assert_eq!(again_rep.simulated, cold_rep.simulated);
@@ -1705,7 +1887,7 @@ mod tests {
         let opts = quick_opts();
 
         let v100 = KernelModel::v100();
-        let (v100_r, _) = search_streaming(
+        let (v100_r, _) = search(
             &model,
             &cluster,
             Method::BreadthFirst,
@@ -1713,14 +1895,13 @@ mod tests {
             &v100,
             &opts,
             &env,
-            None,
-            None,
+            SearchHooks::default(),
         );
         assert!(v100_r.is_some());
         assert_eq!(env.warm.as_ref().unwrap().len(), 1);
 
         let a100 = KernelModel::a100();
-        let (a100_r, a100_rep) = search_streaming(
+        let (a100_r, a100_rep) = search(
             &model,
             &cluster,
             Method::BreadthFirst,
@@ -1728,14 +1909,21 @@ mod tests {
             &a100,
             &opts,
             &env,
-            None,
-            None,
+            SearchHooks::default(),
         );
         assert!(!a100_rep.warm_start, "a different kernel must not warm-hit");
         assert_eq!(a100_rep.warm_hits, 0);
         assert_eq!(env.warm.as_ref().unwrap().len(), 2, "separate records");
-        let (ref_r, _) =
-            best_config_with_report(&model, &cluster, Method::BreadthFirst, 16, &a100, &opts);
+        let (ref_r, _) = search(
+            &model,
+            &cluster,
+            Method::BreadthFirst,
+            16,
+            &a100,
+            &opts,
+            &SearchEnv::private(),
+            SearchHooks::default(),
+        );
         assert_eq!(a100_r, ref_r, "must equal a fresh cold a100 search");
         assert_ne!(
             v100_r.as_ref().map(|r| r.measurement.tflops_per_gpu),
@@ -1753,7 +1941,7 @@ mod tests {
         let env = SearchEnv::service();
         let opts = quick_opts();
         for m in [&model, &other_model] {
-            search_streaming(
+            search(
                 m,
                 &cluster,
                 Method::BreadthFirst,
@@ -1761,8 +1949,7 @@ mod tests {
                 &k,
                 &opts,
                 &env,
-                None,
-                None,
+                SearchHooks::default(),
             );
         }
         let warm = env.warm.as_ref().unwrap();
@@ -1781,7 +1968,7 @@ mod tests {
         let k = KernelModel::v100();
         let opts = quick_opts();
         let cancel = AtomicBool::new(true); // cancelled before the first chunk
-        let (r, report) = search_streaming(
+        let (r, report) = search(
             &model,
             &cluster,
             Method::BreadthFirst,
@@ -1789,8 +1976,10 @@ mod tests {
             &k,
             &opts,
             &SearchEnv::private(),
-            Some(&cancel),
-            None,
+            SearchHooks {
+                cancel: Some(&cancel),
+                ..SearchHooks::default()
+            },
         );
         assert!(r.is_none(), "no chunk ran");
         assert!(report.cancelled);
@@ -1800,7 +1989,7 @@ mod tests {
         // A cancelled cold run must not poison the warm store with a
         // partial record.
         let env = SearchEnv::service();
-        let (_, rep) = search_streaming(
+        let (_, rep) = search(
             &model,
             &cluster,
             Method::BreadthFirst,
@@ -1808,8 +1997,10 @@ mod tests {
             &k,
             &opts,
             &env,
-            Some(&cancel),
-            None,
+            SearchHooks {
+                cancel: Some(&cancel),
+                ..SearchHooks::default()
+            },
         );
         assert!(rep.cancelled);
         assert!(env.warm.as_ref().unwrap().is_empty());
@@ -1820,13 +2011,15 @@ mod tests {
         let model = models::bert_6_6b();
         let cluster = presets::dgx1_v100(8);
         let k = KernelModel::v100();
-        let full = best_config_with_report(
+        let full = search(
             &model,
             &cluster,
             Method::BreadthFirst,
             16,
             &k,
             &quick_opts(),
+            &SearchEnv::private(),
+            SearchHooks::default(),
         );
         assert!(full.1.enumerated > EVAL_CHUNK as u64, "needs >1 chunk");
 
@@ -1840,8 +2033,16 @@ mod tests {
                 threads,
                 ..opts.clone()
             };
-            let (r, rep) =
-                best_config_with_report(&model, &cluster, Method::BreadthFirst, 16, &k, &opts);
+            let (r, rep) = search(
+                &model,
+                &cluster,
+                Method::BreadthFirst,
+                16,
+                &k,
+                &opts,
+                &SearchEnv::private(),
+                SearchHooks::default(),
+            );
             assert!(rep.timed_out, "budget must truncate: {rep:?}");
             assert!(!rep.cancelled);
             assert_eq!(
@@ -1860,7 +2061,7 @@ mod tests {
 
         // A truncated cold run must not poison the warm store.
         let env = SearchEnv::service();
-        let (_, rep) = search_streaming(
+        let (_, rep) = search(
             &model,
             &cluster,
             Method::BreadthFirst,
@@ -1868,8 +2069,7 @@ mod tests {
             &k,
             &opts,
             &env,
-            None,
-            None,
+            SearchHooks::default(),
         );
         assert!(rep.timed_out);
         assert!(env.warm.as_ref().unwrap().is_empty());
@@ -1884,8 +2084,16 @@ mod tests {
             deadline: Some(Duration::ZERO),
             ..quick_opts()
         };
-        let (r, rep) =
-            best_config_with_report(&model, &cluster, Method::BreadthFirst, 16, &k, &opts);
+        let (r, rep) = search(
+            &model,
+            &cluster,
+            Method::BreadthFirst,
+            16,
+            &k,
+            &opts,
+            &SearchEnv::private(),
+            SearchHooks::default(),
+        );
         assert!(
             r.is_none(),
             "no chunk ran under an already-expired deadline"
@@ -1903,7 +2111,7 @@ mod tests {
         let opts = quick_opts();
         let mut seen: Vec<f64> = Vec::new();
         let mut sink = |r: &SearchResult| seen.push(r.measurement.tflops_per_gpu);
-        let (r, _) = search_streaming(
+        let (r, _) = search(
             &model,
             &cluster,
             Method::BreadthFirst,
@@ -1911,8 +2119,10 @@ mod tests {
             &k,
             &opts,
             &SearchEnv::private(),
-            None,
-            Some(&mut sink),
+            SearchHooks {
+                on_improve: Some(&mut sink),
+                ..SearchHooks::default()
+            },
         );
         let r = r.expect("feasible");
         assert!(!seen.is_empty());
@@ -1931,20 +2141,30 @@ mod tests {
         let model = models::bert_6_6b();
         let cluster = presets::dgx1_v100(8);
         let k = KernelModel::v100();
-        let (clean_r, clean_rep) = best_config_with_report(
+        let (clean_r, clean_rep) = search(
             &model,
             &cluster,
             Method::BreadthFirst,
             16,
             &k,
             &quick_opts(),
+            &SearchEnv::private(),
+            SearchHooks::default(),
         );
         let opts = SearchOptions {
             perturbation: Perturbation::with_seed(0xDEAD),
             ..quick_opts()
         };
-        let (r, rep) =
-            best_config_with_report(&model, &cluster, Method::BreadthFirst, 16, &k, &opts);
+        let (r, rep) = search(
+            &model,
+            &cluster,
+            Method::BreadthFirst,
+            16,
+            &k,
+            &opts,
+            &SearchEnv::private(),
+            SearchHooks::default(),
+        );
         assert_eq!(r, clean_r);
         assert_eq!(
             (

@@ -13,17 +13,18 @@
 //!   ([`crate::prune::lower_bound_tflops`] — base durations; the search
 //!   widens it by `max_speedup()` per request).
 //!
-//! So a completed cold search records one payload: per enumerated
-//! candidate, its `Outcome` (memory-pruned, or feasible with its
-//! throughput bound), plus the topology-class bases
-//! ([`crate::batch::ClassBase`]) its survivors resolved. A warm request
-//! replays that record — same chunking, same reduction — and only the
-//! simulations run, each as a row fill and trace replay over the
-//! recorded base of its class. Bases are built from the class key
-//! alone, so they hold under any perturbation, and row fill + replay is
-//! bit-identical to lowering and solving the member (tested in `batch`
-//! and `tests/batch_equivalence.rs`), which is what makes a warm search
-//! return *exactly* what the cold search would have.
+//! So the prune stage classifies every cold candidate into an `Outcome`
+//! (memory-pruned, or feasible with its throughput bound), and a
+//! completed cold search records those outcomes as they are, plus the
+//! topology-class bases ([`crate::batch::ClassBase`]) its survivors
+//! resolved. A warm request replays that record — same chunking, same
+//! filter, same reduction — and only the simulations run, each as a row
+//! fill and trace replay over the recorded base of its class. Bases are
+//! built from the class key alone, so they hold under any perturbation,
+//! and row fill + replay is bit-identical to lowering and solving the
+//! member (tested in `batch` and `tests/batch_equivalence.rs`), which
+//! is what makes a warm search return *exactly* what the cold search
+//! would have.
 //!
 //! The record cache is bounded two ways: entry count (FIFO eviction)
 //! and per-record stored class-base size (ops), since bases dominate
@@ -44,16 +45,16 @@ use crate::candidates::Candidate;
 use crate::kernel::KernelModel;
 use crate::search::{Method, SearchOptions};
 
-/// The perturbation-independent fate of one enumerated candidate,
-/// recorded in enumeration order (so chunk boundaries replay exactly).
+/// The perturbation-independent fate of one enumerated candidate, in
+/// enumeration order (so chunk boundaries replay exactly).
 #[derive(Debug, Clone)]
 pub(crate) enum Outcome {
     /// Memory lower bound exceeds the device: pruned under *every*
     /// perturbation, before any duration enters the picture.
     Memory,
     /// Feasible, with its throughput upper bound (Tflop/s per GPU,
-    /// unwidened). The replay re-decides throughput pruning per request:
-    /// the best-so-far trajectory depends on the perturbation.
+    /// unwidened). Cold and warm searches re-decide throughput pruning
+    /// from it per request: the best-so-far depends on the perturbation.
     Feasible { cand: Candidate, ub_tflops: f64 },
 }
 

@@ -23,7 +23,7 @@ use bfpp_cluster::ClusterSpec;
 use bfpp_core::{Schedule, ScheduleKind};
 use bfpp_exec::batch::{ClassBase, ClassKey};
 use bfpp_exec::search::{
-    best_config_exhaustive, best_config_with_report, Method, SearchOptions, SearchResult,
+    best_config_exhaustive, search, Method, SearchEnv, SearchHooks, SearchOptions, SearchResult,
 };
 use bfpp_exec::{
     lower_with_schedule, simulate_perturbed, Candidate, Durations, KernelModel, OverlapConfig,
@@ -244,13 +244,15 @@ proptest! {
             .map(|r| probe_oracle(&model, &cluster, &kernel, r));
         let mut counters = None;
         for threads in [1usize, 2, 4] {
-            let (engine, report) = best_config_with_report(
+            let (engine, report) = search(
                 &model,
                 &cluster,
                 method,
                 batch,
                 &kernel,
                 &SearchOptions { threads, ..opts.clone() },
+                &SearchEnv::private(),
+                SearchHooks::default(),
             );
             prop_assert_eq!(
                 &engine,
@@ -303,7 +305,7 @@ fn fig5a_cell_winner_measurement_is_bit_identical() {
             .expect("Fig. 5a cell has a winner");
     let probed = probe_oracle(&model, &cluster, &kernel, &reference);
     for threads in [1usize, 2, 4] {
-        let (engine, report) = best_config_with_report(
+        let (engine, report) = search(
             &model,
             &cluster,
             Method::BreadthFirst,
@@ -313,6 +315,8 @@ fn fig5a_cell_winner_measurement_is_bit_identical() {
                 threads,
                 ..opts.clone()
             },
+            &SearchEnv::private(),
+            SearchHooks::default(),
         );
         let engine = engine.expect("the engine finds the same winner");
         assert_eq!(engine.cfg, reference.cfg, "threads={threads}");

@@ -7,7 +7,9 @@
 
 use bfpp_cluster::presets::{dgx1_v100, mixed_v100_a100, mixed_v100_a100_asym};
 use bfpp_cluster::ClusterSpec;
-use bfpp_exec::search::{best_config_exhaustive, best_config_with_report, Method, SearchOptions};
+use bfpp_exec::search::{
+    best_config_exhaustive, search, Method, SearchEnv, SearchHooks, SearchOptions,
+};
 use bfpp_exec::{simulate_perturbed, KernelModel};
 use bfpp_model::presets::bert_6_6b;
 use bfpp_sim::Perturbation;
@@ -92,13 +94,15 @@ proptest! {
         });
         let mut counters = None;
         for threads in [1usize, 2, 4] {
-            let (engine, report) = best_config_with_report(
+            let (engine, report) = search(
                 &model,
                 &cluster,
                 method,
                 batch,
                 &kernel,
                 &SearchOptions { threads, ..opts.clone() },
+                &SearchEnv::private(),
+                SearchHooks::default(),
             );
             prop_assert_eq!(
                 &engine,
@@ -153,18 +157,28 @@ fn mixed_fleet_search_is_bit_identical_across_threads() {
             .with_jitter(0.08),
         ..SearchOptions::default()
     };
-    let (first, first_report) =
-        best_config_with_report(&model, &cluster, Method::BreadthFirst, 16, &kernel, &mk(1));
+    let (first, first_report) = search(
+        &model,
+        &cluster,
+        Method::BreadthFirst,
+        16,
+        &kernel,
+        &mk(1),
+        &SearchEnv::private(),
+        SearchHooks::default(),
+    );
     assert!(first.is_some(), "mixed-fleet search must find a winner");
     for threads in [1usize, 2, 4] {
         for _run in 0..2 {
-            let (r, report) = best_config_with_report(
+            let (r, report) = search(
                 &model,
                 &cluster,
                 Method::BreadthFirst,
                 16,
                 &kernel,
                 &mk(threads),
+                &SearchEnv::private(),
+                SearchHooks::default(),
             );
             assert_eq!(r, first, "threads={threads}: winner must be bit-identical");
             assert_eq!(
@@ -197,16 +211,26 @@ fn homogeneous_fleets_keep_their_candidate_stream() {
     };
     let homogeneous = dgx1_v100(2);
     let mixed = mixed_v100_a100(1, 1);
-    let (_, hom_report) = best_config_with_report(
+    let (_, hom_report) = search(
         &model,
         &homogeneous,
         Method::BreadthFirst,
         16,
         &kernel,
         &opts,
+        &SearchEnv::private(),
+        SearchHooks::default(),
     );
-    let (_, mixed_report) =
-        best_config_with_report(&model, &mixed, Method::BreadthFirst, 16, &kernel, &opts);
+    let (_, mixed_report) = search(
+        &model,
+        &mixed,
+        Method::BreadthFirst,
+        16,
+        &kernel,
+        &opts,
+        &SearchEnv::private(),
+        SearchHooks::default(),
+    );
     assert!(
         mixed_report.enumerated > hom_report.enumerated,
         "the split axis adds candidates on a speed-diverse fleet \
@@ -217,8 +241,16 @@ fn homogeneous_fleets_keep_their_candidate_stream() {
     // And the winner a mixed fleet reports resolves its split: either a
     // uniform config (layer_split stays Uniform) or a per-device one —
     // both must validate against the fleet that produced them.
-    let (winner, _) =
-        best_config_with_report(&model, &mixed, Method::BreadthFirst, 16, &kernel, &opts);
+    let (winner, _) = search(
+        &model,
+        &mixed,
+        Method::BreadthFirst,
+        16,
+        &kernel,
+        &opts,
+        &SearchEnv::private(),
+        SearchHooks::default(),
+    );
     let winner = winner.expect("mixed fleet finds a winner");
     assert!(winner.cfg.validate(&model, &mixed).is_ok());
 }

@@ -5,7 +5,9 @@
 //! account for every enumerated candidate.
 
 use bfpp_cluster::presets::dgx1_v100;
-use bfpp_exec::search::{best_config_exhaustive, best_config_with_report, Method, SearchOptions};
+use bfpp_exec::search::{
+    best_config_exhaustive, search, Method, SearchEnv, SearchHooks, SearchOptions,
+};
 use bfpp_exec::KernelModel;
 use bfpp_model::presets::bert_6_6b;
 use bfpp_sim::Perturbation;
@@ -65,8 +67,16 @@ proptest! {
         let kernel = KernelModel::v100();
         let reference =
             best_config_exhaustive(&model, &cluster, method, batch, &kernel, &opts);
-        let (engine, report) =
-            best_config_with_report(&model, &cluster, method, batch, &kernel, &opts);
+        let (engine, report) = search(
+            &model,
+            &cluster,
+            method,
+            batch,
+            &kernel,
+            &opts,
+            &SearchEnv::private(),
+            SearchHooks::default(),
+        );
         prop_assert_eq!(
             &engine,
             &reference,
@@ -104,18 +114,28 @@ fn fixed_seed_is_bit_identical_across_runs_and_threads() {
             .with_jitter(0.08),
         ..SearchOptions::default()
     };
-    let (first, first_report) =
-        best_config_with_report(&model, &cluster, Method::NonLooped, 16, &kernel, &mk(1));
+    let (first, first_report) = search(
+        &model,
+        &cluster,
+        Method::NonLooped,
+        16,
+        &kernel,
+        &mk(1),
+        &SearchEnv::private(),
+        SearchHooks::default(),
+    );
     assert!(first.is_some(), "perturbed search must still find a winner");
     for threads in [1usize, 2, 4] {
         for _run in 0..2 {
-            let (r, report) = best_config_with_report(
+            let (r, report) = search(
                 &model,
                 &cluster,
                 Method::NonLooped,
                 16,
                 &kernel,
                 &mk(threads),
+                &SearchEnv::private(),
+                SearchHooks::default(),
             );
             assert_eq!(r, first, "threads={threads}: winner must be bit-identical");
             assert_eq!(
@@ -161,8 +181,26 @@ fn zero_magnitude_equals_unperturbed() {
         perturbation: Perturbation::with_seed(31337),
         ..base.clone()
     };
-    let clean = best_config_with_report(&model, &cluster, Method::NonLooped, 16, &kernel, &base);
-    let zeroed = best_config_with_report(&model, &cluster, Method::NonLooped, 16, &kernel, &seeded);
+    let clean = search(
+        &model,
+        &cluster,
+        Method::NonLooped,
+        16,
+        &kernel,
+        &base,
+        &SearchEnv::private(),
+        SearchHooks::default(),
+    );
+    let zeroed = search(
+        &model,
+        &cluster,
+        Method::NonLooped,
+        16,
+        &kernel,
+        &seeded,
+        &SearchEnv::private(),
+        SearchHooks::default(),
+    );
     assert_eq!(clean.0, zeroed.0);
     assert_eq!(clean.1.best, zeroed.1.best);
     assert_eq!(clean.1.simulated, zeroed.1.simulated);

@@ -36,7 +36,8 @@
 //!   search stops at the bound with its best-so-far and reports
 //!   `"timed_out":true`.
 //! * `straggler` / `jitter` / `link_degradation` / `seed` — the
-//!   perturbation for what-if re-planning; omitted = clean run.
+//!   perturbation for what-if re-planning; omitted = clean run. A
+//!   straggler's `device` must be below the cluster's GPU count.
 //! * `delta` — an elastic topology change applied *before* planning:
 //!   `{"drop_node":N}` removes node `N` from the line's cluster
 //!   (quarantining the old topology's warm records first),

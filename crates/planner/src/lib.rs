@@ -129,8 +129,8 @@ use std::time::{Duration, Instant};
 
 use bfpp_cluster::ClusterSpec;
 use bfpp_exec::search::{
-    search_observed, search_streaming, Method, ProgressSnapshot, SearchEnv, SearchOptions,
-    SearchProgress, SearchReport, SearchResult,
+    search, Method, ProgressSnapshot, SearchEnv, SearchHooks, SearchOptions, SearchProgress,
+    SearchReport, SearchResult,
 };
 use bfpp_exec::{Executor, KernelModel, MetricsRegistry, MetricsSnapshot, WarmCache};
 use bfpp_model::TransformerConfig;
@@ -584,15 +584,15 @@ impl Planner {
     }
 
     /// Runs one request to completion on the calling thread. Exactly
-    /// the engine's [`bfpp_exec::search::best_config_with_report`]
-    /// semantics — plus the planner's shared caches and accounting.
+    /// the engine's [`bfpp_exec::search::search`] semantics with no
+    /// hooks — plus the planner's shared caches and accounting.
     /// Bypasses admission (the caller's thread is the capacity) and
     /// ignores any injected fault.
     pub fn plan(&self, req: &PlanRequest) -> (Option<SearchResult>, SearchReport) {
         self.metrics
             .counter_incr("planner_requests_submitted_total");
         let t0 = Instant::now();
-        let out = search_streaming(
+        let out = search(
             &req.model,
             &req.cluster,
             req.method,
@@ -600,8 +600,7 @@ impl Planner {
             &req.kernel,
             &req.opts,
             &self.env,
-            None,
-            None,
+            SearchHooks::default(),
         );
         self.finish_accounting(&out.1, t0);
         out
@@ -726,7 +725,7 @@ impl Planner {
                     }
                 }
             };
-            search_observed(
+            search(
                 &req.model,
                 &req.cluster,
                 req.method,
@@ -734,9 +733,11 @@ impl Planner {
                 &req.kernel,
                 &req.opts,
                 &self.env,
-                Some(cancel.flag()),
-                Some(&mut on_improve),
-                Some(progress),
+                SearchHooks {
+                    cancel: Some(cancel.flag()),
+                    on_improve: Some(&mut on_improve),
+                    progress: Some(progress),
+                },
             )
         }));
         match outcome {
@@ -876,13 +877,15 @@ mod tests {
         let planner = Planner::new();
         let req = quick_req(Method::BreadthFirst, 16);
         let (r, report) = planner.plan(&req);
-        let (engine_r, engine_report) = bfpp_exec::search::best_config_with_report(
+        let (engine_r, engine_report) = search(
             &req.model,
             &req.cluster,
             req.method,
             req.global_batch,
             &req.kernel,
             &req.opts,
+            &SearchEnv::private(),
+            SearchHooks::default(),
         );
         assert_eq!(r, engine_r);
         assert_eq!(

@@ -237,7 +237,7 @@ fn build_request(v: &Value) -> Result<PlanRequest, String> {
         opts.deadline = Some(Duration::from_millis(d));
     }
     opts.max_candidates = field(v, "max_candidates", INTEGER, Value::as_u64)?;
-    opts.perturbation = perturbation_of(v)?;
+    opts.perturbation = perturbation_of(v, &cluster)?;
     Ok(PlanRequest {
         model,
         cluster,
@@ -310,12 +310,19 @@ fn delta_of(v: &Value) -> Result<Option<ClusterDelta>, String> {
 
 /// Parses the perturbation fields. Each value is range-checked here, so
 /// the `Perturbation` constructors' asserts can never fire on wire
-/// input.
-fn perturbation_of(v: &Value) -> Result<Perturbation, String> {
+/// input; a straggler `device` indexes a candidate's pipeline devices,
+/// which number at most the cluster's GPUs.
+fn perturbation_of(v: &Value, cluster: &ClusterSpec) -> Result<Perturbation, String> {
     let seed = field(v, "seed", INTEGER, Value::as_u64)?.unwrap_or(0);
     let mut p = Perturbation::with_seed(seed);
     if let Some(s) = v.get("straggler") {
         let device = u32_field(s, "device")?.ok_or("straggler needs integer \"device\"")?;
+        let gpus = cluster.num_gpus();
+        if device >= gpus {
+            return Err(format!(
+                "field \"device\" must be below {gpus}, got {device}"
+            ));
+        }
         let factor = field(s, "factor", NUMBER, Value::as_f64)?
             .ok_or("straggler needs number \"factor\"")?;
         p = p.with_straggler(device, slowdown("factor", factor)?);
@@ -728,10 +735,11 @@ mod tests {
                 err.msg
             );
         }
-        // The largest u32 still fits.
+        // The largest u32 still fits; the largest device on 8 nodes of
+        // 8 GPUs is 63.
         let r = parse_line(
             r#"{"model":"bert-6.6b","batch":16,"max_loop":4294967295,
-                "straggler":{"device":4294967295,"factor":1.5}}"#,
+                "straggler":{"device":63,"factor":1.5}}"#,
             "line-1",
         )
         .unwrap();
@@ -763,6 +771,9 @@ mod tests {
             ("link_degradation", r#""link_degradation":1e999"#),
             ("link_degradation", r#""link_degradation":0.5"#),
             ("nodes", r#""nodes":0"#),
+            // Planned exactly like the clean request: no candidate on
+            // the default 64 GPUs has a device 64.
+            ("device", r#""straggler":{"device":64,"factor":1.5}"#),
         ] {
             field_error(
                 &format!(r#"{{"id":"f","model":"bert-6.6b","batch":16,{value}}}"#),
