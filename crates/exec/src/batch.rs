@@ -64,7 +64,9 @@ use bfpp_cluster::ClusterSpec;
 use bfpp_core::{Schedule, ScheduleKind};
 use bfpp_model::TransformerConfig;
 use bfpp_parallel::{DataParallelism, ParallelConfig, Placement};
-use bfpp_sim::{OpClass, Perturbation, ReplayWorkspace, ResourceId, SimDuration, SolveStats};
+use bfpp_sim::{
+    OpClass, Perturbation, ReplayWorkspace, ResourceId, SimDuration, SlotDraw, SolveStats,
+};
 
 use crate::candidates::Candidate;
 use crate::lower::{emit_ops, Charge, Durations, OpSink, OpTag, Shape};
@@ -189,6 +191,15 @@ impl OpSink for ClassSink {
     }
 }
 
+/// Per-slot scratch of [`ClassBase::fill_row`], reused across rows and
+/// classes: each resource slot's class factor, or under randomness its
+/// hoisted draw inputs.
+#[derive(Debug, Default)]
+pub struct RowScratch {
+    factors: Vec<f64>,
+    draws: Vec<SlotDraw>,
+}
+
 /// One topology class's shared evaluation state: the replay workspace
 /// (CSR index + replay trace of the class topology), the SoA duration
 /// template, and the per-class scalars measurement needs. Built straight
@@ -288,8 +299,12 @@ impl ClassBase {
     /// that member under `perturbation` would produce
     /// ([`crate::LoweredGraph::perturbed_durations`] of its clean
     /// lowering): the same per-op salt (insertion index), the same
-    /// class/device factor for the randomness-free fast path. `factors`
-    /// is caller scratch reused across rows.
+    /// class/device factors. Everything that does not depend on the op
+    /// is hoisted out of the op loop into `scratch` (caller scratch
+    /// reused across rows): without randomness, one factor per resource
+    /// slot; with it, the perturbation's fingerprint once per row and
+    /// each slot's hash and factor once ([`Perturbation::draws`]), so an
+    /// op hashes only its salt.
     ///
     /// # Panics
     ///
@@ -298,7 +313,7 @@ impl ClassBase {
         &self,
         d: &Durations,
         perturbation: &Perturbation,
-        factors: &mut Vec<f64>,
+        scratch: &mut RowScratch,
         out: &mut [SimDuration],
     ) {
         assert_eq!(out.len(), self.n_ops, "row sized for this topology");
@@ -319,7 +334,10 @@ impl ClassBase {
             let dev = self.resource_device[(slots[i] >> 1) as usize];
             self.charge(kinds[i], pairs[i]).base(d, dev)
         };
-        if !perturbation.has_randomness() {
+        // Both scratch vectors follow the template's slot numbering,
+        // `2 * resource + is_compute`.
+        let Some(draws) = perturbation.draws() else {
+            let factors = &mut scratch.factors;
             factors.clear();
             for &dev in &self.resource_device {
                 factors.push(perturbation.class_factor(OpClass::Communication, dev));
@@ -334,21 +352,20 @@ impl ClassBase {
                 *slot = Perturbation::apply_factor(base, factors[slots[i] as usize]);
             }
             return;
+        };
+        let slot_draws = &mut scratch.draws;
+        slot_draws.clear();
+        for &dev in &self.resource_device {
+            slot_draws.push(draws.slot(OpClass::Communication, dev));
+            slot_draws.push(draws.slot(OpClass::Compute, dev));
         }
-        for (i, out_slot) in out.iter_mut().enumerate() {
-            let slot = slots[i];
-            let class = if slot & 1 == 1 {
-                OpClass::Compute
-            } else {
-                OpClass::Communication
-            };
-            let dev = self.resource_device[(slot >> 1) as usize];
+        for (i, slot) in out.iter_mut().enumerate() {
             let base = if hetero {
                 per_device_base(i)
             } else {
                 table[kinds[i] as usize]
             };
-            *out_slot = perturbation.perturb(base, class, dev, i as u64);
+            *slot = draws.perturb(base, slot_draws[slots[i] as usize], i as u64);
         }
     }
 
@@ -653,15 +670,19 @@ mod tests {
 
         let base = build(&kb);
         let mut row = vec![SimDuration::ZERO; base.num_ops()];
-        let mut factors = Vec::new();
+        let mut scratch = RowScratch::default();
         for p in [
             Perturbation::none(),
             Perturbation::reference_probe(),
             Perturbation::with_seed(7)
                 .with_straggler(3, 1.4)
                 .with_jitter(0.05),
+            Perturbation::with_seed(23)
+                .with_straggler(5, 1.2)
+                .with_jitter(0.5)
+                .with_stalls(0.1, SimDuration::from_micros(50)),
         ] {
-            base.fill_row(&d_b, &p, &mut factors, &mut row);
+            base.fill_row(&d_b, &p, &mut scratch, &mut row);
             // Row durations equal a perturbed-duration recompute over
             // b's own lowering (itself tested bit-identical to a
             // perturbed lowering).

@@ -225,10 +225,17 @@ pub fn depth_first_shape_is_valid(method: Method, n_loop: u32, n_mb: u32, n_pp: 
     method != Method::DepthFirst || (n_loop >= 2 && n_mb.is_multiple_of(n_pp))
 }
 
-/// Whether the op-graph size `2 · N_mb · N_PP · N_loop` stays under the
-/// search's action cap (a guard on the search's own runtime).
+/// The schedule's action count `2 · N_mb · N_PP · N_loop` (a forward and
+/// a backward per micro-batch per stage) — the op-graph size the search
+/// caps, and its estimate of a class's evaluation cost.
+pub fn action_count(n_mb: u32, n_pp: u32, n_loop: u32) -> u64 {
+    2 * n_mb as u64 * (n_pp as u64 * n_loop as u64)
+}
+
+/// Whether the [`action_count`] stays under the search's action cap (a
+/// guard on the search's own runtime).
 pub fn action_count_within(n_mb: u32, n_pp: u32, n_loop: u32, max_actions: u64) -> bool {
-    2 * n_mb as u64 * (n_pp as u64 * n_loop as u64) <= max_actions
+    action_count(n_mb, n_pp, n_loop) <= max_actions
 }
 
 /// The admissible pipeline depths for a method on `rest = N_GPU / N_TP`

@@ -40,8 +40,8 @@ use bfpp_model::TransformerConfig;
 use bfpp_parallel::{DataParallelism, ParallelConfig};
 use bfpp_sim::{DurationMatrix, MetricsRegistry, Perturbation};
 
-use crate::batch::{ClassBase, ClassCache, ClassKey};
-use crate::candidates::{enumerate, Candidate};
+use crate::batch::{ClassBase, ClassCache, ClassKey, RowScratch};
+use crate::candidates::{action_count, enumerate, Candidate};
 use crate::executor::{Executor, ScopedTask};
 use crate::kernel::KernelModel;
 use crate::lower::Durations;
@@ -770,7 +770,8 @@ impl ClassTable {
 }
 
 /// One class's survivors within a chunk, with its table entry and its
-/// base (from the table, or resolved in place by its pool task).
+/// base (from the table or a lookup, or built in place by its pool
+/// task).
 struct Group {
     class: usize,
     key: ClassKey,
@@ -785,6 +786,50 @@ struct Member {
     cfg: ParallelConfig,
     d: Durations,
     measurement: Option<Measurement>,
+}
+
+/// What a class build weighs in member rows of the same class, for
+/// [`group_cost`]. Measured on cold jittered requests: a build costs
+/// ~100 ns per op and a jittered row (fill, replay and measurement)
+/// ~38 ns per op, so a build is worth two to three rows. Both scale
+/// with the op count, which is ≈ 2 × the action count, so actions stand
+/// in for ops.
+const BUILD_ROWS: u64 = 2;
+
+/// A group's estimated evaluation cost, in action-rows: its schedule's
+/// [`action_count`] times its member rows, plus [`BUILD_ROWS`] if its
+/// base still has to be built.
+fn group_cost(group: &Group) -> u64 {
+    let key = &group.key;
+    let actions = action_count(
+        key.num_microbatches(),
+        key.placement().n_pp(),
+        key.placement().n_loop(),
+    );
+    let build = if group.resolved.is_none() {
+        BUILD_ROWS
+    } else {
+        0
+    };
+    actions * (group.members.len() as u64 + build)
+}
+
+/// Longest-first list scheduling: each group's bin, given its cost and
+/// `bins` bins. Groups go in descending cost (ties by index), each to
+/// the least-loaded bin (ties by bin index), so the carving is a pure
+/// function of the costs — and the largest bin's load is at most
+/// `total / bins` plus the largest cost.
+fn carve(costs: &[u64], bins: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..costs.len()).collect();
+    order.sort_by_key(|&g| (std::cmp::Reverse(costs[g]), g));
+    let mut load = vec![0u64; bins];
+    let mut bin_of = vec![0; costs.len()];
+    for g in order {
+        let bin = (0..bins).min_by_key(|&b| (load[b], b)).expect("bins > 0");
+        load[bin] += costs[g];
+        bin_of[g] = bin;
+    }
+    bin_of
 }
 
 impl<'a> Request<'a> {
@@ -838,12 +883,15 @@ impl<'a> Request<'a> {
 
     /// Evaluate stage: one measurement slot per survivor (empty where
     /// lowering would fail), plus how many came from warm-record bases.
-    /// A serial pre-pass validates survivors and groups them by topology
-    /// class in first-seen order; at most `threads` pool tasks, each a
-    /// contiguous run of groups, resolve their bases and re-time members
-    /// by SoA trace replay; a serial scatter books the bases and restores
-    /// survivor order. Bit-identical to lowering and solving each
-    /// candidate ([`best_config_exhaustive`]).
+    /// A serial pre-pass validates survivors, groups them by topology
+    /// class in first-seen order, and resolves every class it can
+    /// without building one ([`Request::lookup`]). The groups are then
+    /// carved longest-first by estimated cost ([`group_cost`],
+    /// [`carve`]) into at most `threads` pool tasks, which build the
+    /// remaining bases and re-time members by SoA trace replay; a
+    /// serial scatter books the bases and restores survivor order.
+    /// Bit-identical to lowering and solving each candidate
+    /// ([`best_config_exhaustive`]).
     fn evaluate(
         &self,
         survivors: &[Candidate],
@@ -872,7 +920,10 @@ impl<'a> Request<'a> {
                 None => groups.push(Group {
                     class,
                     key,
-                    resolved: table.entries[class].1.clone(),
+                    resolved: table.entries[class]
+                        .1
+                        .clone()
+                        .or_else(|| self.lookup(&key, record)),
                     members: vec![member],
                 }),
             }
@@ -890,12 +941,15 @@ impl<'a> Request<'a> {
         if tasks <= 1 {
             self.eval_groups(&mut groups, perturbation, record);
         } else {
-            let per = groups.len().div_ceil(tasks);
+            let costs: Vec<u64> = groups.iter().map(group_cost).collect();
+            let mut bins: Vec<Vec<&mut Group>> = (0..tasks).map(|_| Vec::new()).collect();
+            for (group, bin) in groups.iter_mut().zip(carve(&costs, tasks)) {
+                bins[bin].push(group);
+            }
             self.env.executor.scope_run(
-                groups
-                    .chunks_mut(per)
-                    .map(|run| {
-                        Box::new(move || self.eval_groups(run, perturbation, record))
+                bins.into_iter()
+                    .map(|bin| {
+                        Box::new(move || self.eval_groups(bin, perturbation, record))
                             as ScopedTask<'_>
                     })
                     .collect(),
@@ -916,19 +970,24 @@ impl<'a> Request<'a> {
         (slots, warm_hits)
     }
 
-    /// Evaluates a contiguous run of class groups in place — the body of
-    /// one pool task.
-    fn eval_groups(
+    /// Evaluates class groups in place — the body of one pool task:
+    /// builds each base no lookup found, then fills its members' rows
+    /// and replays them. With a registry, each group books one fill and
+    /// one replay span (`search_class_fill_ns`, `search_class_replay_ns`,
+    /// replay including measurement) — one clock pair per group and
+    /// stage, none per op or row.
+    fn eval_groups<'g>(
         &self,
-        groups: &mut [Group],
+        groups: impl IntoIterator<Item = &'g mut Group>,
         perturbation: &Perturbation,
         record: Option<&SweepRecord>,
     ) {
-        let mut factors: Vec<f64> = Vec::new();
+        let metrics = self.env.metrics.as_deref();
+        let mut scratch = RowScratch::default();
         let mut solve_stats = crate::batch::empty_stats();
         for group in groups {
             if group.resolved.is_none() {
-                group.resolved = self.resolve(&group.key, record);
+                group.resolved = self.build(&group.key, record);
             }
             // A failed resolution fails the whole class, as lowering
             // would fail each member: schedule generation and deadlock
@@ -936,12 +995,14 @@ impl<'a> Request<'a> {
             let Some((base, _)) = &group.resolved else {
                 continue;
             };
+            let fill_start = metrics.map(|_| Instant::now());
             // One SoA duration batch per class: a contiguous row per
             // member, re-timed against the single prebuilt workspace.
             let mut batch = DurationMatrix::new(base.num_ops());
             for member in &group.members {
-                base.fill_row(&member.d, perturbation, &mut factors, batch.push_row());
+                base.fill_row(&member.d, perturbation, &mut scratch, batch.push_row());
             }
+            let replay_start = metrics.map(|_| Instant::now());
             let mut replay = base.lock_replay();
             for (row, member) in group.members.iter_mut().enumerate() {
                 member.measurement = Some(base.measure_row(
@@ -953,21 +1014,33 @@ impl<'a> Request<'a> {
                     batch.row(row),
                 ));
             }
+            drop(replay);
+            if let (Some(metrics), Some(fill_start), Some(replay_start)) =
+                (metrics, fill_start, replay_start)
+            {
+                metrics.observe_duration("search_class_fill_ns", replay_start - fill_start);
+                metrics.observe_duration("search_class_replay_ns", replay_start.elapsed());
+            }
         }
     }
 
-    /// Resolves a class this request has not resolved yet: warm record
-    /// → shared class cache → build from the key and its schedule. A
-    /// build is counted (`search_class_builds_total`) and timed
-    /// (`search_class_build_ns`, schedule lookup excluded) on this pool
-    /// thread — one clock pair per class, none per op.
-    fn resolve(&self, key: &ClassKey, record: Option<&SweepRecord>) -> Option<Resolved> {
+    /// Resolves a class without building it — from the warm record,
+    /// else the shared class cache (one cache lookup per first sight, so
+    /// the cache's hit and miss counts do not depend on the carving).
+    /// Serial: the evaluate stage's pre-pass calls it.
+    fn lookup(&self, key: &ClassKey, record: Option<&SweepRecord>) -> Option<Resolved> {
         if let Some(base) = record.and_then(|rec| rec.class_base(key)) {
             return Some((base, true));
         }
-        if let Some(base) = self.env.classes.lookup(key) {
-            return Some((base, false));
-        }
+        self.env.classes.lookup(key).map(|base| (base, false))
+    }
+
+    /// Builds a class no lookup resolved, from its key and schedule, on
+    /// a pool thread. A build is counted (`search_class_builds_total`)
+    /// and timed (`search_class_build_ns`, schedule lookup excluded) —
+    /// one clock pair per class, none per op — then offered to the class
+    /// cache and the warm record.
+    fn build(&self, key: &ClassKey, record: Option<&SweepRecord>) -> Option<Resolved> {
         let schedule = self
             .env
             .schedules
@@ -1471,6 +1544,73 @@ mod tests {
         }
     }
 
+    /// Each bin's total cost under `carve`.
+    fn loads(costs: &[u64], bins: usize) -> Vec<u64> {
+        let mut load = vec![0; bins];
+        for (g, bin) in carve(costs, bins).into_iter().enumerate() {
+            load[bin] += costs[g];
+        }
+        load
+    }
+
+    #[test]
+    fn carve_places_every_group_once_and_deterministically() {
+        let costs = [5, 9, 9, 1, 0, 5, 3, 9];
+        for bins in 1..=4 {
+            let bin_of = carve(&costs, bins);
+            assert_eq!(bin_of.len(), costs.len(), "one bin per group");
+            assert!(bin_of.iter().all(|&b| b < bins));
+            assert_eq!(bin_of, carve(&costs, bins), "a pure function");
+        }
+        // Equal costs go in index order to bins in index order.
+        assert_eq!(carve(&[9, 9, 9, 9], 3), [0, 1, 2, 0]);
+        assert_eq!(carve(&costs, 2), [1, 0, 1, 1, 1, 1, 0, 0]);
+    }
+
+    #[test]
+    fn carve_gives_a_dominant_group_a_bin_of_its_own() {
+        let costs = [3, 2, 120, 4, 1, 5];
+        let bin_of = carve(&costs, 2);
+        let alone = bin_of[2];
+        assert!(
+            (0..costs.len()).all(|g| g == 2 || bin_of[g] != alone),
+            "{bin_of:?}"
+        );
+        assert_eq!(loads(&costs, 2), [120, 15]);
+    }
+
+    #[test]
+    fn carve_stays_within_the_list_scheduling_bound() {
+        // Enumeration order puts large classes next to each other; a
+        // carving by count would give one bin the whole large run.
+        let mut lists: Vec<Vec<u64>> = vec![vec![10, 10, 10, 10, 1, 1, 1, 1], vec![1; 7]];
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for len in [3, 8, 16, 31] {
+            lists.push(
+                (0..len)
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        1 + x % 1000
+                    })
+                    .collect(),
+            );
+        }
+        for costs in &lists {
+            let total: u64 = costs.iter().sum();
+            let largest = costs.iter().copied().max().unwrap_or(0);
+            for bins in 2..=4 {
+                let max = loads(costs, bins).into_iter().max().unwrap();
+                assert!(
+                    max * bins as u64 <= total + bins as u64 * largest,
+                    "{costs:?} into {bins}: max load {max}"
+                );
+            }
+        }
+        assert_eq!(loads(&lists[0], 2), [22, 22]);
+    }
+
     #[test]
     fn infeasible_batch_returns_none() {
         let model = models::bert_52b();
@@ -1737,7 +1877,7 @@ mod tests {
             best_config_exhaustive(&model, &cluster, Method::BreadthFirst, 16, &k, &perturbed);
         assert!(reference.is_some());
         let mut first: Option<(Option<SearchResult>, SearchReport)> = None;
-        for threads in [1usize, 3] {
+        for threads in [1usize, 2, 3, 4] {
             let opts = SearchOptions {
                 threads,
                 ..perturbed.clone()

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use bfpp_cluster::presets::{dgx1_v100, mixed_v100_a100, mixed_v100_a100_asym};
 use bfpp_cluster::ClusterSpec;
 use bfpp_core::{Schedule, ScheduleKind};
-use bfpp_exec::batch::{ClassBase, ClassKey};
+use bfpp_exec::batch::{ClassBase, ClassKey, RowScratch};
 use bfpp_exec::search::{
     best_config_exhaustive, search, Method, SearchEnv, SearchHooks, SearchOptions, SearchResult,
 };
@@ -206,15 +206,19 @@ proptest! {
         prop_assert_eq!(base.num_ops(), lowered.graph.num_ops());
 
         let mut row = vec![SimDuration::ZERO; base.num_ops()];
-        let mut factors = Vec::new();
+        let mut scratch = RowScratch::default();
         let mut expect = Vec::new();
         let mut stats = empty_stats();
         for p in [
             Perturbation::none(),
             Perturbation::with_seed(11).with_straggler(cand.grid.n_pp - 1, 1.4),
             Perturbation::with_seed(5).with_jitter(0.2).with_link_degradation(1.3),
+            Perturbation::with_seed(23)
+                .with_straggler(0, 1.2)
+                .with_jitter(0.5)
+                .with_stalls(0.1, SimDuration::from_micros(50)),
         ] {
-            base.fill_row(&d, &p, &mut factors, &mut row);
+            base.fill_row(&d, &p, &mut scratch, &mut row);
             lowered.perturbed_durations(&p, &mut expect);
             prop_assert_eq!(&row, &expect, "{:?} under {:?}", cand, p);
             base.lock_replay().replay_stats_into(&row, &mut stats);

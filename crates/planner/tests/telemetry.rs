@@ -280,3 +280,43 @@ fn cold_request_counts_one_class_build_per_cache_miss() {
         "a warm replay resolves every class from its record"
     );
 }
+
+#[test]
+fn evaluate_books_one_fill_and_one_replay_span_per_class_group() {
+    let mut per_threads = Vec::new();
+    for threads in [1, 2] {
+        let planner = Planner::over(SearchEnv {
+            executor: Executor::new(threads),
+            classes: Arc::new(ClassCache::new()),
+            ..SearchEnv::service()
+        });
+        let req = quick_req(Method::BreadthFirst, 16, threads);
+        let (_, report) = planner.plan(&req);
+        let samples = |snap: &MetricsSnapshot| {
+            ["build", "fill", "replay"].map(|stage| {
+                snap.histogram(&format!("search_class_{stage}_ns"))
+                    .map_or(0, |h| h.count())
+            })
+        };
+        let [builds, fills, replays] = samples(&planner.metrics_snapshot());
+        assert_eq!(fills, replays, "one fill and one replay span per group");
+        assert!(fills >= builds, "every built class is evaluated");
+        assert!(
+            fills <= report.simulated + 1,
+            "at most one group per simulated config, plus the probe's"
+        );
+
+        planner.plan(&req);
+        let warm = samples(&planner.metrics_snapshot());
+        assert_eq!(
+            warm,
+            [builds, 2 * fills, 2 * replays],
+            "a warm replay evaluates the same groups and builds none"
+        );
+        per_threads.push(warm);
+    }
+    assert_eq!(
+        per_threads[0], per_threads[1],
+        "sample counts are thread-count-invariant"
+    );
+}

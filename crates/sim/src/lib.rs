@@ -60,7 +60,7 @@ pub use observe::{
     attribute, ArgValue, Breakdown, Category, ChromeTraceWriter, OpCategory, ResourceBreakdown,
     TraceOp, Track,
 };
-pub use perturb::{OpClass, Perturbation};
+pub use perturb::{Draws, OpClass, Perturbation, SlotDraw};
 pub use solver::{
     DeadlockError, DurationMatrix, ReplayWorkspace, ScheduledOp, SolveScratch, SolveStats, Solver,
     Timeline,

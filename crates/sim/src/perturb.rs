@@ -266,6 +266,13 @@ impl Perturbation {
     /// usual straggler-sweep case) return `base` unchanged, without any
     /// hashing — this keeps the duration-only re-solve path in the
     /// robustness sweep cheap.
+    ///
+    /// Under randomness this is [`Perturbation::draws`] →
+    /// [`Draws::slot`] → [`Draws::perturb`] in one call. A bulk caller
+    /// perturbing many ops of one perturbation should take those steps
+    /// itself: the fingerprint (five splitmix64 rounds plus two per
+    /// straggler) is then hashed once, each (device, class) slot once,
+    /// and only the op's salt per op — same key, same bits.
     pub fn perturb(
         &self,
         base: SimDuration,
@@ -276,30 +283,78 @@ impl Perturbation {
         if base.is_zero() {
             return base;
         }
-        let class_factor = self.class_factor(class, device);
-        if !self.has_randomness() {
+        let Some(draws) = self.draws() else {
             // No per-op randomness configured: the deterministic class
             // factor fully decides the result, so skip the hashing.
-            return Self::apply_factor(base, class_factor);
-        }
+            return Self::apply_factor(base, self.class_factor(class, device));
+        };
+        draws.perturb(base, draws.slot(class, device), salt)
+    }
+
+    /// The per-request half of [`Perturbation::perturb`]'s randomness
+    /// path, hoisted out of per-op loops: this perturbation with its
+    /// fingerprint computed once. `None` when it draws no per-op
+    /// randomness ([`Perturbation::has_randomness`]), where the class
+    /// factor alone decides every op.
+    pub fn draws(&self) -> Option<Draws<'_>> {
+        self.has_randomness().then(|| Draws {
+            perturbation: self,
+            fingerprint: self.fingerprint(),
+        })
+    }
+}
+
+/// A randomness-drawing [`Perturbation`] with its fingerprint hoisted
+/// (see [`Perturbation::draws`]). It carries the perturbation it was
+/// computed from, so a fingerprint cannot be paired with another one.
+#[derive(Debug, Clone, Copy)]
+pub struct Draws<'a> {
+    perturbation: &'a Perturbation,
+    fingerprint: u64,
+}
+
+/// One (device, op class) resource slot's share of the per-op draw key,
+/// and its deterministic class factor — computed once per slot by
+/// [`Draws::slot`], then reused for every op on that slot.
+#[derive(Debug, Clone, Copy)]
+pub struct SlotDraw {
+    hash: u64,
+    factor: f64,
+}
+
+impl Draws<'_> {
+    /// The hoisted inputs of ops of `class` on `device`.
+    pub fn slot(&self, class: OpClass, device: u32) -> SlotDraw {
         let class_bits = match class {
             OpClass::Compute => 0x43u64,       // 'C'
             OpClass::Communication => 0x4du64, // 'M'
         };
-        let key = splitmix64(self.fingerprint() ^ splitmix64(salt))
-            ^ splitmix64((u64::from(device) << 8) | class_bits);
+        SlotDraw {
+            hash: splitmix64((u64::from(device) << 8) | class_bits),
+            factor: self.perturbation.class_factor(class, device),
+        }
+    }
 
-        let factor = if self.jitter_frac > 0.0 {
-            (1.0 + self.jitter_frac * (2.0 * unit_f64(splitmix64(key ^ 1)) - 1.0)) * class_factor
+    /// The per-op half: hashes only `salt` into the key, then draws the
+    /// jitter and the stall. Bit-identical to [`Perturbation::perturb`]
+    /// of the same op, zero-length ops included.
+    pub fn perturb(&self, base: SimDuration, slot: SlotDraw, salt: u64) -> SimDuration {
+        if base.is_zero() {
+            return base;
+        }
+        let p = self.perturbation;
+        let key = splitmix64(self.fingerprint ^ splitmix64(salt)) ^ slot.hash;
+        let factor = if p.jitter_frac > 0.0 {
+            (1.0 + p.jitter_frac * (2.0 * unit_f64(splitmix64(key ^ 1)) - 1.0)) * slot.factor
         } else {
-            class_factor
+            slot.factor
         };
         let mut nanos = (base.as_nanos() as f64 * factor).round() as u64;
-        if self.stall_probability > 0.0
-            && !self.stall.is_zero()
-            && unit_f64(splitmix64(key ^ 2)) < self.stall_probability
+        if p.stall_probability > 0.0
+            && !p.stall.is_zero()
+            && unit_f64(splitmix64(key ^ 2)) < p.stall_probability
         {
-            nanos += self.stall.as_nanos();
+            nanos += p.stall.as_nanos();
         }
         SimDuration::from_nanos(nanos)
     }
@@ -434,6 +489,66 @@ mod tests {
             (0.18..0.32).contains(&rate),
             "stall rate {rate} far from 0.25"
         );
+    }
+
+    /// The per-op key spelled out in one expression, recomputed from
+    /// scratch for every op — the definition the hoisted path must keep.
+    fn unhoisted(
+        p: &Perturbation,
+        base: SimDuration,
+        class: OpClass,
+        device: u32,
+        salt: u64,
+    ) -> SimDuration {
+        if base.is_zero() {
+            return base;
+        }
+        let class_factor = p.class_factor(class, device);
+        let class_bits = if class == OpClass::Compute {
+            0x43
+        } else {
+            0x4d
+        };
+        let key = splitmix64(p.fingerprint() ^ splitmix64(salt))
+            ^ splitmix64((u64::from(device) << 8) | class_bits);
+        let jitter = 1.0 + p.jitter_frac * (2.0 * unit_f64(splitmix64(key ^ 1)) - 1.0);
+        let mut nanos = (base.as_nanos() as f64 * (jitter * class_factor)).round() as u64;
+        if unit_f64(splitmix64(key ^ 2)) < p.stall_probability {
+            nanos += p.stall.as_nanos();
+        }
+        SimDuration::from_nanos(nanos)
+    }
+
+    #[test]
+    fn hoisted_draws_equal_per_op_perturb_bit_for_bit() {
+        for seed in [0u64, 7, 23, 1 << 40] {
+            let p = Perturbation::with_seed(seed)
+                .with_jitter(0.5)
+                .with_straggler(2, 1.4)
+                .with_straggler(5, 2.0)
+                .with_link_degradation(1.2)
+                .with_stalls(0.2, SimDuration::from_millis(3));
+            let draws = p.draws().expect("jitter and stalls draw");
+            let mut stalled = 0;
+            for device in 0..8 {
+                for class in [OpClass::Compute, OpClass::Communication] {
+                    let slot = draws.slot(class, device);
+                    for salt in 0..64u64 {
+                        for ns in [0, 1, 977, 10 * MS + salt] {
+                            let base = SimDuration::from_nanos(ns);
+                            let want = unhoisted(&p, base, class, device, salt);
+                            assert_eq!(draws.perturb(base, slot, salt), want, "{seed} {device}");
+                            assert_eq!(p.perturb(base, class, device, salt), want);
+                            stalled += u32::from(ns == 977 && want.as_nanos() > MS);
+                        }
+                    }
+                }
+            }
+            assert!(stalled > 0, "the stall term is exercised");
+        }
+        // No randomness, no draws: the class factor decides alone.
+        assert!(Perturbation::reference_probe().draws().is_none());
+        assert!(Perturbation::none().draws().is_none());
     }
 
     #[test]
