@@ -1,6 +1,6 @@
 //! Criterion: throughput of the timeline solver itself.
 //!
-//! Benches the event-driven solver against the round-robin reference
+//! Benches the solver core against the round-robin reference
 //! oracle (`reference-solver` feature) across pipeline shapes, plus the
 //! duration-only re-solve fast path, the batched SoA trace-replay path
 //! behind topology-class candidate evaluation, and the robustness-sweep

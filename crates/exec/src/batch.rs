@@ -31,12 +31,14 @@
 //! So the search builds **one replay workspace per class**, straight
 //! from the key and its schedule: [`ClassBase::build`] walks the
 //! lowering's op-emission rules (`crate::lower::emit_ops`, the same
-//! walk that builds an `OpGraph` for [`crate::lower`]) into flat
-//! per-op resource and dependency arrays, and
-//! [`bfpp_sim::ReplayWorkspace::discover`] turns those into the
-//! solver's CSR index and records its replay trace with one discovery
-//! solve. No graph, resource name, tag, memory annotation or duration
-//! is built for a class. Every member is then evaluated from a
+//! walk that builds an `OpGraph` for [`crate::lower`]) straight into
+//! the solver's index — each op's resource and its forward dependency
+//! row, with a slot reserved at emission for each late cross-device
+//! dep and filled when the walk wires it — and
+//! [`bfpp_sim::ReplayWorkspace::discover`] validates the rows and
+//! records the replay trace with one discovery pass. No graph, resource
+//! name, tag, memory annotation, duration or reverse index is built for
+//! a class. Every member is then evaluated from a
 //! structure-of-arrays duration batch: a `BatchTemplate` maps each op
 //! index to its duration *kind* (fwd/bwd/p2p/gather/reduce) and its
 //! perturbation slot, so filling a member's row is two table lookups per
@@ -145,17 +147,23 @@ const KIND_GATHER: u8 = 3;
 const KIND_REDUCE: u8 = 4;
 
 /// The [`OpSink`] of a class build: plain stream and op indices, the
-/// flat resource/edge arrays [`ReplayWorkspace::discover`] takes, and
-/// the template — no graph, names, tags, durations or memory effects.
-#[derive(Default)]
+/// forward dependency rows [`ReplayWorkspace::discover`] takes, and the
+/// template — no graph, names, tags, durations or memory effects. Each
+/// op's row is its emission deps followed by one slot per late dep,
+/// which [`OpSink::dep`] fills; a slot left unfilled keeps `UNFILLED`,
+/// which discovery rejects as out of range.
 struct ClassSink {
     resource_device: Vec<u32>,
     op_resource: Vec<u32>,
-    deps: Vec<(u32, u32)>,
+    dep_indptr: Vec<u32>,
+    deps: Vec<u32>,
     kinds: Vec<u8>,
     slots: Vec<u32>,
     p2p_pair: Vec<u32>,
 }
+
+/// A reserved late-dep slot that [`OpSink::dep`] has not filled yet.
+const UNFILLED: u32 = u32::MAX;
 
 impl OpSink for ClassSink {
     type Op = u32;
@@ -166,12 +174,21 @@ impl OpSink for ClassSink {
         self.resource_device.len() as u32 - 1
     }
 
-    fn op(&mut self, stream: u32, _dev: u32, _tag: OpTag, charge: Charge, deps: &[u32]) -> u32 {
+    fn op(
+        &mut self,
+        stream: u32,
+        _dev: u32,
+        _tag: OpTag,
+        charge: Charge,
+        deps: &[u32],
+        late_deps: u32,
+    ) -> u32 {
         let op = self.op_resource.len() as u32;
         self.op_resource.push(stream);
-        for &dep in deps {
-            self.deps.push((op, dep));
-        }
+        self.deps.extend_from_slice(deps);
+        self.deps
+            .resize(self.deps.len() + late_deps as usize, UNFILLED);
+        self.dep_indptr.push(self.deps.len() as u32);
         let (kind, pair) = match charge {
             Charge::Fwd => (KIND_FWD, 0),
             Charge::Bwd => (KIND_BWD, 0),
@@ -187,7 +204,12 @@ impl OpSink for ClassSink {
     }
 
     fn dep(&mut self, op: u32, dep: u32) {
-        self.deps.push((op, dep));
+        let row = self.dep_indptr[op as usize] as usize..self.dep_indptr[op as usize + 1] as usize;
+        let slot = self.deps[row]
+            .iter_mut()
+            .find(|d| **d == UNFILLED)
+            .expect("a late dep fills a slot reserved when its op was emitted");
+        *slot = dep;
     }
 }
 
@@ -201,11 +223,11 @@ pub struct RowScratch {
 }
 
 /// One topology class's shared evaluation state: the replay workspace
-/// (CSR index + replay trace of the class topology), the SoA duration
-/// template, and the per-class scalars measurement needs. Built straight
-/// from the key and its schedule — no graph ever exists — which is what
-/// makes a base model/cluster/kernel-independent and shareable
-/// process-wide.
+/// (dependency index + replay trace of the class topology), the SoA
+/// duration template, and the per-class scalars measurement needs.
+/// Built straight from the key and its schedule — no graph ever exists —
+/// which is what makes a base model/cluster/kernel-independent and
+/// shareable process-wide.
 #[derive(Debug)]
 pub struct ClassBase {
     n_ops: usize,
@@ -219,15 +241,15 @@ pub struct ClassBase {
     template: BatchTemplate,
     /// The workspace never leaves this lock: replay mutates only its
     /// timing buffers, so concurrent evaluators of the same class
-    /// serialize briefly instead of rebuilding the CSR index.
+    /// serialize briefly instead of rebuilding the index.
     replay: Mutex<ReplayWorkspace>,
 }
 
 impl ClassBase {
     /// Builds the class base of `key` from its schedule (generated for
     /// the key's kind, placement and micro-batch count): one walk of the
-    /// lowering's op-emission rules into flat arrays, then the one
-    /// discovery solve that records the replay trace. Returns `None` if
+    /// lowering's op-emission rules into the dependency index, then the
+    /// one discovery pass that records the replay trace. Returns `None` if
     /// the topology deadlocks — in which case lowering and solving *any*
     /// member fails identically (deadlock is a property of the topology,
     /// not of durations).
@@ -241,22 +263,41 @@ impl ClassBase {
             (key.kind, key.placement, key.num_microbatches),
             "schedule generated for the class"
         );
-        let mut sink = ClassSink::default();
+        let mut sink = ClassSink {
+            resource_device: Vec::new(),
+            op_resource: Vec::new(),
+            dep_indptr: vec![0],
+            deps: Vec::new(),
+            kinds: Vec::new(),
+            slots: Vec::new(),
+            p2p_pair: Vec::new(),
+        };
         let compute = emit_ops(schedule, key.shape, &mut sink);
         let ClassSink {
             mut resource_device,
-            op_resource,
-            deps,
+            mut op_resource,
+            mut dep_indptr,
+            mut deps,
             mut kinds,
             mut slots,
             mut p2p_pair,
         } = sink;
         let n_ops = op_resource.len();
-        let replay = ReplayWorkspace::discover(resource_device.len(), op_resource, &deps).ok()?;
-        resource_device.shrink_to_fit();
+        // The rows become the workspace's index as they are, so drop the
+        // growth slack of every array the base keeps.
+        for v in [
+            &mut resource_device,
+            &mut op_resource,
+            &mut dep_indptr,
+            &mut deps,
+            &mut slots,
+            &mut p2p_pair,
+        ] {
+            v.shrink_to_fit();
+        }
         kinds.shrink_to_fit();
-        slots.shrink_to_fit();
-        p2p_pair.shrink_to_fit();
+        let replay =
+            ReplayWorkspace::discover(resource_device.len(), op_resource, dep_indptr, deps).ok()?;
         Some(ClassBase {
             n_ops,
             kind: key.kind,
@@ -442,8 +483,9 @@ impl std::fmt::Debug for ClassCache {
 impl Default for ClassCache {
     fn default() -> Self {
         // ~2M stored ops: hundreds of search-scale classes. A base holds
-        // ~33 bytes per op (CSR index, replay trace and timing buffer:
-        // 24; duration template: 9), so the cache tops out near 66 MB.
+        // ~33 bytes per op (resource, row pointer, about one dependency,
+        // trace entry and end time: 24; duration template: 9), so the
+        // cache tops out near 66 MB.
         ClassCache::with_max_ops(2_000_000)
     }
 }
@@ -619,7 +661,8 @@ mod tests {
     fn direct_build_matches_the_lowered_graph() {
         // The class template matches what the lowered graph's own ops
         // say: same op count, kinds, perturbation slots, send pairs and
-        // device map.
+        // device map; and each op's dependency row, late slots filled,
+        // is the graph's, in `add_dep` order.
         let a = candidate(4, 2, 1, 12);
         let (_, _, key, lowered) = class_parts(&a);
         let base = build(&key);
@@ -654,7 +697,17 @@ mod tests {
                 "op {i}"
             );
         }
-        assert_eq!(base.lock_replay().num_ops(), g.num_ops());
+        let replay = base.lock_replay();
+        assert_eq!(replay.num_ops(), g.num_ops());
+        for id in g.op_ids() {
+            let row: Vec<u32> = g.deps_of(id).iter().map(|d| d.index() as u32).collect();
+            assert_eq!(
+                replay.deps_of(id.index()),
+                row.as_slice(),
+                "op {}",
+                id.index()
+            );
+        }
     }
 
     #[test]

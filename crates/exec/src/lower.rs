@@ -409,7 +409,9 @@ pub(crate) trait OpSink {
     /// Appends stream `label` (`compute`, `dp` or `pp`) of device `dev`.
     fn stream(&mut self, dev: u32, label: &'static str) -> Self::Stream;
 
-    /// Appends an op on `stream` of device `dev`, waiting for `deps`.
+    /// Appends an op on `stream` of device `dev`, waiting for `deps` and
+    /// for `late_deps` more ops that [`OpSink::dep`] adds once the walk
+    /// has emitted them, after every op.
     fn op(
         &mut self,
         stream: Self::Stream,
@@ -417,11 +419,25 @@ pub(crate) trait OpSink {
         tag: OpTag,
         charge: Charge,
         deps: &[Self::Op],
+        late_deps: u32,
     ) -> Self::Op;
 
     /// Adds a late edge: `op` also waits for `dep`, which may have been
-    /// emitted after it.
+    /// emitted after it. Each op receives exactly the `late_deps` it was
+    /// emitted with.
     fn dep(&mut self, op: Self::Op, dep: Self::Op);
+}
+
+/// The compute action whose output `a` consumes across a stage boundary
+/// — `fwd(mb, s - 1)` for a forward, `bwd(mb, s + 1)` for a backward —
+/// or `None` at the pipeline's ends. [`emit_ops`] both counts each
+/// compute op's late deps and wires them with this one rule.
+fn upstream(a: &Action, n_stage: u32) -> Option<Action> {
+    let s = a.stage.0;
+    match a.dir {
+        Direction::Forward => (s > 0).then(|| Action::fwd(a.microbatch, StageId(s - 1))),
+        Direction::Backward => (s + 1 < n_stage).then(|| Action::bwd(a.microbatch, StageId(s + 1))),
+    }
 }
 
 /// The op-emission rules of a lowering, walked once per topology: per
@@ -512,7 +528,7 @@ pub(crate) fn emit_ops<S: OpSink>(
                 let k = run_start_at[i];
                 let freed = if k >= 2 { run_last_op[k - 2] } else { None };
                 let tag = OpTag::DpGather { stage: a.stage };
-                gather = Some(sink.op(dp, dev, tag, Charge::Gather, freed.as_slice()));
+                gather = Some(sink.op(dp, dev, tag, Charge::Gather, freed.as_slice(), 0));
             }
 
             let charge = match a.dir {
@@ -520,7 +536,15 @@ pub(crate) fn emit_ops<S: OpSink>(
                 Direction::Backward => Charge::Bwd,
             };
             let tag = OpTag::Compute(*a);
-            let op = sink.op(compute[dev as usize], dev, tag, charge, gather.as_slice());
+            let late = upstream(a, n_stage).is_some() as u32;
+            let op = sink.op(
+                compute[dev as usize],
+                dev,
+                tag,
+                charge,
+                gather.as_slice(),
+                late,
+            );
             compute_op[cidx(a)] = Some(op);
             if run_end_at[i] != usize::MAX {
                 run_last_op[run_end_at[i]] = Some(op);
@@ -549,6 +573,7 @@ pub(crate) fn emit_ops<S: OpSink>(
                     tag,
                     Charge::P2p { pair },
                     &[op],
+                    0,
                 );
                 send_op[cidx(a)] = Some(send);
             }
@@ -556,18 +581,32 @@ pub(crate) fn emit_ops<S: OpSink>(
             // Fully sharded: flush (reduce-scatter) gradients at the end
             // of each backward run.
             if use_fs && run_end_at[i] != usize::MAX && a.dir == Direction::Backward {
-                sink.op(dp, dev, OpTag::DpReduce { stage: a.stage }, reduce, &[op]);
+                sink.op(
+                    dp,
+                    dev,
+                    OpTag::DpReduce { stage: a.stage },
+                    reduce,
+                    &[op],
+                    0,
+                );
             }
 
             // DP_0 / DP_PS: one reduction per stage after its last
             // backward. DP_PS chains the weight all-gather behind it.
             if !use_fs && shape.dp_active && last_bwd_at[a.stage.0 as usize] == i {
-                let rs = sink.op(dp, dev, OpTag::DpReduce { stage: a.stage }, reduce, &[op]);
+                let rs = sink.op(
+                    dp,
+                    dev,
+                    OpTag::DpReduce { stage: a.stage },
+                    reduce,
+                    &[op],
+                    0,
+                );
                 match shape.dp {
                     DataParallelism::Unsharded => {}
                     DataParallelism::PartiallySharded => {
                         let tag = OpTag::DpGather { stage: a.stage };
-                        sink.op(dp, dev, tag, Charge::Gather, &[rs]);
+                        sink.op(dp, dev, tag, Charge::Gather, &[rs], 0);
                     }
                     DataParallelism::FullySharded => unreachable!("use_fs covers this"),
                 }
@@ -585,18 +624,11 @@ pub(crate) fn emit_ops<S: OpSink>(
     };
     for mb in 0..n_mb {
         for s in 0..n_stage {
-            let stage = StageId(s);
-            // Forward: fwd(mb, s+1) waits for the transfer out of s.
-            if s + 1 < n_stage {
-                let consumer = compute_op[cidx(&Action::fwd(mb, StageId(s + 1)))]
-                    .expect("all compute ops created");
-                sink.dep(consumer, producer(Action::fwd(mb, stage)));
-            }
-            // Backward: bwd(mb, s-1) waits for the transfer out of s.
-            if s > 0 {
-                let consumer = compute_op[cidx(&Action::bwd(mb, StageId(s - 1)))]
-                    .expect("all compute ops created");
-                sink.dep(consumer, producer(Action::bwd(mb, stage)));
+            for consumer in [Action::fwd(mb, StageId(s)), Action::bwd(mb, StageId(s))] {
+                if let Some(up) = upstream(&consumer, n_stage) {
+                    let op = compute_op[cidx(&consumer)].expect("all compute ops created");
+                    sink.dep(op, producer(up));
+                }
             }
         }
     }
@@ -1105,6 +1137,7 @@ impl OpSink for GraphSink<'_> {
         tag: OpTag,
         charge: Charge,
         deps: &[OpId],
+        _late_deps: u32,
     ) -> OpId {
         let class = charge.class();
         let salt = self.graph.num_ops() as u64;

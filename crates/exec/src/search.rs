@@ -205,8 +205,9 @@ pub struct SearchEnv {
     /// Topology-class base cache: every survivor is evaluated through
     /// its class's base. Bases are model/cluster/kernel-independent, so
     /// the process-wide [`ClassCache::global`] is the default even for
-    /// private environments — a hit skips the class build (op walk, CSR
-    /// index, discovery solve) but can never change a result.
+    /// private environments — a hit skips the class build (op walk into
+    /// the dependency index, discovery pass) but can never change a
+    /// result.
     pub classes: Arc<ClassCache>,
     /// Warm-start store. `None` disables both recording and replay.
     pub warm: Option<Arc<WarmCache>>,

@@ -263,9 +263,10 @@ impl<T> OpGraph<T> {
 
     /// Computes a start/end time for every operation.
     ///
-    /// Event-driven, O(V + E): see [`Solver`] for re-solving the same
-    /// graph repeatedly and [`OpGraph::solve_with`] for reusing the
-    /// solver workspace across graphs.
+    /// One discovery pass and one replay, O(V + E + R): see [`Solver`]
+    /// for re-solving the same graph repeatedly and
+    /// [`OpGraph::solve_with`] for reusing the solver workspace across
+    /// graphs.
     ///
     /// # Errors
     ///

@@ -4,7 +4,7 @@
 //! resources, draining each FIFO queue as far as dependencies allow,
 //! rescanning until a full pass makes no progress. It is compiled only
 //! for tests and the `reference-solver` feature, where it serves as the
-//! ground truth the event-driven solver is checked against — the
+//! ground truth the solver core is checked against — the
 //! equivalence property tests in [`crate::solver`] and the benchmark
 //! baselines in `bfpp-bench` both use it. See DESIGN.md §9.
 
@@ -18,7 +18,7 @@ impl<T> OpGraph<T> {
     /// Produces output bit-identical to [`OpGraph::solve`] — same
     /// [`Timeline`] on success, same [`DeadlockError`] on failure. Kept
     /// only as a correctness oracle and benchmark baseline; the
-    /// event-driven solver is strictly faster.
+    /// solver core is strictly faster.
     ///
     /// # Errors
     ///
@@ -113,14 +113,14 @@ fn solve_round_robin<T>(graph: &OpGraph<T>) -> Result<Timeline, DeadlockError> {
 }
 
 /// Equivalence property tests: on random FIFO+DAG graphs — including
-/// graphs with injected cycles — the event-driven solver and this
-/// reference solver must produce identical timelines and agree on
-/// deadlocks. This is the proof obligation behind the O(V+E) rewrite
-/// (DESIGN.md §9).
+/// graphs with injected cycles — the solver core, through both its graph
+/// and its flat entry point, and this reference solver must produce
+/// identical times and agree on deadlocks. This is the proof obligation
+/// behind the linear solver core (DESIGN.md §9).
 #[cfg(test)]
 mod equivalence_tests {
     use crate::graph::{OpGraph, OpId};
-    use crate::solver::Solver;
+    use crate::solver::{ReplayWorkspace, SolveStats, Solver};
     use crate::time::SimDuration;
     use proptest::prelude::*;
 
@@ -218,7 +218,7 @@ mod equivalence_tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(300))]
 
-        /// The event-driven solver and the round-robin reference produce
+        /// The solver core and the round-robin reference produce
         /// identical `ScheduledOp` vectors and makespans on every
         /// solvable graph, and agree on deadlocks otherwise.
         #[test]
@@ -247,8 +247,64 @@ mod equivalence_tests {
                     assert_valid_blocking_cycle(&g, &reference.cycle);
                 }
                 (fast, reference) => panic!(
-                    "solvers disagree on solvability: event-driven={fast:?} \
+                    "solvers disagree on solvability: solver={fast:?} \
                      reference={reference:?}"
+                ),
+            }
+        }
+
+        /// The graph-free entry point agrees with the reference too:
+        /// each random graph's `deps_of` rows, discovered through
+        /// `ReplayWorkspace::discover` and replayed under the graph's
+        /// durations, give the reference's makespan and per-resource busy
+        /// times, or its deadlock report. (The graph solver runs the same
+        /// core, so this is the flat path's independent check.)
+        #[test]
+        fn flat_discovery_agrees_with_reference(
+            (nres, ops, late) in random_graph_with_late_edges(4, 40, 6),
+        ) {
+            let g = build(nres, &ops, &late);
+            let op_resource = g.op_ids().map(|id| g.op(id).resource().index() as u32).collect();
+            let mut dep_indptr = vec![0];
+            let mut deps = Vec::new();
+            for id in g.op_ids() {
+                deps.extend(g.deps_of(id).iter().map(|d| d.index() as u32));
+                dep_indptr.push(deps.len() as u32);
+            }
+            match (
+                ReplayWorkspace::discover(nres, op_resource, dep_indptr, deps),
+                g.solve_reference(),
+            ) {
+                (Ok(mut ws), Ok(reference)) => {
+                    let durations: Vec<SimDuration> =
+                        g.op_ids().map(|id| g.op(id).duration()).collect();
+                    let mut stats = SolveStats {
+                        makespan: SimDuration::ZERO,
+                        busy: Vec::new(),
+                        peak_memory: None,
+                    };
+                    ws.replay_stats_into(&durations, &mut stats);
+                    let mut busy = vec![SimDuration::ZERO; nres];
+                    for op in reference.scheduled_ops() {
+                        busy[op.resource.index()] += op.duration();
+                    }
+                    prop_assert_eq!(stats.makespan, reference.makespan());
+                    prop_assert_eq!(stats.busy, busy);
+                }
+                (Err(flat), Err(reference)) => {
+                    prop_assert_eq!(flat.stuck_op, reference.stuck_op);
+                    prop_assert_eq!(flat.resource, reference.resource);
+                    prop_assert_eq!(flat.unscheduled, reference.unscheduled);
+                    prop_assert_eq!(
+                        flat.resource_name,
+                        format!("#{}", reference.resource.index())
+                    );
+                    assert_valid_blocking_cycle(&g, &flat.cycle);
+                }
+                (flat, reference) => panic!(
+                    "flat discovery and the reference disagree on solvability: \
+                     flat={:?} reference={reference:?}",
+                    flat.err()
                 ),
             }
         }
@@ -296,7 +352,7 @@ mod equivalence_tests {
                 }
                 (fast, reference) => panic!(
                     "duration re-solve disagrees on solvability: \
-                     event-driven={fast:?} reference={reference:?}"
+                     solver={fast:?} reference={reference:?}"
                 ),
             }
         }

@@ -1,14 +1,19 @@
 //! The deterministic timeline solver.
 //!
-//! Event-driven, O(V + E): a CSR reverse-dependency index (flat
-//! `dependents` arena plus per-op pending-dep counters) is built once per
-//! graph, then a ready queue schedules each operation exactly once — no
-//! round-robin rescanning. The produced timeline is *bit-identical* to
-//! the reference round-robin solver ([`crate::reference`], kept as a
-//! test/bench oracle), because an op's start time — `max(resource free,
-//! all deps done)` — is a pure function of already-scheduled ops, so the
-//! ready-queue processing order cannot change any time. See DESIGN.md §9.
+//! One core serves graph solves and graph-free class workspaces alike. Its
+//! index is forward: each op's resource and its dependency row, in the
+//! order the deps were added. *Discovery* lets every resource drain its
+//! FIFO queue and parks it on the first unfinished dependency of its head,
+//! recording a processing order without reading a duration. *Replay*, the
+//! only timing loop, walks that order and pulls each op's start from its
+//! resource and its dependencies' end times. Both passes are
+//! O(V + E + R). The produced timeline is *bit-identical* to the reference
+//! round-robin solver ([`crate::reference`], kept as a test/bench oracle),
+//! because an op's start time — `max(resource free, all deps done)` — is a
+//! pure function of its resource predecessor and its deps, so no valid
+//! processing order can change any time. See DESIGN.md §9.
 
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
@@ -156,8 +161,8 @@ impl Error for DeadlockError {}
 /// head of its resource's FIFO queue. Following that single "binding
 /// blocker" edge from any blocked op must revisit a node — that loop is
 /// the unresolvable cycle. The reference round-robin solver's entry
-/// point; the event-driven solver walks the same
-/// [`blocking_cycle_with`], so their reports agree exactly.
+/// point; the solver core walks the same [`blocking_cycle_with`], so
+/// their reports agree exactly.
 #[cfg(any(test, feature = "reference-solver"))]
 pub(crate) fn blocking_cycle<T>(
     graph: &OpGraph<T>,
@@ -200,73 +205,63 @@ fn blocking_cycle_with(
     }
 }
 
-/// Per-op solve state, packed into one location so the hot reverse-edge
-/// pass touches a single cache line per dependent: the countdown of
-/// unfinished dependencies and the running max of finished-dependency end
-/// times (so scheduling an op never re-walks its dependency list).
-#[derive(Debug, Clone, Copy)]
-struct OpState {
-    /// Latest end time among this op's *finished* dependencies; the true
-    /// dependency-ready time once `pending` reaches zero.
-    deps_ready: SimTime,
-    /// Unfinished dependency count. Not updated when the op itself runs:
-    /// a scheduled op is never revisited (it can't reappear as a queue
-    /// head or a dependent), and the deadlock path recovers the scheduled
-    /// set from the consumed worklist prefix instead.
-    pending: u32,
-    /// The op's resource index, packed here so the reverse-edge pass
-    /// finds it on the cache line it already loaded.
-    resource: u32,
-}
+/// "No op" and "no resource" in discovery's links.
+const NONE: u32 = u32::MAX;
+/// A finished op's [`Discovery::waiters`] entry.
+const DONE: u32 = u32::MAX - 1;
 
-/// Per-resource solve state, packed so each scheduling step touches one
-/// location: when the resource frees up, the absolute `queue_arena`
-/// cursor/limit of its FIFO queue, and the cached current head.
+/// One resource's discovery state.
 #[derive(Debug, Clone, Copy)]
-struct ResourceState {
-    /// When the resource next becomes free.
-    free_at: SimTime,
-    /// Total duration scheduled on this resource so far — accumulated in
-    /// the hot loop (the line is already being written) so
-    /// [`SolveStats`] needs no second pass over the ops.
-    busy: SimDuration,
-    /// Absolute `queue_arena` position of the next queued op.
-    next_pos: u32,
-    /// Absolute end of this resource's `queue_arena` slice.
-    limit: u32,
-    /// Raw id of the current queue head (`u32::MAX` once drained),
-    /// cached so the reverse-edge pass checks readiness without
-    /// touching the queue itself.
+struct Stream {
+    /// The op at the head of its FIFO queue (`NONE` once drained).
     head: u32,
+    /// Where in `deps` the head's done-check resumes: the dep it parked
+    /// on, or its row start.
+    scan: u32,
+    /// The next resource parked on the same op (`NONE` ends the chain).
+    next_parked: u32,
 }
 
-/// What trace replay reads, and all it reads: the CSR reverse-dependency
-/// index, each op's resource, the recorded processing order, and the
-/// replay loop's own timing buffers. [`SolveScratch`] wraps it with the
-/// discovery event loop's buffers; [`ReplayWorkspace`] wraps it alone.
+/// Discovery's scratch, reused across topologies. Nothing here outlives
+/// a pass except in a stalled one, where it holds the done set and each
+/// resource's head for the deadlock report.
+#[derive(Debug, Clone, Default)]
+struct Discovery {
+    /// Per op, the next op on its resource (`NONE` at the tail): a
+    /// resource's FIFO queue is its ops in index order.
+    next: Vec<u32>,
+    /// Per op, `DONE` once it ran; before that, the first resource parked
+    /// on it (`NONE` if none), the rest chained by `Stream::next_parked`.
+    waiters: Vec<u32>,
+    /// Per-resource state.
+    streams: Vec<Stream>,
+    /// Resources ready to drain, first in first out; each appears at
+    /// most once.
+    ready: VecDeque<u32>,
+}
+
+/// The solver core: a topology's forward dependency index, its recorded
+/// processing order, and the replay loop's timing buffers. [`SolveScratch`]
+/// wraps it with discovery's scratch and a graph's base durations;
+/// [`ReplayWorkspace`] wraps it alone.
 #[derive(Debug, Clone, Default)]
 struct ReplayCore {
-    /// CSR row pointers: dependents of op `i` live at
-    /// `dependents[indptr[i] .. indptr[i + 1]]`.
-    indptr: Vec<u32>,
-    /// CSR column indices: flat arena of reverse dependency edges.
-    dependents: Vec<OpId>,
-    /// Per-op resource index, copied out of the topology so the hot
-    /// loops read a dense array instead of chasing `Op` structs.
+    /// Per-op resource index.
     op_resource: Vec<u32>,
+    /// Row pointers: op `i` waits for
+    /// `deps[dep_indptr[i] .. dep_indptr[i + 1]]`.
+    dep_indptr: Vec<u32>,
+    /// Dependency rows, each in the order its deps were added.
+    deps: Vec<u32>,
     /// Number of resources in the topology.
     num_resources: usize,
-    /// The consumed ready worklist of a successful full solve, in
-    /// processing order — a *replay trace*. The event loop's processing
-    /// order is duration-independent (pushes depend only on pending-dep
-    /// counters and queue positions, never on times), so one recorded
-    /// trace is a valid schedule order for *any* duration vector over
-    /// this topology; [`ReplayCore::replay`] re-times it without queue
-    /// or counter bookkeeping.
-    trace: Vec<OpId>,
-    /// Per-op dependency-ready time (dense 8-byte lanes: the replay
-    /// touches nothing else per dependent).
-    ready_time: Vec<SimTime>,
+    /// Discovery's processing order, a *replay trace*: every op follows
+    /// its deps and its resource predecessor. Discovery never reads a
+    /// duration, so one trace is a valid schedule order for *any*
+    /// duration vector over this topology.
+    trace: Vec<u32>,
+    /// Per-op end time of the latest replay.
+    end: Vec<SimTime>,
     /// Per-resource free time.
     free: Vec<SimTime>,
     /// Per-resource busy sum.
@@ -275,25 +270,167 @@ struct ReplayCore {
 
 impl ReplayCore {
     fn num_ops(&self) -> usize {
-        self.indptr.len().saturating_sub(1)
+        self.op_resource.len()
     }
 
-    /// The replay engine: walks the recorded trace once, re-timing every
-    /// op under `durations`. The trace respects dependency order (an op
-    /// was pushed only after all its deps ran) and per-resource FIFO
-    /// order (only queue heads are pushed), and an op's start time —
-    /// `max(resource free, deps done)` — is a pure function of
-    /// already-processed ops under both orders, so the replayed times are
-    /// bit-identical to a full event-driven solve under the same
-    /// durations, with none of the queue/counter bookkeeping. `RECORD`
-    /// additionally fills the per-op `start`/`end` arrays (timeline and
-    /// memory-peak paths). Callers guarantee `trace` is complete for
-    /// this topology.
+    /// The ops `op` waits for, in insertion order.
+    fn row(&self, op: usize) -> &[u32] {
+        &self.deps[self.dep_indptr[op] as usize..self.dep_indptr[op + 1] as usize]
+    }
+
+    /// Discovery: records in `trace` an order in which every op follows
+    /// its deps and its resource predecessor, reading no duration. A
+    /// resource drains its FIFO queue while every dep of its head is
+    /// done. Otherwise it parks on the head's first unfinished dep, and
+    /// that dep's completion re-queues it, resuming the scan at the dep
+    /// it parked on. This is the reference round-robin algorithm made
+    /// linear: every dep entry is passed once and checked once more per
+    /// park, so the pass is O(V + E + R) for any in-degree. At any moment
+    /// each resource is running, parked on one op, or queued once.
+    ///
+    /// Returns whether every op ran. A stalled pass stops at the maximal
+    /// set of ops that can run — the set Kahn's algorithm and the
+    /// reference reach too — and leaves it in `ds` for
+    /// [`ReplayCore::deadlock`].
+    fn discover(&mut self, ds: &mut Discovery) -> bool {
+        let n = self.num_ops();
+        let num_resources = self.num_resources;
+        assert!(
+            num_resources < DONE as usize,
+            "resource indices must stay below discovery's markers"
+        );
+        let ReplayCore {
+            op_resource,
+            dep_indptr,
+            deps,
+            trace,
+            ..
+        } = self;
+        let Discovery {
+            next,
+            waiters,
+            streams,
+            ready,
+        } = ds;
+        streams.clear();
+        streams.resize(
+            num_resources,
+            Stream {
+                head: NONE,
+                scan: 0,
+                next_parked: NONE,
+            },
+        );
+        // Link each queue back to front, so every head ends at its
+        // resource's lowest op.
+        next.clear();
+        next.resize(n, NONE);
+        for (i, &r) in op_resource.iter().enumerate().rev() {
+            let head = &mut streams[r as usize].head;
+            next[i] = *head;
+            *head = i as u32;
+        }
+        waiters.clear();
+        waiters.resize(n, NONE);
+        ready.clear();
+        for (r, stream) in streams.iter_mut().enumerate() {
+            if stream.head != NONE {
+                stream.scan = dep_indptr[stream.head as usize];
+                ready.push_back(r as u32);
+            }
+        }
+        trace.clear();
+        trace.reserve(n);
+
+        while let Some(r) = ready.pop_front() {
+            let r = r as usize;
+            let Stream { mut head, scan, .. } = streams[r];
+            let mut at = scan as usize;
+            loop {
+                let h = head as usize;
+                let hi = dep_indptr[h + 1] as usize;
+                while at < hi && waiters[deps[at] as usize] == DONE {
+                    at += 1;
+                }
+                if at < hi {
+                    // Park on the unfinished dep.
+                    let blocker = &mut waiters[deps[at] as usize];
+                    streams[r] = Stream {
+                        head,
+                        scan: at as u32,
+                        next_parked: *blocker,
+                    };
+                    *blocker = r as u32;
+                    break;
+                }
+                trace.push(head);
+                // Re-queue every resource parked on the op that just ran.
+                let mut woken = std::mem::replace(&mut waiters[h], DONE);
+                while woken != NONE {
+                    ready.push_back(woken);
+                    woken = streams[woken as usize].next_parked;
+                }
+                head = next[h];
+                if head == NONE {
+                    streams[r].head = NONE;
+                    break;
+                }
+                at = dep_indptr[head as usize] as usize;
+            }
+        }
+        trace.len() == n
+    }
+
+    /// The [`DeadlockError`] of a stalled discovery, named through
+    /// `resource_name`. The lowest-numbered resource with ops left
+    /// reports its head, as the reference round-robin solver does, and
+    /// the blocking cycle follows each op's first unfinished dep, else
+    /// its resource's head. Discovery stalls at the same done set as the
+    /// reference, so the reports are bit-identical.
+    fn deadlock(&self, ds: &Discovery, resource_name: impl Fn(usize) -> String) -> DeadlockError {
+        let n = self.num_ops();
+        let head = |r: usize| {
+            let h = ds.streams[r].head;
+            (h != NONE).then_some(OpId(h))
+        };
+        let (r, stuck) = (0..self.num_resources)
+            .find_map(|r| head(r).map(|op| (r, op)))
+            .expect("unscheduled ops must sit on some queue");
+        let cycle = blocking_cycle_with(
+            n,
+            stuck,
+            |op| {
+                self.row(op.index())
+                    .iter()
+                    .find(|&&d| ds.waiters[d as usize] != DONE)
+                    .map(|&d| OpId(d))
+            },
+            |op| {
+                head(self.op_resource[op.index()] as usize)
+                    .expect("a blocked op's queue is not drained")
+            },
+        );
+        DeadlockError {
+            stuck_op: stuck,
+            resource: ResourceId(r as u32),
+            resource_name: resource_name(r),
+            cycle,
+            unscheduled: n - self.trace.len(),
+        }
+    }
+
+    /// Replay, the only timing loop: walks the recorded trace once and
+    /// starts each op at `max(resource free, end of each dep)`, pulling
+    /// both from ops that precede it in the trace. An op's start is a
+    /// pure function of its resource predecessor and its deps, so these
+    /// times are those of every valid processing order — the reference
+    /// solver's included — bit for bit. `RECORD` additionally fills
+    /// `start` (timeline and memory-peak paths; `end` is always kept).
+    /// Callers guarantee `trace` is complete for this index.
     fn replay<const RECORD: bool>(
         &mut self,
         durations: &[SimDuration],
         start: &mut Vec<SimTime>,
-        end: &mut Vec<SimTime>,
     ) -> SimDuration {
         let n = self.num_ops();
         assert_eq!(
@@ -302,114 +439,99 @@ impl ReplayCore {
             "duration override must cover every op (got {}, topology has {n})",
             durations.len()
         );
-        let num_resources = self.num_resources;
         let ReplayCore {
-            indptr,
-            dependents,
             op_resource,
+            dep_indptr,
+            deps,
+            num_resources,
             trace,
-            ready_time,
+            end,
             free,
             busy,
-            ..
         } = self;
-        ready_time.clear();
-        ready_time.resize(n, SimTime::ZERO);
+        // An op reads only the end times of ops replayed before it, so
+        // stale values from an earlier replay need no zeroing.
+        end.resize(n, SimTime::ZERO);
         free.clear();
-        free.resize(num_resources, SimTime::ZERO);
+        free.resize(*num_resources, SimTime::ZERO);
         busy.clear();
-        busy.resize(num_resources, SimDuration::ZERO);
+        busy.resize(*num_resources, SimDuration::ZERO);
         if RECORD {
             start.resize(n, SimTime::ZERO);
-            end.resize(n, SimTime::ZERO);
         }
-        // SAFETY: every `OpId` in `trace` was consumed from the ready
-        // worklist of a successful full solve over this topology, whose
-        // ids come from `queue_arena`/`dependents` — checked `< n` when
-        // the topology was built (see the SAFETY argument in
-        // `SolveScratch::run_events`), so `i` indexes
-        // `ready_time`/`op_resource`/`durations` and (under `RECORD`)
-        // `start`/`end`, and `i + 1 <= n` indexes `indptr`. `op_resource`
-        // entries were checked `< num_resources` at the same time,
-        // bounding the `free`/`busy` accesses, and `indptr` is a prefix
-        // sum bounded by `dependents.len()`. Rebuilding an index clears
-        // its trace, so a trace can never be replayed against a
-        // differently shaped topology.
-        for &op_id in trace.iter() {
-            let i = op_id.index();
+        // SAFETY (for the `get_unchecked` accesses below): both index
+        // builders establish, for any input topology (acyclic or not),
+        // that `op_resource` holds `n` entries `< num_resources`,
+        // `dep_indptr` holds `n + 1` non-decreasing entries from 0 to
+        // `deps.len()`, and every entry of `deps` is `< n`:
+        // `index_graph` copies what `OpGraph::add_op`/`add_dep`
+        // validated, and `ReplayWorkspace::discover` asserts each
+        // property. Every entry of a complete trace is a queue head that
+        // discovery linked from `0..n`, so `i` indexes
+        // `op_resource`/`end`/`durations` (length `n`, asserted above)
+        // and, under `RECORD`, `start`; `i + 1 <= n` indexes
+        // `dep_indptr`, whose row lies within `deps`; each dep indexes
+        // `end`; and `r < num_resources` indexes `free`/`busy`.
+        // Rebuilding an index clears its trace, so a trace can never
+        // replay against a differently shaped topology. The debug
+        // assertions re-check this.
+        for &op in trace.iter() {
+            let i = op as usize;
             debug_assert!(i < n);
             let r = unsafe { *op_resource.get_unchecked(i) } as usize;
-            debug_assert!(r < num_resources);
-            let d = unsafe { *durations.get_unchecked(i) };
-            let free_at = unsafe { free.get_unchecked_mut(r) };
-            let ready_at = (*free_at).max(unsafe { *ready_time.get_unchecked(i) });
-            let finish = ready_at + d;
-            *free_at = finish;
-            unsafe { *busy.get_unchecked_mut(r) += d };
-            if RECORD {
-                unsafe {
-                    *start.get_unchecked_mut(i) = ready_at;
-                    *end.get_unchecked_mut(i) = finish;
-                }
-            }
+            debug_assert!(r < *num_resources);
             let (lo, hi) = unsafe {
                 (
-                    *indptr.get_unchecked(i) as usize,
-                    *indptr.get_unchecked(i + 1) as usize,
+                    *dep_indptr.get_unchecked(i) as usize,
+                    *dep_indptr.get_unchecked(i + 1) as usize,
                 )
             };
-            debug_assert!(lo <= hi && hi <= dependents.len());
-            for &dependent in unsafe { dependents.get_unchecked(lo..hi) } {
-                let j = dependent.index();
-                debug_assert!(j < n);
-                let rt = unsafe { ready_time.get_unchecked_mut(j) };
-                *rt = (*rt).max(finish);
+            debug_assert!(lo <= hi && hi <= deps.len());
+            let free_at = unsafe { free.get_unchecked_mut(r) };
+            let mut ready_at = *free_at;
+            for &dep in unsafe { deps.get_unchecked(lo..hi) } {
+                debug_assert!((dep as usize) < n);
+                ready_at = ready_at.max(unsafe { *end.get_unchecked(dep as usize) });
+            }
+            let d = unsafe { *durations.get_unchecked(i) };
+            let finish = ready_at + d;
+            *free_at = finish;
+            unsafe {
+                *busy.get_unchecked_mut(r) += d;
+                *end.get_unchecked_mut(i) = finish;
+                if RECORD {
+                    *start.get_unchecked_mut(i) = ready_at;
+                }
             }
         }
+        // Every resource's `free` is its last op's end, so the makespan
+        // is their max.
         let makespan = free.iter().copied().max().unwrap_or(SimTime::ZERO);
         makespan.duration_since(SimTime::ZERO)
     }
 }
 
-/// Reusable solver workspace: the CSR reverse-dependency index plus every
-/// per-solve buffer. Passing one scratch through
-/// [`OpGraph::solve_with`] / [`Solver::with_scratch`] lets thousands of
-/// candidate solves (as in the configuration search) run without a single
-/// heap allocation after warm-up.
+/// Reusable solver workspace: the solver core built for one graph, its
+/// base durations, discovery's scratch and the per-op start times.
+/// Passing one scratch through [`OpGraph::solve_with`] /
+/// [`Solver::with_scratch`] lets thousands of candidate solves (as in the
+/// configuration search) run without a single heap allocation after
+/// warm-up.
 #[derive(Debug, Clone, Default)]
 pub struct SolveScratch {
-    /// The topology index, replay trace and replay buffers.
+    /// The dependency index, replay trace and replay buffers.
     core: ReplayCore,
-    /// Whether `core.trace` holds a complete trace for the current
-    /// topology. Cleared by [`build_csr`]; deadlocked solves never set it.
+    /// Whether `core.trace` is complete for the current index. Cleared
+    /// by `index_graph`; a stalled discovery never sets it.
     trace_ready: bool,
-    /// Scatter cursors used while filling `dependents` and the queues.
-    fill_cursor: Vec<u32>,
-    /// Pristine per-op state (dependency count + resource index,
-    /// `deps_ready` zeroed), built once per graph; every solve resets
-    /// `state` with one flat copy of this template.
-    init_state: Vec<OpState>,
-    /// Per-op base duration, copied out of the graph: solves without a
-    /// duration override index this, so both paths run the same loop.
+    /// Per-op base duration, copied out of the graph: a solve without a
+    /// duration override replays these.
     op_duration: Vec<SimDuration>,
-    /// Flattened FIFO queues: resource `r`'s queue is
-    /// `queue_arena[queue_indptr[r] .. queue_indptr[r + 1]]`.
-    queue_indptr: Vec<u32>,
-    /// Concatenated per-resource queues (see `queue_indptr`).
-    queue_arena: Vec<OpId>,
-    /// Per-solve countdown + dependency-ready time per op.
-    state: Vec<OpState>,
-    /// Ready worklist (ops whose deps are done and which head their
-    /// resource queue).
-    ready: Vec<OpId>,
+    /// Discovery's per-op links and per-resource state.
+    discovery: Discovery,
     /// Solved start time per op (written only when a full timeline is
     /// materialized).
     start: Vec<SimTime>,
-    /// Solved end time per op (written only when a full timeline is
-    /// materialized).
-    end: Vec<SimTime>,
-    /// Per-resource packed solve state (free time, queue cursor, head).
-    res: Vec<ResourceState>,
 }
 
 impl SolveScratch {
@@ -422,26 +544,24 @@ impl SolveScratch {
     pub fn with_capacity(ops: usize, edges: usize, resources: usize) -> Self {
         SolveScratch {
             core: ReplayCore {
-                indptr: Vec::with_capacity(ops + 1),
-                dependents: Vec::with_capacity(edges),
                 op_resource: Vec::with_capacity(ops),
+                dep_indptr: Vec::with_capacity(ops + 1),
+                deps: Vec::with_capacity(edges),
                 num_resources: 0,
                 trace: Vec::with_capacity(ops),
-                ready_time: Vec::with_capacity(ops),
+                end: Vec::with_capacity(ops),
                 free: Vec::with_capacity(resources),
                 busy: Vec::with_capacity(resources),
             },
             trace_ready: false,
-            fill_cursor: Vec::with_capacity(ops),
-            init_state: Vec::with_capacity(ops),
             op_duration: Vec::with_capacity(ops),
-            queue_indptr: Vec::with_capacity(resources + 1),
-            queue_arena: Vec::with_capacity(ops),
-            state: Vec::with_capacity(ops),
-            ready: Vec::with_capacity(resources),
+            discovery: Discovery {
+                next: Vec::with_capacity(ops),
+                waiters: Vec::with_capacity(ops),
+                streams: Vec::with_capacity(resources),
+                ready: VecDeque::with_capacity(resources),
+            },
             start: Vec::with_capacity(ops),
-            end: Vec::with_capacity(ops),
-            res: Vec::with_capacity(resources),
         }
     }
 
@@ -462,274 +582,40 @@ impl SolveScratch {
     /// buffer is reused, so a caller looping over many duration rows
     /// allocates nothing). This is the graph-free half of the duration
     /// re-solve: the workspace alone carries the topology.
-    /// [`ReplayWorkspace`] is the same replay without the discovery
-    /// buffers, for callers that keep many topologies alive.
+    /// [`ReplayWorkspace`] is the same replay without discovery's
+    /// scratch, for callers that keep many topologies alive.
     ///
     /// # Panics
     ///
     /// Panics if no trace is recorded ([`SolveScratch::has_trace`]) or
     /// if `durations.len()` differs from the topology's op count.
     pub fn replay_stats_into(&mut self, durations: &[SimDuration], stats: &mut SolveStats) {
-        let makespan = self.replay::<false>(durations);
+        let makespan = self.replay::<false>(Some(durations));
         stats.makespan = makespan;
         stats.busy.clear();
         stats.busy.extend_from_slice(&self.core.busy);
         stats.peak_memory = None;
     }
 
-    /// [`ReplayCore::replay`] behind the recorded-trace check.
-    fn replay<const RECORD: bool>(&mut self, durations: &[SimDuration]) -> SimDuration {
+    /// [`ReplayCore::replay`] behind the recorded-trace check, under
+    /// `durations` or, without an override, the graph's base durations.
+    fn replay<const RECORD: bool>(&mut self, durations: Option<&[SimDuration]>) -> SimDuration {
         assert!(
             self.trace_ready,
             "replay requires a recorded trace (run one full solve first)"
         );
-        self.core
-            .replay::<RECORD>(durations, &mut self.start, &mut self.end)
-    }
-
-    /// The discovery event loop. Schedules every op exactly once: an op
-    /// enters the ready queue when its pending-dep counter hits zero
-    /// *and* it heads its resource's FIFO queue; scheduling it advances
-    /// the queue (which may ready the next head) and decrements its CSR
-    /// dependents (which may ready ops that were already at their queue
-    /// head). Each op's start time depends only on previously scheduled
-    /// ops, so the worklist order never affects the timeline —
-    /// determinism needs no tie-breaking at all. A successful solve
-    /// records its worklist as the replay trace (once per built index).
-    ///
-    /// Runs over the built index alone, so graph-built and flat-built
-    /// workspaces share it. On a stall, returns how many ops ran (the
-    /// consumed worklist prefix) for the caller's deadlock report.
-    /// `RECORD` fills the per-op `start`/`end` arrays.
-    fn run_events<const RECORD: bool>(
-        &mut self,
-        durations: Option<&[SimDuration]>,
-    ) -> Result<SimDuration, usize> {
-        let n = self.core.num_ops();
-        let num_resources = self.core.num_resources;
-        if let Some(d) = durations {
-            assert_eq!(
-                d.len(),
-                n,
-                "duration override must cover every op (got {}, graph has {n})",
-                d.len()
-            );
-        }
-        // Split borrows: the topology caches stay shared while the
-        // per-solve buffers are written.
-        let SolveScratch {
-            core:
-                ReplayCore {
-                    indptr,
-                    dependents,
-                    trace,
-                    ..
-                },
-            trace_ready,
-            init_state,
-            op_duration,
-            queue_indptr,
-            queue_arena,
-            state,
-            ready,
-            start,
-            end,
-            res,
-            ..
-        } = self;
-        // Without an override, the base durations cached at build time
-        // serve as the "override": both paths run one slice-indexed loop.
-        let ds: &[SimDuration] = durations.unwrap_or(op_duration);
-        debug_assert_eq!(ds.len(), n);
-
-        state.clear();
-        state.extend_from_slice(init_state);
-        // `end`/`start` are only read for ops scheduled *this* solve, so
-        // stale values from a previous solve need no zeroing.
-        if RECORD {
-            start.resize(n, SimTime::ZERO);
-            end.resize(n, SimTime::ZERO);
-        }
-        ready.clear();
-
-        // Seed: cache every queue's head; heads with no pending deps are
-        // ready.
-        res.clear();
-        for r in 0..num_resources {
-            let (lo, hi) = (queue_indptr[r], queue_indptr[r + 1]);
-            let head = if lo < hi {
-                let first = queue_arena[lo as usize];
-                if state[first.index()].pending == 0 {
-                    ready.push(first);
-                }
-                first.0
-            } else {
-                u32::MAX
-            };
-            res.push(ResourceState {
-                free_at: SimTime::ZERO,
-                busy: SimDuration::ZERO,
-                next_pos: lo,
-                limit: hi,
-                head,
-            });
-        }
-
-        // The worklist is consumed FIFO via a cursor (never popped):
-        // processing order then tracks the schedule's wave order, which
-        // keeps the scattered per-op state accesses roughly sequential.
-        // Each op enters the list exactly once, so it tops out at `n`.
-        //
-        // SAFETY (for the `get_unchecked` accesses below): every `OpId`
-        // reaching the worklist comes from `queue_arena` or `dependents`.
-        // Both index builders check every id they store `< n`: `build_csr`
-        // copies ids the graph validated at `add_op`/`add_dep` time, and
-        // `build_flat` asserts each dependency edge's ops `< n` (and fills
-        // the queues with `0..n`). So every op index is `< n` — the length
-        // of `state`, `ds`, and (when `RECORD`) `start`/`end` — and
-        // `i + 1 <= n` indexes `indptr` (length `n + 1`). Every
-        // `OpState::resource` was checked `< num_resources` by the same
-        // builders (`add_op` for graphs, the resource assertion in
-        // `build_flat`), so it indexes `res` (length `num_resources`).
-        // `next_pos < rs.limit <= queue_arena.len()` guards the arena
-        // read, and `indptr` is a prefix sum bounded by
-        // `dependents.len()`. These invariants hold for any input
-        // topology (they do not depend on acyclicity), and the debug
-        // assertions below re-check them in debug builds.
-        let mut cursor = 0usize;
-        while cursor < ready.len() {
-            let op_id = ready[cursor];
-            cursor += 1;
-            let i = op_id.index();
-            debug_assert!(i < n);
-            let st_i = unsafe { *state.get_unchecked(i) };
-            debug_assert!((st_i.resource as usize) < num_resources);
-            let rs = unsafe { res.get_unchecked_mut(st_i.resource as usize) };
-
-            // `deps_ready` was folded in as each dependency finished, so
-            // scheduling never re-walks the dependency list.
-            let d = unsafe { *ds.get_unchecked(i) };
-            let ready_at = rs.free_at.max(st_i.deps_ready);
-            let finish = ready_at + d;
-            rs.busy += d;
-            if RECORD {
-                unsafe {
-                    *start.get_unchecked_mut(i) = ready_at;
-                    *end.get_unchecked_mut(i) = finish;
-                }
-            }
-            rs.free_at = finish;
-            let next_pos = rs.next_pos + 1;
-            rs.next_pos = next_pos;
-
-            // The next op on this queue may now be schedulable.
-            if next_pos < rs.limit {
-                let next = unsafe { *queue_arena.get_unchecked(next_pos as usize) };
-                rs.head = next.0;
-                if unsafe { state.get_unchecked(next.index()) }.pending == 0 {
-                    ready.push(next);
-                }
-            } else {
-                rs.head = u32::MAX;
-            }
-            // Dependents lose one pending dep and absorb this end time;
-            // those already heading their queue become ready. (An op is
-            // pushed exactly once: the two conditions — counter reaching
-            // zero and reaching the queue head — complete in some order,
-            // and only the later event pushes.)
-            let (lo, hi) = unsafe {
-                (
-                    *indptr.get_unchecked(i) as usize,
-                    *indptr.get_unchecked(i + 1) as usize,
-                )
-            };
-            debug_assert!(lo <= hi && hi <= dependents.len());
-            for &dependent in unsafe { dependents.get_unchecked(lo..hi) } {
-                let j = dependent.index();
-                debug_assert!(j < n);
-                let st = unsafe { state.get_unchecked_mut(j) };
-                st.deps_ready = st.deps_ready.max(finish);
-                st.pending -= 1;
-                if st.pending == 0 {
-                    let rq = st.resource as usize;
-                    if unsafe { res.get_unchecked(rq) }.head == dependent.0 {
-                        ready.push(dependent);
-                    }
-                }
-            }
-        }
-
-        if cursor != n {
-            return Err(cursor);
-        }
-
-        // A successful solve's consumed worklist is a replay trace for
-        // any duration vector over this topology (processing order is
-        // duration-independent); record it once per built index.
-        if !*trace_ready {
-            trace.clear();
-            trace.extend_from_slice(ready);
-            *trace_ready = true;
-        }
-
-        // Every resource's `free_at` is its last op's end time, so the
-        // makespan is their max — no per-op max in the hot loop.
-        let makespan = res.iter().map(|r| r.free_at).max().unwrap_or(SimTime::ZERO);
-        Ok(makespan.duration_since(SimTime::ZERO))
-    }
-
-    /// The [`DeadlockError`] of a solve that stalled after `ran` ops.
-    /// Reports the lowest-numbered resource with a blocked head — the
-    /// same choice the reference round-robin solver makes, so errors are
-    /// bit-identical too. The scheduled set is exactly the consumed
-    /// worklist prefix (each op is pushed once and processed once).
-    /// `deps_of` lists an op's dependencies and `resource_name` names a
-    /// resource.
-    fn deadlock<'d>(
-        &self,
-        ran: usize,
-        deps_of: impl Fn(OpId) -> &'d [OpId],
-        resource_name: impl Fn(usize) -> String,
-    ) -> DeadlockError {
-        let n = self.core.num_ops();
-        let mut done = vec![false; n];
-        for &op in &self.ready[..ran] {
-            done[op.index()] = true;
-        }
-        let head = |r: usize| {
-            let pos = self.res[r].next_pos;
-            (pos < self.queue_indptr[r + 1]).then(|| self.queue_arena[pos as usize])
-        };
-        let (r, stuck) = (0..self.core.num_resources)
-            .find_map(|r| head(r).map(|op| (r, op)))
-            .expect("unscheduled ops must sit on some queue");
-        let cycle = blocking_cycle_with(
-            n,
-            stuck,
-            |op| deps_of(op).iter().copied().find(|d| !done[d.index()]),
-            |op| {
-                head(self.core.op_resource[op.index()] as usize)
-                    .expect("a blocked op's queue is not drained")
-            },
-        );
-        DeadlockError {
-            stuck_op: stuck,
-            resource: ResourceId(r as u32),
-            resource_name: resource_name(r),
-            cycle,
-            unscheduled: n - ran,
-        }
+        let durations = durations.unwrap_or(&self.op_duration);
+        self.core.replay::<RECORD>(durations, &mut self.start)
     }
 }
 
-/// A topology's replay workspace and nothing else: the CSR index, each
-/// op's resource and a recorded replay trace, plus the replay loop's
-/// timing buffers. Built graph-free by [`ReplayWorkspace::discover`];
-/// none of the discovery event loop's buffers (pending counters,
-/// queues, base durations, worklist) survive the build, so it holds
-/// about a third of a [`SolveScratch`]'s bytes per op. Holding no
-/// event-loop state, it can only replay, never solve: a trace is
-/// always present, so replay needs no trace check.
+/// A topology's replay workspace and nothing else: the forward
+/// dependency index, a recorded replay trace and the replay loop's
+/// timing buffers — the solver core of a [`SolveScratch`] without
+/// discovery's scratch or base durations. Built graph-free by
+/// [`ReplayWorkspace::discover`], it holds about 24 bytes per op plus 4
+/// per dependency once it has replayed. It can only replay, never solve:
+/// a trace is always present, so replay needs no trace check.
 #[derive(Debug, Clone)]
 pub struct ReplayWorkspace {
     core: ReplayCore,
@@ -737,20 +623,22 @@ pub struct ReplayWorkspace {
 
 impl ReplayWorkspace {
     /// Builds the replay workspace of a topology given as flat arrays,
-    /// with no [`OpGraph`]: op `i` runs on resource `op_resource[i]`,
-    /// and each `(op, dep)` pair of `deps` makes `op` wait for `dep`.
-    /// Ops count as submitted in index order, so each resource's FIFO
-    /// queue is its ops in index order. The CSR index and queue arrays
-    /// are exactly those [`Solver::new`] builds for the graph with the
-    /// same ops and edges (in any edge order), and the replay trace is
-    /// the one its first solve records.
+    /// with no [`OpGraph`]: op `i` runs on resource `op_resource[i]` and
+    /// waits for the ops `deps[dep_indptr[i] .. dep_indptr[i + 1]]`. Ops
+    /// count as submitted in index order, so each resource's FIFO queue
+    /// is its ops in index order. The arrays become the workspace's
+    /// index as they are; one discovery pass records the replay trace.
+    /// With rows in [`OpGraph::deps_of`] order this is exactly what
+    /// [`Solver::new`] builds and discovers for the same graph.
     ///
     /// ```
     /// use bfpp_sim::{OpGraph, ReplayWorkspace, SimDuration, SolveStats, Solver};
     ///
     /// let ns = SimDuration::from_nanos;
-    /// // Two streams; op 2 waits for op 1 on the other stream.
-    /// let mut ws = ReplayWorkspace::discover(2, vec![0, 1, 0], &[(1, 0), (2, 1)]).unwrap();
+    /// // Ops 0 and 2 run on stream 0, op 1 on stream 1. Rows: op 0 waits
+    /// // for nothing, op 1 for op 0, op 2 for op 1.
+    /// let (op_resource, dep_indptr, deps) = (vec![0, 1, 0], vec![0, 0, 1, 2], vec![0, 1]);
+    /// let mut ws = ReplayWorkspace::discover(2, op_resource, dep_indptr, deps).unwrap();
     /// let mut stats = SolveStats { makespan: ns(0), busy: Vec::new(), peak_memory: None };
     /// ws.replay_stats_into(&[ns(5), ns(4), ns(3)], &mut stats);
     /// assert_eq!(stats.makespan, ns(12));
@@ -772,51 +660,71 @@ impl ReplayWorkspace {
     ///
     /// # Panics
     ///
-    /// Panics if a resource index is `>= num_resources`, or an op index
-    /// in `deps` is `>= op_resource.len()`: the discovery and replay
-    /// loops index by these without bounds checks.
+    /// The discovery and replay loops index by these arrays without
+    /// bounds checks, so this panics unless every resource is
+    /// `< num_resources`, `dep_indptr` has `op_resource.len() + 1`
+    /// entries, starts at 0, never decreases and ends at `deps.len()`,
+    /// and every dep is `< op_resource.len()`.
     pub fn discover(
         num_resources: usize,
         op_resource: Vec<u32>,
-        deps: &[(u32, u32)],
+        dep_indptr: Vec<u32>,
+        deps: Vec<u32>,
     ) -> Result<ReplayWorkspace, DeadlockError> {
+        let n = op_resource.len();
+        if let Some(r) = op_resource.iter().find(|&&r| r as usize >= num_resources) {
+            panic!("op resource {r} out of range ({num_resources} resources)");
+        }
+        assert_eq!(
+            dep_indptr.len(),
+            n + 1,
+            "dep_indptr needs one entry per op plus one ({n} ops)"
+        );
+        assert_eq!(dep_indptr[0], 0, "dep_indptr must start at 0");
+        if let Some(i) = dep_indptr.windows(2).position(|w| w[1] < w[0]) {
+            panic!("dep_indptr decreases at op {i}");
+        }
+        assert_eq!(
+            dep_indptr[n] as usize,
+            deps.len(),
+            "dep_indptr must end at deps.len()"
+        );
+        if let Some(d) = deps.iter().find(|&&d| d as usize >= n) {
+            panic!("dependency {d} names an op outside 0..{n}");
+        }
+        let mut core = ReplayCore {
+            op_resource,
+            dep_indptr,
+            deps,
+            num_resources,
+            trace: Vec::with_capacity(n),
+            ..ReplayCore::default()
+        };
         TRANSIENT_SCRATCH.with(|cell| {
             let mut s = cell.take();
-            build_flat(&mut s, num_resources, op_resource, deps);
-            let outcome = match s.run_events::<false>(None) {
-                Ok(_) => {
-                    s.trace_ready = false;
-                    let core = &mut s.core;
-                    Ok(ReplayWorkspace {
-                        core: ReplayCore {
-                            indptr: std::mem::take(&mut core.indptr),
-                            dependents: std::mem::take(&mut core.dependents),
-                            op_resource: {
-                                let mut v = std::mem::take(&mut core.op_resource);
-                                v.shrink_to_fit();
-                                v
-                            },
-                            num_resources,
-                            trace: std::mem::take(&mut core.trace),
-                            ready_time: Vec::new(),
-                            free: Vec::new(),
-                            busy: Vec::new(),
-                        },
-                    })
-                }
-                Err(ran) => {
-                    let forward = forward_deps(s.core.num_ops(), deps);
-                    Err(s.deadlock(ran, |op| forward.row(op), |r| format!("#{r}")))
-                }
+            let outcome = if core.discover(&mut s.discovery) {
+                Ok(())
+            } else {
+                Err(core.deadlock(&s.discovery, |r| format!("#{r}")))
             };
             cell.set(s);
             outcome
-        })
+        })?;
+        Ok(ReplayWorkspace { core })
     }
 
     /// Number of ops in the topology.
     pub fn num_ops(&self) -> usize {
         self.core.num_ops()
+    }
+
+    /// The ops op `op` waits for, in the order they were given.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `op >= self.num_ops()`.
+    pub fn deps_of(&self, op: usize) -> &[u32] {
+        self.core.row(op)
     }
 
     /// Re-times the recorded trace under `durations`, writing the
@@ -828,44 +736,11 @@ impl ReplayWorkspace {
     ///
     /// Panics if `durations.len()` differs from the topology's op count.
     pub fn replay_stats_into(&mut self, durations: &[SimDuration], stats: &mut SolveStats) {
-        stats.makespan = self
-            .core
-            .replay::<false>(durations, &mut Vec::new(), &mut Vec::new());
+        stats.makespan = self.core.replay::<false>(durations, &mut Vec::new());
         stats.busy.clear();
         stats.busy.extend_from_slice(&self.core.busy);
         stats.peak_memory = None;
     }
-}
-
-/// Per-op dependency lists of a flat edge list, for deadlock reports.
-struct ForwardDeps {
-    indptr: Vec<u32>,
-    deps: Vec<OpId>,
-}
-
-impl ForwardDeps {
-    fn row(&self, op: OpId) -> &[OpId] {
-        let i = op.index();
-        &self.deps[self.indptr[i] as usize..self.indptr[i + 1] as usize]
-    }
-}
-
-fn forward_deps(n: usize, edges: &[(u32, u32)]) -> ForwardDeps {
-    let mut indptr = vec![0u32; n + 1];
-    for &(op, _) in edges {
-        indptr[op as usize + 1] += 1;
-    }
-    for i in 1..=n {
-        indptr[i] += indptr[i - 1];
-    }
-    let mut cursor = indptr[..n].to_vec();
-    let mut deps = vec![OpId(0); edges.len()];
-    for &(op, dep) in edges {
-        let c = &mut cursor[op as usize];
-        deps[*c as usize] = OpId(dep);
-        *c += 1;
-    }
-    ForwardDeps { indptr, deps }
 }
 
 /// A dense batch of duration vectors: one contiguous row of `n_ops`
@@ -919,12 +794,14 @@ impl DurationMatrix {
     }
 }
 
-/// An event-driven solver bound to one graph.
+/// A solver bound to one graph.
 ///
-/// Construction builds the CSR reverse-dependency index once, O(V + E);
-/// every subsequent solve reuses it. Because the solver borrows the
-/// graph, the topology cannot change underneath it — which is what makes
-/// the duration-only re-solve paths
+/// Construction copies the graph's forward dependency index once,
+/// O(V + E); the first solve runs discovery over it and records the
+/// replay trace, and every solve — the first included — is one replay
+/// of that trace under the base or the override durations. Because the
+/// solver borrows the graph, the topology cannot change underneath it —
+/// which is what makes the duration-only re-solve paths
 /// ([`Solver::solve_with_durations`] and
 /// [`Solver::solve_makespan_with_durations`]) sound: perturbation sweeps
 /// lower a schedule once and re-solve it under many duration vectors.
@@ -935,7 +812,7 @@ pub struct Solver<'g, T> {
 }
 
 impl<'g, T> Solver<'g, T> {
-    /// Builds the solver (and its CSR index) for `graph`.
+    /// Builds the solver (and its dependency index) for `graph`.
     pub fn new(graph: &'g OpGraph<T>) -> Self {
         Self::with_scratch(graph, SolveScratch::new())
     }
@@ -943,7 +820,7 @@ impl<'g, T> Solver<'g, T> {
     /// As [`Solver::new`], reusing a previously allocated workspace
     /// (recovered from another solver via [`Solver::into_scratch`]).
     pub fn with_scratch(graph: &'g OpGraph<T>, mut scratch: SolveScratch) -> Self {
-        build_csr(graph, &mut scratch);
+        index_graph(graph, &mut scratch);
         Solver { graph, s: scratch }
     }
 
@@ -958,7 +835,7 @@ impl<'g, T> Solver<'g, T> {
     ///
     /// Returns [`DeadlockError`] if the graph admits no schedule.
     pub fn solve(&mut self) -> Result<Timeline, DeadlockError> {
-        let makespan = self.run(None, true)?;
+        let makespan = self.run::<true>(None)?;
         Ok(self.materialize(makespan))
     }
 
@@ -968,7 +845,7 @@ impl<'g, T> Solver<'g, T> {
     ///
     /// As [`Solver::solve`].
     pub fn solve_makespan(&mut self) -> Result<SimDuration, DeadlockError> {
-        self.run(None, false)
+        self.run::<false>(None)
     }
 
     /// Re-solves the fixed topology with every op's duration replaced by
@@ -1004,8 +881,7 @@ impl<'g, T> Solver<'g, T> {
         &mut self,
         durations: &[SimDuration],
     ) -> Result<Timeline, DeadlockError> {
-        self.ensure_trace()?;
-        let makespan = self.s.replay::<true>(durations);
+        let makespan = self.run::<true>(Some(durations))?;
         Ok(self.materialize(makespan))
     }
 
@@ -1022,8 +898,7 @@ impl<'g, T> Solver<'g, T> {
         &mut self,
         durations: &[SimDuration],
     ) -> Result<SimDuration, DeadlockError> {
-        self.ensure_trace()?;
-        Ok(self.s.replay::<false>(durations))
+        self.run::<false>(Some(durations))
     }
 
     /// Solves for the makespan and per-resource busy times — everything
@@ -1034,7 +909,7 @@ impl<'g, T> Solver<'g, T> {
     ///
     /// As [`Solver::solve`].
     pub fn solve_stats(&mut self) -> Result<SolveStats, DeadlockError> {
-        let makespan = self.run(None, false)?;
+        let makespan = self.run::<false>(None)?;
         Ok(self.stats(makespan))
     }
 
@@ -1053,22 +928,16 @@ impl<'g, T> Solver<'g, T> {
         &mut self,
         durations: &[SimDuration],
     ) -> Result<SolveStats, DeadlockError> {
-        self.ensure_trace()?;
-        let makespan = self.s.replay::<false>(durations);
-        Ok(SolveStats {
-            makespan,
-            busy: self.s.core.busy.clone(),
-            peak_memory: None,
-        })
+        let makespan = self.run::<false>(Some(durations))?;
+        Ok(self.stats(makespan))
     }
 
     /// Evaluates a whole batch of duration rows against this solver's
-    /// topology: one full solve records the replay trace (its processing
-    /// order is duration-independent, see `SolveScratch::replay`), then
-    /// every row is re-timed in a tight, allocation-free loop. `f`
-    /// receives each row index with its [`SolveStats`] (the stats buffer
-    /// is reused across rows — copy out what must outlive the call).
-    /// Results are bit-identical to calling
+    /// topology: discovery records the replay trace once (it reads no
+    /// duration), then every row is re-timed in a tight, allocation-free
+    /// loop. `f` receives each row index with its [`SolveStats`] (the
+    /// stats buffer is reused across rows — copy out what must outlive
+    /// the call). Results are bit-identical to calling
     /// [`Solver::solve_stats_with_durations`] once per row.
     ///
     /// # Errors
@@ -1093,17 +962,6 @@ impl<'g, T> Solver<'g, T> {
         for row in 0..batch.rows() {
             self.s.replay_stats_into(batch.row(row), &mut stats);
             f(row, &stats);
-        }
-        Ok(())
-    }
-
-    /// Ensures the scratch holds a replay trace, running one full solve
-    /// (base durations, times discarded) if it does not. The event loop's
-    /// processing order never reads times, so the trace recorded under
-    /// base durations is valid for every duration vector.
-    fn ensure_trace(&mut self) -> Result<(), DeadlockError> {
-        if !self.s.trace_ready {
-            self.run(None, false)?;
         }
         Ok(())
     }
@@ -1143,7 +1001,7 @@ impl<'g, T> Solver<'g, T> {
         &mut self,
         mem: &MemorySpec,
     ) -> Result<SolveStats, DeadlockError> {
-        let makespan = self.run(None, true)?;
+        let makespan = self.run::<true>(None)?;
         let mut stats = self.stats(makespan);
         stats.peak_memory = Some(self.scratch_peaks(mem));
         Ok(stats)
@@ -1167,247 +1025,116 @@ impl<'g, T> Solver<'g, T> {
         durations: &[SimDuration],
         mem: &MemorySpec,
     ) -> Result<SolveStats, DeadlockError> {
-        self.ensure_trace()?;
-        let makespan = self.s.replay::<true>(durations);
-        let mut stats = SolveStats {
-            makespan,
-            busy: self.s.core.busy.clone(),
-            peak_memory: None,
-        };
+        let makespan = self.run::<true>(Some(durations))?;
+        let mut stats = self.stats(makespan);
         stats.peak_memory = Some(self.scratch_peaks(mem));
         Ok(stats)
     }
 
-    /// Evaluates a memory spec against the start/end scratch arrays of
-    /// the recording solve that just ran.
+    /// Ensures the scratch holds a replay trace, running discovery over
+    /// this graph's index if it does not; a stall is reported with the
+    /// graph's resource names. Discovery reads no duration, so one trace
+    /// serves every duration vector.
+    fn ensure_trace(&mut self) -> Result<(), DeadlockError> {
+        if !self.s.trace_ready {
+            if !self.s.core.discover(&mut self.s.discovery) {
+                let names = &self.graph.resource_names;
+                return Err(self
+                    .s
+                    .core
+                    .deadlock(&self.s.discovery, |r| names[r].clone()));
+            }
+            self.s.trace_ready = true;
+        }
+        Ok(())
+    }
+
+    /// One solve: discovery if no trace is recorded yet, then a replay
+    /// under `durations` or the graph's own. `RECORD` keeps per-op start
+    /// times for [`Solver::materialize`] and the memory paths.
+    fn run<const RECORD: bool>(
+        &mut self,
+        durations: Option<&[SimDuration]>,
+    ) -> Result<SimDuration, DeadlockError> {
+        self.ensure_trace()?;
+        Ok(self.s.replay::<RECORD>(durations))
+    }
+
+    /// Evaluates a memory spec against the start/end times of the
+    /// recording solve that just ran.
     fn scratch_peaks(&self, mem: &MemorySpec) -> MemoryPeaks {
         mem.peaks_from(|op| {
             (
                 self.s.start[op.index()].as_nanos(),
-                self.s.end[op.index()].as_nanos(),
+                self.s.core.end[op.index()].as_nanos(),
             )
         })
     }
 
     /// Per-resource busy sums of the solve that just ran, accumulated in
-    /// the hot loop. Plain integer sums of op durations — identical to
+    /// the replay loop. Plain integer sums of op durations — identical to
     /// summing a materialized timeline's per-op `end - start`.
     fn stats(&self, makespan: SimDuration) -> SolveStats {
         SolveStats {
             makespan,
-            busy: self.s.res.iter().map(|r| r.busy).collect(),
+            busy: self.s.core.busy.clone(),
             peak_memory: None,
         }
     }
 
-    /// Runs the discovery event loop ([`SolveScratch::run_events`]) over
-    /// this graph's index, naming the graph's resources and dependency
-    /// lists in a deadlock report.
-    fn run(
-        &mut self,
-        durations: Option<&[SimDuration]>,
-        record_starts: bool,
-    ) -> Result<SimDuration, DeadlockError> {
-        let outcome = if record_starts {
-            self.s.run_events::<true>(durations)
-        } else {
-            self.s.run_events::<false>(durations)
-        };
-        let graph = self.graph;
-        outcome.map_err(|ran| {
-            self.s.deadlock(
-                ran,
-                |op| graph.deps_of(op),
-                |r| graph.resource_names[r].clone(),
-            )
-        })
-    }
-
-    /// Collects the per-op times of the last successful [`Solver::run`]
-    /// (with `record_starts`) into a [`Timeline`].
+    /// Collects the per-op times of the last recording solve into a
+    /// [`Timeline`].
     fn materialize(&self, makespan: SimDuration) -> Timeline {
-        let graph = self.graph;
-        let s = &self.s;
-        let scheduled = (0..graph.num_ops())
+        let core = &self.s.core;
+        let scheduled = (0..core.num_ops())
             .map(|i| ScheduledOp {
                 op: OpId(i as u32),
-                resource: ResourceId(s.core.op_resource[i]),
-                start: s.start[i],
-                end: s.end[i],
+                resource: ResourceId(core.op_resource[i]),
+                start: self.s.start[i],
+                end: core.end[i],
             })
             .collect();
         Timeline {
             scheduled,
             makespan,
-            num_resources: graph.num_resources(),
+            num_resources: core.num_resources,
         }
     }
 }
 
-/// Builds the per-graph topology caches of `graph` into `scratch`
-/// (reusing its buffers): the CSR reverse-dependency index
-/// (`indptr`/`dependents` list, for each op, the ops that depend on it;
-/// `init_pending` counts each op's dependencies) plus the flat per-op
-/// resource/duration arrays and the flattened FIFO queue arena the hot
-/// loop reads instead of the graph.
-fn build_csr<T>(graph: &OpGraph<T>, scratch: &mut SolveScratch) {
-    let n = graph.num_ops();
+/// Builds `graph`'s index into `scratch`, reusing its buffers: each op's
+/// resource, base duration and dependency row. Rows are copied in op
+/// order, so the holes [`OpGraph::add_dep`] leaves in the graph's edge
+/// arena drop out.
+fn index_graph<T>(graph: &OpGraph<T>, scratch: &mut SolveScratch) {
     let core = &mut scratch.core;
     // Any recorded replay trace belonged to the previous topology.
     core.trace.clear();
     scratch.trace_ready = false;
-    core.num_resources = graph.resource_queues.len();
-    core.indptr.clear();
-    core.indptr.resize(n + 1, 0);
-    scratch.init_state.clear();
+    core.num_resources = graph.num_resources();
     core.op_resource.clear();
     scratch.op_duration.clear();
-    for id in graph.op_ids() {
-        let op = graph.op(id);
-        core.op_resource.push(op.resource().0);
-        scratch.op_duration.push(op.duration());
+    core.dep_indptr.clear();
+    core.deps.clear();
+    core.deps.reserve(graph.num_edges());
+    core.dep_indptr.push(0);
+    for op in &graph.ops {
+        core.op_resource.push(op.resource.0);
+        scratch.op_duration.push(op.duration);
+        let row = op.deps_start as usize..(op.deps_start + op.deps_len) as usize;
+        core.deps.extend(graph.deps_arena[row].iter().map(|d| d.0));
+        core.dep_indptr.push(core.deps.len() as u32);
     }
-    scratch.queue_indptr.clear();
-    scratch.queue_arena.clear();
-    scratch.queue_indptr.push(0);
-    for queue in &graph.resource_queues {
-        scratch.queue_arena.extend_from_slice(queue);
-        scratch.queue_indptr.push(scratch.queue_arena.len() as u32);
-    }
-
-    // Count in-edges per *dependency* (out-degree of the reverse graph)
-    // and lay down the pristine per-solve state template.
-    for id in graph.op_ids() {
-        let deps = graph.deps_of(id);
-        scratch.init_state.push(OpState {
-            deps_ready: SimTime::ZERO,
-            pending: deps.len() as u32,
-            resource: core.op_resource[id.index()],
-        });
-        for d in deps {
-            core.indptr[d.index() + 1] += 1;
-        }
-    }
-    for i in 1..=n {
-        core.indptr[i] += core.indptr[i - 1];
-    }
-    core.dependents.clear();
-    core.dependents.resize(graph.num_edges(), OpId(0));
-    // Fill using a moving cursor per row (cursor[i] ends at indptr[i+1]).
-    scratch.fill_cursor.clear();
-    scratch.fill_cursor.extend_from_slice(&core.indptr[..n]);
-    for id in graph.op_ids() {
-        for d in graph.deps_of(id) {
-            let c = &mut scratch.fill_cursor[d.index()];
-            core.dependents[*c as usize] = id;
-            *c += 1;
-        }
-    }
-}
-
-/// [`build_csr`] for a topology given as flat arrays (see
-/// [`ReplayWorkspace::discover`]), producing the same arrays `build_csr`
-/// makes for the equivalent graph. Every index the unchecked loops will
-/// read is checked here, since no [`OpGraph`] validated it: resources
-/// `< num_resources`, dependency-edge ops `< n`. Base durations are zero
-/// — the one solve a flat index gets is discovery, whose processing
-/// order never reads times.
-fn build_flat(
-    scratch: &mut SolveScratch,
-    num_resources: usize,
-    op_resource: Vec<u32>,
-    deps: &[(u32, u32)],
-) {
-    let n = op_resource.len();
-    for &r in &op_resource {
-        assert!(
-            (r as usize) < num_resources,
-            "op resource {r} out of range ({num_resources} resources)"
-        );
-    }
-    for &(op, dep) in deps {
-        assert!(
-            (op as usize) < n && (dep as usize) < n,
-            "dependency edge ({op} waits for {dep}) names an op outside 0..{n}"
-        );
-    }
-    let core = &mut scratch.core;
-    core.trace.clear();
-    scratch.trace_ready = false;
-    core.num_resources = num_resources;
-
-    // FIFO queues: ops counted per resource, then scattered in index
-    // (= submission) order, laying down the per-solve state template on
-    // the same pass.
-    scratch.queue_indptr.clear();
-    scratch.queue_indptr.resize(num_resources + 1, 0);
-    for &r in &op_resource {
-        scratch.queue_indptr[r as usize + 1] += 1;
-    }
-    for r in 1..=num_resources {
-        scratch.queue_indptr[r] += scratch.queue_indptr[r - 1];
-    }
-    scratch.queue_arena.clear();
-    scratch.queue_arena.resize(n, OpId(0));
-    scratch.fill_cursor.clear();
-    scratch
-        .fill_cursor
-        .extend_from_slice(&scratch.queue_indptr[..num_resources]);
-    scratch.init_state.clear();
-    for (i, &resource) in op_resource.iter().enumerate() {
-        let c = &mut scratch.fill_cursor[resource as usize];
-        scratch.queue_arena[*c as usize] = OpId(i as u32);
-        *c += 1;
-        scratch.init_state.push(OpState {
-            deps_ready: SimTime::ZERO,
-            pending: 0,
-            resource,
-        });
-    }
-
-    // CSR reverse index and pending counts, as `build_csr` lays them.
-    core.indptr.clear();
-    core.indptr.resize(n + 1, 0);
-    for &(op, dep) in deps {
-        scratch.init_state[op as usize].pending += 1;
-        core.indptr[dep as usize + 1] += 1;
-    }
-    for i in 1..=n {
-        core.indptr[i] += core.indptr[i - 1];
-    }
-    core.dependents.clear();
-    core.dependents.resize(deps.len(), OpId(0));
-    scratch.fill_cursor.clear();
-    scratch.fill_cursor.extend_from_slice(&core.indptr[..n]);
-    // `build_csr` visits dependents in op-index order, so each row lists
-    // them ascending; an edge added late (from an earlier op) arrives
-    // out of that order here and is insertion-sorted into its row. Rows
-    // are a few entries long.
-    for &(op, dep) in deps {
-        let row_start = core.indptr[dep as usize] as usize;
-        let c = &mut scratch.fill_cursor[dep as usize];
-        let mut at = *c as usize;
-        *c += 1;
-        while at > row_start && core.dependents[at - 1].0 > op {
-            core.dependents[at] = core.dependents[at - 1];
-            at -= 1;
-        }
-        core.dependents[at] = OpId(op);
-    }
-    scratch.op_duration.clear();
-    scratch.op_duration.resize(n, SimDuration::ZERO);
-    core.op_resource = op_resource;
 }
 
 thread_local! {
     /// Workspace reused by the transient-solve entry points
-    /// ([`OpGraph::solve`] / [`OpGraph::solve_makespan`]) and by
-    /// [`ReplayWorkspace::discover`], whose discovery buffers stay here
-    /// while the replay arrays move out: without it, every call
-    /// re-allocates (and, for large graphs, page-faults in) several MB
-    /// of scratch. The cell retains the capacity of the largest topology
-    /// solved on this thread — bounded and cheap for the graph sizes
-    /// this workspace simulates.
+    /// ([`OpGraph::solve`] / [`OpGraph::solve_makespan`]) and, for its
+    /// discovery scratch alone, by [`ReplayWorkspace::discover`]: without
+    /// it, every call re-allocates (and, for large graphs, page-faults
+    /// in) megabytes of scratch. The cell retains the capacity of the
+    /// largest topology solved on this thread — bounded and cheap for
+    /// the graph sizes this workspace simulates.
     static TRANSIENT_SCRATCH: std::cell::Cell<SolveScratch> =
         std::cell::Cell::new(SolveScratch::new());
 }
@@ -1667,10 +1394,8 @@ mod tests {
     fn replay_timeline_matches_full_solve() {
         let g = diamond();
         let durs: Vec<SimDuration> = (0..g.num_ops() as u64).map(|i| ns(i * 7 + 1)).collect();
-        // Oracle: a fresh solver whose first-ever solve uses the
-        // overridden durations via the full event loop (no trace yet,
-        // `ensure_trace` runs base durations first — so force the full
-        // path by building a graph with those durations baked in).
+        // Oracle: the same topology with those durations baked in,
+        // solved under its base durations.
         let mut g2: OpGraph<()> = OpGraph::new();
         let r1 = g2.add_resource("a");
         let r2 = g2.add_resource("b");
@@ -1780,10 +1505,11 @@ mod tests {
         let _ = solver.solve_with_durations(&[]);
     }
 
-    /// A random topology built both as a graph and as flat arrays: ops
+    /// A random topology built both as a graph and as forward rows: ops
     /// on `resources` streams with creation-time deps on earlier ops,
-    /// plus late edges in any direction (which may deadlock).
-    fn random_topology(seed: u64, late: usize) -> (OpGraph<()>, Vec<u32>, Vec<(u32, u32)>) {
+    /// plus late edges in any direction (which may deadlock), each
+    /// appended to its op's row as `add_dep` appends it.
+    fn random_topology(seed: u64, late: usize) -> (OpGraph<()>, Vec<u32>, Vec<Vec<u32>>) {
         let mut x = seed
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
@@ -1800,7 +1526,7 @@ mod tests {
             .map(|r| g.add_resource(format!("r{r}")))
             .collect();
         let mut op_resource = Vec::new();
-        let mut edges = Vec::new();
+        let mut rows = Vec::new();
         for i in 0..n as u32 {
             let r = next(resources as u64) as u32;
             let deps: Vec<OpId> = (0..next(3))
@@ -1809,42 +1535,43 @@ mod tests {
                 .collect();
             g.add_op(rids[r as usize], ns(1 + next(9)), &deps, ());
             op_resource.push(r);
-            edges.extend(deps.iter().map(|d| (i, d.0)));
+            rows.push(deps.iter().map(|d| d.0).collect::<Vec<u32>>());
         }
         for _ in 0..late {
             let (op, dep) = (next(n as u64) as u32, next(n as u64) as u32);
             if op != dep {
                 g.add_dep(OpId(op), OpId(dep));
-                edges.push((op, dep));
+                rows[op as usize].push(dep);
             }
         }
-        (g, op_resource, edges)
+        (g, op_resource, rows)
+    }
+
+    /// Forward rows as `(dep_indptr, deps)`.
+    fn flatten(rows: &[Vec<u32>]) -> (Vec<u32>, Vec<u32>) {
+        let mut indptr = vec![0];
+        let mut deps = Vec::new();
+        for row in rows {
+            deps.extend_from_slice(row);
+            indptr.push(deps.len() as u32);
+        }
+        (indptr, deps)
     }
 
     #[test]
     fn flat_index_matches_graph_index() {
+        // A graph's index is its `deps_of` rows with the arena holes
+        // `add_dep` leaves dropped: the flat rows, entry for entry.
         for seed in 0..200 {
-            let (g, op_resource, edges) = random_topology(seed, (seed % 4) as usize);
-            let mut from_graph = SolveScratch::new();
-            build_csr(&g, &mut from_graph);
-            let mut flat = SolveScratch::new();
-            build_flat(&mut flat, g.num_resources(), op_resource, &edges);
-            assert_eq!(flat.core.indptr, from_graph.core.indptr, "seed {seed}");
-            assert_eq!(
-                flat.core.dependents, from_graph.core.dependents,
-                "seed {seed}"
-            );
-            assert_eq!(flat.core.op_resource, from_graph.core.op_resource);
-            assert_eq!(flat.core.num_resources, from_graph.core.num_resources);
-            assert_eq!(flat.queue_indptr, from_graph.queue_indptr, "seed {seed}");
-            assert_eq!(flat.queue_arena, from_graph.queue_arena, "seed {seed}");
-            let init = |s: &SolveScratch| {
-                s.init_state
-                    .iter()
-                    .map(|st| (st.pending, st.resource))
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(init(&flat), init(&from_graph), "seed {seed}");
+            let (g, op_resource, rows) = random_topology(seed, (seed % 4) as usize);
+            let (dep_indptr, deps) = flatten(&rows);
+            let scratch = Solver::new(&g).into_scratch();
+            assert_eq!(scratch.core.dep_indptr, dep_indptr, "seed {seed}");
+            assert_eq!(scratch.core.deps, deps, "seed {seed}");
+            assert_eq!(scratch.core.op_resource, op_resource);
+            assert_eq!(scratch.core.num_resources, g.num_resources());
+            let base: Vec<SimDuration> = g.op_ids().map(|id| g.op(id).duration()).collect();
+            assert_eq!(scratch.op_duration, base);
         }
     }
 
@@ -1852,16 +1579,20 @@ mod tests {
     fn discovered_workspace_replays_like_the_graph_solver() {
         let mut deadlocks = 0;
         for seed in 0..300 {
-            let (g, op_resource, edges) = random_topology(seed, (seed % 5) as usize);
+            let (g, op_resource, rows) = random_topology(seed, (seed % 5) as usize);
+            let (dep_indptr, deps) = flatten(&rows);
             let mut solver = Solver::new(&g);
             let full = solver.solve_stats();
-            let flat = ReplayWorkspace::discover(g.num_resources(), op_resource, &edges);
+            let flat = ReplayWorkspace::discover(g.num_resources(), op_resource, dep_indptr, deps);
             match (full, flat) {
                 (Ok(full), Ok(mut ws)) => {
                     let scratch = solver.into_scratch();
                     assert_eq!(ws.core.trace, scratch.core.trace, "seed {seed}");
                     assert_eq!(ws.num_ops(), g.num_ops());
                     assert_eq!(ws.core.num_resources, g.num_resources());
+                    for (i, row) in rows.iter().enumerate() {
+                        assert_eq!(ws.deps_of(i), row.as_slice(), "seed {seed}");
+                    }
                     let durs: Vec<SimDuration> = g.op_ids().map(|id| g.op(id).duration()).collect();
                     let mut stats = SolveStats {
                         makespan: SimDuration::ZERO,
@@ -1889,14 +1620,70 @@ mod tests {
     }
 
     #[test]
+    fn discovery_parks_each_stream_on_its_blocker() {
+        // Stream a drains ahead of b, whose head waits (through a late
+        // edge) for a's second op, then parks on b's tail one entry into
+        // its head's row; the wake resumes it there.
+        let mut g: OpGraph<()> = OpGraph::new();
+        let (a, b) = (g.add_resource("a"), g.add_resource("b"));
+        let a0 = g.add_op(a, ns(2), &[], ());
+        let b0 = g.add_op(b, ns(3), &[], ());
+        let a1 = g.add_op(a, ns(4), &[a0], ());
+        let b1 = g.add_op(b, ns(1), &[a1, b0], ());
+        let a2 = g.add_op(a, ns(5), &[a1, b1], ());
+        g.add_dep(b0, a1);
+        let mut solver = Solver::new(&g);
+        let t = solver.solve().unwrap();
+        assert_eq!(solver.s.core.trace, vec![0, 2, 1, 3, 4]);
+        assert_eq!(t.start_of(b0).as_nanos(), 6);
+        assert_eq!(t.start_of(b1).as_nanos(), 9);
+        assert_eq!(t.start_of(a2).as_nanos(), 10);
+        assert_eq!(t.makespan(), ns(15));
+        assert_eq!(
+            t.scheduled_ops(),
+            g.solve_reference().unwrap().scheduled_ops()
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "names an op outside")]
     fn discover_rejects_an_out_of_range_dependency() {
-        let _ = ReplayWorkspace::discover(1, vec![0, 0], &[(1, 2)]);
+        let _ = ReplayWorkspace::discover(1, vec![0, 0], vec![0, 0, 1], vec![2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "names an op outside")]
+    fn discover_rejects_an_unfilled_reserved_slot() {
+        let _ = ReplayWorkspace::discover(1, vec![0, 0], vec![0, 0, 1], vec![u32::MAX]);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn discover_rejects_an_out_of_range_resource() {
-        let _ = ReplayWorkspace::discover(2, vec![0, 2], &[(1, 0)]);
+        let _ = ReplayWorkspace::discover(2, vec![0, 2], vec![0, 0, 1], vec![0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one entry per op plus one")]
+    fn discover_rejects_a_short_dep_indptr() {
+        let _ = ReplayWorkspace::discover(1, vec![0, 0], vec![0, 1], vec![0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "must start at 0")]
+    fn discover_rejects_a_dep_indptr_not_starting_at_zero() {
+        let _ = ReplayWorkspace::discover(1, vec![0, 0], vec![1, 1, 1], vec![0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "decreases at op 1")]
+    fn discover_rejects_a_decreasing_dep_indptr() {
+        let _ = ReplayWorkspace::discover(1, vec![0, 0, 0], vec![0, 2, 1, 2], vec![1, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "must end at deps.len()")]
+    fn discover_rejects_a_dep_indptr_ending_short() {
+        let _ = ReplayWorkspace::discover(1, vec![0, 0], vec![0, 0, 1], vec![0, 1]);
     }
 }
