@@ -35,22 +35,6 @@ fn bench_validate_and_time(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_extension_generators(c: &mut Criterion) {
-    let mut group = c.benchmark_group("schedule_extensions");
-    let p = Placement::looping(8, 8);
-    group.bench_function("hybrid_k16", |b| {
-        b.iter(|| Schedule::generate_hybrid(p, 64, 16).unwrap().num_actions())
-    });
-    group.bench_function("greedy_breadth", |b| {
-        b.iter(|| {
-            Schedule::generate_greedy(p, 64, bfpp_core::GreedyPolicy::breadth_first())
-                .unwrap()
-                .num_actions()
-        })
-    });
-    group.finish();
-}
-
 fn quick_criterion() -> Criterion {
     Criterion::default()
         .sample_size(20)
@@ -61,6 +45,6 @@ fn quick_criterion() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick_criterion();
-    targets = bench_generate, bench_validate_and_time, bench_extension_generators
+    targets = bench_generate, bench_validate_and_time
 }
 criterion_main!(benches);

@@ -175,9 +175,9 @@ pub fn figure5_batches(model: &str, ethernet: bool) -> Vec<u64> {
 /// Runs the Figure 5 sweep: best configuration per (method, batch).
 ///
 /// A thin client of the planner service: one fresh [`Planner`] serves
-/// every cell, so the sweep shares a schedule cache across cells and
-/// leaves warm-start records behind for any follow-up request. Each
-/// cell's result and report are value-identical to calling
+/// every cell over the process-wide topology-class cache and leaves
+/// warm-start records behind for any follow-up request. Each cell's
+/// result and report are value-identical to calling
 /// [`bfpp_exec::search::search`] over a private environment (shared
 /// caches only substitute equal values).
 pub fn figure5_sweep(

@@ -159,7 +159,8 @@ mod tests {
 
     #[test]
     fn breadth_first_attains_the_bound() {
-        for (n_pp, n_loop, n_mb) in [(4, 4, 8), (8, 2, 12), (2, 8, 6)] {
+        // (4, 2, 9): N_mb need not be a multiple of N_PP.
+        for (n_pp, n_loop, n_mb) in [(4, 4, 8), (8, 2, 12), (2, 8, 6), (2, 2, 4), (4, 2, 9)] {
             let s = Schedule::generate(
                 ScheduleKind::BreadthFirst,
                 Placement::looping(n_pp, n_loop),

@@ -32,10 +32,7 @@
 //!   checkpoints over time (Appendix A.2.2);
 //! * [`bubble`] — the closed-form Eq. (3)/(7) bubble bound, stated as a
 //!   provable lower bound on any schedule's makespan (what the
-//!   configuration search prunes against);
-//! * [`ScheduleCache`] — a keyed, thread-safe cache of generated
-//!   schedules for search workloads that revisit the same
-//!   `(kind, placement, N_mb)` shape.
+//!   configuration search prunes against).
 //!
 //! ```
 //! use bfpp_core::{Schedule, ScheduleKind};
@@ -52,10 +49,7 @@
 
 mod action;
 pub mod bubble;
-mod cache;
 mod generators;
-mod greedy;
-mod hybrid;
 mod memory;
 mod runs;
 mod schedule;
@@ -63,8 +57,6 @@ mod timing;
 mod validate;
 
 pub use action::{Action, Direction};
-pub use cache::{CacheStats, ScheduleCache};
-pub use greedy::GreedyPolicy;
 pub use runs::StageRun;
 pub use schedule::{Schedule, ScheduleError, ScheduleKind};
 pub use timing::{ActionTiming, ExactTiming};

@@ -69,12 +69,6 @@ pub enum ScheduleError {
     },
     /// Fewer micro-batches than the pipeline needs to be well-defined.
     NoMicrobatches,
-    /// The greedy generator wedged: the in-flight cap is too small for
-    /// the pipeline to drain.
-    GreedyStuck {
-        /// The cap that caused the wedge.
-        max_in_flight: u32,
-    },
 }
 
 impl fmt::Display for ScheduleError {
@@ -91,10 +85,6 @@ impl fmt::Display for ScheduleError {
                 "depth-first requires N_mb ({n_mb}) to be a multiple of N_PP ({n_pp})"
             ),
             ScheduleError::NoMicrobatches => f.write_str("at least one micro-batch is required"),
-            ScheduleError::GreedyStuck { max_in_flight } => write!(
-                f,
-                "greedy scheduling wedged: in-flight cap {max_in_flight} cannot drain the pipeline"
-            ),
         }
     }
 }
@@ -157,22 +147,6 @@ impl Schedule {
             n_mb,
             device_actions,
         })
-    }
-
-    /// Assembles a schedule from pre-built per-device action lists (used
-    /// by the hybrid generator; callers should [`Schedule::validate`]).
-    pub(crate) fn from_parts(
-        kind: ScheduleKind,
-        placement: Placement,
-        n_mb: u32,
-        device_actions: Vec<Vec<Action>>,
-    ) -> Schedule {
-        Schedule {
-            kind,
-            placement,
-            n_mb,
-            device_actions,
-        }
     }
 
     /// The schedule's kind.

@@ -35,7 +35,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bfpp_cluster::ClusterSpec;
-use bfpp_core::{CacheStats, ScheduleCache, ScheduleKind};
+use bfpp_core::{Schedule, ScheduleKind};
 use bfpp_model::TransformerConfig;
 use bfpp_parallel::{DataParallelism, ParallelConfig};
 use bfpp_sim::{DurationMatrix, MetricsRegistry, Perturbation};
@@ -190,18 +190,16 @@ impl Default for SearchOptions {
 }
 
 /// The long-lived infrastructure a search runs over: the worker pool,
-/// the schedule cache, and (optionally) the warm-start record store. A
-/// batch CLI call uses [`SearchEnv::private`] — process-shared pool,
-/// request-private caches, exactly the classic engine. A planner service
-/// builds one `SearchEnv` with shared `Arc`'d caches and routes every
+/// the topology-class cache, and (optionally) the warm-start record
+/// store and a telemetry registry. A batch CLI call uses
+/// [`SearchEnv::private`]: the process-shared pool and class cache,
+/// with no warm store and no registry. A planner service builds one
+/// `SearchEnv` with a warm store and a registry and routes every
 /// request through it.
 #[derive(Debug, Clone)]
 pub struct SearchEnv {
     /// The worker pool candidate evaluation runs on.
     pub executor: Arc<Executor>,
-    /// Generated-schedule cache, shareable across concurrent requests
-    /// (per-request traffic is attributed via [`CacheStats`]).
-    pub schedules: Arc<ScheduleCache>,
     /// Topology-class base cache: every survivor is evaluated through
     /// its class's base. Bases are model/cluster/kernel-independent, so
     /// the process-wide [`ClassCache::global`] is the default even for
@@ -222,13 +220,12 @@ pub struct SearchEnv {
 
 impl SearchEnv {
     /// The classic one-shot environment: the process-shared executor
-    /// and topology-class cache, a private schedule cache, no
-    /// warm-start store. Byte-identical *results* to the pre-service
-    /// engine (the shared class cache affects only speed).
+    /// and topology-class cache, no warm-start store and no registry.
+    /// Byte-identical *results* to the pre-service engine (the shared
+    /// class cache affects only speed).
     pub fn private() -> SearchEnv {
         SearchEnv {
             executor: Arc::clone(Executor::global()),
-            schedules: Arc::new(ScheduleCache::new()),
             classes: Arc::clone(ClassCache::global()),
             warm: None,
             metrics: None,
@@ -236,12 +233,11 @@ impl SearchEnv {
     }
 
     /// A service environment: the process-shared executor and
-    /// topology-class cache, shared schedule cache, and a warm-start
-    /// store with default limits.
+    /// topology-class cache, a warm-start store with default limits,
+    /// and a fresh registry.
     pub fn service() -> SearchEnv {
         SearchEnv {
             executor: Arc::clone(Executor::global()),
-            schedules: Arc::new(ScheduleCache::new()),
             classes: Arc::clone(ClassCache::global()),
             warm: Some(Arc::new(WarmCache::new())),
             metrics: Some(Arc::new(MetricsRegistry::new())),
@@ -303,10 +299,9 @@ pub struct SearchReport {
     /// warm-start record instead of the class cache or a fresh build.
     /// Always `0` for a cold search or a [`SearchEnv`] without a warm
     /// store. Not a CSV column (single-request CSV output is byte-stable
-    /// across engine versions), and — like the cache counts below —
-    /// excluded from the bit-stability guarantee across *concurrent*
-    /// requests racing to populate one record; within one request it is
-    /// thread-count-invariant.
+    /// across engine versions), and excluded from the bit-stability
+    /// guarantee across *concurrent* requests racing to populate one
+    /// record; within one request it is thread-count-invariant.
     pub warm_hits: u64,
     /// Whether the search was cancelled before visiting every candidate.
     /// A cancelled report's counters describe the completed prefix only,
@@ -317,15 +312,6 @@ pub struct SearchReport {
     /// candidate. Like `cancelled`, a timed-out report describes the
     /// completed prefix and its `best` is best-so-far. Not a CSV column.
     pub timed_out: bool,
-    /// This request's schedule-cache hits: the cache is consulted once
-    /// per class build, so a request whose classes all resolve from the
-    /// class cache or a warm record shows no traffic. Diagnostic only —
-    /// two workers racing on a cold cache key can both count a miss — so
-    /// the cache counts are excluded from the bit-stability guarantees.
-    pub cache_hits: u64,
-    /// This request's schedule-cache misses (see
-    /// [`cache_hits`](SearchReport::cache_hits)).
-    pub cache_misses: u64,
     /// Wall-clock time spent in each search phase. Host wall-clock, so —
     /// like [`SearchReport::wall_time`] — excluded from the
     /// bit-stability guarantees.
@@ -414,8 +400,6 @@ impl SearchReport {
         self.warm_hits += other.warm_hits;
         self.cancelled |= other.cancelled;
         self.timed_out |= other.timed_out;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
         self.phases.enumerate += other.phases.enumerate;
         self.phases.prune += other.phases.prune;
         self.phases.evaluate += other.phases.evaluate;
@@ -561,7 +545,6 @@ pub fn search(
         env,
         overlap: method.overlap(),
         threads: opts.effective_threads(),
-        stats: CacheStats::new(),
     };
 
     // The "enumerate" span covers a warm record's lookup in place of
@@ -645,14 +628,6 @@ pub fn search(
         }
         report.phases.probe = phase.elapsed();
     }
-    // Per-request attribution: this request's own traffic on the
-    // (possibly process-shared) schedule cache, not the cache's
-    // since-process-start totals — so multi-request reports sum
-    // correctly. The schedule cache is consulted once per class build,
-    // so a request whose classes all resolve from the class cache or a
-    // warm record shows no traffic at all.
-    report.cache_hits = req.stats.hits();
-    report.cache_misses = req.stats.misses();
     report.wall_time = start.elapsed();
     req.book(&report);
 
@@ -675,8 +650,6 @@ struct Request<'a> {
     env: &'a SearchEnv,
     overlap: OverlapConfig,
     threads: usize,
-    /// This request's traffic on the schedule cache.
-    stats: CacheStats,
 }
 
 /// How one request traverses the candidate space.
@@ -1036,22 +1009,15 @@ impl<'a> Request<'a> {
         self.env.classes.lookup(key).map(|base| (base, false))
     }
 
-    /// Builds a class no lookup resolved, from its key and schedule, on
-    /// a pool thread. A build is counted (`search_class_builds_total`)
-    /// and timed (`search_class_build_ns`, schedule lookup excluded) —
-    /// one clock pair per class, none per op — then offered to the class
-    /// cache and the warm record.
+    /// Builds a class no lookup resolved, from its key and a freshly
+    /// generated schedule, on a pool thread. A build is counted
+    /// (`search_class_builds_total`) and timed (`search_class_build_ns`,
+    /// schedule generation excluded) — one clock pair per class, none
+    /// per op — then offered to the class cache and the warm record.
     fn build(&self, key: &ClassKey, record: Option<&SweepRecord>) -> Option<Resolved> {
-        let schedule = self
-            .env
-            .schedules
-            .get_or_generate_tracked(
-                key.schedule_kind(),
-                key.placement(),
-                key.num_microbatches(),
-                &self.stats,
-            )
-            .ok()?;
+        let schedule =
+            Schedule::generate(key.schedule_kind(), key.placement(), key.num_microbatches())
+                .ok()?;
         let metrics = self.env.metrics.as_deref();
         let t0 = metrics.map(|_| Instant::now());
         let built = ClassBase::build(key, &schedule);
@@ -1118,9 +1084,8 @@ impl<'a> Request<'a> {
     /// Book stage: one registry touch per request, after the hot loops.
     /// Candidate-flow counters and the per-request candidate histograms
     /// are deterministic (thread-count-invariant, like the report fields
-    /// they mirror); the `*_ns` phase-span histograms and the cache
-    /// hit/miss counters are wall-clock/racy diagnostics and are
-    /// excluded from the bit-stability guarantee.
+    /// they mirror); the `*_ns` phase-span histograms are wall-clock
+    /// diagnostics and are excluded from the bit-stability guarantee.
     fn book(&self, report: &SearchReport) {
         let Some(metrics) = self.env.metrics.as_deref() else {
             return;
@@ -1141,8 +1106,6 @@ impl<'a> Request<'a> {
             ),
             ("search_candidates_simulated_total", report.simulated),
             ("search_warm_hits_total", report.warm_hits),
-            ("search_cache_hits_total", report.cache_hits),
-            ("search_cache_misses_total", report.cache_misses),
         ] {
             metrics.counter_add(name, n);
         }
@@ -1404,7 +1367,6 @@ mod tests {
                 env: &env,
                 overlap: method.overlap(),
                 threads: 1,
-                stats: CacheStats::new(),
             };
             let cands: Vec<Candidate> = enumerate(&model, &cluster, method, 48, &opts).collect();
             let chunks: Vec<Range<usize>> = (0..cands.len())
@@ -1795,10 +1757,8 @@ mod tests {
         let model = models::bert_6_6b();
         let cluster = presets::dgx1_v100(8);
         let k = KernelModel::v100();
-        // The schedule cache is consulted once per class build, i.e.
-        // once per class-cache miss: a private, empty class cache makes
-        // that traffic independent of what other searches in this
-        // process left in the global one.
+        // A private, empty class cache makes its traffic independent of
+        // what other searches in this process left in the global one.
         let classes = Arc::new(ClassCache::new());
         let env = SearchEnv {
             classes: Arc::clone(&classes),
@@ -1816,12 +1776,6 @@ mod tests {
         );
         assert!(r.is_some());
         assert!(classes.misses() > 0, "a cold class cache misses");
-        assert_eq!(
-            report.cache_hits + report.cache_misses,
-            classes.misses(),
-            "every class build consults the schedule cache once: {report:?}"
-        );
-        assert!(report.cache_hits > 0, "classes sharing a schedule must hit");
         for (phase, span) in report.phases.named() {
             assert!(
                 span > Duration::ZERO,
@@ -1829,12 +1783,11 @@ mod tests {
             );
         }
 
-        // Accumulation folds the cache counts and spans like the other
-        // columns.
+        // Accumulation folds the spans like the other columns.
         let mut total = SearchReport::default();
         total.accumulate(&report);
         total.accumulate(&report);
-        assert_eq!(total.cache_misses, 2 * report.cache_misses);
+        assert_eq!(total.simulated, 2 * report.simulated);
         assert_eq!(total.phases.evaluate, 2 * report.phases.evaluate);
     }
 

@@ -1,6 +1,6 @@
 //! Property test of the search engine's soundness: for random methods,
 //! batch sizes, limits and thread counts, the layered engine (analytic
-//! pruning + schedule cache + worker pool) must return *exactly* the
+//! pruning + class cache + worker pool) must return *exactly* the
 //! result of the exhaustive serial reference, and its report must
 //! account for every enumerated candidate.
 

@@ -3,7 +3,7 @@
 //!
 //! Reads one JSON request per stdin line, runs each as a concurrent
 //! planning session over one shared [`Planner`] (shared worker pool,
-//! schedule cache, warm-start store), and streams newline-delimited
+//! class cache, warm-start store), and streams newline-delimited
 //! JSON events to stdout. Requests submitted while earlier ones are
 //! still searching share their caches — the second request for a
 //! (model, cluster, method, batch) the daemon has already solved

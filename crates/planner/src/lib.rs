@@ -7,9 +7,9 @@
 //! [`bfpp_exec::search`]:
 //!
 //! * a [`Planner`] owns the long-lived infrastructure — the process
-//!   worker pool ([`bfpp_exec::Executor`]), the shared, sharded
-//!   [`bfpp_core::ScheduleCache`], and the [`bfpp_exec::WarmCache`] of
-//!   replayable sweep records;
+//!   worker pool ([`bfpp_exec::Executor`]), the process-wide
+//!   [`bfpp_exec::ClassCache`] of topology-class bases, and the
+//!   [`bfpp_exec::WarmCache`] of replayable sweep records;
 //! * a [`PlanRequest`] is one unit of demand: model + cluster +
 //!   [`Method`] + batch + [`Objective`] + [`SearchOptions`] (which
 //!   carries the perturbation — the "what if device 4 runs 1.5× slow"
@@ -33,9 +33,9 @@
 //!   worker) becomes a terminal [`PlanEvent::Failed`], never a silent
 //!   hang. Because the panic may have interrupted cache writes, the
 //!   supervisor *quarantines* what the session could have touched: its
-//!   `(model, cluster)` warm records and its method's
-//!   [`ScheduleKind`](bfpp_core::ScheduleKind)s in the shared schedule
-//!   cache. The executor self-heals dead workers on the next scope
+//!   `(model, cluster)` warm records and the class-cache entries of its
+//!   method's [`ScheduleKind`](bfpp_core::ScheduleKind)s. The executor
+//!   self-heals dead workers on the next scope
 //!   ([`bfpp_exec::Executor::respawn_dead`]).
 //! * **Deadlines and budgets** — [`SearchOptions::deadline`] /
 //!   [`SearchOptions::max_candidates`] terminate a search with its
@@ -108,7 +108,7 @@
 //! Determinism is inherited, not re-proven: the engine's winner and
 //! headline counters are bit-identical for any thread count and any
 //! interleaving, and the shared caches only ever substitute equal values
-//! (schedules are pure functions of their key; warm records replay the
+//! (class bases are pure functions of their key; warm records replay the
 //! exact outcome list a cold run would recompute). N concurrent
 //! requests therefore return exactly what N serial private-cache runs
 //! would — property-tested in this crate — and quarantine preserves
@@ -486,8 +486,8 @@ impl Default for Planner {
 }
 
 impl Planner {
-    /// A planner over the process-shared executor, a fresh shared
-    /// schedule cache, and a fresh warm-start store. No admission
+    /// A planner over the process-shared executor and class cache, a
+    /// fresh warm-start store and a fresh registry. No admission
     /// limit.
     pub fn new() -> Planner {
         Planner::over(SearchEnv::service())
@@ -766,25 +766,21 @@ impl Planner {
     }
 
     /// Drops every cache entry a failed session could have been writing
-    /// when it died: its `(model, cluster)` warm records and its
-    /// method's schedule kinds. Over-approximate on purpose — caches
-    /// only ever substitute equal values, so quarantine can cost clean
-    /// sessions a recomputation but never an answer.
+    /// when it died: its `(model, cluster)` warm records and the class
+    /// bases of its method's schedule kinds. Over-approximate on purpose
+    /// — caches only ever substitute equal values, so quarantine can
+    /// cost clean sessions a recomputation but never an answer.
     fn quarantine(&self, req: &PlanRequest) {
         let warm_dropped = self.invalidate(&req.model, &req.cluster);
-        let mut schedules_dropped = 0;
-        let mut classes_dropped = 0;
-        for kind in req.method.kinds() {
-            schedules_dropped += self.env.schedules.invalidate_kind(*kind);
-            classes_dropped += self.env.classes.invalidate_kind(*kind);
-        }
+        let classes_dropped: usize = req
+            .method
+            .kinds()
+            .iter()
+            .map(|kind| self.env.classes.invalidate_kind(*kind))
+            .sum();
         self.metrics.counter_add(
             "planner_quarantined_warm_records_total",
             warm_dropped as u64,
-        );
-        self.metrics.counter_add(
-            "planner_quarantined_schedules_total",
-            schedules_dropped as u64,
         );
         self.metrics
             .counter_add("planner_quarantined_classes_total", classes_dropped as u64);
@@ -979,8 +975,8 @@ mod tests {
     #[test]
     fn panicked_session_becomes_a_failed_event_and_quarantines() {
         // A private, empty class cache: every class of the seeding plan
-        // is built here, so the schedule cache sees traffic no matter
-        // what other tests left in the process-global class cache.
+        // is built here, so the quarantine finds classes to drop no
+        // matter what other tests left in the process-global one.
         let classes = Arc::new(bfpp_exec::ClassCache::new());
         let planner = Arc::new(Planner::over(SearchEnv {
             executor: Executor::new(2),
@@ -989,14 +985,8 @@ mod tests {
         }));
         let req = quick_req(Method::BreadthFirst, 16);
         // Seed every cache so the quarantine has something to drop.
-        let (_, seeded) = planner.plan(&req);
-        assert!(!planner.env().schedules.is_empty());
+        planner.plan(&req);
         assert!(!classes.is_empty());
-        assert_eq!(
-            seeded.cache_hits + seeded.cache_misses,
-            classes.misses(),
-            "one schedule lookup per class build"
-        );
         assert_eq!(planner.warm().unwrap().len(), 1);
 
         let mut sabotaged = req.clone();
@@ -1010,7 +1000,7 @@ mod tests {
 
         let snap = planner.metrics_snapshot();
         assert_eq!(snap.counter("planner_requests_failed_total"), 1);
-        for dropped in ["schedules", "classes", "warm_records"] {
+        for dropped in ["classes", "warm_records"] {
             let name = format!("planner_quarantined_{dropped}_total");
             assert!(snap.counter(&name) > 0, "{name}: {snap:?}");
         }

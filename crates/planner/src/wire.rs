@@ -501,6 +501,11 @@ pub fn error_line(err: &WireError) -> String {
 
 #[cfg(test)]
 mod tests {
+    use std::ops::Range;
+
+    use proptest::prelude::*;
+    use proptest::{collection, sample};
+
     use super::*;
 
     #[test]
@@ -892,5 +897,104 @@ mod tests {
         assert!(line.contains("\"timed_out\":true"), "{line}");
         assert!(line.contains("\"warm_start\":true"), "{line}");
         assert!(line.contains("\"ok\":false"), "{line}");
+    }
+
+    /// The request and control lines the CI daemon smokes send (all but
+    /// the 50,000-deep nesting line, which has a test of its own).
+    const CI_LINES: [&str; 19] = [
+        r#"{"id":"r1","model":"52b","cluster":"dgx1_v100","nodes":8,"method":"breadth_first","kernel":"v100","batch":48,"max_microbatch":4,"max_loop":8,"max_actions":30000}"#,
+        r#"{"id":"r2","model":"52b","cluster":"dgx1_v100","nodes":8,"method":"breadth_first","kernel":"v100","batch":48,"max_microbatch":4,"max_loop":8,"max_actions":30000,"straggler":{"device":4,"factor":1.5}}"#,
+        r#"{"model": }"#,
+        r#"{"id":"big","model":"6.6b","batch":16,"max_microbatch":4294967297}"#,
+        r#"{"id":"jitter","model":"6.6b","batch":16,"jitter":1.5}"#,
+        r#"{"id":"zero","model":"6.6b","batch":16,"nodes":0}"#,
+        r#"{"id":"text","model":"6.6b","batch":16,"nodes":"2"}"#,
+        r#"{"id":"huge","model":"6.6b","batch":16,"cluster":"mixed_v100_a100","nodes":4294967295}"#,
+        r#"{"id":"stray","model":"6.6b","batch":16,"straggler":{"device":64,"factor":1.5}}"#,
+        r#"{"id":"good","model":"6.6b","batch":16,"max_microbatch":4,"max_loop":8,"max_actions":30000}"#,
+        r#"{"id":"storm","model":"6.6b","batch":16,"deadline_ms":0,"max_microbatch":4,"max_loop":8,"max_actions":30000}"#,
+        r#"{"drain": true}"#,
+        r#"{"id":"e1","model":"52b","cluster":"dgx1_v100","nodes":4,"method":"breadth_first","kernel":"v100","batch":48,"max_microbatch":4,"max_loop":8,"max_actions":30000}"#,
+        r#"{"id":"e2","model":"52b","cluster":"dgx1_v100","nodes":4,"method":"breadth_first","kernel":"v100","batch":48,"max_microbatch":4,"max_loop":8,"max_actions":30000,"delta":{"drop_node":3}}"#,
+        r#"{"id":"bad","model":"52b","cluster":"dgx1_v100","nodes":4,"method":"breadth_first","kernel":"v100","batch":48,"max_microbatch":4,"max_loop":8,"max_actions":30000,"delta":{"drop_node":9}}"#,
+        r#"{"ping":true}"#,
+        r#"{"id":"t1","model":"1t","cluster":"dgx_a100_80gb","nodes":32,"method":"breadth_first","kernel":"a100","batch":512,"max_microbatch":8,"max_loop":16,"max_actions":200000,"threads":1,"jitter":0.5,"seed":7}"#,
+        r#"{"stats":true}"#,
+        r#"{"id":"t1","model":"1t","cluster":"dgx_a100_80gb","nodes":32,"method":"breadth_first","kernel":"a100","batch":512,"max_microbatch":8,"max_loop":16,"max_actions":200000,"jitter":0.5,"seed":7,"threads":4}"#,
+    ];
+
+    /// Values a hostile client may put in any field.
+    const HOSTILE: [&str; 10] = [
+        "1e999",
+        "-0",
+        "4294967296",
+        "18446744073709551616",
+        "null",
+        "[]",
+        "{}",
+        "\"x\"",
+        "NaN",
+        "-1e-400",
+    ];
+
+    /// Byte ranges of every field value in `line`, nested objects
+    /// included (the CI lines have no braces or commas inside strings).
+    fn value_spans(line: &str) -> Vec<Range<usize>> {
+        let b = line.as_bytes();
+        let mut spans = Vec::new();
+        for start in (2..b.len()).filter(|&i| &b[i - 2..i] == b"\":") {
+            let mut depth = 0;
+            let mut end = start;
+            while end < b.len() {
+                match b[end] {
+                    b'{' => depth += 1,
+                    b'}' | b',' if depth == 0 => break,
+                    b'}' => depth -= 1,
+                    _ => {}
+                }
+                end += 1;
+            }
+            spans.push(start..end);
+        }
+        spans
+    }
+
+    /// Neither parser panics on `line`, and a rejection renders to a
+    /// well-formed `error` line.
+    fn parses_or_fails_typed(line: &str) {
+        let _ = Value::parse(line);
+        if let Err(err) = parse_line(line, "line-1") {
+            let rendered = error_line(&err);
+            if let Err(why) = bfpp_sim::observe::validate_json(&rendered) {
+                panic!("{line:?} renders invalid JSON ({why}): {rendered}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic_the_parsers(
+            bytes in collection::vec(any::<u8>(), 0..256)
+        ) {
+            parses_or_fails_typed(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn hostile_values_and_flipped_bytes_never_panic_the_parsers(
+            line in sample::select(CI_LINES.to_vec()),
+            token in sample::select(HOSTILE.to_vec()),
+            pick in any::<u32>(),
+            flip in any::<u8>(),
+        ) {
+            let spans = value_spans(line);
+            let span = spans[pick as usize % spans.len()].clone();
+            parses_or_fails_typed(&format!("{}{token}{}", &line[..span.start], &line[span.end..]));
+
+            let mut bytes = line.as_bytes().to_vec();
+            bytes[pick as usize % line.len()] ^= flip.max(1);
+            parses_or_fails_typed(&String::from_utf8_lossy(&bytes));
+        }
     }
 }

@@ -1,5 +1,5 @@
 //! Property test of the quarantine contract: a session that panics or
-//! is cancelled midway must leave *no* `WarmCache` / `ScheduleCache`
+//! is cancelled midway must leave *no* `WarmCache` / `ClassCache`
 //! entry that changes any subsequent result. The observable statement:
 //! after arbitrary failures on a shared planner, re-planning the same
 //! cell — warm-started or not — returns bit-for-bit what a fresh,

@@ -59,7 +59,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// N concurrent sessions on one shared planner (shared worker pool,
-    /// schedule cache and warm store, sessions racing to populate them)
+    /// class cache and warm store, sessions racing to populate them)
     /// return exactly what N serial runs on fresh private planners
     /// return.
     #[test]

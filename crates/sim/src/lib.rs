@@ -16,8 +16,8 @@
 //!
 //! The solver ([`OpGraph::solve`]) is deterministic and produces a
 //! [`Timeline`] with a start/end time for every operation, from which
-//! makespan, per-resource utilization ([`Timeline::resource_stats`]) and the
-//! critical path ([`Timeline::critical_path`]) can be derived.
+//! makespan and per-resource utilization ([`Timeline::resource_stats`])
+//! can be derived.
 //!
 //! ```
 //! use bfpp_sim::{OpGraph, SimDuration};
@@ -35,7 +35,6 @@
 //! # let _ = b;
 //! ```
 
-mod critical_path;
 mod graph;
 pub mod json;
 pub mod memprof;
@@ -49,7 +48,6 @@ mod stats;
 mod time;
 mod trace;
 
-pub use critical_path::CriticalPath;
 pub use graph::{Op, OpGraph, OpId, ResourceId};
 pub use memprof::{
     BufferClass, DeviceMemModel, DeviceMemTimeline, EventEdge, LinkSpan, MemEffect, MemEvent,

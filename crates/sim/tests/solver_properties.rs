@@ -109,25 +109,6 @@ proptest! {
         }
     }
 
-    /// The critical path's busy time never exceeds the makespan and the
-    /// path is a contiguous chain in time.
-    #[test]
-    fn critical_path_is_contiguous((nres, ops) in random_graph(4, 30)) {
-        let g = build(nres, &ops);
-        let t = g.solve().unwrap();
-        let cp = t.critical_path(&g);
-        prop_assert!(cp.busy <= t.makespan());
-        for w in cp.ops.windows(2) {
-            prop_assert_eq!(t.end_of(w[0]), t.start_of(w[1]));
-        }
-        if let Some(last) = cp.ops.last() {
-            prop_assert_eq!(
-                t.end_of(*last).duration_since(bfpp_sim::SimTime::ZERO),
-                t.makespan()
-            );
-        }
-    }
-
     /// Utilizations are in [0, 1] and busy + idle == makespan.
     #[test]
     fn stats_are_consistent((nres, ops) in random_graph(4, 40)) {

@@ -62,8 +62,17 @@ fn get_u32(flags: &HashMap<String, String>, key: &str, default: u32) -> Result<u
     }
 }
 
+/// Reads a count that must be at least 1: node, GPU, grid, loop and
+/// micro-batch counts, whose constructors assert it.
+fn get_count(flags: &HashMap<String, String>, key: &str, default: u32) -> Result<u32, String> {
+    match get_u32(flags, key, default)? {
+        0 => Err(format!("--{key} must be at least 1")),
+        n => Ok(n),
+    }
+}
+
 fn cluster_for(flags: &HashMap<String, String>) -> Result<ClusterSpec, String> {
-    let nodes = get_u32(flags, "nodes", 8)?;
+    let nodes = get_count(flags, "nodes", 8)?;
     Ok(if flags.contains_key("ethernet") {
         presets::dgx1_v100_ethernet(nodes)
     } else {
@@ -90,12 +99,12 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
     let model_name = flags.get("model").cloned().unwrap_or_else(|| "52b".into());
     let model = by_name(&model_name).ok_or_else(|| format!("unknown model {model_name}"))?;
     let cluster = cluster_for(flags)?;
-    let n_dp = get_u32(flags, "dp", 1)?;
-    let n_tp = get_u32(flags, "tp", 8)?;
-    let n_pp = get_u32(flags, "pp", 8)?;
-    let n_loop = get_u32(flags, "loops", 1)?;
-    let n_mb = get_u32(flags, "mb", n_pp)?;
-    let s_mb = get_u32(flags, "smb", 1)?;
+    let n_dp = get_count(flags, "dp", 1)?;
+    let n_tp = get_count(flags, "tp", 8)?;
+    let n_pp = get_count(flags, "pp", 8)?;
+    let n_loop = get_count(flags, "loops", 1)?;
+    let n_mb = get_count(flags, "mb", n_pp)?;
+    let s_mb = get_count(flags, "smb", 1)?;
     let sharding = match flags.get("sharding").map(String::as_str) {
         None | Some("dp0") => DataParallelism::Unsharded,
         Some("ps") => DataParallelism::PartiallySharded,
@@ -189,7 +198,7 @@ fn cmd_search(flags: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_plan(flags: &HashMap<String, String>) -> Result<(), String> {
     let model_name = flags.get("model").cloned().unwrap_or_else(|| "52b".into());
     let model = by_name(&model_name).ok_or_else(|| format!("unknown model {model_name}"))?;
-    let gpus = get_u32(flags, "gpus", 4096)?;
+    let gpus = get_count(flags, "gpus", 4096)?;
     let cluster = presets::dgx1_v100(8);
     let kernel = KernelModel::v100();
     let tradeoff = if model_name.contains("52") {
@@ -226,8 +235,8 @@ fn cmd_plan(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_viz(flags: &HashMap<String, String>) -> Result<(), String> {
-    let n_pp = get_u32(flags, "pp", 4)?;
-    let n_loop = get_u32(flags, "loops", 4)?;
+    let n_pp = get_count(flags, "pp", 4)?;
+    let n_loop = get_count(flags, "loops", 4)?;
     let n_mb = get_u32(flags, "mb", 8)?;
     print!("{}", schedule_unit_timelines(n_pp, n_loop, n_mb));
     Ok(())
