@@ -105,9 +105,10 @@ fn plan_request(method: Method, perturbation: Perturbation) -> PlanRequest {
 /// Planner service: the same perturbed Figure 5a sweep (a straggler
 /// appeared — re-plan around it) planned cold (fresh planner: every
 /// candidate enumerated and every topology class built from scratch) vs
-/// warm (from the clean run's record: replayed pruning and recorded
-/// class bases, row fill and trace replay only). The ratio is what
-/// warm-start re-planning saves on the identical request.
+/// warm (from the clean run's record: replayed pruning over the class
+/// bases the clean run left in the class cache, row fill and trace
+/// replay only). The ratio is what warm-start re-planning saves on the
+/// identical request.
 fn bench_planner(c: &mut Criterion) {
     let probe = Perturbation::with_seed(0xB1F).with_straggler(4, 1.5);
     let mut group = c.benchmark_group("planner_fig5a_b48");
@@ -152,7 +153,7 @@ fn bench_planner(c: &mut Criterion) {
 /// Emits end-to-end candidate throughput — enumerated candidates per
 /// second of wall clock — for the Figure 5a sweep, planned cold (empty
 /// global class cache, fresh planner every iteration) and warm (one
-/// planner re-planning the perturbed sweep from its recorded base).
+/// planner re-planning the perturbed sweep from its record).
 /// These are the `candidates_per_sec` fields of `BENCH_search.json` at
 /// the repo root; regenerate that file from this bench's output on a
 /// quiet host after perf-relevant changes.

@@ -40,9 +40,15 @@ impl ClusterSpec {
     ///
     /// # Panics
     ///
-    /// Panics if `num_nodes` is zero.
+    /// Panics if `num_nodes` is zero or the GPU count does not fit a
+    /// `u32`.
     pub fn new(name: impl Into<String>, num_nodes: u32, node: NodeSpec) -> Self {
         assert!(num_nodes > 0, "num_nodes must be positive");
+        assert!(
+            check_gpu_count(num_nodes.into(), node.gpus_per_node).is_ok(),
+            "{num_nodes} nodes of {} GPUs overflow the u32 device count",
+            node.gpus_per_node
+        );
         ClusterSpec {
             name: name.into(),
             num_nodes,
@@ -57,10 +63,11 @@ impl ClusterSpec {
     ///
     /// # Errors
     ///
-    /// [`ClusterError::Empty`] for an empty map, and
+    /// [`ClusterError::Empty`] for an empty map,
     /// [`ClusterError::MixedGpusPerNode`] when the nodes disagree on
     /// `gpus_per_node` (the node-major rank numbering requires one
-    /// device count per node).
+    /// device count per node), and [`ClusterError::TooManyGpus`] when
+    /// the GPU count does not fit a `u32`.
     pub fn heterogeneous(
         name: impl Into<String>,
         nodes: Vec<NodeSpec>,
@@ -75,6 +82,7 @@ impl ClusterSpec {
                 });
             }
         }
+        check_gpu_count(nodes.len() as u64, expected)?;
         Ok(ClusterSpec {
             name: name.into(),
             num_nodes: nodes.len() as u32,
@@ -269,7 +277,8 @@ impl ClusterSpec {
     /// # Errors
     ///
     /// [`ClusterError::MixedGpusPerNode`] when the new node's device
-    /// count differs from the fleet's.
+    /// count differs from the fleet's, and [`ClusterError::TooManyGpus`]
+    /// when the grown fleet's GPU count does not fit a `u32`.
     pub fn with_added_node(&self, node: NodeSpec) -> Result<ClusterSpec, ClusterError> {
         if node.gpus_per_node != self.node.gpus_per_node {
             return Err(ClusterError::MixedGpusPerNode {
@@ -277,6 +286,7 @@ impl ClusterSpec {
                 found: node.gpus_per_node,
             });
         }
+        check_gpu_count(u64::from(self.num_nodes) + 1, node.gpus_per_node)?;
         let mut out = self.clone();
         out.num_nodes += 1;
         match &mut out.hetero {
@@ -401,6 +411,18 @@ impl ClusterSpec {
                 rest.iter().all(|r| self.node_of(*r) == n)
             }
         }
+    }
+}
+
+/// Checks that `num_nodes` nodes of `gpus_per_node` GPUs number at most
+/// `u32::MAX` devices, the type device ranks are numbered in.
+fn check_gpu_count(num_nodes: u64, gpus_per_node: u32) -> Result<(), ClusterError> {
+    match u32::try_from(num_nodes * u64::from(gpus_per_node)) {
+        Ok(_) => Ok(()),
+        Err(_) => Err(ClusterError::TooManyGpus {
+            num_nodes,
+            gpus_per_node,
+        }),
     }
 }
 
@@ -594,5 +616,30 @@ mod tests {
             single.with_added_node(odd),
             Err(ClusterError::MixedGpusPerNode { .. })
         ));
+        // Device ranks are `u32`: a fleet that fills them cannot grow.
+        let full = presets::dgx1_v100(u32::MAX / 8);
+        assert_eq!(full.num_gpus(), u32::MAX - 7);
+        assert_eq!(
+            full.with_added_node(NodeSpec::dgx1_v100()),
+            Err(ClusterError::TooManyGpus {
+                num_nodes: u64::from(u32::MAX / 8) + 1,
+                gpus_per_node: 8,
+            })
+        );
+        let mut wide = NodeSpec::dgx1_v100();
+        wide.gpus_per_node = u32::MAX;
+        assert_eq!(
+            ClusterSpec::heterogeneous("wide", vec![wide.clone(), wide]),
+            Err(ClusterError::TooManyGpus {
+                num_nodes: 2,
+                gpus_per_node: u32::MAX,
+            })
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow the u32 device count")]
+    fn new_rejects_a_gpu_count_past_u32() {
+        presets::dgx1_v100(u32::MAX);
     }
 }

@@ -97,6 +97,14 @@ pub enum ClusterError {
     },
     /// Dropping this node would leave an empty cluster.
     LastNode,
+    /// The fleet's device count `num_nodes × gpus_per_node` does not fit
+    /// the `u32` device ranks are numbered in.
+    TooManyGpus {
+        /// Nodes in the fleet.
+        num_nodes: u64,
+        /// Devices per node.
+        gpus_per_node: u32,
+    },
     /// A fabric override from a node to itself.
     SelfLink {
         /// The node.
@@ -141,6 +149,14 @@ impl fmt::Display for ClusterError {
             ClusterError::LastNode => {
                 write!(f, "cannot drop the last node of a cluster")
             }
+            ClusterError::TooManyGpus {
+                num_nodes,
+                gpus_per_node,
+            } => write!(
+                f,
+                "{num_nodes} nodes of {gpus_per_node} GPUs exceed {} devices",
+                u32::MAX
+            ),
             ClusterError::SelfLink { node } => {
                 write!(f, "no fabric link from node {node} to itself")
             }

@@ -457,11 +457,12 @@ struct ClassEntries {
 }
 
 /// A bounded, concurrency-safe store of topology-class bases, keyed by
-/// `ClassKey` and bounded by total stored ops (FIFO eviction). Because
-/// a base is model/cluster/kernel-independent, one cache is sound for
-/// the whole process ([`ClassCache::global`]): any correctly built base
-/// for a key is interchangeable, so sharing changes speed, never
-/// results.
+/// `ClassKey` and bounded by total stored ops (FIFO eviction). It is the
+/// one store of bases: cold and warm searches alike resolve a class here
+/// or build it and offer it here. Because a base is
+/// model/cluster/kernel-independent, one cache is sound for the whole
+/// process ([`ClassCache::global`]): any correctly built base for a key
+/// is interchangeable, so sharing changes speed, never results.
 pub struct ClassCache {
     entries: Mutex<ClassEntries>,
     max_ops: u64,
@@ -482,11 +483,15 @@ impl std::fmt::Debug for ClassCache {
 
 impl Default for ClassCache {
     fn default() -> Self {
-        // ~2M stored ops: hundreds of search-scale classes. A base holds
-        // ~33 bytes per op (resource, row pointer, about one dependency,
-        // trace entry and end time: 24; duration template: 9), so the
-        // cache tops out near 66 MB.
-        ClassCache::with_max_ops(2_000_000)
+        // 8M stored ops, sized to whole working sets, measured on a
+        // 2-core host: `reproduce_all` resolves 0.98M ops (715 classes),
+        // the jittered 1T/32×A100 request 3.37M (132), and a warm
+        // what-if round over the Fig. 5a panel and its fleet 3.43M
+        // (754), of which a 2M-op cache rebuilt ~500 classes per round.
+        // A base holds ~33 bytes per op (resource, row pointer, about
+        // one dependency, trace entry and end time: 24; duration
+        // template: 9), so the cache tops out near 264 MB.
+        ClassCache::with_max_ops(8_000_000)
     }
 }
 

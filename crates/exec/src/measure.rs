@@ -1,6 +1,5 @@
 //! Simulated measurement of one configuration.
 
-use std::cell::RefCell;
 use std::error::Error;
 use std::fmt;
 
@@ -9,7 +8,7 @@ use bfpp_core::{ScheduleError, ScheduleKind};
 use bfpp_model::TransformerConfig;
 use bfpp_parallel::{ConfigError, ParallelConfig};
 
-use bfpp_sim::{Perturbation, SimDuration, SolveScratch, SolveStats, Timeline};
+use bfpp_sim::{Perturbation, SimDuration, SolveStats, Timeline};
 
 use crate::kernel::KernelModel;
 use crate::lower::{lower_perturbed, LoweredGraph};
@@ -137,21 +136,17 @@ pub fn simulate_perturbed(
     Ok(measure_lowered(model, cluster, cfg, &lowered))
 }
 
-thread_local! {
-    /// Per-thread solver workspace: an exhaustive sweep simulates
-    /// thousands of candidates per thread, and reusing one scratch
-    /// removes every per-solve allocation after the first.
-    static SCRATCH: RefCell<SolveScratch> = RefCell::new(SolveScratch::new());
-}
-
+/// Solves `lowered` on the solver's per-thread workspace
+/// ([`bfpp_sim::OpGraph::solve`]) and measures it.
 pub(crate) fn measure_lowered(
     model: &TransformerConfig,
     cluster: &ClusterSpec,
     cfg: &ParallelConfig,
     lowered: &LoweredGraph,
 ) -> Measurement {
-    let timeline = SCRATCH
-        .with(|scratch| lowered.graph.solve_with(&mut scratch.borrow_mut()))
+    let timeline = lowered
+        .graph
+        .solve()
         .expect("lowered graphs are acyclic by construction");
     measure_timeline(model, cluster, cfg, lowered, &timeline)
 }

@@ -48,7 +48,7 @@ use crate::lower::Durations;
 use crate::measure::{simulate_perturbed, Measurement};
 use crate::overlap::OverlapConfig;
 use crate::prune::{exceeds_device_memory, lower_bound_tflops};
-use crate::warm::{self, Outcome, SweepRecord, WarmCache};
+use crate::warm::{self, Outcome, WarmCache};
 
 /// The four methods compared in Figure 5 and Tables E.1–E.3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -190,18 +190,20 @@ impl Default for SearchOptions {
 }
 
 /// The long-lived infrastructure a search runs over: the worker pool,
-/// the topology-class cache, and (optionally) the warm-start record
-/// store and a telemetry registry. A batch CLI call uses
-/// [`SearchEnv::private`]: the process-shared pool and class cache,
-/// with no warm store and no registry. A planner service builds one
+/// the topology-class cache (the one store of class bases), and
+/// (optionally) the warm-start record store and a telemetry registry. A
+/// batch CLI call uses [`SearchEnv::private`]: the process-shared pool
+/// and class cache, with no warm store and no registry. A planner service builds one
 /// `SearchEnv` with a warm store and a registry and routes every
 /// request through it.
 #[derive(Debug, Clone)]
 pub struct SearchEnv {
     /// The worker pool candidate evaluation runs on.
     pub executor: Arc<Executor>,
-    /// Topology-class base cache: every survivor is evaluated through
-    /// its class's base. Bases are model/cluster/kernel-independent, so
+    /// Topology-class base cache, the one store of class bases: every
+    /// survivor, cold or warm, is evaluated through its class's base,
+    /// found here or built and offered here (warm records keep
+    /// outcomes only). Bases are model/cluster/kernel-independent, so
     /// the process-wide [`ClassCache::global`] is the default even for
     /// private environments — a hit skips the class build (op walk into
     /// the dependency index, discovery pass) but can never change a
@@ -295,13 +297,14 @@ pub struct SearchReport {
     /// Whether the search replayed a warm-start record instead of
     /// enumerating afresh. Not a CSV column.
     pub warm_start: bool,
-    /// Simulated candidates whose topology-class base came from a
-    /// warm-start record instead of the class cache or a fresh build.
-    /// Always `0` for a cold search or a [`SearchEnv`] without a warm
-    /// store. Not a CSV column (single-request CSV output is byte-stable
-    /// across engine versions), and excluded from the bit-stability
-    /// guarantee across *concurrent* requests racing to populate one
-    /// record; within one request it is thread-count-invariant.
+    /// Simulations a warm start ran on a topology-class base it did not
+    /// build: one found in the class cache when the request first saw
+    /// its class. Always `0` for a cold search or a [`SearchEnv`]
+    /// without a warm store. Not a CSV column (single-request CSV
+    /// output is byte-stable across engine versions), and excluded from
+    /// the bit-stability guarantee across *concurrent* requests sharing
+    /// one class cache; within one request it is
+    /// thread-count-invariant.
     pub warm_hits: u64,
     /// Whether the search was cancelled before visiting every candidate.
     /// A cancelled report's counters describe the completed prefix only,
@@ -597,14 +600,11 @@ pub fn search(
         report.simulated += pruned.survivors.len() as u64;
 
         let phase = Instant::now();
-        let (slots, warm_hits) = req.evaluate(
-            &pruned.survivors,
-            &opts.perturbation,
-            plan.warm_record(),
-            &mut table,
-        );
+        let (slots, hits) = req.evaluate(&pruned.survivors, &opts.perturbation, &mut table);
         report.phases.evaluate += phase.elapsed();
-        report.warm_hits += warm_hits;
+        if report.warm_start {
+            report.warm_hits += hits;
+        }
 
         req.reduce(&pruned.survivors, slots, &mut best, &mut hooks.on_improve);
         if let Some(p) = hooks.progress {
@@ -617,7 +617,7 @@ pub fn search(
     // caller asked for the fastest exit with best-so-far.
     let completed = !report.cancelled && !report.timed_out;
     if completed {
-        record(plan, &table);
+        record(plan);
     }
     report.best = best.as_ref().map(|(_, b)| b.measurement.tflops_per_gpu);
     if let (Some((cand, b)), true) = (&best, completed) {
@@ -663,21 +663,14 @@ enum Plan<'a> {
         publish: Option<(&'a WarmCache, String)>,
     },
     /// A replay of a prior cold search's outcomes.
-    Warm(Arc<SweepRecord>),
+    Warm(Arc<[Outcome]>),
 }
 
 impl Plan<'_> {
     fn len(&self) -> usize {
         match self {
             Plan::Cold { cands, .. } => cands.len(),
-            Plan::Warm(rec) => rec.outcomes.len(),
-        }
-    }
-
-    fn warm_record(&self) -> Option<&SweepRecord> {
-        match self {
-            Plan::Cold { .. } => None,
-            Plan::Warm(rec) => Some(rec),
+            Plan::Warm(outcomes) => outcomes.len(),
         }
     }
 }
@@ -719,35 +712,19 @@ fn filter(outcomes: &[Outcome], incumbent: Option<f64>, speedup: f64) -> Pruned 
     pruned
 }
 
-/// A class's resolved base, and whether it came from the warm record
-/// (the provenance `warm_hits` counts).
+/// A class's resolved base, and whether it was found in the class cache
+/// when this request first saw the class (the provenance a warm start's
+/// `warm_hits` counts).
 type Resolved = (Arc<ClassBase>, bool);
 
-/// Every class this request has grouped survivors into, in serial
-/// first-seen order (a warm record's storage order), with its base once
-/// resolved — at most once per request, so `warm_hits` is
-/// thread-count-invariant. Only serial code touches it: no lock.
-#[derive(Default)]
-struct ClassTable {
-    index: HashMap<ClassKey, usize>,
-    entries: Vec<(ClassKey, Option<Resolved>)>,
-}
+/// Every class this request has resolved, with its base — resolved at
+/// most once per request, so `warm_hits` is thread-count-invariant. Only
+/// serial code touches it: no lock.
+type ClassTable = HashMap<ClassKey, Resolved>;
 
-impl ClassTable {
-    /// The entry of `key`, appended unresolved on first sight.
-    fn slot(&mut self, key: ClassKey) -> usize {
-        *self.index.entry(key).or_insert_with(|| {
-            self.entries.push((key, None));
-            self.entries.len() - 1
-        })
-    }
-}
-
-/// One class's survivors within a chunk, with its table entry and its
-/// base (from the table or a lookup, or built in place by its pool
-/// task).
+/// One class's survivors within a chunk, with its base (from the class
+/// table or the class cache, or built in place by its pool task).
 struct Group {
-    class: usize,
     key: ClassKey,
     resolved: Option<Resolved>,
     members: Vec<Member>,
@@ -815,8 +792,8 @@ impl<'a> Request<'a> {
         let mut publish = None;
         if let Some(warm) = self.env.warm.as_deref() {
             let key = warm::request_key(model, cluster, method, global_batch, self.kernel, opts);
-            if let Some(rec) = warm.lookup(&key) {
-                return Plan::Warm(rec);
+            if let Some(outcomes) = warm.lookup(&key) {
+                return Plan::Warm(outcomes);
             }
             publish = Some((warm, key));
         }
@@ -836,7 +813,7 @@ impl<'a> Request<'a> {
         let (model, cluster, overlap, kernel) =
             (self.model, self.cluster, self.overlap, self.kernel);
         let outcomes: &[Outcome] = match plan {
-            Plan::Warm(rec) => &rec.outcomes,
+            Plan::Warm(outcomes) => outcomes,
             Plan::Cold {
                 cands, outcomes, ..
             } => {
@@ -856,21 +833,23 @@ impl<'a> Request<'a> {
     }
 
     /// Evaluate stage: one measurement slot per survivor (empty where
-    /// lowering would fail), plus how many came from warm-record bases.
-    /// A serial pre-pass validates survivors, groups them by topology
-    /// class in first-seen order, and resolves every class it can
-    /// without building one ([`Request::lookup`]). The groups are then
-    /// carved longest-first by estimated cost ([`group_cost`],
-    /// [`carve`]) into at most `threads` pool tasks, which build the
-    /// remaining bases and re-time members by SoA trace replay; a
-    /// serial scatter books the bases and restores survivor order.
+    /// lowering would fail), plus how many ran on a base this request
+    /// found in the class cache. A serial pre-pass validates survivors,
+    /// groups them by topology class in first-seen order, and resolves
+    /// every class it can without building one: from the class table,
+    /// else the class cache (one cache lookup per first sight, so the
+    /// cache's hit and miss counts do not depend on the carving). The
+    /// groups are then carved longest-first by estimated cost
+    /// ([`group_cost`], [`carve`]) into at most `threads` pool tasks,
+    /// which build the remaining bases and re-time members by SoA trace
+    /// replay; a serial scatter books the bases and restores survivor
+    /// order.
     /// Bit-identical to lowering and solving each candidate
     /// ([`best_config_exhaustive`]).
     fn evaluate(
         &self,
         survivors: &[Candidate],
         perturbation: &Perturbation,
-        record: Option<&SweepRecord>,
         table: &mut ClassTable,
     ) -> (Vec<Option<Measurement>>, u64) {
         let mut groups: Vec<Group> = Vec::new();
@@ -882,22 +861,20 @@ impl<'a> Request<'a> {
             }
             let d = Durations::new(self.model, self.cluster, &cfg, self.kernel, self.overlap);
             let key = ClassKey::of(cand, self.overlap, &d);
-            let class = table.slot(key);
             let member = Member {
                 idx,
                 cfg,
                 d,
                 measurement: None,
             };
-            match groups.iter_mut().find(|g| g.class == class) {
+            match groups.iter_mut().find(|g| g.key == key) {
                 Some(g) => g.members.push(member),
                 None => groups.push(Group {
-                    class,
                     key,
-                    resolved: table.entries[class]
-                        .1
-                        .clone()
-                        .or_else(|| self.lookup(&key, record)),
+                    resolved: table
+                        .get(&key)
+                        .cloned()
+                        .or_else(|| self.env.classes.lookup(&key).map(|base| (base, true))),
                     members: vec![member],
                 }),
             }
@@ -913,7 +890,7 @@ impl<'a> Request<'a> {
             .min(survivors.len().div_ceil(4))
             .min(groups.len());
         if tasks <= 1 {
-            self.eval_groups(&mut groups, perturbation, record);
+            self.eval_groups(&mut groups, perturbation);
         } else {
             let costs: Vec<u64> = groups.iter().map(group_cost).collect();
             let mut bins: Vec<Vec<&mut Group>> = (0..tasks).map(|_| Vec::new()).collect();
@@ -923,25 +900,26 @@ impl<'a> Request<'a> {
             self.env.executor.scope_run(
                 bins.into_iter()
                     .map(|bin| {
-                        Box::new(move || self.eval_groups(bin, perturbation, record))
-                            as ScopedTask<'_>
+                        Box::new(move || self.eval_groups(bin, perturbation)) as ScopedTask<'_>
                     })
                     .collect(),
             );
         }
 
         let mut slots: Vec<Option<Measurement>> = vec![None; survivors.len()];
-        let mut warm_hits = 0;
+        let mut hits = 0;
         for group in groups {
-            if let Some((_, true)) = group.resolved {
-                warm_hits += group.members.len() as u64;
+            if let Some(resolved) = group.resolved {
+                if resolved.1 {
+                    hits += group.members.len() as u64;
+                }
+                table.insert(group.key, resolved);
             }
-            table.entries[group.class].1 = group.resolved;
             for member in group.members {
                 slots[member.idx] = member.measurement;
             }
         }
-        (slots, warm_hits)
+        (slots, hits)
     }
 
     /// Evaluates class groups in place — the body of one pool task:
@@ -954,14 +932,13 @@ impl<'a> Request<'a> {
         &self,
         groups: impl IntoIterator<Item = &'g mut Group>,
         perturbation: &Perturbation,
-        record: Option<&SweepRecord>,
     ) {
         let metrics = self.env.metrics.as_deref();
         let mut scratch = RowScratch::default();
         let mut solve_stats = crate::batch::empty_stats();
         for group in groups {
             if group.resolved.is_none() {
-                group.resolved = self.build(&group.key, record);
+                group.resolved = self.build(&group.key);
             }
             // A failed resolution fails the whole class, as lowering
             // would fail each member: schedule generation and deadlock
@@ -998,23 +975,12 @@ impl<'a> Request<'a> {
         }
     }
 
-    /// Resolves a class without building it — from the warm record,
-    /// else the shared class cache (one cache lookup per first sight, so
-    /// the cache's hit and miss counts do not depend on the carving).
-    /// Serial: the evaluate stage's pre-pass calls it.
-    fn lookup(&self, key: &ClassKey, record: Option<&SweepRecord>) -> Option<Resolved> {
-        if let Some(base) = record.and_then(|rec| rec.class_base(key)) {
-            return Some((base, true));
-        }
-        self.env.classes.lookup(key).map(|base| (base, false))
-    }
-
     /// Builds a class no lookup resolved, from its key and a freshly
     /// generated schedule, on a pool thread. A build is counted
     /// (`search_class_builds_total`) and timed (`search_class_build_ns`,
     /// schedule generation excluded) — one clock pair per class, none
-    /// per op — then offered to the class cache and the warm record.
-    fn build(&self, key: &ClassKey, record: Option<&SweepRecord>) -> Option<Resolved> {
+    /// per op — then offered to the class cache.
+    fn build(&self, key: &ClassKey) -> Option<Resolved> {
         let schedule =
             Schedule::generate(key.schedule_kind(), key.placement(), key.num_microbatches())
                 .ok()?;
@@ -1027,11 +993,6 @@ impl<'a> Request<'a> {
         }
         let base = Arc::new(built?);
         self.env.classes.insert(*key, Arc::clone(&base));
-        if let Some(rec) = record {
-            // A rebuilt evicted base is re-offered to the record for the
-            // next replay.
-            rec.store_class(*key, Arc::clone(&base));
-        }
         Some((base, false))
     }
 
@@ -1077,7 +1038,7 @@ impl<'a> Request<'a> {
     /// — no lowering and no class build.
     fn probe(&self, winner: &Candidate, table: &mut ClassTable) -> Option<Measurement> {
         let probe = Perturbation::reference_probe();
-        let (mut slots, _) = self.evaluate(std::slice::from_ref(winner), &probe, None, table);
+        let (mut slots, _) = self.evaluate(std::slice::from_ref(winner), &probe, table);
         slots.pop().flatten()
     }
 
@@ -1121,26 +1082,18 @@ impl<'a> Request<'a> {
 }
 
 /// Record stage: a completed cold search through a warm-capable env
-/// publishes its classified outcomes as they are, plus the class bases
-/// it resolved in first-seen order (so storage under the op budget is
-/// deterministic). Bases are perturbation-independent — built from the
-/// key alone — so even a perturbed cold run records them.
-fn record(plan: Plan<'_>, table: &ClassTable) {
-    let Plan::Cold {
+/// publishes its classified outcomes as they are. Outcomes are
+/// perturbation-independent, so even a perturbed cold run records them;
+/// the class bases a replay needs stay in the class cache.
+fn record(plan: Plan<'_>) {
+    if let Plan::Cold {
         outcomes,
         publish: Some((warm, key)),
         ..
     } = plan
-    else {
-        return;
-    };
-    let record = SweepRecord::new(outcomes, warm.record_budget());
-    for (class, resolved) in &table.entries {
-        if let Some((base, _)) = resolved {
-            record.store_class(*class, Arc::clone(base));
-        }
+    {
+        warm.insert(key, outcomes);
     }
-    warm.insert(key, record);
 }
 
 /// The layered engine's winner, without the report: [`search`] over a
@@ -1410,7 +1363,7 @@ mod tests {
 
             // A warm plan over the classified outcomes decides every
             // incumbent the same way.
-            let mut warm = Plan::Warm(Arc::new(SweepRecord::new(classified, 0)));
+            let mut warm = Plan::Warm(classified.into());
             for incumbent in incumbents {
                 for chunk in &chunks {
                     let expected =
@@ -1423,87 +1376,73 @@ mod tests {
     }
 
     #[test]
-    fn record_stage_keeps_first_seen_classes_under_its_op_budget() {
+    fn warm_replay_rebuilds_missing_bases_and_stays_thread_invariant() {
         let model = models::bert_6_6b();
         let cluster = presets::dgx1_v100(8);
         let k = KernelModel::v100();
         let method = Method::BreadthFirst;
-        // One cold search and its identity warm replay through a fresh
-        // service env with a private class cache, under a record budget
-        // of `budget` ops: (classes the record held after the cold
-        // search, the replay's warm hits, the replay's simulations).
-        let run = |budget: u64, threads: usize| {
+        // A cold search, its identity warm replay, and a second replay
+        // after the class cache is emptied, through a fresh service env
+        // over a private class cache: (the first replay's warm hits and
+        // simulations, the second replay's warm hits, the class builds
+        // the second replay ran).
+        let run = |threads: usize| {
             let opts = SearchOptions {
                 threads,
                 ..quick_opts()
             };
+            let classes = Arc::new(ClassCache::new());
             let env = SearchEnv {
-                classes: Arc::new(ClassCache::new()),
-                warm: Some(Arc::new(WarmCache::with_limits(8, budget))),
+                classes: Arc::clone(&classes),
                 ..SearchEnv::service()
             };
-            let (cold, _) = search(
-                &model,
-                &cluster,
-                method,
-                16,
-                &k,
-                &opts,
-                &env,
-                SearchHooks::default(),
-            );
-            let key = warm::request_key(&model, &cluster, method, 16, &k, &opts);
-            let held = env
-                .warm
-                .as_deref()
-                .unwrap()
-                .lookup(&key)
-                .map(|rec| rec.classes_held());
-            let (replay, rep) = search(
-                &model,
-                &cluster,
-                method,
-                16,
-                &k,
-                &opts,
-                &env,
-                SearchHooks::default(),
-            );
-            assert!(
-                rep.warm_start,
-                "budget {budget}: an exhausted record still warm-starts"
-            );
-            assert!(cold.is_some());
+            let metrics = env.metrics.clone().expect("a service env has a registry");
+            let plan = || {
+                search(
+                    &model,
+                    &cluster,
+                    method,
+                    16,
+                    &k,
+                    &opts,
+                    &env,
+                    SearchHooks::default(),
+                )
+            };
+            let (cold, cold_rep) = plan();
+            assert!(cold.is_some() && !cold_rep.warm_start);
+            let (replay, rep) = plan();
+            assert!(rep.warm_start);
+            assert_eq!(replay, cold, "threads {threads}: replay == cold");
             assert_eq!(
-                replay, cold,
-                "budget {budget}, threads {threads}: replay == cold"
+                rep.warm_hits, rep.simulated,
+                "threads {threads}: every base is in the class cache"
             );
+
+            classes.clear();
+            let builds = metrics.counter("search_class_builds_total");
+            let (rebuilt, rebuilt_rep) = plan();
+            assert!(rebuilt_rep.warm_start, "a replay without bases warm-starts");
+            assert_eq!(
+                rebuilt, cold,
+                "threads {threads}: replay after the clear == cold"
+            );
+            assert_eq!(
+                rebuilt_rep.warm_hits, 0,
+                "threads {threads}: no base to find"
+            );
+            let rebuilds = metrics.counter("search_class_builds_total") - builds;
+            assert!(rebuilds > 0, "threads {threads}: missing bases are rebuilt");
             (
-                held.expect("a completed cold search is recorded"),
                 rep.warm_hits,
                 rep.simulated,
+                rebuilt_rep.warm_hits,
+                rebuilds,
             )
         };
-        let (unlimited, _, _) = run(u64::MAX, 1);
-        for budget in [5_000, 0] {
-            let first = run(budget, 1);
-            for threads in [2, 4] {
-                assert_eq!(
-                    run(budget, threads),
-                    first,
-                    "budget {budget}, threads {threads}"
-                );
-            }
-            let (held, hits, simulated) = first;
-            if budget == 0 {
-                assert_eq!((held, hits), (0, 0));
-            } else {
-                assert!(0 < held && held < unlimited, "held {held} of {unlimited}");
-                assert!(
-                    0 < hits && hits < simulated,
-                    "{hits} warm hits of {simulated}"
-                );
-            }
+        let first = run(1);
+        for threads in [2, 4] {
+            assert_eq!(run(threads), first, "threads {threads}");
         }
     }
 
@@ -1947,7 +1886,7 @@ mod tests {
         );
         assert!(
             warm_rep.warm_hits > 0,
-            "recorded class bases must be reused: {warm_rep:?}"
+            "the cold search's class bases must be reused: {warm_rep:?}"
         );
         assert!(warm_rep.warm_start && !cold_rep.warm_start);
         let metrics = env.metrics.as_deref().expect("service env has a registry");

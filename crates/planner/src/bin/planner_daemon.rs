@@ -48,9 +48,12 @@
 //!
 //! Fields not listed here are ignored. A listed field with the wrong
 //! type or outside its range (`jitter` in `[0, 1)`, `factor` and
-//! `link_degradation` finite and at least 1, `nodes` at least 1 and at
-//! most 256 for the mixed presets) is an `error` naming it. A line nested deeper than `bfpp_sim::json::MAX_DEPTH`
-//! arrays or objects is an `error`, like any other malformed JSON.
+//! `link_degradation` finite and at least 1, `nodes` at least 1, at
+//! most 256 for the mixed presets and on a line with an `add_node`
+//! delta, and never so many that the GPU count overflows a `u32`) is an
+//! `error` naming it. A line nested deeper than
+//! `bfpp_sim::json::MAX_DEPTH` arrays or objects is an `error`, like
+//! any other malformed JSON.
 //!
 //! Control lines:
 //!

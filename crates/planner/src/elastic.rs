@@ -149,6 +149,7 @@ mod tests {
     use bfpp_exec::search::{Method, SearchOptions};
     use bfpp_exec::KernelModel;
     use bfpp_model::presets as models;
+    use proptest::prelude::*;
 
     fn quick_req(cluster: ClusterSpec) -> PlanRequest {
         PlanRequest {
@@ -233,6 +234,85 @@ mod tests {
             .replan(&degraded, &ClusterDelta::add_node(a100))
             .expect("add applies");
         assert_eq!(restored.cluster, req.cluster);
+    }
+
+    /// One step of a random delta sequence: a drop of any index, or an
+    /// add of one of the four node presets.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Drop(u32),
+        Add(usize),
+    }
+
+    /// The cluster presets the wire serves, at `nodes` (1–8) nodes; the
+    /// asymmetric one needs both islands, so it takes at least 2.
+    fn preset(which: usize, nodes: u32) -> ClusterSpec {
+        let islands = |n: u32| (n - n / 2, n / 2);
+        match which {
+            0 => presets::dgx1_v100(nodes),
+            1 => presets::dgx1_v100_ethernet(nodes),
+            2 => presets::dgx_a100(nodes),
+            3 => presets::dgx_a100_80gb(nodes),
+            4 => {
+                let (v, a) = islands(nodes);
+                presets::mixed_v100_a100(v, a)
+            }
+            _ => {
+                let (v, a) = islands(nodes.max(2));
+                presets::mixed_v100_a100_asym(v, a)
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn random_delta_sequences_fail_typed_and_keep_the_gpu_count(
+            which in 0usize..6,
+            nodes in 1u32..=8,
+            steps in proptest::collection::vec(
+                (any::<bool>(), 0u32..12, 0usize..4)
+                    .prop_map(|(drop, i, p)| if drop { Step::Drop(i) } else { Step::Add(p) }),
+                1..24,
+            ),
+        ) {
+            let node_presets = [
+                NodeSpec::dgx1_v100(),
+                NodeSpec::dgx1_v100_ethernet(),
+                NodeSpec::dgx_a100_40gb(),
+                NodeSpec::dgx_a100_80gb(),
+            ];
+            let mut cluster = preset(which, nodes);
+            for step in steps {
+                let before = cluster.num_nodes;
+                let (delta, fits) = match step {
+                    Step::Drop(i) => (ClusterDelta::drop_node(NodeId(i)), i < before && before > 1),
+                    Step::Add(p) => (ClusterDelta::add_node(node_presets[p].clone()), true),
+                };
+                match delta.apply(&cluster) {
+                    Ok(next) => {
+                        prop_assert!(fits, "{:?} applied to {} nodes", step, before);
+                        let grown = matches!(step, Step::Add(_));
+                        prop_assert_eq!(next.num_nodes, if grown { before + 1 } else { before - 1 });
+                        cluster = next;
+                    }
+                    Err(ClusterError::NodeOutOfRange { .. } | ClusterError::LastNode) => {
+                        prop_assert!(!fits, "{:?} rejected on {} nodes", step, before);
+                    }
+                    Err(e) => prop_assert!(false, "{:?} on {} nodes: {}", step, before, e),
+                }
+                prop_assert_eq!(
+                    u64::from(cluster.num_gpus()),
+                    u64::from(cluster.num_nodes) * u64::from(cluster.node.gpus_per_node)
+                );
+                for n in 0..cluster.num_nodes {
+                    prop_assert_eq!(
+                        cluster.node_spec(NodeId(n)).gpus_per_node,
+                        cluster.node.gpus_per_node
+                    );
+                }
+            }
+        }
     }
 
     #[test]

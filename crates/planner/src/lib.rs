@@ -8,8 +8,9 @@
 //!
 //! * a [`Planner`] owns the long-lived infrastructure — the process
 //!   worker pool ([`bfpp_exec::Executor`]), the process-wide
-//!   [`bfpp_exec::ClassCache`] of topology-class bases, and the
-//!   [`bfpp_exec::WarmCache`] of replayable sweep records;
+//!   [`bfpp_exec::ClassCache`], the one store of topology-class bases,
+//!   and the [`bfpp_exec::WarmCache`] of replayable sweep records (each
+//!   a cold search's classified candidate outcomes, no bases);
 //! * a [`PlanRequest`] is one unit of demand: model + cluster +
 //!   [`Method`] + batch + [`Objective`] + [`SearchOptions`] (which
 //!   carries the perturbation — the "what if device 4 runs 1.5× slow"
@@ -32,9 +33,10 @@
 //!   panic (the request's own, or one re-raised from an evaluation
 //!   worker) becomes a terminal [`PlanEvent::Failed`], never a silent
 //!   hang. Because the panic may have interrupted cache writes, the
-//!   supervisor *quarantines* what the session could have touched: its
-//!   `(model, cluster)` warm records and the class-cache entries of its
-//!   method's [`ScheduleKind`](bfpp_core::ScheduleKind)s. The executor
+//!   supervisor *quarantines* what the session could have touched in
+//!   either store: its `(model, cluster)` warm records and the
+//!   class-cache bases of its method's
+//!   [`ScheduleKind`](bfpp_core::ScheduleKind)s. The executor
 //!   self-heals dead workers on the next scope
 //!   ([`bfpp_exec::Executor::respawn_dead`]).
 //! * **Deadlines and budgets** — [`SearchOptions::deadline`] /
@@ -108,8 +110,9 @@
 //! Determinism is inherited, not re-proven: the engine's winner and
 //! headline counters are bit-identical for any thread count and any
 //! interleaving, and the shared caches only ever substitute equal values
-//! (class bases are pure functions of their key; warm records replay the
-//! exact outcome list a cold run would recompute). N concurrent
+//! (class bases, held only by the class cache, are pure functions of
+//! their key; warm records hold and replay the exact outcome list a cold
+//! run would recompute). N concurrent
 //! requests therefore return exactly what N serial private-cache runs
 //! would — property-tested in this crate — and quarantine preserves
 //! that: dropping cache entries can only force recomputation, never

@@ -130,8 +130,8 @@ pub fn parse_line(line: &str, fallback_id: &str) -> Result<Request, WireError> {
             })
         }
     };
-    match build_request(&v).and_then(|req| Ok((req, delta_of(&v)?))) {
-        Ok((req, delta)) => Ok(Request::Plan {
+    match build_request(&v).and_then(|req| Ok((delta_of(&v, &req.cluster)?, req))) {
+        Ok((delta, req)) => Ok(Request::Plan {
             id,
             req: Box::new(req),
             delta,
@@ -140,11 +140,13 @@ pub fn parse_line(line: &str, fallback_id: &str) -> Result<Request, WireError> {
     }
 }
 
-/// The largest `nodes` the two mixed presets accept. Both build one
-/// node spec per node on the daemon's read loop, and the asymmetric
-/// preset also adds a fabric link per cross-island node pair, so a huge
-/// count would stall every line queued behind it or exhaust memory. At
-/// this bound the asymmetric build takes about 0.1 s.
+/// The largest `nodes` the two mixed presets, and any line with an
+/// `add_node` delta, accept. Each builds one node spec per node on the
+/// daemon's read loop (adding a node of another type to a homogeneous
+/// preset makes it mixed), and the asymmetric preset also adds a fabric
+/// link per cross-island node pair, so a huge count would stall every
+/// line queued behind it or exhaust memory. At this bound the
+/// asymmetric build takes about 0.1 s.
 const MAX_MIXED_NODES: u32 = 256;
 
 const STRING: &str = "a string";
@@ -251,6 +253,14 @@ fn build_request(v: &Value) -> Result<PlanRequest, String> {
 }
 
 fn cluster_by_name(name: &str, nodes: u32) -> Result<ClusterSpec, String> {
+    // A homogeneous preset's GPU count must fit the `u32` device ranks
+    // are numbered in (`ClusterSpec::new` asserts it).
+    let homogeneous = |preset: fn(u32) -> ClusterSpec, node: fn() -> NodeSpec| {
+        if nodes.checked_mul(node().gpus_per_node).is_none() {
+            return Err("field \"nodes\" too large".to_string());
+        }
+        Ok(preset(nodes))
+    };
     // The mixed presets split `nodes` into a V100 island and an A100
     // island (V100s take the extra node when odd).
     let islands = || {
@@ -265,10 +275,12 @@ fn cluster_by_name(name: &str, nodes: u32) -> Result<ClusterSpec, String> {
         Ok((nodes - nodes / 2, nodes / 2))
     };
     Ok(match name {
-        "dgx1_v100" => clusters::dgx1_v100(nodes),
-        "dgx1_v100_ethernet" => clusters::dgx1_v100_ethernet(nodes),
-        "dgx_a100" => clusters::dgx_a100(nodes),
-        "dgx_a100_80gb" => clusters::dgx_a100_80gb(nodes),
+        "dgx1_v100" => homogeneous(clusters::dgx1_v100, NodeSpec::dgx1_v100)?,
+        "dgx1_v100_ethernet" => {
+            homogeneous(clusters::dgx1_v100_ethernet, NodeSpec::dgx1_v100_ethernet)?
+        }
+        "dgx_a100" => homogeneous(clusters::dgx_a100, NodeSpec::dgx_a100_40gb)?,
+        "dgx_a100_80gb" => homogeneous(clusters::dgx_a100_80gb, NodeSpec::dgx_a100_80gb)?,
         "mixed_v100_a100" => {
             let (v, a) = islands()?;
             clusters::mixed_v100_a100(v, a)
@@ -294,8 +306,9 @@ fn node_by_name(name: &str) -> Result<NodeSpec, String> {
 }
 
 /// Parses the optional `"delta"` object: `{"drop_node": N}` or
-/// `{"add_node": "<node-preset>"}`.
-fn delta_of(v: &Value) -> Result<Option<ClusterDelta>, String> {
+/// `{"add_node": "<node-preset>"}`, the latter on a `cluster` of at most
+/// [`MAX_MIXED_NODES`] nodes.
+fn delta_of(v: &Value, cluster: &ClusterSpec) -> Result<Option<ClusterDelta>, String> {
     let Some(d) = v.get("delta") else {
         return Ok(None);
     };
@@ -303,6 +316,12 @@ fn delta_of(v: &Value) -> Result<Option<ClusterDelta>, String> {
         return Ok(Some(ClusterDelta::drop_node(NodeId(node))));
     }
     if let Some(name) = field(d, "add_node", STRING, Value::as_str)? {
+        if cluster.num_nodes > MAX_MIXED_NODES {
+            return Err(format!(
+                "field \"nodes\" takes at most {MAX_MIXED_NODES} with an \"add_node\" delta, got {}",
+                cluster.num_nodes
+            ));
+        }
         return Ok(Some(ClusterDelta::add_node(node_by_name(name)?)));
     }
     Err("delta needs integer \"drop_node\" or string \"add_node\"".to_string())
@@ -845,6 +864,64 @@ mod tests {
         match r {
             Request::Plan { req, .. } => assert_eq!(req.cluster.num_nodes, MAX_MIXED_NODES),
             other => panic!("not a plan line: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn node_counts_whose_fleet_cannot_be_built_fail_typed() {
+        // A GPU count past `u32` wrapped in a release daemon (planning
+        // nothing) and panicked a debug one's read loop.
+        for cluster in [
+            "dgx1_v100",
+            "dgx1_v100_ethernet",
+            "dgx_a100",
+            "dgx_a100_80gb",
+        ] {
+            let msg = field_error(
+                &format!(
+                    r#"{{"id":"f","model":"6.6b","batch":16,"cluster":"{cluster}","nodes":4294967295,
+                        "straggler":{{"device":4,"factor":1.5}}}}"#
+                ),
+                "nodes",
+            );
+            assert!(msg.contains("too large"), "{cluster}: {msg}");
+        }
+        // The largest fleet whose GPUs number in a `u32` still parses.
+        let most = u32::MAX / 8;
+        match parse_line(
+            &format!(r#"{{"model":"6.6b","batch":16,"nodes":{most}}}"#),
+            "line-1",
+        ) {
+            Ok(Request::Plan { req, .. }) => assert_eq!(req.cluster.num_gpus(), most * 8),
+            other => panic!("not a plan line: {other:?}"),
+        }
+
+        // Adding a node of another type gives a homogeneous fleet one
+        // node spec per node, so an `add_node` line takes the mixed
+        // presets' bound; a `drop_node` line does not.
+        for nodes in [MAX_MIXED_NODES + 1, most] {
+            let msg = field_error(
+                &format!(
+                    r#"{{"id":"f","model":"6.6b","batch":16,"nodes":{nodes},
+                        "delta":{{"add_node":"dgx_a100_40gb"}}}}"#
+                ),
+                "nodes",
+            );
+            assert!(msg.contains("at most"), "{nodes}: {msg}");
+        }
+        for (nodes, delta) in [
+            (MAX_MIXED_NODES, r#"{"add_node":"dgx_a100_40gb"}"#),
+            (most, r#"{"drop_node":0}"#),
+        ] {
+            let line = format!(r#"{{"model":"6.6b","batch":16,"nodes":{nodes},"delta":{delta}}}"#);
+            match parse_line(&line, "line-1") {
+                Ok(Request::Plan {
+                    req,
+                    delta: Some(_),
+                    ..
+                }) => assert_eq!(req.cluster.num_nodes, nodes),
+                other => panic!("{line}: {other:?}"),
+            }
         }
     }
 

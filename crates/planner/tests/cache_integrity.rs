@@ -8,8 +8,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use bfpp_exec::search::{Method, SearchOptions, SearchReport, SearchResult};
-use bfpp_exec::KernelModel;
+use bfpp_exec::search::{Method, SearchEnv, SearchOptions, SearchReport, SearchResult};
+use bfpp_exec::{ClassCache, Executor, KernelModel};
 use bfpp_planner::chaos::{PanicPoint, SessionFault};
 use bfpp_planner::{PlanRequest, Planner, SessionOutcome};
 use proptest::prelude::*;
@@ -151,14 +151,21 @@ proptest! {
     }
 }
 
-/// The direct statement of the satellite: a panicked session leaves no
-/// warm record (the quarantine dropped anything it might have been
-/// writing), so the next identical request runs cold and completes —
-/// and only *that* completed run repopulates the store.
+/// The direct statement of the quarantine contract: a panicked session
+/// leaves no warm record (the quarantine dropped anything it might have
+/// been writing), so the next identical request runs cold and completes
+/// — and only *that* completed run repopulates the store. The planner
+/// has a class cache of its own: a warm start counts hits on bases it
+/// finds there, and the proptest above quarantines breadth-first bases
+/// in the process-global cache concurrently.
 #[test]
 fn panicked_session_leaves_no_warm_record() {
     quiet_injected_panics();
-    let planner = Arc::new(Planner::with_threads(2));
+    let planner = Arc::new(Planner::over(SearchEnv {
+        executor: Executor::new(2),
+        classes: Arc::new(ClassCache::new()),
+        ..SearchEnv::service()
+    }));
     let mut req = request(Method::BreadthFirst, 16, 1);
     req.fault = Some(SessionFault::Panic(PanicPoint::AfterImprovements(1)));
     match planner.submit(req.clone()).wait_outcome() {

@@ -5,7 +5,7 @@
 //! graph performs no per-op allocation and the solver can walk edges with
 //! perfect locality.
 
-use crate::solver::{solve, solve_makespan, DeadlockError, SolveScratch, Solver, Timeline};
+use crate::solver::{solve, solve_makespan, DeadlockError, Timeline};
 use crate::time::SimDuration;
 
 /// Identifier of an operation within an [`OpGraph`].
@@ -263,10 +263,9 @@ impl<T> OpGraph<T> {
 
     /// Computes a start/end time for every operation.
     ///
-    /// One discovery pass and one replay, O(V + E + R): see [`Solver`]
-    /// for re-solving the same graph repeatedly and
-    /// [`OpGraph::solve_with`] for reusing the solver workspace across
-    /// graphs.
+    /// One discovery pass and one replay, O(V + E + R), on a per-thread
+    /// workspace that keeps its buffers across calls: see
+    /// [`crate::Solver`] for re-solving the same graph repeatedly.
     ///
     /// # Errors
     ///
@@ -285,35 +284,6 @@ impl<T> OpGraph<T> {
     /// As [`OpGraph::solve`].
     pub fn solve_makespan(&self) -> Result<SimDuration, DeadlockError> {
         solve_makespan(self)
-    }
-
-    /// [`OpGraph::solve`] reusing a caller-owned workspace, so repeated
-    /// solves of many graphs (e.g. a configuration search) stop
-    /// reallocating.
-    ///
-    /// # Errors
-    ///
-    /// As [`OpGraph::solve`].
-    pub fn solve_with(&self, scratch: &mut SolveScratch) -> Result<Timeline, DeadlockError> {
-        let mut solver = Solver::with_scratch(self, std::mem::take(scratch));
-        let result = solver.solve();
-        *scratch = solver.into_scratch();
-        result
-    }
-
-    /// [`OpGraph::solve_makespan`] reusing a caller-owned workspace.
-    ///
-    /// # Errors
-    ///
-    /// As [`OpGraph::solve`].
-    pub fn solve_makespan_with(
-        &self,
-        scratch: &mut SolveScratch,
-    ) -> Result<SimDuration, DeadlockError> {
-        let mut solver = Solver::with_scratch(self, std::mem::take(scratch));
-        let result = solver.solve_makespan();
-        *scratch = solver.into_scratch();
-        result
     }
 }
 

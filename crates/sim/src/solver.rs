@@ -513,10 +513,10 @@ impl ReplayCore {
 
 /// Reusable solver workspace: the solver core built for one graph, its
 /// base durations, discovery's scratch and the per-op start times.
-/// Passing one scratch through [`OpGraph::solve_with`] /
-/// [`Solver::with_scratch`] lets thousands of candidate solves (as in the
-/// configuration search) run without a single heap allocation after
-/// warm-up.
+/// Passing one scratch from [`Solver::into_scratch`] to
+/// [`Solver::with_scratch`] (as [`OpGraph::solve`] does with a
+/// per-thread one) lets thousands of solves run without a single heap
+/// allocation after warm-up.
 #[derive(Debug, Clone, Default)]
 pub struct SolveScratch {
     /// The dependency index, replay trace and replay buffers.
@@ -540,38 +540,6 @@ impl SolveScratch {
         SolveScratch::default()
     }
 
-    /// Creates a workspace pre-sized for graphs of the given shape.
-    pub fn with_capacity(ops: usize, edges: usize, resources: usize) -> Self {
-        SolveScratch {
-            core: ReplayCore {
-                op_resource: Vec::with_capacity(ops),
-                dep_indptr: Vec::with_capacity(ops + 1),
-                deps: Vec::with_capacity(edges),
-                num_resources: 0,
-                trace: Vec::with_capacity(ops),
-                end: Vec::with_capacity(ops),
-                free: Vec::with_capacity(resources),
-                busy: Vec::with_capacity(resources),
-            },
-            trace_ready: false,
-            op_duration: Vec::with_capacity(ops),
-            discovery: Discovery {
-                next: Vec::with_capacity(ops),
-                waiters: Vec::with_capacity(ops),
-                streams: Vec::with_capacity(resources),
-                ready: VecDeque::with_capacity(resources),
-            },
-            start: Vec::with_capacity(ops),
-        }
-    }
-
-    /// Whether the workspace holds a replay trace for its current
-    /// topology (recorded by the first successful solve after
-    /// [`Solver::with_scratch`]/[`Solver::new`] built the index).
-    pub fn has_trace(&self) -> bool {
-        self.trace_ready
-    }
-
     /// Number of ops in the topology this workspace was last built for.
     pub fn num_ops(&self) -> usize {
         self.core.num_ops()
@@ -587,8 +555,9 @@ impl SolveScratch {
     ///
     /// # Panics
     ///
-    /// Panics if no trace is recorded ([`SolveScratch::has_trace`]) or
-    /// if `durations.len()` differs from the topology's op count.
+    /// Panics if no trace is recorded (no full solve succeeded since
+    /// the index was built) or if `durations.len()` differs from the
+    /// topology's op count.
     pub fn replay_stats_into(&mut self, durations: &[SimDuration], stats: &mut SolveStats) {
         let makespan = self.replay::<false>(Some(durations));
         stats.makespan = makespan;
@@ -1349,14 +1318,26 @@ mod tests {
 
     #[test]
     fn scratch_reuse_across_graphs_is_clean() {
-        let mut scratch = SolveScratch::with_capacity(8, 8, 2);
+        // Solves `g` on `scratch`, handing the workspace back: (the full
+        // solve's makespan, the makespan-only solve's).
+        fn solve_on<T>(
+            g: &OpGraph<T>,
+            scratch: &mut SolveScratch,
+        ) -> Result<(SimDuration, SimDuration), DeadlockError> {
+            let mut solver = Solver::with_scratch(g, std::mem::take(scratch));
+            let result = solver
+                .solve()
+                .and_then(|t| Ok((t.makespan(), solver.solve_makespan()?)));
+            *scratch = solver.into_scratch();
+            result
+        }
+        let mut scratch = SolveScratch::new();
         // First graph: a chain.
         let mut g1: OpGraph<()> = OpGraph::new();
         let r = g1.add_resource("r");
         let a = g1.add_op(r, ns(5), &[], ());
         g1.add_op(r, ns(5), &[a], ());
-        assert_eq!(g1.solve_with(&mut scratch).unwrap().makespan(), ns(10));
-        assert_eq!(g1.solve_makespan_with(&mut scratch).unwrap(), ns(10));
+        assert_eq!(solve_on(&g1, &mut scratch).unwrap(), (ns(10), ns(10)));
         // Second, differently shaped graph with the same scratch.
         let mut g2: OpGraph<()> = OpGraph::new();
         let r1 = g2.add_resource("a");
@@ -1364,15 +1345,15 @@ mod tests {
         let x = g2.add_op(r1, ns(7), &[], ());
         let y = g2.add_op(r2, ns(2), &[x], ());
         g2.add_op(r1, ns(1), &[y], ());
-        assert_eq!(g2.solve_with(&mut scratch).unwrap().makespan(), ns(10));
+        assert_eq!(solve_on(&g2, &mut scratch).unwrap(), (ns(10), ns(10)));
         // And a deadlocked graph leaves the scratch reusable.
         let mut g3: OpGraph<()> = OpGraph::new();
         let r = g3.add_resource("r");
         let h = g3.add_op(r, ns(1), &[], ());
         let t = g3.add_op(r, ns(1), &[], ());
         g3.add_dep(h, t);
-        assert!(g3.solve_with(&mut scratch).is_err());
-        assert_eq!(g1.solve_with(&mut scratch).unwrap().makespan(), ns(10));
+        assert!(solve_on(&g3, &mut scratch).is_err());
+        assert_eq!(solve_on(&g1, &mut scratch).unwrap(), (ns(10), ns(10)));
     }
 
     /// A graph with cross-resource deps, FIFO contention and zero-length
@@ -1452,7 +1433,6 @@ mod tests {
         let base = solver.solve_stats().unwrap();
         let durs: Vec<SimDuration> = g.op_ids().map(|id| g.op(id).duration()).collect();
         let mut scratch = solver.into_scratch();
-        assert!(scratch.has_trace());
         assert_eq!(scratch.num_ops(), g.num_ops());
         let mut stats = SolveStats {
             makespan: SimDuration::ZERO,

@@ -13,7 +13,7 @@ use std::process::ExitCode;
 
 use bfpp::analytic::tradeoff::TradeoffModel;
 use bfpp::cluster::presets;
-use bfpp::cluster::ClusterSpec;
+use bfpp::cluster::{ClusterSpec, NodeSpec};
 use bfpp::core::ScheduleKind;
 use bfpp::exec::search::{best_config, Method, SearchOptions};
 use bfpp::exec::{breakdown, lower, simulate, KernelModel, OverlapConfig};
@@ -73,11 +73,18 @@ fn get_count(flags: &HashMap<String, String>, key: &str, default: u32) -> Result
 
 fn cluster_for(flags: &HashMap<String, String>) -> Result<ClusterSpec, String> {
     let nodes = get_count(flags, "nodes", 8)?;
-    Ok(if flags.contains_key("ethernet") {
-        presets::dgx1_v100_ethernet(nodes)
+    let (preset, node): (fn(u32) -> ClusterSpec, NodeSpec) = if flags.contains_key("ethernet") {
+        (presets::dgx1_v100_ethernet, NodeSpec::dgx1_v100_ethernet())
     } else {
-        presets::dgx1_v100(nodes)
-    })
+        (presets::dgx1_v100, NodeSpec::dgx1_v100())
+    };
+    // Device ranks are `u32`, and `ClusterSpec::new` asserts the count fits.
+    if nodes.checked_mul(node.gpus_per_node).is_none() {
+        return Err(format!(
+            "--nodes {nodes} is too large: its GPU count overflows u32"
+        ));
+    }
+    Ok(preset(nodes))
 }
 
 fn run() -> Result<(), String> {
@@ -170,7 +177,7 @@ fn cmd_search(flags: &HashMap<String, String>) -> Result<(), String> {
     let model_name = flags.get("model").cloned().unwrap_or_else(|| "52b".into());
     let model = by_name(&model_name).ok_or_else(|| format!("unknown model {model_name}"))?;
     let cluster = cluster_for(flags)?;
-    let batch = get_u32(flags, "batch", 48)? as u64;
+    let batch = u64::from(get_count(flags, "batch", 48)?);
     let kernel = KernelModel::v100();
     let opts = SearchOptions::default();
     println!(
@@ -237,7 +244,7 @@ fn cmd_plan(flags: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_viz(flags: &HashMap<String, String>) -> Result<(), String> {
     let n_pp = get_count(flags, "pp", 4)?;
     let n_loop = get_count(flags, "loops", 4)?;
-    let n_mb = get_u32(flags, "mb", 8)?;
+    let n_mb = get_count(flags, "mb", 8)?;
     print!("{}", schedule_unit_timelines(n_pp, n_loop, n_mb));
     Ok(())
 }
