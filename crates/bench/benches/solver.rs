@@ -2,7 +2,7 @@
 //!
 //! Benches the solver core against the round-robin reference
 //! oracle (`reference-solver` feature) across pipeline shapes, plus the
-//! duration-only re-solve fast path, the batched SoA trace-replay path
+//! duration-only re-solve fast path, the shared-workspace trace replay
 //! behind topology-class candidate evaluation, and the robustness-sweep
 //! pattern they accelerate (lower once + re-solve vs. re-lower + solve
 //! per point). Headline numbers are recorded in `BENCH_solver.json` at
@@ -15,7 +15,7 @@ use bfpp_core::ScheduleKind;
 use bfpp_exec::{lower, KernelModel, OverlapConfig, Perturbation};
 use bfpp_model::presets::bert_52b;
 use bfpp_parallel::{BatchConfig, DataParallelism, Grid, ParallelConfig, Placement};
-use bfpp_sim::{DurationMatrix, OpGraph, OpId, SimDuration, Solver};
+use bfpp_sim::{OpGraph, OpId, ReplayWorkspace, SimDuration, SolveStats, Solver};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 /// How many microbatches a device runs ahead of the backward wave — the
@@ -91,6 +91,20 @@ fn pipeline_graph(devices: usize, len: usize) -> OpGraph<u32> {
     g
 }
 
+/// The graph-free replay workspace of `g`, as a topology class builds
+/// one: each op's resource and its `deps_of` row.
+fn workspace<T>(g: &OpGraph<T>) -> ReplayWorkspace {
+    let op_resource = g.op_ids().map(|id| g.op(id).resource().index() as u32);
+    let mut dep_indptr = vec![0];
+    let mut deps = Vec::new();
+    for id in g.op_ids() {
+        deps.extend(g.deps_of(id).iter().map(|d| d.index() as u32));
+        dep_indptr.push(deps.len() as u32);
+    }
+    ReplayWorkspace::discover(g.num_resources(), op_resource.collect(), dep_indptr, deps)
+        .expect("pipeline graphs are acyclic")
+}
+
 /// The shapes swept: the original three plus wide (many resources) and
 /// deep (long chains) extremes.
 const SHAPES: [(usize, usize); 5] = [(8, 100), (8, 1000), (32, 1000), (256, 100), (8, 10000)];
@@ -124,29 +138,31 @@ fn bench_solver(c: &mut Criterion) {
                 let mut solver = Solver::new(g);
                 let durations: Vec<SimDuration> =
                     g.op_ids().map(|id| g.op(id).duration() * 2).collect();
-                b.iter(|| solver.solve_makespan_with_durations(&durations).unwrap())
+                b.iter(|| solver.solve_stats_with_durations(&durations).unwrap())
             },
         );
-        // The batched candidate-evaluation pattern: one prebuilt solver
-        // workspace re-timed against an 8-row SoA duration matrix by
-        // trace replay. Per-candidate cost is this arm divided by 8.
+        // The topology-class evaluation pattern: 8 member rows, one
+        // contiguous `8 × n_ops` buffer, re-timed through one immutable
+        // replay workspace. Per-candidate cost is this arm divided by 8.
         group.bench_with_input(
             BenchmarkId::new("replay_batch8", format!("{chains}x{len}")),
             &g,
             |b, g| {
-                let mut solver = Solver::new(g);
-                let mut batch = DurationMatrix::new(g.num_ops());
-                for k in 0..8u64 {
-                    let row = batch.push_row();
-                    for (i, id) in g.op_ids().enumerate() {
-                        row[i] = g.op(id).duration() * (k + 1);
-                    }
-                }
+                let ws = workspace(g);
+                let rows: Vec<SimDuration> = (1..=8u64)
+                    .flat_map(|k| g.op_ids().map(move |id| g.op(id).duration() * k))
+                    .collect();
+                let mut stats = SolveStats {
+                    makespan: SimDuration::ZERO,
+                    busy: Vec::new(),
+                    peak_memory: None,
+                };
                 b.iter(|| {
                     let mut acc = SimDuration::ZERO;
-                    solver
-                        .solve_batch(&batch, |_, stats| acc += stats.makespan)
-                        .unwrap();
+                    for row in rows.chunks_exact(g.num_ops()) {
+                        ws.replay_stats_into(row, &mut stats);
+                        acc += stats.makespan;
+                    }
                     acc
                 })
             },
@@ -156,11 +172,12 @@ fn bench_solver(c: &mut Criterion) {
 }
 
 /// The robustness-sweep pattern: one complete severity point — lowered
-/// graph to [`bfpp_exec::Measurement`] — as the old path computed it
-/// (`simulate_perturbed`: re-lower, solve, measure the timeline) vs. the
-/// new duration-only re-solve (perturb cached durations, re-solve into
-/// [`bfpp_sim::SolveStats`], measure those) over a lowering done once
-/// outside the loop.
+/// graph to [`bfpp_exec::Measurement`] — re-lowered per point
+/// (`simulate_perturbed`: lower, perturb the clean duration row, solve it
+/// on a freshly built [`Solver`], measure the stats) vs. the
+/// duration-only re-solve (perturb the row, re-solve into
+/// [`bfpp_sim::SolveStats`] on one reused solver, measure those) over a
+/// lowering done once outside the loop.
 fn bench_robustness_point(c: &mut Criterion) {
     let model = bert_52b();
     let cluster = dgx1_v100(8);

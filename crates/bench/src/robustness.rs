@@ -69,8 +69,9 @@ fn config_for(kind: ScheduleKind) -> ParallelConfig {
 /// Each schedule is lowered *once*; every severity point then recomputes
 /// the per-op durations ([`bfpp_exec::LoweredGraph::perturbed_durations`])
 /// and re-solves the fixed topology through
-/// [`Solver::solve_stats_with_durations`] — bit-identical to re-lowering
-/// under the perturbation, at a fraction of the cost.
+/// [`Solver::solve_stats_with_durations`] — bit-identical to solving,
+/// from scratch, a graph rebuilt with the point's durations, at a
+/// fraction of the cost of re-lowering per point.
 ///
 /// # Panics
 ///
@@ -290,7 +291,9 @@ pub fn most_graceful(rows: &[RobustnessRow]) -> Option<(ScheduleKind, f64)> {
 mod tests {
     use super::*;
     use bfpp_cluster::presets::dgx1_v100;
+    use bfpp_exec::measure_timeline;
     use bfpp_model::presets::bert_52b;
+    use bfpp_sim::OpGraph;
 
     #[test]
     fn sweep_covers_all_schedules_and_degrades_monotonically() {
@@ -367,27 +370,46 @@ mod tests {
     }
 
     #[test]
-    fn fast_resolve_path_matches_full_relowering() {
-        // The duration-only re-solve must reproduce, bit for bit, what
-        // re-lowering under each perturbation produces.
+    fn fast_resolve_path_matches_the_reference_solver_on_a_rebuilt_graph() {
+        // Each sweep point re-times one shared lowering with the
+        // replaying solver. It must equal, bit for bit, a fresh lowering
+        // rebuilt with the point's durations as its own, solved by the
+        // round-robin oracle into a full timeline and measured from that.
         let model = bert_52b();
         let cluster = dgx1_v100(8);
         let severities = [1.0, 1.5, 2.0];
         let rows = straggler_sweep(&model, &cluster, &severities);
         let kernel = KernelModel::v100();
+        let mut durations = Vec::new();
         for row in &rows {
-            let perturbation =
-                Perturbation::with_seed(0xB1F).with_straggler(STRAGGLER_DEVICE, row.straggler);
-            let slow = bfpp_exec::simulate_perturbed(
+            let cfg = config_for(row.schedule);
+            let lowered = lower(
                 &model,
                 &cluster,
-                &config_for(row.schedule),
+                &cfg,
                 row.schedule,
                 OverlapConfig::full(),
                 &kernel,
-                &perturbation,
             )
             .unwrap();
+            let perturbation =
+                Perturbation::with_seed(0xB1F).with_straggler(STRAGGLER_DEVICE, row.straggler);
+            lowered.perturbed_durations(&perturbation, &mut durations);
+            let g = &lowered.graph;
+            let mut rebuilt: OpGraph<()> = OpGraph::new();
+            for r in g.resource_ids() {
+                rebuilt.add_resource(g.resource_name(r));
+            }
+            for id in g.op_ids() {
+                rebuilt.add_op(g.op(id).resource(), durations[id.index()], &[], ());
+            }
+            for id in g.op_ids() {
+                for &dep in g.deps_of(id) {
+                    rebuilt.add_dep(id, dep);
+                }
+            }
+            let timeline = rebuilt.solve_reference().unwrap();
+            let slow = measure_timeline(&model, &cluster, &cfg, &lowered, &timeline);
             assert_eq!(row.measurement, slow, "{}@{}", row.schedule, row.straggler);
         }
     }

@@ -1,13 +1,13 @@
-//! Topology classes: one replay workspace per shape class, SoA duration
-//! batches.
+//! Topology classes: one replay workspace per shape class, one duration
+//! row per member.
 //!
 //! Two enumerated candidates that share a schedule and the same set of
 //! structural lowering decisions produce op graphs that are *identical
 //! except for durations*: the same resources in the same creation order,
 //! the same ops in the same insertion order on the same streams, the
 //! same dependency edges. `ClassKey` names that equivalence class —
-//! every input [`crate::lower::lower_with_schedule_perturbed`] uses to
-//! decide *structure* (never timing):
+//! every input [`crate::lower::lower_with_schedule`] uses to decide
+//! *structure* (never timing):
 //!
 //! * the schedule, i.e. `(kind, placement, num_microbatches)`;
 //! * which communication classes overlap (`OverlapConfig::dp`/`pp`
@@ -38,16 +38,16 @@
 //! [`bfpp_sim::ReplayWorkspace::discover`] validates the rows and
 //! records the replay trace with one discovery pass. No graph, resource
 //! name, tag, memory annotation, duration or reverse index is built for
-//! a class. Every member is then evaluated from a
-//! structure-of-arrays duration batch: a `BatchTemplate` maps each op
-//! index to its duration *kind* (fwd/bwd/p2p/gather/reduce) and its
-//! perturbation slot, so filling a member's row is two table lookups per
-//! op, and re-timing it is the solver's allocation-free trace replay.
-//! Both halves are bit-identical to lowering and solving the member
-//! (`fill_row` reproduces lowering's perturbed durations exactly — same
-//! per-op salt, same class/device factors — and trace replay is
-//! bit-identical to a full solve), which is what lets the batched search
-//! return exactly the same winners and counters.
+//! a class. Every member is then evaluated from its own duration row: a
+//! structure-of-arrays `BatchTemplate` maps each op index to its
+//! duration *kind* (fwd/bwd/p2p/gather/reduce) and its perturbation
+//! slot, so filling a member's row is two table lookups per op, and
+//! re-timing it is the solver's allocation-free trace replay. Both
+//! halves are bit-identical to lowering and solving the member
+//! (`fill_row` reproduces [`crate::LoweredGraph::perturbed_durations`]
+//! exactly — same per-op salt, same class/device factors — and trace
+//! replay is bit-identical to a full solve), which is what lets the
+//! batched search return exactly the same winners and counters.
 //!
 //! A `ClassBase` is *graph-free* by construction: it keeps only the
 //! replay workspace, the template, and the few per-class scalars the
@@ -56,7 +56,9 @@
 //! produces that key, so the process-wide [`ClassCache`] can share bases
 //! across methods, batch sizes, models and planner requests. Results
 //! never depend on cache contents, only on the key — a hit merely skips
-//! the class build.
+//! the class build. A base is also immutable once built: replay writes
+//! its timing into per-thread buffers, so any number of threads replay
+//! one shared base at once, with no lock.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -126,8 +128,7 @@ impl ClassKey {
 /// Per-op duration recipe of a topology class, structure-of-arrays: for
 /// op `i`, `kinds[i]` indexes a 5-entry per-candidate duration table
 /// (fwd, bwd, p2p, dp-gather, dp-reduce) and `slots[i]` is the
-/// perturbation slot `2 * resource + is_compute` — the same dense
-/// convention as `LoweredGraph::op_perturb`, so a row fill is two
+/// perturbation slot `2 * resource + is_compute`, so a row fill is two
 /// indexed loads per op with no branching on `Op` structs. For members
 /// with per-device durations the same arrays still apply — the device
 /// comes from `slots[i] >> 1` via `resource_device`, and `p2p_pair[i]`
@@ -227,7 +228,8 @@ pub struct RowScratch {
 /// duration template, and the per-class scalars measurement needs.
 /// Built straight from the key and its schedule — no graph ever exists —
 /// which is what makes a base model/cluster/kernel-independent and
-/// shareable process-wide.
+/// shareable process-wide. Nothing in it changes after the build, so
+/// threads share it through an `Arc` without a lock.
 #[derive(Debug)]
 pub struct ClassBase {
     n_ops: usize,
@@ -239,10 +241,7 @@ pub struct ClassBase {
     compute_resources: Vec<ResourceId>,
     resource_device: Vec<u32>,
     template: BatchTemplate,
-    /// The workspace never leaves this lock: replay mutates only its
-    /// timing buffers, so concurrent evaluators of the same class
-    /// serialize briefly instead of rebuilding the index.
-    replay: Mutex<ReplayWorkspace>,
+    workspace: ReplayWorkspace,
 }
 
 impl ClassBase {
@@ -296,7 +295,7 @@ impl ClassBase {
             v.shrink_to_fit();
         }
         kinds.shrink_to_fit();
-        let replay =
+        let workspace =
             ReplayWorkspace::discover(resource_device.len(), op_resource, dep_indptr, deps).ok()?;
         Some(ClassBase {
             n_ops,
@@ -313,7 +312,7 @@ impl ClassBase {
                 slots,
                 p2p_pair,
             },
-            replay: Mutex::new(replay),
+            workspace,
         })
     }
 
@@ -410,14 +409,10 @@ impl ClassBase {
         }
     }
 
-    /// Checks out the class's replay workspace for a run of
-    /// [`ReplayWorkspace::replay_stats_into`] (or `measure_row`) calls —
-    /// lock once per member batch, not per row.
-    pub fn lock_replay(&self) -> MutexGuard<'_, ReplayWorkspace> {
-        match self.replay.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+    /// The class's replay workspace, for re-timing member rows
+    /// ([`ReplayWorkspace::replay_stats_into`]) from any thread.
+    pub fn workspace(&self) -> &ReplayWorkspace {
+        &self.workspace
     }
 
     /// Re-times the class trace under one member's duration row and
@@ -425,14 +420,13 @@ impl ClassBase {
     /// solving that member. `stats` is caller scratch reused across rows.
     pub(crate) fn measure_row(
         &self,
-        replay: &mut ReplayWorkspace,
         stats: &mut SolveStats,
         model: &TransformerConfig,
         cluster: &ClusterSpec,
         cfg: &ParallelConfig,
         row: &[SimDuration],
     ) -> Measurement {
-        replay.replay_stats_into(row, stats);
+        self.workspace.replay_stats_into(row, stats);
         let compute_busy = stats
             .utilization_over(self.compute_resources.iter().copied())
             .mean;
@@ -488,9 +482,9 @@ impl Default for ClassCache {
         // the jittered 1T/32×A100 request 3.37M (132), and a warm
         // what-if round over the Fig. 5a panel and its fleet 3.43M
         // (754), of which a 2M-op cache rebuilt ~500 classes per round.
-        // A base holds ~33 bytes per op (resource, row pointer, about
-        // one dependency, trace entry and end time: 24; duration
-        // template: 9), so the cache tops out near 264 MB.
+        // A base holds ~25 bytes per op (resource, row pointer, about
+        // one dependency and trace entry: 16; duration template: 9),
+        // so the cache tops out near 200 MB.
         ClassCache::with_max_ops(8_000_000)
     }
 }
@@ -702,7 +696,7 @@ mod tests {
                 "op {i}"
             );
         }
-        let replay = base.lock_replay();
+        let replay = base.workspace();
         assert_eq!(replay.num_ops(), g.num_ops());
         for id in g.op_ids() {
             let row: Vec<u32> = g.deps_of(id).iter().map(|d| d.index() as u32).collect();
@@ -741,17 +735,14 @@ mod tests {
                 .with_stalls(0.1, SimDuration::from_micros(50)),
         ] {
             base.fill_row(&d_b, &p, &mut scratch, &mut row);
-            // Row durations equal a perturbed-duration recompute over
-            // b's own lowering (itself tested bit-identical to a
-            // perturbed lowering).
+            // Row durations equal the perturbed row of b's own clean
+            // lowering.
             let mut expect = Vec::new();
             lb.perturbed_durations(&p, &mut expect);
             assert_eq!(row, expect, "{p:?}");
 
             let mut stats = empty_stats();
-            let mut replay = base.lock_replay();
-            let m = base.measure_row(&mut replay, &mut stats, &model, &cluster, &cfg_b, &row);
-            drop(replay);
+            let m = base.measure_row(&mut stats, &model, &cluster, &cfg_b, &row);
             let mut solver = Solver::new(&lb.graph);
             let full = solver.solve_stats_with_durations(&row).unwrap();
             assert_eq!(stats.makespan, full.makespan, "{p:?}");

@@ -71,10 +71,28 @@ impl KernelModel {
     ///
     /// # Panics
     ///
-    /// Panics if `s_mb` or `n_tp` is zero.
+    /// Panics if `s_mb` or `n_tp` is zero, if `eff_max` is not in
+    /// `(0, 1]`, or if `token_half` or `width_half` is negative or not
+    /// finite. A zero, negative or NaN efficiency would make
+    /// [`KernelModel::seconds`] infinite or NaN, which a duration
+    /// rounds to zero: every kernel would cost nothing.
     pub fn efficiency(&self, model: &TransformerConfig, s_mb: u32, n_tp: u32) -> f64 {
         assert!(s_mb > 0, "micro-batch size must be positive");
         assert!(n_tp > 0, "N_TP must be positive");
+        assert!(
+            self.eff_max > 0.0 && self.eff_max <= 1.0,
+            "eff_max must be in (0, 1], got {}",
+            self.eff_max
+        );
+        for (name, half) in [
+            ("token_half", self.token_half),
+            ("width_half", self.width_half),
+        ] {
+            assert!(
+                half.is_finite() && half >= 0.0,
+                "{name} must be finite and non-negative, got {half}"
+            );
+        }
         let t = s_mb as f64 * model.seq_length as f64;
         let w = model.hidden_size as f64 / n_tp as f64;
         self.eff_max * (t / (t + self.token_half)) * (w / (w + self.width_half))
@@ -153,5 +171,61 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_microbatch_rejected() {
         KernelModel::v100().efficiency(&presets::bert_52b(), 0, 1);
+    }
+
+    /// `KernelModel::v100()` with one field replaced, asked for an
+    /// efficiency.
+    fn efficiency_with(patch: impl FnOnce(&mut KernelModel)) -> f64 {
+        let mut k = KernelModel::v100();
+        patch(&mut k);
+        k.efficiency(&presets::bert_52b(), 1, 1)
+    }
+
+    #[test]
+    #[should_panic(expected = "eff_max must be in (0, 1], got 0")]
+    fn zero_eff_max_rejected() {
+        efficiency_with(|k| k.eff_max = 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "eff_max must be in (0, 1], got NaN")]
+    fn nan_eff_max_rejected() {
+        efficiency_with(|k| k.eff_max = f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "eff_max must be in (0, 1], got -0.5")]
+    fn negative_eff_max_rejected() {
+        efficiency_with(|k| k.eff_max = -0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "eff_max must be in (0, 1], got inf")]
+    fn infinite_eff_max_rejected() {
+        efficiency_with(|k| k.eff_max = f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "token_half must be finite and non-negative, got NaN")]
+    fn nan_token_half_rejected() {
+        efficiency_with(|k| k.token_half = f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "token_half must be finite and non-negative, got -1")]
+    fn negative_token_half_rejected() {
+        efficiency_with(|k| k.token_half = -1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "width_half must be finite and non-negative, got inf")]
+    fn infinite_width_half_rejected() {
+        efficiency_with(|k| k.width_half = f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "width_half must be finite and non-negative, got NaN")]
+    fn nan_width_half_rejected() {
+        efficiency_with(|k| k.width_half = f64::NAN);
     }
 }

@@ -74,10 +74,7 @@ pub use breakdown::{breakdown, TimeBreakdown};
 pub use candidates::{speed_proportional_layers, Candidate, SplitStrategy};
 pub use executor::Executor;
 pub use kernel::KernelModel;
-pub use lower::{
-    lower, lower_perturbed, lower_with_schedule, lower_with_schedule_perturbed, Durations,
-    LoweredGraph, OpTag, TraceInfo,
-};
+pub use lower::{lower, lower_with_schedule, Durations, LoweredGraph, OpTag, TraceInfo};
 pub use measure::{
     measure_stats, measure_timeline, simulate, simulate_perturbed, Measurement, SimulateError,
 };

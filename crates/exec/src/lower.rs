@@ -18,9 +18,11 @@
 //!
 //! Which ops and edges exist is decided in one place, the structural walk
 //! `emit_ops`, which hands them to an `OpSink`: here a sink that builds
-//! the named, tagged, perturbed [`OpGraph`] with its memory annotations;
-//! in `crate::batch` a graph-free sink that records a topology class's
-//! flat arrays.
+//! the named, tagged [`OpGraph`] with its memory annotations; in
+//! `crate::batch` a graph-free sink that records a topology class's flat
+//! arrays. A lowering always carries the base durations: a perturbation
+//! is applied afterwards, to a duration row
+//! ([`LoweredGraph::perturbed_durations`]).
 
 use std::sync::Arc;
 
@@ -123,10 +125,6 @@ pub struct LoweredGraph {
     pub schedule: Arc<Schedule>,
     /// Ideal compute seconds per device (all kernels, no waiting).
     pub ideal_compute_seconds: f64,
-    /// Whether a non-identity perturbation was folded into the op
-    /// durations at lowering time. An unperturbed lowering is the valid
-    /// base for [`LoweredGraph::perturbed_durations`].
-    pub perturbed: bool,
     /// The schedule's worst-device peak checkpoint count, cached at
     /// lowering time: it is duration-independent, and recomputing it
     /// (a full `exact_timing` pass) per measurement would dominate the
@@ -143,60 +141,30 @@ pub struct LoweredGraph {
     /// per-device memory timeline; the peak reconciles byte-exactly with
     /// [`crate::memory::estimate_memory`].
     pub mem_spec: MemorySpec,
-    /// Per-op `(base duration, factor slot)` where the slot is
-    /// `2 * resource + is_compute` — the dense inputs of
-    /// [`LoweredGraph::perturbed_durations`]'s randomness-free fast path,
-    /// cached so re-perturbing never walks `Op` structs.
-    op_perturb: Vec<(SimDuration, u32)>,
 }
 
 impl LoweredGraph {
-    /// Recomputes every op's duration under `perturbation`, bit-identical
-    /// to what [`lower_with_schedule_perturbed`] would have produced —
-    /// without re-lowering. Graph *structure* is perturbation-independent
-    /// (transfer emission tests base durations), and each op's perturbed
-    /// duration is a pure function of (base duration, op class, device,
-    /// insertion index), all of which this lowering retains. Feed the
-    /// result to [`bfpp_sim::Solver::solve_with_durations`] to sweep many
-    /// perturbation points over one lowering.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this graph was itself lowered under a non-identity
-    /// perturbation (its durations are not a valid base).
+    /// Every op's duration under `perturbation`, the graph's own (base)
+    /// duration perturbed by [`Perturbation::perturb`]: kernels take the
+    /// device's straggler multiplier, transfers the link degradation,
+    /// and each op's jitter and stall draws are salted by its insertion
+    /// index, so the row is a pure function of the perturbation and the
+    /// lowering. Graph *structure* is perturbation-independent (transfer
+    /// emission tests base durations), so feeding the row to
+    /// [`bfpp_sim::Solver::solve_with_durations`] sweeps many
+    /// perturbation points over one lowering; an identity perturbation
+    /// returns the base durations bit for bit.
     pub fn perturbed_durations(&self, perturbation: &Perturbation, out: &mut Vec<SimDuration>) {
-        assert!(
-            !self.perturbed,
-            "perturbed_durations requires an unperturbed base lowering"
-        );
         out.clear();
-        out.reserve(self.graph.num_ops());
-        if !perturbation.has_randomness() {
-            // Randomness-free (the straggler-sweep case): one factor per
-            // (resource, class) decides every op, so skip the per-op
-            // perturb calls and read the dense `op_perturb` cache instead
-            // of `Op` structs. `apply_factor` keeps this bit-identical.
-            let mut factors: Vec<f64> = Vec::with_capacity(2 * self.resource_device.len());
-            for &dev in &self.resource_device {
-                factors.push(perturbation.class_factor(OpClass::Communication, dev));
-                factors.push(perturbation.class_factor(OpClass::Compute, dev));
-            }
-            out.extend(
-                self.op_perturb
-                    .iter()
-                    .map(|&(base, slot)| Perturbation::apply_factor(base, factors[slot as usize])),
-            );
-            return;
-        }
-        for id in self.graph.op_ids() {
+        out.extend(self.graph.op_ids().map(|id| {
             let op = self.graph.op(id);
             let class = match op.tag() {
                 OpTag::Compute(_) => OpClass::Compute,
                 _ => OpClass::Communication,
             };
             let dev = self.resource_device[op.resource().index()];
-            out.push(perturbation.perturb(op.duration(), class, dev, id.index() as u64));
-        }
+            perturbation.perturb(op.duration(), class, dev, id.index() as u64)
+        }));
     }
 }
 
@@ -446,9 +414,9 @@ fn upstream(a: &Action, n_stage: u32) -> Option<Action> {
 /// kernel, its outgoing pipeline send (when `shape.emits_sends`), and
 /// the DP reductions (`DP_FS` after each backward run; `DP_0`/`DP_PS`
 /// after a stage's last backward, `DP_PS` chaining its re-gather); then
-/// the late cross-device edges. [`lower_with_schedule_perturbed`] feeds
-/// this to an [`OpGraph`]; `crate::batch` feeds it to a graph-free class
-/// builder. Returns each device's compute stream.
+/// the late cross-device edges. [`lower_with_schedule`] feeds this to an
+/// [`OpGraph`]; `crate::batch` feeds it to a graph-free class builder.
+/// Returns each device's compute stream.
 pub(crate) fn emit_ops<S: OpSink>(
     schedule: &Schedule,
     shape: Shape,
@@ -941,44 +909,13 @@ pub fn lower(
     overlap: OverlapConfig,
     kernel: &KernelModel,
 ) -> Result<LoweredGraph, SimulateError> {
-    lower_perturbed(
-        model,
-        cluster,
-        cfg,
-        kind,
-        overlap,
-        kernel,
-        &Perturbation::none(),
-    )
-}
-
-/// [`lower`] under a deterministic [`Perturbation`]: every op duration is
-/// scaled through [`Perturbation::perturb`] with the op's insertion index
-/// as salt, so the same perturbation yields a bit-identical graph
-/// regardless of caller threading, and an identity perturbation yields
-/// exactly the unperturbed graph. Compute kernels take the per-device
-/// straggler multiplier; pipeline/data-parallel transfers take the link
-/// degradation.
-///
-/// # Errors
-///
-/// As [`lower`].
-pub fn lower_perturbed(
-    model: &TransformerConfig,
-    cluster: &ClusterSpec,
-    cfg: &ParallelConfig,
-    kind: ScheduleKind,
-    overlap: OverlapConfig,
-    kernel: &KernelModel,
-    perturbation: &Perturbation,
-) -> Result<LoweredGraph, SimulateError> {
     cfg.validate(model, cluster)
         .map_err(SimulateError::Config)?;
     let schedule = Arc::new(
         Schedule::generate(kind, cfg.placement, cfg.batch.num_microbatches)
             .map_err(SimulateError::Schedule)?,
     );
-    lower_with_schedule_perturbed(model, cluster, cfg, schedule, overlap, kernel, perturbation)
+    lower_with_schedule(model, cluster, cfg, schedule, overlap, kernel)
 }
 
 /// [`lower`] with an already generated (possibly cached and shared)
@@ -997,32 +934,6 @@ pub fn lower_with_schedule(
     overlap: OverlapConfig,
     kernel: &KernelModel,
 ) -> Result<LoweredGraph, SimulateError> {
-    lower_with_schedule_perturbed(
-        model,
-        cluster,
-        cfg,
-        schedule,
-        overlap,
-        kernel,
-        &Perturbation::none(),
-    )
-}
-
-/// [`lower_with_schedule`] under a deterministic [`Perturbation`]; see
-/// [`lower_perturbed`] for the fault model.
-///
-/// # Errors
-///
-/// As [`lower_with_schedule`].
-pub fn lower_with_schedule_perturbed(
-    model: &TransformerConfig,
-    cluster: &ClusterSpec,
-    cfg: &ParallelConfig,
-    schedule: Arc<Schedule>,
-    overlap: OverlapConfig,
-    kernel: &KernelModel,
-    perturbation: &Perturbation,
-) -> Result<LoweredGraph, SimulateError> {
     cfg.validate(model, cluster)
         .map_err(SimulateError::Config)?;
     debug_assert_eq!(schedule.placement(), cfg.placement);
@@ -1040,8 +951,6 @@ pub fn lower_with_schedule_perturbed(
         graph: OpGraph::with_capacity(3 * n_pp as usize, op_bound, 3 * op_bound),
         resource_device: Vec::with_capacity(3 * n_pp as usize),
         d: &d,
-        perturbation,
-        op_perturb: Vec::with_capacity(op_bound),
         mem_effects: Vec::with_capacity(total_actions + 2 * n_pp as usize),
         last_kernel: None,
     };
@@ -1050,7 +959,6 @@ pub fn lower_with_schedule_perturbed(
     let GraphSink {
         graph,
         resource_device,
-        op_perturb,
         mem_effects,
         ..
     } = sink;
@@ -1074,26 +982,17 @@ pub fn lower_with_schedule_perturbed(
         peak_checkpoints: schedule.peak_checkpoints(),
         schedule,
         ideal_compute_seconds,
-        perturbed: !perturbation.is_identity(),
         trace_info: d.trace_info,
-        op_perturb,
         mem_spec,
     })
 }
 
 /// The [`OpSink`] of a full lowering: named streams, tagged ops with
-/// perturbed durations, the dense perturbation inputs, and the memory
-/// annotations.
+/// their base durations, and the memory annotations.
 struct GraphSink<'a> {
     graph: OpGraph<OpTag>,
     resource_device: Vec<u32>,
     d: &'a Durations,
-    /// Perturbs durations at insertion time, salted by the op's index in
-    /// the graph: a pure function of (perturbation, lowering order), so
-    /// perturbed graphs are bit-identical across runs and caller
-    /// threading.
-    perturbation: &'a Perturbation,
-    op_perturb: Vec<(SimDuration, u32)>,
     /// Memory annotations: one checkpoint per (micro-batch, stage) pinned
     /// at its forward kernel's end and freed at its backward's end —
     /// matching `Schedule::peak_checkpoints_per_device`, since a device's
@@ -1139,15 +1038,9 @@ impl OpSink for GraphSink<'_> {
         deps: &[OpId],
         _late_deps: u32,
     ) -> OpId {
-        let class = charge.class();
-        let salt = self.graph.num_ops() as u64;
-        let duration = self
-            .perturbation
-            .perturb(charge.base(self.d, dev), class, dev, salt);
-        let op = self.graph.add_op(stream, duration, deps, tag);
-        let is_compute = (class == OpClass::Compute) as u32;
-        self.op_perturb
-            .push((duration, 2 * stream.index() as u32 + is_compute));
+        let op = self
+            .graph
+            .add_op(stream, charge.base(self.d, dev), deps, tag);
         if let OpTag::Compute(a) = tag {
             if self.last_kernel.is_none_or(|(last, _)| last != dev) {
                 self.close_activations();
@@ -1315,62 +1208,41 @@ mod tests {
         assert_eq!(reduces, 64, "one flush per stage");
     }
 
-    #[test]
-    fn identity_perturbation_lowers_bit_identically() {
-        let model = models::bert_52b();
-        let cluster = presets::dgx1_v100(8);
-        let cfg = simple_cfg();
-        let k = KernelModel::v100();
-        let base = lower(
-            &model,
-            &cluster,
-            &cfg,
+    fn simple_lowering() -> LoweredGraph {
+        lower(
+            &models::bert_52b(),
+            &presets::dgx1_v100(8),
+            &simple_cfg(),
             ScheduleKind::BreadthFirst,
             OverlapConfig::full(),
-            &k,
+            &KernelModel::v100(),
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    #[test]
+    fn identity_perturbation_keeps_the_base_durations() {
         // A seeded-but-zero-magnitude perturbation must not move a single
         // op by a nanosecond.
-        let seeded = lower_perturbed(
-            &model,
-            &cluster,
-            &cfg,
-            ScheduleKind::BreadthFirst,
-            OverlapConfig::full(),
-            &k,
-            &Perturbation::with_seed(1234),
-        )
-        .unwrap();
-        let tb = base.graph.solve().unwrap();
-        let ts = seeded.graph.solve().unwrap();
-        assert_eq!(tb.makespan(), ts.makespan());
-        for id in base.graph.op_ids() {
-            assert_eq!(base.graph.op(id).duration(), seeded.graph.op(id).duration());
-        }
+        let base = simple_lowering();
+        let mut durs = Vec::new();
+        base.perturbed_durations(&Perturbation::with_seed(1234), &mut durs);
+        let own: Vec<SimDuration> = base
+            .graph
+            .op_ids()
+            .map(|id| base.graph.op(id).duration())
+            .collect();
+        assert_eq!(durs, own);
     }
 
     #[test]
     fn straggler_slows_only_its_device_and_makespan_grows() {
-        let model = models::bert_52b();
-        let cluster = presets::dgx1_v100(8);
-        let cfg = simple_cfg();
-        let k = KernelModel::v100();
-        let run = |p: &Perturbation| {
-            lower_perturbed(
-                &model,
-                &cluster,
-                &cfg,
-                ScheduleKind::BreadthFirst,
-                OverlapConfig::full(),
-                &k,
-                p,
-            )
-            .unwrap()
-            .graph
-            .solve()
-            .unwrap()
-            .makespan()
+        let base = simple_lowering();
+        let mut solver = bfpp_sim::Solver::new(&base.graph);
+        let mut durs = Vec::new();
+        let mut run = |p: &Perturbation| {
+            base.perturbed_durations(p, &mut durs);
+            solver.solve_stats_with_durations(&durs).unwrap().makespan
         };
         let clean = run(&Perturbation::none());
         let degraded = run(&Perturbation::with_seed(7).with_straggler(3, 1.5));
@@ -1378,56 +1250,35 @@ mod tests {
             degraded > clean,
             "a 1.5x straggler must stretch the pipeline: {degraded} !> {clean}"
         );
-        // Deterministic: the same perturbation lowers to the same timeline.
+        // Deterministic: the same perturbation re-times identically.
         let again = run(&Perturbation::with_seed(7).with_straggler(3, 1.5));
         assert_eq!(degraded, again);
     }
 
     #[test]
-    fn perturbed_durations_match_perturbed_lowering() {
-        let model = models::bert_52b();
-        let cluster = presets::dgx1_v100(8);
-        let cfg = simple_cfg();
-        let k = KernelModel::v100();
+    fn perturbed_durations_follow_class_device_and_insertion_index() {
+        // Each op is perturbed as its tag's class on its stream's device,
+        // salted by its insertion index; kernels on the straggler slow
+        // down, nothing shrinks below the jitter bound.
+        let base = simple_lowering();
         let p = Perturbation::with_seed(0xB1F)
             .with_straggler(3, 1.4)
             .with_jitter(0.05)
             .with_link_degradation(1.3);
-        let base = lower(
-            &model,
-            &cluster,
-            &cfg,
-            ScheduleKind::BreadthFirst,
-            OverlapConfig::full(),
-            &k,
-        )
-        .unwrap();
-        let perturbed = lower_perturbed(
-            &model,
-            &cluster,
-            &cfg,
-            ScheduleKind::BreadthFirst,
-            OverlapConfig::full(),
-            &k,
-            &p,
-        )
-        .unwrap();
-        assert!(!base.perturbed);
-        assert!(perturbed.perturbed);
-        assert_eq!(base.graph.num_ops(), perturbed.graph.num_ops());
-        // Recomputed durations are bit-identical to a fresh perturbed
-        // lowering, op by op...
         let mut durs = Vec::new();
         base.perturbed_durations(&p, &mut durs);
+        assert_eq!(durs.len(), base.graph.num_ops());
         for id in base.graph.op_ids() {
-            assert_eq!(durs[id.index()], perturbed.graph.op(id).duration());
+            let op = base.graph.op(id);
+            let name = base.graph.resource_name(op.resource());
+            let dev: u32 = name[3..name.find('.').unwrap()].parse().unwrap();
+            let class = match op.tag() {
+                OpTag::Compute(_) => OpClass::Compute,
+                _ => OpClass::Communication,
+            };
+            let want = p.perturb(op.duration(), class, dev, id.index() as u64);
+            assert_eq!(durs[id.index()], want, "op {}", id.index());
         }
-        // ...so the duration-only re-solve reproduces its timeline.
-        let mut solver = bfpp_sim::Solver::new(&base.graph);
-        let fast = solver.solve_with_durations(&durs).unwrap();
-        let full = perturbed.graph.solve().unwrap();
-        assert_eq!(fast.scheduled_ops(), full.scheduled_ops());
-        assert_eq!(fast.makespan(), full.makespan());
     }
 
     #[test]

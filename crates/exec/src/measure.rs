@@ -8,10 +8,10 @@ use bfpp_core::{ScheduleError, ScheduleKind};
 use bfpp_model::TransformerConfig;
 use bfpp_parallel::{ConfigError, ParallelConfig};
 
-use bfpp_sim::{Perturbation, SimDuration, SolveStats, Timeline};
+use bfpp_sim::{Perturbation, SimDuration, SolveStats, Solver, Timeline};
 
 use crate::kernel::KernelModel;
-use crate::lower::{lower_perturbed, LoweredGraph};
+use crate::lower::{lower, LoweredGraph};
 use crate::memory::memory_with_checkpoints;
 use crate::overlap::OverlapConfig;
 
@@ -103,22 +103,18 @@ pub fn simulate(
     overlap: OverlapConfig,
     kernel: &KernelModel,
 ) -> Result<Measurement, SimulateError> {
-    simulate_perturbed(
-        model,
-        cluster,
-        cfg,
-        kind,
-        overlap,
-        kernel,
-        &Perturbation::none(),
-    )
+    let lowered = lower(model, cluster, cfg, kind, overlap, kernel)?;
+    Ok(measure_lowered(model, cluster, cfg, &lowered))
 }
 
 /// [`simulate`] under a deterministic [`Perturbation`] (stragglers, link
-/// degradation, jitter, stalls). Throughput and utilization are still
-/// credited against the *fault-free* ideal, so a straggler shows up as
-/// lost utilization — the quantity the straggler-sensitivity experiment
-/// sweeps. An identity perturbation reproduces [`simulate`] bit-for-bit.
+/// degradation, jitter, stalls): the clean lowering re-timed under its
+/// perturbed duration row ([`LoweredGraph::perturbed_durations`]).
+/// Throughput and utilization are still credited against the
+/// *fault-free* ideal, so a straggler shows up as lost utilization — the
+/// quantity the straggler-sensitivity experiment sweeps. An identity
+/// perturbation's row is the base durations, so it reproduces
+/// [`simulate`] bit-for-bit.
 ///
 /// # Errors
 ///
@@ -132,8 +128,13 @@ pub fn simulate_perturbed(
     kernel: &KernelModel,
     perturbation: &Perturbation,
 ) -> Result<Measurement, SimulateError> {
-    let lowered = lower_perturbed(model, cluster, cfg, kind, overlap, kernel, perturbation)?;
-    Ok(measure_lowered(model, cluster, cfg, &lowered))
+    let lowered = lower(model, cluster, cfg, kind, overlap, kernel)?;
+    let mut durations = Vec::new();
+    lowered.perturbed_durations(perturbation, &mut durations);
+    let stats = Solver::new(&lowered.graph)
+        .solve_stats_with_durations(&durations)
+        .expect("lowered graphs are acyclic by construction");
+    Ok(measure_stats(model, cluster, cfg, &lowered, &stats))
 }
 
 /// Solves `lowered` on the solver's per-thread workspace
@@ -322,6 +323,27 @@ mod tests {
         let l8 = mk(8);
         assert!(l4.tflops_per_gpu > l1.tflops_per_gpu);
         assert!(l8.tflops_per_gpu > l1.tflops_per_gpu);
+    }
+
+    #[test]
+    fn identity_perturbation_reproduces_simulate() {
+        let (model, cluster) = (models::bert_52b(), presets::dgx1_v100(8));
+        let cfg = ParallelConfig::new(
+            Grid::new(1, 8, 8),
+            Placement::looping(8, 8),
+            BatchConfig::new(9, 1),
+            DataParallelism::Unsharded,
+        );
+        let (kind, overlap, kernel) = (
+            ScheduleKind::BreadthFirst,
+            OverlapConfig::full(),
+            KernelModel::v100(),
+        );
+        let clean = simulate(&model, &cluster, &cfg, kind, overlap, &kernel);
+        for p in [Perturbation::none(), Perturbation::with_seed(1234)] {
+            let m = simulate_perturbed(&model, &cluster, &cfg, kind, overlap, &kernel, &p);
+            assert_eq!(m, clean, "{p:?}");
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ use bfpp_cluster::ClusterSpec;
 use bfpp_core::{Schedule, ScheduleKind};
 use bfpp_model::TransformerConfig;
 use bfpp_parallel::{DataParallelism, ParallelConfig};
-use bfpp_sim::{DurationMatrix, MetricsRegistry, Perturbation};
+use bfpp_sim::{MetricsRegistry, Perturbation, SimDuration};
 
 use crate::batch::{ClassBase, ClassCache, ClassKey, RowScratch};
 use crate::candidates::{action_count, enumerate, Candidate};
@@ -936,6 +936,7 @@ impl<'a> Request<'a> {
         let metrics = self.env.metrics.as_deref();
         let mut scratch = RowScratch::default();
         let mut solve_stats = crate::batch::empty_stats();
+        let mut rows: Vec<SimDuration> = Vec::new();
         for group in groups {
             if group.resolved.is_none() {
                 group.resolved = self.build(&group.key);
@@ -947,25 +948,25 @@ impl<'a> Request<'a> {
                 continue;
             };
             let fill_start = metrics.map(|_| Instant::now());
-            // One SoA duration batch per class: a contiguous row per
-            // member, re-timed against the single prebuilt workspace.
-            let mut batch = DurationMatrix::new(base.num_ops());
-            for member in &group.members {
-                base.fill_row(&member.d, perturbation, &mut scratch, batch.push_row());
+            // One contiguous row per member, `members × n_ops`, re-timed
+            // against the class's shared workspace.
+            let n = base.num_ops();
+            rows.clear();
+            rows.resize(group.members.len() * n, SimDuration::ZERO);
+            for (k, member) in group.members.iter().enumerate() {
+                let row = &mut rows[k * n..(k + 1) * n];
+                base.fill_row(&member.d, perturbation, &mut scratch, row);
             }
             let replay_start = metrics.map(|_| Instant::now());
-            let mut replay = base.lock_replay();
-            for (row, member) in group.members.iter_mut().enumerate() {
+            for (k, member) in group.members.iter_mut().enumerate() {
                 member.measurement = Some(base.measure_row(
-                    &mut replay,
                     &mut solve_stats,
                     self.model,
                     self.cluster,
                     &member.cfg,
-                    batch.row(row),
+                    &rows[k * n..(k + 1) * n],
                 ));
             }
-            drop(replay);
             if let (Some(metrics), Some(fill_start), Some(replay_start)) =
                 (metrics, fill_start, replay_start)
             {

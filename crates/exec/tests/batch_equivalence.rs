@@ -15,8 +15,11 @@
 //! same winner, same measurement to the bit, same robustness probe —
 //! with every candidate accounted for and the same counters at every
 //! thread count.
+//!
+//! Per shared base: threads replaying one `Arc<ClassBase>` at once get
+//! exactly the serial answers, since replay never writes to the base.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use bfpp_cluster::presets::{dgx1_v100, mixed_v100_a100, mixed_v100_a100_asym};
 use bfpp_cluster::ClusterSpec;
@@ -119,7 +122,9 @@ fn perturbations() -> Vec<Perturbation> {
 
 /// The robustness columns the engine must report for `winner`: its
 /// throughput under [`Perturbation::reference_probe`], from a full
-/// lowering and solve, and that over its clean throughput.
+/// lowering re-timed under the probe's duration row (the graph path,
+/// independent of the engine's class bases), and that over its clean
+/// throughput.
 fn probe_oracle(
     model: &bfpp_model::TransformerConfig,
     cluster: &ClusterSpec,
@@ -221,7 +226,7 @@ proptest! {
             base.fill_row(&d, &p, &mut scratch, &mut row);
             lowered.perturbed_durations(&p, &mut expect);
             prop_assert_eq!(&row, &expect, "{:?} under {:?}", cand, p);
-            base.lock_replay().replay_stats_into(&row, &mut stats);
+            base.workspace().replay_stats_into(&row, &mut stats);
             let full = solver.solve_stats_with_durations(&row).expect("solvable");
             prop_assert_eq!(stats.makespan, full.makespan, "{:?} under {:?}", cand, p);
             prop_assert_eq!(&stats.busy, &full.busy, "{:?} under {:?}", cand, p);
@@ -333,5 +338,93 @@ fn fig5a_cell_winner_measurement_is_bit_identical() {
             Some(probed),
             "threads={threads}: probe must be bit-identical"
         );
+    }
+}
+
+/// A cached class base is shared by concurrent sessions with no lock:
+/// replay reads the base and writes only the calling thread's buffers.
+/// Eight jittered member rows replayed from four threads at once, each
+/// starting at a different row, must give every thread the serial
+/// stats bit for bit.
+#[test]
+fn a_shared_base_replays_bit_identically_from_concurrent_threads() {
+    let model = bert_6_6b();
+    let cluster = dgx1_v100(4);
+    let kernel = KernelModel::v100();
+    let overlap = OverlapConfig::full();
+    let member = |n_dp: u32, n_tp: u32, s_mb: u32| Candidate {
+        grid: Grid::new(n_dp, n_tp, 4),
+        placement: Placement::looping(4, 2),
+        batch: BatchConfig::new(8, s_mb),
+        kind: ScheduleKind::BreadthFirst,
+        dp: DataParallelism::FullySharded,
+        split: SplitStrategy::Uniform,
+    };
+    let members = [
+        member(4, 2, 1),
+        member(2, 4, 1),
+        member(8, 1, 2),
+        member(4, 2, 2),
+    ];
+    let parts: Vec<(ClassKey, Durations)> = members
+        .iter()
+        .map(|cand| {
+            let cfg = cand.config_on(&model, &cluster);
+            cfg.validate(&model, &cluster).expect("a valid member");
+            let d = Durations::new(&model, &cluster, &cfg, &kernel, overlap);
+            (ClassKey::of(cand, overlap, &d), d)
+        })
+        .collect();
+    let key = parts[0].0;
+    assert!(parts.iter().all(|(k, _)| *k == key), "one class");
+    let schedule = Schedule::generate(key.schedule_kind(), key.placement(), key.num_microbatches())
+        .expect("schedulable");
+    let base = Arc::new(ClassBase::build(&key, &schedule).expect("acyclic"));
+    let n = base.num_ops();
+
+    let mut rows = vec![SimDuration::ZERO; 8 * n];
+    let mut scratch = RowScratch::default();
+    for (k, row) in rows.chunks_exact_mut(n).enumerate() {
+        let p = Perturbation::with_seed(100 + k as u64)
+            .with_straggler(k as u32 % 4, 1.3)
+            .with_jitter(0.5);
+        base.fill_row(&parts[k % parts.len()].1, &p, &mut scratch, row);
+    }
+    let serial: Vec<SolveStats> = rows
+        .chunks_exact(n)
+        .map(|row| {
+            let mut stats = empty_stats();
+            base.workspace().replay_stats_into(row, &mut stats);
+            stats
+        })
+        .collect();
+    assert!(
+        serial.windows(2).any(|w| w[0] != w[1]),
+        "the jittered rows time differently"
+    );
+
+    let start = Barrier::new(4);
+    let per_thread: Vec<Vec<SolveStats>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..4)
+            .map(|t| {
+                let (base, rows, start) = (Arc::clone(&base), &rows, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let mut got = vec![empty_stats(); 8];
+                    for round in 0..4 {
+                        for k in 0..8 {
+                            let k = (k + 2 * t + round) % 8;
+                            let row = &rows[k * n..(k + 1) * n];
+                            base.workspace().replay_stats_into(row, &mut got[k]);
+                        }
+                    }
+                    got
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (t, got) in per_thread.iter().enumerate() {
+        assert_eq!(got, &serial, "thread {t}");
     }
 }

@@ -11,6 +11,7 @@ use std::time::Duration;
 use bfpp_exec::search::{Method, SearchOptions};
 use bfpp_exec::{ClassCache, Executor, KernelModel, MetricsSnapshot, SearchEnv};
 use bfpp_planner::chaos::{PanicPoint, SessionFault};
+use bfpp_planner::wire::stats_line;
 use bfpp_planner::{PlanEvent, PlanRequest, Planner, RejectReason, SessionOutcome};
 use bfpp_sim::metrics::validate_prometheus;
 use bfpp_sim::observe::validate_json;
@@ -151,11 +152,10 @@ fn snapshot_reconciles_exactly_with_observed_events() {
     assert_eq!(snap.gauge("planner_in_flight"), 0);
     assert_eq!(snap.gauge("planner_admission_limit"), 1);
 
-    // Both renderers stay valid on a real, busy snapshot.
+    // Both of the daemon's renderings stay valid on a real, busy
+    // snapshot: the `--metrics` exposition and the `{"stats":true}` line.
     validate_prometheus(&snap.render_prometheus()).expect("prometheus exposition parses");
-    for line in snap.render_ndjson().lines() {
-        validate_json(line).expect("ndjson line parses");
-    }
+    validate_json(&stats_line(&snap)).expect("stats line parses");
 }
 
 /// The deterministic subset of a snapshot: outcome/candidate-flow

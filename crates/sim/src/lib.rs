@@ -60,8 +60,7 @@ pub use observe::{
 };
 pub use perturb::{Draws, OpClass, Perturbation, SlotDraw};
 pub use solver::{
-    DeadlockError, DurationMatrix, ReplayWorkspace, ScheduledOp, SolveScratch, SolveStats, Solver,
-    Timeline,
+    DeadlockError, ReplayWorkspace, ScheduledOp, SolveScratch, SolveStats, Solver, Timeline,
 };
 pub use stats::{ResourceStats, UtilizationSummary};
 pub use time::{SimDuration, SimTime};

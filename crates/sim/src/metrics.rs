@@ -1,6 +1,6 @@
 //! The workspace's one metrics registry: monotonic counters, gauges, and
-//! deterministic log-bucketed histograms, with Prometheus text and
-//! NDJSON renderers.
+//! deterministic log-bucketed histograms, with a Prometheus text
+//! renderer.
 //!
 //! Every count and wall-clock span the system keeps about itself lands
 //! here: the planner's session lifecycle, the engine's per-request
@@ -29,10 +29,10 @@
 //!   poisoning — metrics must survive a panicking session.
 //!
 //! Rendering: [`MetricsSnapshot::render_prometheus`] emits the text
-//! exposition format (checkable with [`validate_prometheus`]);
-//! [`MetricsSnapshot::render_ndjson`] emits one JSON object per line,
-//! each of which passes [`validate_json`](crate::observe::validate_json).
-//! Both iterate `BTreeMap`s, so output is byte-stable in name order.
+//! exposition format (checkable with [`validate_prometheus`]). It
+//! iterates `BTreeMap`s, so output is byte-stable in name order. The
+//! planner daemon's JSON view of a snapshot is its `stats` line
+//! (`bfpp_planner::wire::stats_line`).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -396,56 +396,6 @@ impl MetricsSnapshot {
         }
         out
     }
-
-    /// NDJSON: one JSON object per line per metric, name-sorted within
-    /// each kind. Histogram bucket upper bounds are strings (`"255"`,
-    /// `"+Inf"`) so the overflow bucket needs no special casing and no
-    /// 64-bit integer is forced through a float. Each line passes
-    /// [`validate_json`](crate::observe::validate_json).
-    pub fn render_ndjson(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"counter\",\"name\":\"{name}\",\"value\":{v}}}"
-            );
-        }
-        for (name, v) in &self.gauges {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"gauge\",\"name\":\"{name}\",\"value\":{v}}}"
-            );
-        }
-        for (name, h) in &self.histograms {
-            let _ = write!(
-                out,
-                "{{\"type\":\"histogram\",\"name\":\"{name}\",\"count\":{},\"sum\":{},\
-                 \"min\":{},\"max\":{},\"buckets\":[",
-                h.count(),
-                h.sum(),
-                h.min().unwrap_or(0),
-                h.max().unwrap_or(0),
-            );
-            let mut first = true;
-            for i in 0..BUCKETS {
-                if h.bucket(i) == 0 {
-                    continue;
-                }
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let le = if i == BUCKETS - 1 {
-                    "+Inf".to_string()
-                } else {
-                    bucket_upper(i).to_string()
-                };
-                let _ = write!(out, "{{\"le\":\"{le}\",\"count\":{}}}", h.bucket(i));
-            }
-            out.push_str("]}\n");
-        }
-        out
-    }
 }
 
 /// Validates Prometheus text exposition format: every line is a
@@ -525,7 +475,6 @@ pub fn validate_prometheus(s: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observe::validate_json;
 
     #[test]
     fn bucket_boundaries_are_the_powers_of_two() {
@@ -617,7 +566,6 @@ mod tests {
         let (a, b) = (forward.snapshot(), backward.snapshot());
         assert_eq!(a, b);
         assert_eq!(a.render_prometheus(), b.render_prometheus());
-        assert_eq!(a.render_ndjson(), b.render_ndjson());
         let keys: Vec<&str> = a.counters.keys().map(String::as_str).collect();
         assert_eq!(keys, ["alpha", "beta", "mid", "zeta"]);
     }
@@ -641,22 +589,6 @@ mod tests {
         assert!(text.contains("lat_ns_bucket{le=\"+Inf\"} 3"), "{text}");
         assert!(text.contains("lat_ns_sum 906"), "{text}");
         assert!(text.contains("lat_ns_count 3"), "{text}");
-    }
-
-    #[test]
-    fn ndjson_rendering_is_line_wise_valid_json() {
-        let m = MetricsRegistry::new();
-        m.counter_add("a_total", 1);
-        m.gauge_set("b", -7);
-        m.observe("c_ns", 0);
-        m.observe("c_ns", u64::MAX);
-        let text = m.snapshot().render_ndjson();
-        assert_eq!(text.lines().count(), 3);
-        for line in text.lines() {
-            validate_json(line).expect(line);
-        }
-        assert!(text.contains("\"le\":\"+Inf\""), "{text}");
-        assert!(text.contains("\"le\":\"0\""), "{text}");
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! A [`Perturbation`] models a *degraded* cluster: per-op duration
 //! jitter, per-device straggler multipliers, per-link bandwidth
-//! degradation and transient stall events. It is applied when lowering
-//! op durations (see `bfpp-exec`), so the whole fault model lives in
-//! the durations and the solver stays untouched.
+//! degradation and transient stall events. It is applied to a row of
+//! base op durations (in `bfpp-exec`, a clean lowering's
+//! `perturbed_durations` or a topology class's `fill_row`), so the whole
+//! fault model lives in the durations and the solver stays untouched.
 //!
 //! Determinism is the load-bearing property: the factor applied to an
 //! op is a **pure hash** of (perturbation fingerprint, device, op

@@ -275,7 +275,7 @@ mod equivalence_tests {
                 ReplayWorkspace::discover(nres, op_resource, dep_indptr, deps),
                 g.solve_reference(),
             ) {
-                (Ok(mut ws), Ok(reference)) => {
+                (Ok(ws), Ok(reference)) => {
                     let durations: Vec<SimDuration> =
                         g.op_ids().map(|id| g.op(id).duration()).collect();
                     let mut stats = SolveStats {
@@ -337,7 +337,7 @@ mod equivalence_tests {
                     prop_assert_eq!(fast.scheduled_ops(), reference.scheduled_ops());
                     prop_assert_eq!(fast.makespan(), reference.makespan());
                     prop_assert_eq!(
-                        solver.solve_makespan_with_durations(&new_durations).unwrap(),
+                        solver.solve_stats_with_durations(&new_durations).unwrap().makespan,
                         reference.makespan()
                     );
                     // The solver is still clean for its own durations.

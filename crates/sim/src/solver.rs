@@ -1,18 +1,21 @@
 //! The deterministic timeline solver.
 //!
-//! One core serves graph solves and graph-free class workspaces alike. Its
-//! index is forward: each op's resource and its dependency row, in the
-//! order the deps were added. *Discovery* lets every resource drain its
-//! FIFO queue and parks it on the first unfinished dependency of its head,
-//! recording a processing order without reading a duration. *Replay*, the
-//! only timing loop, walks that order and pulls each op's start from its
-//! resource and its dependencies' end times. Both passes are
-//! O(V + E + R). The produced timeline is *bit-identical* to the reference
-//! round-robin solver ([`crate::reference`], kept as a test/bench oracle),
-//! because an op's start time — `max(resource free, all deps done)` — is a
-//! pure function of its resource predecessor and its deps, so no valid
-//! processing order can change any time. See DESIGN.md §9.
+//! One immutable [`ReplayWorkspace`] serves graph solves and graph-free
+//! class workspaces alike. Its index is forward: each op's resource and
+//! its dependency row, in the order the deps were added. *Discovery* lets
+//! every resource drain its FIFO queue and parks it on the first
+//! unfinished dependency of its head, recording a processing order
+//! without reading a duration. *Replay*, the only timing loop, walks that
+//! order and pulls each op's start from its resource and its
+//! dependencies' end times, writing into caller or per-thread buffers.
+//! Both passes are O(V + E + R). The produced timeline is
+//! *bit-identical* to the reference round-robin solver
+//! ([`crate::reference`], kept as a test/bench oracle), because an op's
+//! start time — `max(resource free, all deps done)` — is a pure function
+//! of its resource predecessor and its deps, so no valid processing order
+//! can change any time. See DESIGN.md §9.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
@@ -240,12 +243,18 @@ struct Discovery {
     ready: VecDeque<u32>,
 }
 
-/// The solver core: a topology's forward dependency index, its recorded
-/// processing order, and the replay loop's timing buffers. [`SolveScratch`]
-/// wraps it with discovery's scratch and a graph's base durations;
-/// [`ReplayWorkspace`] wraps it alone.
+/// A topology's replay workspace: the forward dependency index — each
+/// op's resource and its dependency row, in the order the deps were
+/// added — and a recorded replay trace. Built graph-free by
+/// [`ReplayWorkspace::discover`], it never changes afterwards: replay
+/// reads it through `&self` and writes its timing into per-thread
+/// scratch, so one workspace is shared by any number of threads with no
+/// lock. It holds about 12 bytes per op plus 4 per dependency. It can
+/// only replay, never solve: a trace is always present, so replay needs
+/// no trace check. A [`SolveScratch`] keeps one for the graph it was
+/// last built for, whose trace its first solve discovers.
 #[derive(Debug, Clone, Default)]
-struct ReplayCore {
+pub struct ReplayWorkspace {
     /// Per-op resource index.
     op_resource: Vec<u32>,
     /// Row pointers: op `i` waits for
@@ -260,22 +269,146 @@ struct ReplayCore {
     /// duration, so one trace is a valid schedule order for *any*
     /// duration vector over this topology.
     trace: Vec<u32>,
+}
+
+/// The timing buffers of one replay, reused across replays and
+/// topologies: a [`SolveScratch`] owns one set, and
+/// [`ReplayWorkspace::replay_stats_into`] borrows the per-thread
+/// scratch's.
+#[derive(Debug, Clone, Default)]
+struct ReplayBuffers {
     /// Per-op end time of the latest replay.
     end: Vec<SimTime>,
     /// Per-resource free time.
     free: Vec<SimTime>,
     /// Per-resource busy sum.
     busy: Vec<SimDuration>,
+    /// Per-op start time, written only by a recording replay (a full
+    /// timeline or a memory peak is wanted).
+    start: Vec<SimTime>,
 }
 
-impl ReplayCore {
-    fn num_ops(&self) -> usize {
+impl ReplayWorkspace {
+    /// Builds the replay workspace of a topology given as flat arrays,
+    /// with no [`OpGraph`]: op `i` runs on resource `op_resource[i]` and
+    /// waits for the ops `deps[dep_indptr[i] .. dep_indptr[i + 1]]`. Ops
+    /// count as submitted in index order, so each resource's FIFO queue
+    /// is its ops in index order. The arrays become the workspace's
+    /// index as they are; one discovery pass records the replay trace.
+    /// With rows in [`OpGraph::deps_of`] order this is exactly what
+    /// [`Solver::new`] builds and discovers for the same graph.
+    ///
+    /// ```
+    /// use bfpp_sim::{OpGraph, ReplayWorkspace, SimDuration, SolveStats, Solver};
+    ///
+    /// let ns = SimDuration::from_nanos;
+    /// // Ops 0 and 2 run on stream 0, op 1 on stream 1. Rows: op 0 waits
+    /// // for nothing, op 1 for op 0, op 2 for op 1.
+    /// let (op_resource, dep_indptr, deps) = (vec![0, 1, 0], vec![0, 0, 1, 2], vec![0, 1]);
+    /// let ws = ReplayWorkspace::discover(2, op_resource, dep_indptr, deps).unwrap();
+    /// let durations = [ns(5), ns(4), ns(3)];
+    /// let mut stats = SolveStats { makespan: ns(0), busy: Vec::new(), peak_memory: None };
+    /// ws.replay_stats_into(&durations, &mut stats);
+    /// assert_eq!(stats.makespan, ns(12));
+    ///
+    /// // The same topology as a graph solves identically.
+    /// let mut g: OpGraph<()> = OpGraph::new();
+    /// let (a, b) = (g.add_resource("a"), g.add_resource("b"));
+    /// let x = g.add_op(a, ns(5), &[], ());
+    /// let y = g.add_op(b, ns(4), &[x], ());
+    /// g.add_op(a, ns(3), &[y], ());
+    /// assert_eq!(Solver::new(&g).solve_stats_with_durations(&durations).unwrap(), stats);
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeadlockError`] if the topology admits no schedule. The
+    /// flat arrays carry no resource names, so the error names the
+    /// blocked resource by index (`"#3"`).
+    ///
+    /// # Panics
+    ///
+    /// The discovery and replay loops index by these arrays without
+    /// bounds checks, so this panics unless every resource is
+    /// `< num_resources`, `dep_indptr` has `op_resource.len() + 1`
+    /// entries, starts at 0, never decreases and ends at `deps.len()`,
+    /// and every dep is `< op_resource.len()`.
+    pub fn discover(
+        num_resources: usize,
+        op_resource: Vec<u32>,
+        dep_indptr: Vec<u32>,
+        deps: Vec<u32>,
+    ) -> Result<ReplayWorkspace, DeadlockError> {
+        let n = op_resource.len();
+        if let Some(r) = op_resource.iter().find(|&&r| r as usize >= num_resources) {
+            panic!("op resource {r} out of range ({num_resources} resources)");
+        }
+        assert_eq!(
+            dep_indptr.len(),
+            n + 1,
+            "dep_indptr needs one entry per op plus one ({n} ops)"
+        );
+        assert_eq!(dep_indptr[0], 0, "dep_indptr must start at 0");
+        if let Some(i) = dep_indptr.windows(2).position(|w| w[1] < w[0]) {
+            panic!("dep_indptr decreases at op {i}");
+        }
+        assert_eq!(
+            dep_indptr[n] as usize,
+            deps.len(),
+            "dep_indptr must end at deps.len()"
+        );
+        if let Some(d) = deps.iter().find(|&&d| d as usize >= n) {
+            panic!("dependency {d} names an op outside 0..{n}");
+        }
+        let mut ws = ReplayWorkspace {
+            op_resource,
+            dep_indptr,
+            deps,
+            num_resources,
+            trace: Vec::with_capacity(n),
+        };
+        with_transient_scratch(|s| {
+            if ws.record_trace(&mut s.discovery) {
+                Ok(())
+            } else {
+                Err(ws.deadlock(&s.discovery, |r| format!("#{r}")))
+            }
+        })?;
+        Ok(ws)
+    }
+
+    /// Number of ops in the topology.
+    pub fn num_ops(&self) -> usize {
         self.op_resource.len()
     }
 
-    /// The ops `op` waits for, in insertion order.
-    fn row(&self, op: usize) -> &[u32] {
+    /// The ops op `op` waits for, in the order they were given.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `op >= self.num_ops()`.
+    pub fn deps_of(&self, op: usize) -> &[u32] {
         &self.deps[self.dep_indptr[op] as usize..self.dep_indptr[op + 1] as usize]
+    }
+
+    /// Re-times the recorded trace under `durations`, writing the
+    /// makespan and per-resource busy sums into `stats` — bit-identical
+    /// to [`SolveScratch::replay_stats_into`] on a scratch built for the
+    /// same topology (both run one replay loop). The timing buffers are
+    /// the calling thread's solver scratch, so concurrent callers share
+    /// one workspace without a lock, and a caller looping over many
+    /// duration rows allocates nothing once the buffers have grown.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `durations.len()` differs from the topology's op count.
+    pub fn replay_stats_into(&self, durations: &[SimDuration], stats: &mut SolveStats) {
+        with_transient_scratch(|s| {
+            stats.makespan = self.replay::<false>(durations, &mut s.bufs);
+            stats.busy.clear();
+            stats.busy.extend_from_slice(&s.bufs.busy);
+        });
+        stats.peak_memory = None;
     }
 
     /// Discovery: records in `trace` an order in which every op follows
@@ -291,15 +424,15 @@ impl ReplayCore {
     /// Returns whether every op ran. A stalled pass stops at the maximal
     /// set of ops that can run — the set Kahn's algorithm and the
     /// reference reach too — and leaves it in `ds` for
-    /// [`ReplayCore::deadlock`].
-    fn discover(&mut self, ds: &mut Discovery) -> bool {
+    /// [`ReplayWorkspace::deadlock`].
+    fn record_trace(&mut self, ds: &mut Discovery) -> bool {
         let n = self.num_ops();
         let num_resources = self.num_resources;
         assert!(
             num_resources < DONE as usize,
             "resource indices must stay below discovery's markers"
         );
-        let ReplayCore {
+        let ReplayWorkspace {
             op_resource,
             dep_indptr,
             deps,
@@ -400,7 +533,7 @@ impl ReplayCore {
             n,
             stuck,
             |op| {
-                self.row(op.index())
+                self.deps_of(op.index())
                     .iter()
                     .find(|&&d| ds.waiters[d as usize] != DONE)
                     .map(|&d| OpId(d))
@@ -424,13 +557,15 @@ impl ReplayCore {
     /// both from ops that precede it in the trace. An op's start is a
     /// pure function of its resource predecessor and its deps, so these
     /// times are those of every valid processing order — the reference
-    /// solver's included — bit for bit. `RECORD` additionally fills
-    /// `start` (timeline and memory-peak paths; `end` is always kept).
-    /// Callers guarantee `trace` is complete for this index.
+    /// solver's included — bit for bit. The times land in `bufs`, which
+    /// may hold any earlier replay's, of any topology. `RECORD`
+    /// additionally fills `bufs.start` (timeline and memory-peak paths;
+    /// `end` is always kept). Callers guarantee `trace` is complete for
+    /// this index.
     fn replay<const RECORD: bool>(
-        &mut self,
+        &self,
         durations: &[SimDuration],
-        start: &mut Vec<SimTime>,
+        bufs: &mut ReplayBuffers,
     ) -> SimDuration {
         let n = self.num_ops();
         assert_eq!(
@@ -439,16 +574,19 @@ impl ReplayCore {
             "duration override must cover every op (got {}, topology has {n})",
             durations.len()
         );
-        let ReplayCore {
+        let ReplayWorkspace {
             op_resource,
             dep_indptr,
             deps,
             num_resources,
             trace,
+        } = self;
+        let ReplayBuffers {
             end,
             free,
             busy,
-        } = self;
+            start,
+        } = bufs;
         // An op reads only the end times of ops replayed before it, so
         // stale values from an earlier replay need no zeroing.
         end.resize(n, SimTime::ZERO);
@@ -471,10 +609,10 @@ impl ReplayCore {
         // `op_resource`/`end`/`durations` (length `n`, asserted above)
         // and, under `RECORD`, `start`; `i + 1 <= n` indexes
         // `dep_indptr`, whose row lies within `deps`; each dep indexes
-        // `end`; and `r < num_resources` indexes `free`/`busy`.
-        // Rebuilding an index clears its trace, so a trace can never
-        // replay against a differently shaped topology. The debug
-        // assertions re-check this.
+        // `end`; and `r < num_resources` indexes `free`/`busy`, all
+        // resized above. Rebuilding an index clears its trace, so a trace
+        // can never replay against a differently shaped topology. The
+        // debug assertions re-check this.
         for &op in trace.iter() {
             let i = op as usize;
             debug_assert!(i < n);
@@ -511,27 +649,26 @@ impl ReplayCore {
     }
 }
 
-/// Reusable solver workspace: the solver core built for one graph, its
-/// base durations, discovery's scratch and the per-op start times.
+/// Reusable solver workspace: the replay workspace built for one graph,
+/// its base durations, discovery's scratch and the replay buffers.
 /// Passing one scratch from [`Solver::into_scratch`] to
 /// [`Solver::with_scratch`] (as [`OpGraph::solve`] does with a
 /// per-thread one) lets thousands of solves run without a single heap
 /// allocation after warm-up.
 #[derive(Debug, Clone, Default)]
 pub struct SolveScratch {
-    /// The dependency index, replay trace and replay buffers.
-    core: ReplayCore,
-    /// Whether `core.trace` is complete for the current index. Cleared
-    /// by `index_graph`; a stalled discovery never sets it.
+    /// The dependency index and replay trace.
+    workspace: ReplayWorkspace,
+    /// Whether `workspace.trace` is complete for the current index.
+    /// Cleared by `index_graph`; a stalled discovery never sets it.
     trace_ready: bool,
     /// Per-op base duration, copied out of the graph: a solve without a
     /// duration override replays these.
     op_duration: Vec<SimDuration>,
     /// Discovery's per-op links and per-resource state.
     discovery: Discovery,
-    /// Solved start time per op (written only when a full timeline is
-    /// materialized).
-    start: Vec<SimTime>,
+    /// The replay loop's timing buffers.
+    bufs: ReplayBuffers,
 }
 
 impl SolveScratch {
@@ -542,7 +679,7 @@ impl SolveScratch {
 
     /// Number of ops in the topology this workspace was last built for.
     pub fn num_ops(&self) -> usize {
-        self.core.num_ops()
+        self.workspace.num_ops()
     }
 
     /// Re-times the recorded trace under `durations`, writing the
@@ -551,7 +688,8 @@ impl SolveScratch {
     /// allocates nothing). This is the graph-free half of the duration
     /// re-solve: the workspace alone carries the topology.
     /// [`ReplayWorkspace`] is the same replay without discovery's
-    /// scratch, for callers that keep many topologies alive.
+    /// scratch or buffers of its own, for callers that keep many
+    /// topologies alive.
     ///
     /// # Panics
     ///
@@ -559,207 +697,22 @@ impl SolveScratch {
     /// the index was built) or if `durations.len()` differs from the
     /// topology's op count.
     pub fn replay_stats_into(&mut self, durations: &[SimDuration], stats: &mut SolveStats) {
-        let makespan = self.replay::<false>(Some(durations));
-        stats.makespan = makespan;
+        stats.makespan = self.replay::<false>(Some(durations));
         stats.busy.clear();
-        stats.busy.extend_from_slice(&self.core.busy);
+        stats.busy.extend_from_slice(&self.bufs.busy);
         stats.peak_memory = None;
     }
 
-    /// [`ReplayCore::replay`] behind the recorded-trace check, under
-    /// `durations` or, without an override, the graph's base durations.
+    /// [`ReplayWorkspace::replay`] into this scratch's buffers, behind
+    /// the recorded-trace check, under `durations` or, without an
+    /// override, the graph's base durations.
     fn replay<const RECORD: bool>(&mut self, durations: Option<&[SimDuration]>) -> SimDuration {
         assert!(
             self.trace_ready,
             "replay requires a recorded trace (run one full solve first)"
         );
         let durations = durations.unwrap_or(&self.op_duration);
-        self.core.replay::<RECORD>(durations, &mut self.start)
-    }
-}
-
-/// A topology's replay workspace and nothing else: the forward
-/// dependency index, a recorded replay trace and the replay loop's
-/// timing buffers — the solver core of a [`SolveScratch`] without
-/// discovery's scratch or base durations. Built graph-free by
-/// [`ReplayWorkspace::discover`], it holds about 24 bytes per op plus 4
-/// per dependency once it has replayed. It can only replay, never solve:
-/// a trace is always present, so replay needs no trace check.
-#[derive(Debug, Clone)]
-pub struct ReplayWorkspace {
-    core: ReplayCore,
-}
-
-impl ReplayWorkspace {
-    /// Builds the replay workspace of a topology given as flat arrays,
-    /// with no [`OpGraph`]: op `i` runs on resource `op_resource[i]` and
-    /// waits for the ops `deps[dep_indptr[i] .. dep_indptr[i + 1]]`. Ops
-    /// count as submitted in index order, so each resource's FIFO queue
-    /// is its ops in index order. The arrays become the workspace's
-    /// index as they are; one discovery pass records the replay trace.
-    /// With rows in [`OpGraph::deps_of`] order this is exactly what
-    /// [`Solver::new`] builds and discovers for the same graph.
-    ///
-    /// ```
-    /// use bfpp_sim::{OpGraph, ReplayWorkspace, SimDuration, SolveStats, Solver};
-    ///
-    /// let ns = SimDuration::from_nanos;
-    /// // Ops 0 and 2 run on stream 0, op 1 on stream 1. Rows: op 0 waits
-    /// // for nothing, op 1 for op 0, op 2 for op 1.
-    /// let (op_resource, dep_indptr, deps) = (vec![0, 1, 0], vec![0, 0, 1, 2], vec![0, 1]);
-    /// let mut ws = ReplayWorkspace::discover(2, op_resource, dep_indptr, deps).unwrap();
-    /// let mut stats = SolveStats { makespan: ns(0), busy: Vec::new(), peak_memory: None };
-    /// ws.replay_stats_into(&[ns(5), ns(4), ns(3)], &mut stats);
-    /// assert_eq!(stats.makespan, ns(12));
-    ///
-    /// // The same topology as a graph solves identically.
-    /// let mut g: OpGraph<()> = OpGraph::new();
-    /// let (a, b) = (g.add_resource("a"), g.add_resource("b"));
-    /// let x = g.add_op(a, ns(5), &[], ());
-    /// let y = g.add_op(b, ns(4), &[x], ());
-    /// g.add_op(a, ns(3), &[y], ());
-    /// assert_eq!(Solver::new(&g).solve_stats().unwrap(), stats);
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeadlockError`] if the topology admits no schedule. The
-    /// flat arrays carry no resource names, so the error names the
-    /// blocked resource by index (`"#3"`).
-    ///
-    /// # Panics
-    ///
-    /// The discovery and replay loops index by these arrays without
-    /// bounds checks, so this panics unless every resource is
-    /// `< num_resources`, `dep_indptr` has `op_resource.len() + 1`
-    /// entries, starts at 0, never decreases and ends at `deps.len()`,
-    /// and every dep is `< op_resource.len()`.
-    pub fn discover(
-        num_resources: usize,
-        op_resource: Vec<u32>,
-        dep_indptr: Vec<u32>,
-        deps: Vec<u32>,
-    ) -> Result<ReplayWorkspace, DeadlockError> {
-        let n = op_resource.len();
-        if let Some(r) = op_resource.iter().find(|&&r| r as usize >= num_resources) {
-            panic!("op resource {r} out of range ({num_resources} resources)");
-        }
-        assert_eq!(
-            dep_indptr.len(),
-            n + 1,
-            "dep_indptr needs one entry per op plus one ({n} ops)"
-        );
-        assert_eq!(dep_indptr[0], 0, "dep_indptr must start at 0");
-        if let Some(i) = dep_indptr.windows(2).position(|w| w[1] < w[0]) {
-            panic!("dep_indptr decreases at op {i}");
-        }
-        assert_eq!(
-            dep_indptr[n] as usize,
-            deps.len(),
-            "dep_indptr must end at deps.len()"
-        );
-        if let Some(d) = deps.iter().find(|&&d| d as usize >= n) {
-            panic!("dependency {d} names an op outside 0..{n}");
-        }
-        let mut core = ReplayCore {
-            op_resource,
-            dep_indptr,
-            deps,
-            num_resources,
-            trace: Vec::with_capacity(n),
-            ..ReplayCore::default()
-        };
-        TRANSIENT_SCRATCH.with(|cell| {
-            let mut s = cell.take();
-            let outcome = if core.discover(&mut s.discovery) {
-                Ok(())
-            } else {
-                Err(core.deadlock(&s.discovery, |r| format!("#{r}")))
-            };
-            cell.set(s);
-            outcome
-        })?;
-        Ok(ReplayWorkspace { core })
-    }
-
-    /// Number of ops in the topology.
-    pub fn num_ops(&self) -> usize {
-        self.core.num_ops()
-    }
-
-    /// The ops op `op` waits for, in the order they were given.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `op >= self.num_ops()`.
-    pub fn deps_of(&self, op: usize) -> &[u32] {
-        self.core.row(op)
-    }
-
-    /// Re-times the recorded trace under `durations`, writing the
-    /// makespan and per-resource busy sums into `stats` — bit-identical
-    /// to [`SolveScratch::replay_stats_into`] on a workspace built for
-    /// the same topology (both run one replay loop).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `durations.len()` differs from the topology's op count.
-    pub fn replay_stats_into(&mut self, durations: &[SimDuration], stats: &mut SolveStats) {
-        stats.makespan = self.core.replay::<false>(durations, &mut Vec::new());
-        stats.busy.clear();
-        stats.busy.extend_from_slice(&self.core.busy);
-        stats.peak_memory = None;
-    }
-}
-
-/// A dense batch of duration vectors: one contiguous row of `n_ops`
-/// durations per candidate, evaluated against a single prebuilt
-/// [`SolveScratch`] by [`Solver::solve_batch`]. Row-major so the replay
-/// loop streams each row sequentially.
-#[derive(Debug, Clone, Default)]
-pub struct DurationMatrix {
-    n_ops: usize,
-    rows: usize,
-    data: Vec<SimDuration>,
-}
-
-impl DurationMatrix {
-    /// An empty batch over topologies of `n_ops` operations.
-    pub fn new(n_ops: usize) -> Self {
-        DurationMatrix {
-            n_ops,
-            rows: 0,
-            data: Vec::new(),
-        }
-    }
-
-    /// Appends one zeroed row and returns it for filling.
-    pub fn push_row(&mut self) -> &mut [SimDuration] {
-        let lo = self.data.len();
-        self.data.resize(lo + self.n_ops, SimDuration::ZERO);
-        self.rows += 1;
-        &mut self.data[lo..]
-    }
-
-    /// Number of rows (candidates) in the batch.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Row width (ops per candidate).
-    pub fn n_ops(&self) -> usize {
-        self.n_ops
-    }
-
-    /// The `row`-th duration vector.
-    pub fn row(&self, row: usize) -> &[SimDuration] {
-        &self.data[row * self.n_ops..(row + 1) * self.n_ops]
-    }
-
-    /// Drops every row, keeping capacity.
-    pub fn clear(&mut self) {
-        self.rows = 0;
-        self.data.clear();
+        self.workspace.replay::<RECORD>(durations, &mut self.bufs)
     }
 }
 
@@ -772,7 +725,7 @@ impl DurationMatrix {
 /// solver borrows the graph, the topology cannot change underneath it —
 /// which is what makes the duration-only re-solve paths
 /// ([`Solver::solve_with_durations`] and
-/// [`Solver::solve_makespan_with_durations`]) sound: perturbation sweeps
+/// [`Solver::solve_stats_with_durations`]) sound: perturbation sweeps
 /// lower a schedule once and re-solve it under many duration vectors.
 #[derive(Debug)]
 pub struct Solver<'g, T> {
@@ -854,37 +807,11 @@ impl<'g, T> Solver<'g, T> {
         Ok(self.materialize(makespan))
     }
 
-    /// Makespan-only variant of [`Solver::solve_with_durations`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Solver::solve`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `durations.len() != graph.num_ops()`.
-    pub fn solve_makespan_with_durations(
-        &mut self,
-        durations: &[SimDuration],
-    ) -> Result<SimDuration, DeadlockError> {
-        self.run::<false>(Some(durations))
-    }
-
     /// Solves for the makespan and per-resource busy times — everything
-    /// the measurement layer consumes — without materializing a per-op
-    /// timeline.
-    ///
-    /// # Errors
-    ///
-    /// As [`Solver::solve`].
-    pub fn solve_stats(&mut self) -> Result<SolveStats, DeadlockError> {
-        let makespan = self.run::<false>(None)?;
-        Ok(self.stats(makespan))
-    }
-
-    /// As [`Solver::solve_stats`], with every op's duration replaced by
-    /// `durations[op.index()]` — the cheapest re-solve in a perturbation
-    /// sweep that still feeds the full measurement.
+    /// the measurement layer consumes — with every op's duration
+    /// replaced by `durations[op.index()]`, without materializing a
+    /// per-op timeline: the cheapest re-solve in a perturbation sweep
+    /// that still feeds the full measurement.
     ///
     /// # Errors
     ///
@@ -901,42 +828,9 @@ impl<'g, T> Solver<'g, T> {
         Ok(self.stats(makespan))
     }
 
-    /// Evaluates a whole batch of duration rows against this solver's
-    /// topology: discovery records the replay trace once (it reads no
-    /// duration), then every row is re-timed in a tight, allocation-free
-    /// loop. `f` receives each row index with its [`SolveStats`] (the
-    /// stats buffer is reused across rows — copy out what must outlive
-    /// the call). Results are bit-identical to calling
-    /// [`Solver::solve_stats_with_durations`] once per row.
-    ///
-    /// # Errors
-    ///
-    /// As [`Solver::solve`] — a deadlocked topology fails once, before
-    /// any row is evaluated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch.n_ops()` differs from the graph's op count.
-    pub fn solve_batch(
-        &mut self,
-        batch: &DurationMatrix,
-        mut f: impl FnMut(usize, &SolveStats),
-    ) -> Result<(), DeadlockError> {
-        self.ensure_trace()?;
-        let mut stats = SolveStats {
-            makespan: SimDuration::ZERO,
-            busy: Vec::new(),
-            peak_memory: None,
-        };
-        for row in 0..batch.rows() {
-            self.s.replay_stats_into(batch.row(row), &mut stats);
-            f(row, &stats);
-        }
-        Ok(())
-    }
-
-    /// As [`Solver::solve_stats`], additionally evaluating `mem` against
-    /// the solved op times to fill [`SolveStats::peak_memory`] — peak
+    /// Solves for the makespan and per-resource busy times under the
+    /// graph's own durations, additionally evaluating `mem` against the
+    /// solved op times to fill [`SolveStats::peak_memory`] — peak
     /// memory over time without materializing a [`Timeline`] (the op
     /// start/end times are read straight from the solver's scratch
     /// arrays).
@@ -1006,11 +900,11 @@ impl<'g, T> Solver<'g, T> {
     /// serves every duration vector.
     fn ensure_trace(&mut self) -> Result<(), DeadlockError> {
         if !self.s.trace_ready {
-            if !self.s.core.discover(&mut self.s.discovery) {
+            if !self.s.workspace.record_trace(&mut self.s.discovery) {
                 let names = &self.graph.resource_names;
                 return Err(self
                     .s
-                    .core
+                    .workspace
                     .deadlock(&self.s.discovery, |r| names[r].clone()));
             }
             self.s.trace_ready = true;
@@ -1034,8 +928,8 @@ impl<'g, T> Solver<'g, T> {
     fn scratch_peaks(&self, mem: &MemorySpec) -> MemoryPeaks {
         mem.peaks_from(|op| {
             (
-                self.s.start[op.index()].as_nanos(),
-                self.s.core.end[op.index()].as_nanos(),
+                self.s.bufs.start[op.index()].as_nanos(),
+                self.s.bufs.end[op.index()].as_nanos(),
             )
         })
     }
@@ -1046,7 +940,7 @@ impl<'g, T> Solver<'g, T> {
     fn stats(&self, makespan: SimDuration) -> SolveStats {
         SolveStats {
             makespan,
-            busy: self.s.core.busy.clone(),
+            busy: self.s.bufs.busy.clone(),
             peak_memory: None,
         }
     }
@@ -1054,19 +948,19 @@ impl<'g, T> Solver<'g, T> {
     /// Collects the per-op times of the last recording solve into a
     /// [`Timeline`].
     fn materialize(&self, makespan: SimDuration) -> Timeline {
-        let core = &self.s.core;
-        let scheduled = (0..core.num_ops())
+        let (ws, bufs) = (&self.s.workspace, &self.s.bufs);
+        let scheduled = (0..ws.num_ops())
             .map(|i| ScheduledOp {
                 op: OpId(i as u32),
-                resource: ResourceId(core.op_resource[i]),
-                start: self.s.start[i],
-                end: core.end[i],
+                resource: ResourceId(ws.op_resource[i]),
+                start: bufs.start[i],
+                end: bufs.end[i],
             })
             .collect();
         Timeline {
             scheduled,
             makespan,
-            num_resources: core.num_resources,
+            num_resources: ws.num_resources,
         }
     }
 }
@@ -1076,44 +970,53 @@ impl<'g, T> Solver<'g, T> {
 /// order, so the holes [`OpGraph::add_dep`] leaves in the graph's edge
 /// arena drop out.
 fn index_graph<T>(graph: &OpGraph<T>, scratch: &mut SolveScratch) {
-    let core = &mut scratch.core;
+    let ws = &mut scratch.workspace;
     // Any recorded replay trace belonged to the previous topology.
-    core.trace.clear();
+    ws.trace.clear();
     scratch.trace_ready = false;
-    core.num_resources = graph.num_resources();
-    core.op_resource.clear();
+    ws.num_resources = graph.num_resources();
+    ws.op_resource.clear();
     scratch.op_duration.clear();
-    core.dep_indptr.clear();
-    core.deps.clear();
-    core.deps.reserve(graph.num_edges());
-    core.dep_indptr.push(0);
+    ws.dep_indptr.clear();
+    ws.deps.clear();
+    ws.deps.reserve(graph.num_edges());
+    ws.dep_indptr.push(0);
     for op in &graph.ops {
-        core.op_resource.push(op.resource.0);
+        ws.op_resource.push(op.resource.0);
         scratch.op_duration.push(op.duration);
         let row = op.deps_start as usize..(op.deps_start + op.deps_len) as usize;
-        core.deps.extend(graph.deps_arena[row].iter().map(|d| d.0));
-        core.dep_indptr.push(core.deps.len() as u32);
+        ws.deps.extend(graph.deps_arena[row].iter().map(|d| d.0));
+        ws.dep_indptr.push(ws.deps.len() as u32);
     }
 }
 
 thread_local! {
     /// Workspace reused by the transient-solve entry points
-    /// ([`OpGraph::solve`] / [`OpGraph::solve_makespan`]) and, for its
-    /// discovery scratch alone, by [`ReplayWorkspace::discover`]: without
+    /// ([`OpGraph::solve`] / [`OpGraph::solve_makespan`]), for its
+    /// discovery scratch by [`ReplayWorkspace::discover`] and for its
+    /// replay buffers by [`ReplayWorkspace::replay_stats_into`]: without
     /// it, every call re-allocates (and, for large graphs, page-faults
     /// in) megabytes of scratch. The cell retains the capacity of the
     /// largest topology solved on this thread — bounded and cheap for
     /// the graph sizes this workspace simulates.
-    static TRANSIENT_SCRATCH: std::cell::Cell<SolveScratch> =
-        std::cell::Cell::new(SolveScratch::new());
+    static TRANSIENT_SCRATCH: RefCell<SolveScratch> = RefCell::new(SolveScratch::new());
+}
+
+/// Runs `f` on the thread-local scratch, or on a fresh one if it is
+/// already in use further up this thread's stack.
+fn with_transient_scratch<R>(f: impl FnOnce(&mut SolveScratch) -> R) -> R {
+    TRANSIENT_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut scratch) => f(&mut scratch),
+        Err(_) => f(&mut SolveScratch::new()),
+    })
 }
 
 /// Runs `f` with a [`Solver`] borrowing the thread-local scratch.
 fn with_transient_solver<T, R>(graph: &OpGraph<T>, f: impl FnOnce(&mut Solver<'_, T>) -> R) -> R {
-    TRANSIENT_SCRATCH.with(|cell| {
-        let mut solver = Solver::with_scratch(graph, cell.take());
+    with_transient_scratch(|scratch| {
+        let mut solver = Solver::with_scratch(graph, std::mem::take(scratch));
         let result = f(&mut solver);
-        cell.set(solver.into_scratch());
+        *scratch = solver.into_scratch();
         result
     })
 }
@@ -1309,7 +1212,10 @@ mod tests {
         let durs = [ns(20), ns(4), ns(3)];
         let t2 = solver.solve_with_durations(&durs).unwrap();
         assert_eq!(t2.makespan(), ns(27));
-        assert_eq!(solver.solve_makespan_with_durations(&durs).unwrap(), ns(27));
+        assert_eq!(
+            solver.solve_stats_with_durations(&durs).unwrap().makespan,
+            ns(27)
+        );
         // Original durations still produce the original timeline.
         let t3 = solver.solve().unwrap();
         assert_eq!(t3.makespan(), ns(17));
@@ -1398,40 +1304,45 @@ mod tests {
         assert_eq!(solver.solve().unwrap().makespan(), ns(19));
     }
 
+    /// The graph-free workspace of `g`: its resources and `deps_of`
+    /// rows, discovered.
+    fn workspace_of<T>(g: &OpGraph<T>) -> ReplayWorkspace {
+        let op_resource = g.op_ids().map(|id| g.op(id).resource().0).collect();
+        let rows: Vec<Vec<u32>> = g
+            .op_ids()
+            .map(|id| g.deps_of(id).iter().map(|d| d.0).collect())
+            .collect();
+        let (dep_indptr, deps) = flatten(&rows);
+        ReplayWorkspace::discover(g.num_resources(), op_resource, dep_indptr, deps).unwrap()
+    }
+
     #[test]
-    fn solve_batch_matches_per_row_resolves() {
+    fn workspace_rows_match_per_row_resolves() {
+        // One immutable workspace re-times many rows through the
+        // per-thread buffers, each exactly as a fresh solve would.
         let g = diamond();
-        let n = g.num_ops();
-        let mut batch = DurationMatrix::new(n);
+        let ws = workspace_of(&g);
+        let mut stats = SolveStats {
+            makespan: SimDuration::ZERO,
+            busy: Vec::new(),
+            peak_memory: None,
+        };
         for row in 0..5u64 {
-            let r = batch.push_row();
-            for (i, d) in r.iter_mut().enumerate() {
-                *d = ns((row * 13 + i as u64 * 5) % 23);
-            }
-        }
-        let mut solver = Solver::new(&g);
-        let mut got: Vec<SolveStats> = Vec::new();
-        solver
-            .solve_batch(&batch, |row, stats| {
-                assert_eq!(row, got.len());
-                got.push(stats.clone());
-            })
-            .unwrap();
-        assert_eq!(got.len(), 5);
-        for (row, stats) in got.iter().enumerate() {
-            let want = Solver::new(&g)
-                .solve_stats_with_durations(batch.row(row))
-                .unwrap();
-            assert_eq!(stats, &want);
+            let durs: Vec<SimDuration> = (0..g.num_ops() as u64)
+                .map(|i| ns((row * 13 + i * 5) % 23))
+                .collect();
+            ws.replay_stats_into(&durs, &mut stats);
+            let want = Solver::new(&g).solve_stats_with_durations(&durs).unwrap();
+            assert_eq!(stats, want, "row {row}");
         }
     }
 
     #[test]
     fn scratch_replay_is_graph_free() {
         let g = diamond();
-        let mut solver = Solver::new(&g);
-        let base = solver.solve_stats().unwrap();
         let durs: Vec<SimDuration> = g.op_ids().map(|id| g.op(id).duration()).collect();
+        let mut solver = Solver::new(&g);
+        let base = solver.solve_stats_with_durations(&durs).unwrap();
         let mut scratch = solver.into_scratch();
         assert_eq!(scratch.num_ops(), g.num_ops());
         let mut stats = SolveStats {
@@ -1445,34 +1356,16 @@ mod tests {
     }
 
     #[test]
-    fn batch_over_deadlocked_topology_fails_once() {
-        let mut g: OpGraph<()> = OpGraph::new();
-        let r = g.add_resource("r");
-        let head = g.add_op(r, ns(1), &[], ());
-        let tail = g.add_op(r, ns(1), &[], ());
-        g.add_dep(head, tail);
-        let mut batch = DurationMatrix::new(2);
-        batch.push_row();
-        let mut calls = 0;
-        let err = Solver::new(&g).solve_batch(&batch, |_, _| calls += 1);
-        assert!(err.is_err());
-        assert_eq!(calls, 0);
-    }
-
-    #[test]
-    fn empty_graph_batch_rows_all_zero() {
-        let g: OpGraph<()> = OpGraph::new();
-        let mut batch = DurationMatrix::new(0);
-        batch.push_row();
-        batch.push_row();
-        let mut rows = 0;
-        Solver::new(&g)
-            .solve_batch(&batch, |_, stats| {
-                assert_eq!(stats.makespan, SimDuration::ZERO);
-                rows += 1;
-            })
-            .unwrap();
-        assert_eq!(rows, 2);
+    fn empty_workspace_replays_to_zero() {
+        let ws = ReplayWorkspace::discover(0, Vec::new(), vec![0], Vec::new()).unwrap();
+        let mut stats = SolveStats {
+            makespan: ns(1),
+            busy: vec![ns(1)],
+            peak_memory: None,
+        };
+        ws.replay_stats_into(&[], &mut stats);
+        assert_eq!(stats.makespan, SimDuration::ZERO);
+        assert!(stats.busy.is_empty());
     }
 
     #[test]
@@ -1546,10 +1439,10 @@ mod tests {
             let (g, op_resource, rows) = random_topology(seed, (seed % 4) as usize);
             let (dep_indptr, deps) = flatten(&rows);
             let scratch = Solver::new(&g).into_scratch();
-            assert_eq!(scratch.core.dep_indptr, dep_indptr, "seed {seed}");
-            assert_eq!(scratch.core.deps, deps, "seed {seed}");
-            assert_eq!(scratch.core.op_resource, op_resource);
-            assert_eq!(scratch.core.num_resources, g.num_resources());
+            assert_eq!(scratch.workspace.dep_indptr, dep_indptr, "seed {seed}");
+            assert_eq!(scratch.workspace.deps, deps, "seed {seed}");
+            assert_eq!(scratch.workspace.op_resource, op_resource);
+            assert_eq!(scratch.workspace.num_resources, g.num_resources());
             let base: Vec<SimDuration> = g.op_ids().map(|id| g.op(id).duration()).collect();
             assert_eq!(scratch.op_duration, base);
         }
@@ -1561,19 +1454,19 @@ mod tests {
         for seed in 0..300 {
             let (g, op_resource, rows) = random_topology(seed, (seed % 5) as usize);
             let (dep_indptr, deps) = flatten(&rows);
+            let durs: Vec<SimDuration> = g.op_ids().map(|id| g.op(id).duration()).collect();
             let mut solver = Solver::new(&g);
-            let full = solver.solve_stats();
+            let full = solver.solve_stats_with_durations(&durs);
             let flat = ReplayWorkspace::discover(g.num_resources(), op_resource, dep_indptr, deps);
             match (full, flat) {
-                (Ok(full), Ok(mut ws)) => {
+                (Ok(full), Ok(ws)) => {
                     let scratch = solver.into_scratch();
-                    assert_eq!(ws.core.trace, scratch.core.trace, "seed {seed}");
+                    assert_eq!(ws.trace, scratch.workspace.trace, "seed {seed}");
                     assert_eq!(ws.num_ops(), g.num_ops());
-                    assert_eq!(ws.core.num_resources, g.num_resources());
+                    assert_eq!(ws.num_resources, g.num_resources());
                     for (i, row) in rows.iter().enumerate() {
                         assert_eq!(ws.deps_of(i), row.as_slice(), "seed {seed}");
                     }
-                    let durs: Vec<SimDuration> = g.op_ids().map(|id| g.op(id).duration()).collect();
                     let mut stats = SolveStats {
                         makespan: SimDuration::ZERO,
                         busy: Vec::new(),
@@ -1614,7 +1507,7 @@ mod tests {
         g.add_dep(b0, a1);
         let mut solver = Solver::new(&g);
         let t = solver.solve().unwrap();
-        assert_eq!(solver.s.core.trace, vec![0, 2, 1, 3, 4]);
+        assert_eq!(solver.s.workspace.trace, vec![0, 2, 1, 3, 4]);
         assert_eq!(t.start_of(b0).as_nanos(), 6);
         assert_eq!(t.start_of(b1).as_nanos(), 9);
         assert_eq!(t.start_of(a2).as_nanos(), 10);

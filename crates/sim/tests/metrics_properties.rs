@@ -1,12 +1,11 @@
 //! Property tests for the telemetry registry (`sim::metrics`): merge
 //! associativity, bucket determinism (insertion order and sharding can
-//! never change a snapshot), and renderer well-formedness under
+//! never change a snapshot), and Prometheus well-formedness under
 //! arbitrary observation streams.
 
 use bfpp_sim::metrics::{
     bucket_index, bucket_upper, validate_prometheus, Histogram, MetricsRegistry, BUCKETS,
 };
-use bfpp_sim::observe::validate_json;
 use proptest::prelude::*;
 
 fn observations() -> impl Strategy<Value = Vec<u64>> {
@@ -84,12 +83,10 @@ proptest! {
         let (fs, bs) = (forward.snapshot(), backward.snapshot());
         prop_assert_eq!(&fs, &bs);
         prop_assert_eq!(fs.render_prometheus(), bs.render_prometheus());
-        prop_assert_eq!(fs.render_ndjson(), bs.render_ndjson());
     }
 
-    /// Both renderers stay well-formed for arbitrary contents: the
-    /// Prometheus text passes the exposition checker, and every NDJSON
-    /// line passes the JSON checker.
+    /// The Prometheus rendering stays well-formed for arbitrary
+    /// contents: the text passes the exposition checker.
     #[test]
     fn renderers_stay_well_formed(values in observations()) {
         let m = MetricsRegistry::new();
@@ -101,9 +98,6 @@ proptest! {
         let snap = m.snapshot();
         let prom = snap.render_prometheus();
         prop_assert!(validate_prometheus(&prom).is_ok(), "{}", prom);
-        for line in snap.render_ndjson().lines() {
-            prop_assert!(validate_json(line).is_ok(), "{}", line);
-        }
         // The histogram invariants survive rendering inputs of any
         // shape: cumulative +Inf bucket equals the count.
         let h = snap.histogram("lat_ns").unwrap();
