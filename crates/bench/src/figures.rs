@@ -1,9 +1,13 @@
 //! Drivers that regenerate each figure's data.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
 use bfpp_analytic::efficiency::{EffMethod, EfficiencyModel};
 use bfpp_analytic::tradeoff::{OperatingPoint, TradeoffModel};
 use bfpp_cluster::ClusterSpec;
 use bfpp_core::{Schedule, ScheduleKind};
+use bfpp_exec::executor::ScopedTask;
 use bfpp_exec::search::{Method, SearchOptions, SearchReport, SearchResult};
 use bfpp_exec::{lower, KernelModel, LoweredGraph, OverlapConfig, TraceBuilder};
 use bfpp_model::TransformerConfig;
@@ -193,6 +197,17 @@ pub fn figure5_sweep(
 /// the sweep's requests share the planner's caches with every other
 /// client, and a repeat sweep under a new perturbation warm-starts from
 /// this one's records.
+///
+/// The `(method, batch)` cells are independent, so they run side by
+/// side on `opts.effective_threads()` lanes (at most one per cell) on
+/// the planner's worker pool. Each lane pulls the next cell from a
+/// shared cursor, since cell costs span ~100×, and plans it serially
+/// (`threads: 1`): a cell's own evaluate stage would otherwise stop at
+/// a barrier every 32 candidates, often with too few survivors to
+/// share. Rows come back in cell order and equal a serial loop's: a
+/// search's answer and counters do not depend on its thread count or on
+/// what the class cache holds, and the warm-record key leaves out the
+/// thread count. One lane plans the cells in order.
 pub fn figure5_sweep_with(
     planner: &Planner,
     model: &TransformerConfig,
@@ -201,29 +216,54 @@ pub fn figure5_sweep_with(
     opts: &SearchOptions,
 ) -> Vec<SweepRow> {
     let kernel = KernelModel::v100();
-    let mut rows = Vec::new();
-    for method in Method::ALL {
-        for &batch in batches {
-            let req = PlanRequest {
-                opts: opts.clone(),
-                ..PlanRequest::new(
-                    model.clone(),
-                    cluster.clone(),
-                    method,
-                    batch,
-                    kernel.clone(),
-                )
-            };
-            let (result, report) = planner.plan(&req);
-            rows.push(SweepRow {
+    let cells: Vec<(Method, u64)> = Method::ALL
+        .into_iter()
+        .flat_map(|method| batches.iter().map(move |&batch| (method, batch)))
+        .collect();
+    let serial = SearchOptions {
+        threads: 1,
+        ..opts.clone()
+    };
+    let plan_cell = |(method, batch): (Method, u64)| {
+        let req = PlanRequest {
+            opts: serial.clone(),
+            ..PlanRequest::new(
+                model.clone(),
+                cluster.clone(),
                 method,
                 batch,
-                result,
-                report,
-            });
+                kernel.clone(),
+            )
+        };
+        let (result, report) = planner.plan(&req);
+        SweepRow {
+            method,
+            batch,
+            result,
+            report,
         }
-    }
-    rows
+    };
+    let lanes = opts.effective_threads().min(cells.len());
+    // The cursor only hands out cell indices; each row reaches this
+    // thread through its cell's slot, read after `scope_run` returns.
+    let cursor = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<SweepRow>> = cells.iter().map(|_| OnceLock::new()).collect();
+    let lane = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(&cell) = cells.get(i) else { break };
+        slots[i]
+            .set(plan_cell(cell))
+            .expect("the cursor hands each cell to one lane");
+    };
+    planner.env().executor.scope_run(
+        (0..lanes)
+            .map(|_| Box::new(lane) as ScopedTask<'_>)
+            .collect(),
+    );
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every cell is planned"))
+        .collect()
 }
 
 /// Renders sweep rows in the Figure 5 shape (utilization vs batch),
@@ -701,6 +741,99 @@ mod tests {
             )
         };
         assert_eq!(traces_with(1), traces_with(3));
+    }
+
+    /// Search limits small enough for a test sweep.
+    fn lane_opts(threads: usize) -> SearchOptions {
+        SearchOptions {
+            max_microbatch: 4,
+            max_loop: 8,
+            max_actions: 30_000,
+            threads,
+            ..SearchOptions::default()
+        }
+    }
+
+    /// A row without the report fields that are wall-clock (`wall_time`,
+    /// `phases`) or describe concurrent use of the shared class cache
+    /// (`warm_hits`).
+    fn outcome(row: &SweepRow) -> (Method, u64, Option<SearchResult>, SearchReport) {
+        let report = SearchReport {
+            wall_time: std::time::Duration::ZERO,
+            phases: bfpp_exec::PhaseSpans::default(),
+            warm_hits: 0,
+            ..row.report.clone()
+        };
+        (row.method, row.batch, row.result.clone(), report)
+    }
+
+    #[test]
+    fn sweep_lanes_match_a_serial_plan_loop() {
+        // Eight cells of uneven cost: three lanes divide them unevenly.
+        let model = presets::bert_6_6b();
+        let cluster = bfpp_cluster::presets::dgx1_v100(8);
+        let batches = [16, 256];
+        let planner = Planner::new();
+        let mut serial = Vec::new();
+        for method in Method::ALL {
+            for batch in batches {
+                let req = PlanRequest {
+                    opts: lane_opts(1),
+                    ..PlanRequest::new(
+                        model.clone(),
+                        cluster.clone(),
+                        method,
+                        batch,
+                        KernelModel::v100(),
+                    )
+                };
+                let (result, report) = planner.plan(&req);
+                serial.push(outcome(&SweepRow {
+                    method,
+                    batch,
+                    result,
+                    report,
+                }));
+            }
+        }
+        assert!(serial.iter().any(|(.., result, _)| result.is_some()));
+        for threads in [1, 3, 4] {
+            let rows = figure5_sweep_with(
+                &Planner::new(),
+                &model,
+                &cluster,
+                &batches,
+                &lane_opts(threads),
+            );
+            let lanes: Vec<_> = rows.iter().map(outcome).collect();
+            assert_eq!(lanes, serial, "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn a_repeat_sweep_warm_starts_every_cell() {
+        let model = presets::bert_6_6b();
+        let cluster = bfpp_cluster::presets::dgx1_v100(8);
+        let batches = [16, 256];
+        let planner = Planner::new();
+        let opts = lane_opts(3);
+        let cold = figure5_sweep_with(&planner, &model, &cluster, &batches, &opts);
+        let warm = figure5_sweep_with(&planner, &model, &cluster, &batches, &opts);
+        assert_eq!(warm.len(), cold.len());
+        for (cold, warm) in cold.iter().map(outcome).zip(warm.iter().map(outcome)) {
+            assert!(!cold.3.warm_start, "{:?} b{}", cold.0, cold.1);
+            assert!(warm.3.warm_start, "{:?} b{}", warm.0, warm.1);
+            let warm = (
+                warm.0,
+                warm.1,
+                warm.2,
+                SearchReport {
+                    warm_start: false,
+                    ..warm.3
+                },
+            );
+            assert_eq!(warm, cold, "a warm start answers like its cold search");
+        }
     }
 
     #[test]

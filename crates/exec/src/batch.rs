@@ -24,9 +24,9 @@
 //! untouched: send emission is gated class-wide (ops exist unless every
 //! stage-pair transfer rounds to zero — `Durations::emits_sends`), so
 //! a mixed-fleet member and a homogeneous member with the same key still
-//! share one topology. The template carries the per-op pair index so a
-//! member's row can be filled from per-device duration vectors just as
-//! cheaply as from the scalar table.
+//! share one topology. A send's kind says which of its device's two
+//! stage pairs it crosses, so a member's row can be filled from
+//! per-device duration vectors just as cheaply as from the scalar table.
 //!
 //! So the search builds **one replay workspace per class**, straight
 //! from the key and its schedule: [`ClassBase::build`] walks the
@@ -39,10 +39,12 @@
 //! records the replay trace with one discovery pass. No graph, resource
 //! name, tag, memory annotation, duration or reverse index is built for
 //! a class. Every member is then evaluated from its own duration row: a
-//! structure-of-arrays `BatchTemplate` maps each op index to its
-//! duration *kind* (fwd/bwd/p2p/gather/reduce) and its perturbation
-//! slot, so filling a member's row is two table lookups per op, and
-//! re-timing it is the solver's allocation-free trace replay. Both
+//! per-op array maps each op index to its duration *kind*
+//! (fwd/bwd/forward send/backward send/gather/reduce), and with the
+//! workspace's per-op resource that names the op's perturbation slot,
+//! device and send pair, so filling a member's row is two table lookups
+//! per op, and re-timing it is the solver's allocation-free trace
+//! replay. Both
 //! halves are bit-identical to lowering and solving the member
 //! (`fill_row` reproduces [`crate::LoweredGraph::perturbed_durations`]
 //! exactly — same per-op salt, same class/device factors — and trace
@@ -50,7 +52,7 @@
 //! batched search return exactly the same winners and counters.
 //!
 //! A `ClassBase` is *graph-free* by construction: it keeps only the
-//! replay workspace, the template, and the few per-class scalars the
+//! replay workspace, the kind array, and the few per-class scalars the
 //! measurement layer needs. That makes it independent of model, cluster
 //! and kernel — a base built for a key is valid for **any** request that
 //! produces that key, so the process-wide [`ClassCache`] can share bases
@@ -125,31 +127,35 @@ impl ClassKey {
     }
 }
 
-/// Per-op duration recipe of a topology class, structure-of-arrays: for
-/// op `i`, `kinds[i]` indexes a 5-entry per-candidate duration table
-/// (fwd, bwd, p2p, dp-gather, dp-reduce) and `slots[i]` is the
-/// perturbation slot `2 * resource + is_compute`, so a row fill is two
-/// indexed loads per op with no branching on `Op` structs. For members
-/// with per-device durations the same arrays still apply — the device
-/// comes from `slots[i] >> 1` via `resource_device`, and `p2p_pair[i]`
-/// names the stage-pair link a send op crosses (the pair the walk in
-/// `crate::lower` charges).
-#[derive(Debug)]
-struct BatchTemplate {
-    kinds: Vec<u8>,
-    slots: Vec<u32>,
-    p2p_pair: Vec<u32>,
-}
-
+// Per-op duration kinds of a topology class: each indexes a 6-entry
+// per-candidate duration table. Fwd and bwd are the compute kinds. A
+// forward send crosses the stage pair its device leads, `(dev, dev + 1)`;
+// a backward send the pair below, `(dev - 1, dev)` (both mod N_PP, the
+// pairs `emit_ops` charges).
 const KIND_FWD: u8 = 0;
 const KIND_BWD: u8 = 1;
-const KIND_P2P: u8 = 2;
-const KIND_GATHER: u8 = 3;
-const KIND_REDUCE: u8 = 4;
+const KIND_SEND_UP: u8 = 2;
+const KIND_SEND_DOWN: u8 = 3;
+const KIND_GATHER: u8 = 4;
+const KIND_REDUCE: u8 = 5;
+const KINDS: [u8; 6] = [
+    KIND_FWD,
+    KIND_BWD,
+    KIND_SEND_UP,
+    KIND_SEND_DOWN,
+    KIND_GATHER,
+    KIND_REDUCE,
+];
+
+/// The perturbation slot of an op of `kind` on `resource`:
+/// `2 * resource + is_compute`, the numbering of [`RowScratch`].
+fn slot(kind: u8, resource: u32) -> usize {
+    2 * resource as usize + (kind <= KIND_BWD) as usize
+}
 
 /// The [`OpSink`] of a class build: plain stream and op indices, the
-/// forward dependency rows [`ReplayWorkspace::discover`] takes, and the
-/// template — no graph, names, tags, durations or memory effects. Each
+/// forward dependency rows [`ReplayWorkspace::discover`] takes, and each
+/// op's kind — no graph, names, tags, durations or memory effects. Each
 /// op's row is its emission deps followed by one slot per late dep,
 /// which [`OpSink::dep`] fills; a slot left unfilled keeps `UNFILLED`,
 /// which discovery rejects as out of range.
@@ -159,8 +165,6 @@ struct ClassSink {
     dep_indptr: Vec<u32>,
     deps: Vec<u32>,
     kinds: Vec<u8>,
-    slots: Vec<u32>,
-    p2p_pair: Vec<u32>,
 }
 
 /// A reserved late-dep slot that [`OpSink::dep`] has not filled yet.
@@ -178,7 +182,7 @@ impl OpSink for ClassSink {
     fn op(
         &mut self,
         stream: u32,
-        _dev: u32,
+        dev: u32,
         _tag: OpTag,
         charge: Charge,
         deps: &[u32],
@@ -190,17 +194,14 @@ impl OpSink for ClassSink {
         self.deps
             .resize(self.deps.len() + late_deps as usize, UNFILLED);
         self.dep_indptr.push(self.deps.len() as u32);
-        let (kind, pair) = match charge {
-            Charge::Fwd => (KIND_FWD, 0),
-            Charge::Bwd => (KIND_BWD, 0),
-            Charge::P2p { pair } => (KIND_P2P, pair),
-            Charge::Gather => (KIND_GATHER, 0),
-            Charge::Reduce { .. } => (KIND_REDUCE, 0),
-        };
-        self.kinds.push(kind);
-        self.slots
-            .push(2 * stream + (charge.class() == OpClass::Compute) as u32);
-        self.p2p_pair.push(pair);
+        self.kinds.push(match charge {
+            Charge::Fwd => KIND_FWD,
+            Charge::Bwd => KIND_BWD,
+            Charge::P2p { pair } if pair == dev => KIND_SEND_UP,
+            Charge::P2p { .. } => KIND_SEND_DOWN,
+            Charge::Gather => KIND_GATHER,
+            Charge::Reduce { .. } => KIND_REDUCE,
+        });
         op
     }
 
@@ -224,8 +225,8 @@ pub struct RowScratch {
 }
 
 /// One topology class's shared evaluation state: the replay workspace
-/// (dependency index + replay trace of the class topology), the SoA
-/// duration template, and the per-class scalars measurement needs.
+/// (dependency index + replay trace of the class topology), each op's
+/// duration kind, and the per-class scalars measurement needs.
 /// Built straight from the key and its schedule — no graph ever exists —
 /// which is what makes a base model/cluster/kernel-independent and
 /// shareable process-wide. Nothing in it changes after the build, so
@@ -236,11 +237,16 @@ pub struct ClassBase {
     kind: ScheduleKind,
     peak_checkpoints: u32,
     /// Whether the class's DP reduce is an all-reduce (`DP_0`) rather
-    /// than a reduce-scatter (`DP_PS`/`DP_FS`) — decides table entry 4.
+    /// than a reduce-scatter (`DP_PS`/`DP_FS`) — decides the charge of
+    /// kind `KIND_REDUCE`.
     reduce_is_all_reduce: bool,
     compute_resources: Vec<ResourceId>,
     resource_device: Vec<u32>,
-    template: BatchTemplate,
+    /// Each op's duration kind (`KIND_*`). The op's resource comes from
+    /// the workspace ([`ReplayWorkspace::op_resources`]), and with it
+    /// the op's perturbation slot ([`slot`]) and device; a send's pair
+    /// follows from its kind and device ([`ClassBase::charge`]).
+    kinds: Vec<u8>,
     workspace: ReplayWorkspace,
 }
 
@@ -268,8 +274,6 @@ impl ClassBase {
             dep_indptr: vec![0],
             deps: Vec::new(),
             kinds: Vec::new(),
-            slots: Vec::new(),
-            p2p_pair: Vec::new(),
         };
         let compute = emit_ops(schedule, key.shape, &mut sink);
         let ClassSink {
@@ -278,8 +282,6 @@ impl ClassBase {
             mut dep_indptr,
             mut deps,
             mut kinds,
-            mut slots,
-            mut p2p_pair,
         } = sink;
         let n_ops = op_resource.len();
         // The rows become the workspace's index as they are, so drop the
@@ -289,8 +291,6 @@ impl ClassBase {
             &mut op_resource,
             &mut dep_indptr,
             &mut deps,
-            &mut slots,
-            &mut p2p_pair,
         ] {
             v.shrink_to_fit();
         }
@@ -307,11 +307,7 @@ impl ClassBase {
                 .map(|r| ResourceId::from_index(r as usize))
                 .collect(),
             resource_device,
-            template: BatchTemplate {
-                kinds,
-                slots,
-                p2p_pair,
-            },
+            kinds,
             workspace,
         })
     }
@@ -322,12 +318,18 @@ impl ClassBase {
         self.n_ops
     }
 
-    /// The charge rule of template kind `kind` (pair `pair` for sends).
-    fn charge(&self, kind: u8, pair: u32) -> Charge {
+    /// The charge rule of an op of kind `kind` on device `dev`: a
+    /// forward send crosses pair `dev`, a backward send the pair below,
+    /// `dev - 1 mod N_PP` (one compute resource per device).
+    fn charge(&self, kind: u8, dev: u32) -> Charge {
+        let n_pp = self.compute_resources.len() as u32;
         match kind {
             KIND_FWD => Charge::Fwd,
             KIND_BWD => Charge::Bwd,
-            KIND_P2P => Charge::P2p { pair },
+            KIND_SEND_UP => Charge::P2p { pair: dev },
+            KIND_SEND_DOWN => Charge::P2p {
+                pair: (dev + n_pp - 1) % n_pp,
+            },
             KIND_GATHER => Charge::Gather,
             _ => Charge::Reduce {
                 all_reduce: self.reduce_is_all_reduce,
@@ -357,25 +359,27 @@ impl ClassBase {
         out: &mut [SimDuration],
     ) {
         assert_eq!(out.len(), self.n_ops, "row sized for this topology");
-        let kinds = &self.template.kinds;
-        let slots = &self.template.slots;
-        let pairs = &self.template.p2p_pair;
-        // Homogeneous members charge every op from a 5-entry table (no
+        // Each op's kind and resource, in op order.
+        let ops = self
+            .kinds
+            .iter()
+            .copied()
+            .zip(self.workspace.op_resources().iter().copied());
+        // Homogeneous members charge every op from a 6-entry table (no
         // device or pair enters a scalar duration). A member with
         // per-device durations reads its base time through the same
-        // rule lowering uses: the op's device (from its perturbation
-        // slot) for kernels and collectives, its stage-pair index for
-        // sends. The table lookup stays inline in the row loops; only
-        // the per-device rule is a call.
-        let table = [KIND_FWD, KIND_BWD, KIND_P2P, KIND_GATHER, KIND_REDUCE]
-            .map(|kind| self.charge(kind, 0).base(d, 0));
+        // rule lowering uses, on the op's device.
+        let table = KINDS.map(|kind| self.charge(kind, 0).base(d, 0));
         let hetero = d.per_device.is_some();
-        let per_device_base = |i: usize| -> SimDuration {
-            let dev = self.resource_device[(slots[i] >> 1) as usize];
-            self.charge(kinds[i], pairs[i]).base(d, dev)
+        let base = |kind: u8, resource: u32| -> SimDuration {
+            if hetero {
+                let dev = self.resource_device[resource as usize];
+                self.charge(kind, dev).base(d, dev)
+            } else {
+                table[kind as usize]
+            }
         };
-        // Both scratch vectors follow the template's slot numbering,
-        // `2 * resource + is_compute`.
+        // Both scratch vectors follow the slot numbering of [`slot`].
         let Some(draws) = perturbation.draws() else {
             let factors = &mut scratch.factors;
             factors.clear();
@@ -383,13 +387,9 @@ impl ClassBase {
                 factors.push(perturbation.class_factor(OpClass::Communication, dev));
                 factors.push(perturbation.class_factor(OpClass::Compute, dev));
             }
-            for (i, slot) in out.iter_mut().enumerate() {
-                let base = if hetero {
-                    per_device_base(i)
-                } else {
-                    table[kinds[i] as usize]
-                };
-                *slot = Perturbation::apply_factor(base, factors[slots[i] as usize]);
+            for (out, (kind, resource)) in out.iter_mut().zip(ops) {
+                *out =
+                    Perturbation::apply_factor(base(kind, resource), factors[slot(kind, resource)]);
             }
             return;
         };
@@ -399,13 +399,9 @@ impl ClassBase {
             slot_draws.push(draws.slot(OpClass::Communication, dev));
             slot_draws.push(draws.slot(OpClass::Compute, dev));
         }
-        for (i, slot) in out.iter_mut().enumerate() {
-            let base = if hetero {
-                per_device_base(i)
-            } else {
-                table[kinds[i] as usize]
-            };
-            *slot = draws.perturb(base, slot_draws[slots[i] as usize], i as u64);
+        for (i, (out, (kind, resource))) in out.iter_mut().zip(ops).enumerate() {
+            let draw = slot_draws[slot(kind, resource)];
+            *out = draws.perturb(base(kind, resource), draw, i as u64);
         }
     }
 
@@ -482,9 +478,9 @@ impl Default for ClassCache {
         // the jittered 1T/32×A100 request 3.37M (132), and a warm
         // what-if round over the Fig. 5a panel and its fleet 3.43M
         // (754), of which a 2M-op cache rebuilt ~500 classes per round.
-        // A base holds ~25 bytes per op (resource, row pointer, about
-        // one dependency and trace entry: 16; duration template: 9),
-        // so the cache tops out near 200 MB.
+        // A base holds ~17 bytes per op (resource, row pointer, about
+        // one dependency and trace entry: 16; duration kind: 1), so the
+        // cache tops out near 136 MB.
         ClassCache::with_max_ops(8_000_000)
     }
 }
@@ -658,10 +654,11 @@ mod tests {
 
     #[test]
     fn direct_build_matches_the_lowered_graph() {
-        // The class template matches what the lowered graph's own ops
-        // say: same op count, kinds, perturbation slots, send pairs and
-        // device map; and each op's dependency row, late slots filled,
-        // is the graph's, in `add_dep` order.
+        // The class matches what the lowered graph's own ops say: same
+        // op count, kinds and device map; the perturbation slots and
+        // send pairs derived from each op's kind and resource are the
+        // graph's; and each op's dependency row, late slots filled, is
+        // the graph's, in `add_dep` order.
         let a = candidate(4, 2, 1, 12);
         let (_, _, key, lowered) = class_parts(&a);
         let base = build(&key);
@@ -677,25 +674,35 @@ mod tests {
             let dev = lowered.resource_device[op.resource().index()];
             let (kind, pair) = match op.tag() {
                 OpTag::Compute(act) => match act.dir {
-                    Direction::Forward => (KIND_FWD, 0),
-                    Direction::Backward => (KIND_BWD, 0),
+                    Direction::Forward => (KIND_FWD, None),
+                    Direction::Backward => (KIND_BWD, None),
                 },
                 OpTag::PpSend { dir, .. } => match dir {
-                    Direction::Forward => (KIND_P2P, dev),
-                    Direction::Backward => (KIND_P2P, (dev + n_pp - 1) % n_pp),
+                    Direction::Forward => (KIND_SEND_UP, Some(dev)),
+                    Direction::Backward => (KIND_SEND_DOWN, Some((dev + n_pp - 1) % n_pp)),
                 },
-                OpTag::DpGather { .. } => (KIND_GATHER, 0),
-                OpTag::DpReduce { .. } => (KIND_REDUCE, 0),
+                OpTag::DpGather { .. } => (KIND_GATHER, None),
+                OpTag::DpReduce { .. } => (KIND_REDUCE, None),
             };
-            let is_compute = matches!(op.tag(), OpTag::Compute(_)) as u32;
-            assert_eq!(base.template.kinds[i], kind, "op {i}");
-            assert_eq!(base.template.p2p_pair[i], pair, "op {i}");
+            let is_compute = matches!(op.tag(), OpTag::Compute(_)) as usize;
+            let resource = base.workspace().op_resources()[i];
+            let derived_dev = base.resource_device[resource as usize];
+            let derived_pair = match base.charge(base.kinds[i], derived_dev) {
+                Charge::P2p { pair } => Some(pair),
+                _ => None,
+            };
+            assert_eq!(base.kinds[i], kind, "op {i}");
+            assert_eq!(derived_pair, pair, "op {i}");
             assert_eq!(
-                base.template.slots[i],
-                2 * op.resource().index() as u32 + is_compute,
+                slot(base.kinds[i], resource),
+                2 * op.resource().index() + is_compute,
                 "op {i}"
             );
         }
+        assert!(
+            base.kinds.contains(&KIND_SEND_UP) && base.kinds.contains(&KIND_SEND_DOWN),
+            "the class must emit both send kinds"
+        );
         let replay = base.workspace();
         assert_eq!(replay.num_ops(), g.num_ops());
         for id in g.op_ids() {

@@ -323,15 +323,6 @@ impl Charge {
             Charge::Reduce { all_reduce: false } => d.dp_reduce_rs_on(dev),
         }
     }
-
-    /// The perturbation class: kernels are compute, the rest is
-    /// communication.
-    pub(crate) fn class(self) -> OpClass {
-        match self {
-            Charge::Fwd | Charge::Bwd => OpClass::Compute,
-            _ => OpClass::Communication,
-        }
-    }
 }
 
 /// Every input that decides a lowering's *structure* besides its

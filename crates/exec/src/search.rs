@@ -999,8 +999,9 @@ impl<'a> Request<'a> {
 
     /// Reduce stage: serial and in survivor order; strictly-greater
     /// replaces, so the first of equally fast candidates wins — the
-    /// exhaustive serial semantics. Improvements stream to `on_improve`
-    /// from here, i.e. in deterministic candidate order.
+    /// exhaustive serial semantics. A measurement takes part only if it
+    /// [`competes`]. Improvements stream to `on_improve` from here, i.e.
+    /// in deterministic candidate order.
     fn reduce(
         &self,
         survivors: &[Candidate],
@@ -1010,7 +1011,7 @@ impl<'a> Request<'a> {
     ) {
         let capacity = self.cluster.min_memory_bytes();
         for (cand, m) in survivors.iter().zip(slots) {
-            let Some(m) = m.filter(|m| m.fits(capacity)) else {
+            let Some(m) = m.filter(|m| competes(m, capacity)) else {
                 continue;
             };
             let better = best
@@ -1082,6 +1083,14 @@ impl<'a> Request<'a> {
     }
 }
 
+/// Whether a measurement competes in a reduction: it fits a device of
+/// `capacity` bytes and its throughput is finite. Under strict `>` a NaN
+/// incumbent is never replaced, so it is skipped like one that does not
+/// fit.
+fn competes(m: &Measurement, capacity: u64) -> bool {
+    m.fits(capacity) && m.tflops_per_gpu.is_finite()
+}
+
 /// Record stage: a completed cold search through a warm-capable env
 /// publishes its classified outcomes as they are. Outcomes are
 /// perturbation-independent, so even a perturbed cold run records them;
@@ -1147,7 +1156,7 @@ pub fn best_config_exhaustive(
         ) else {
             continue;
         };
-        if !m.fits(cluster.min_memory_bytes()) {
+        if !competes(&m, cluster.min_memory_bytes()) {
             continue;
         }
         let better = best
@@ -1373,6 +1382,52 @@ mod tests {
                     assert_eq!(pruned, expected, "warm chunk {chunk:?} at {incumbent:?}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn reduce_skips_non_finite_measurements() {
+        // A non-finite first slot must not become the incumbent: no
+        // later `>` would beat a NaN.
+        let model = models::bert_52b();
+        let cluster = presets::dgx1_v100(8);
+        let k = KernelModel::v100();
+        let env = SearchEnv::private();
+        let opts = quick_opts();
+        let method = Method::BreadthFirst;
+        let req = Request {
+            model: &model,
+            cluster: &cluster,
+            method,
+            kernel: &k,
+            opts: &opts,
+            env: &env,
+            overlap: method.overlap(),
+            threads: 1,
+        };
+        let cands: Vec<Candidate> = enumerate(&model, &cluster, method, 48, &opts)
+            .take(2)
+            .collect();
+        let finite = Measurement {
+            batch_seconds: 1.0,
+            tflops_per_gpu: 40.0,
+            utilization: 0.32,
+            compute_busy: 0.5,
+            memory_bytes: 0.0,
+            global_batch: 48,
+            batch_per_gpu: 0.75,
+        };
+        for bad in [f64::NAN, f64::INFINITY] {
+            let skipped = Measurement {
+                tflops_per_gpu: bad,
+                ..finite.clone()
+            };
+            let mut best = None;
+            let slots = vec![Some(skipped), Some(finite.clone())];
+            req.reduce(&cands, slots, &mut best, &mut None);
+            let (cand, result) = best.expect("the finite slot competes");
+            assert_eq!(cand, cands[1], "{bad}");
+            assert_eq!(result.measurement, finite, "{bad}");
         }
     }
 

@@ -382,6 +382,11 @@ impl ReplayWorkspace {
         self.op_resource.len()
     }
 
+    /// Each op's resource index, in op order.
+    pub fn op_resources(&self) -> &[u32] {
+        &self.op_resource
+    }
+
     /// The ops op `op` waits for, in the order they were given.
     ///
     /// # Panics
