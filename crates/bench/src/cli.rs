@@ -41,20 +41,30 @@ impl BenchArgs {
         }
     }
 
-    /// The `--threads N` value; `0` (available parallelism) when absent
-    /// or malformed.
+    /// The `--threads N` search worker count; `0` (available
+    /// parallelism) when absent or malformed.
     pub fn threads(&self) -> usize {
-        crate::threads_arg(&self.args)
+        self.value("--threads")
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(0)
     }
 
-    /// The `--trace <path>` value, if present.
+    /// The `--trace <path>` value: the file a Chrome-trace JSON dump of
+    /// the run's timelines should be written to (open it in
+    /// `ui.perfetto.dev` or `chrome://tracing`). `None` when the flag is
+    /// absent or has no value.
     pub fn trace(&self) -> Option<String> {
-        crate::trace_arg(&self.args)
+        self.value("--trace").map(str::to_string)
     }
 
-    /// The `--mem-trace <path>` value, if present.
+    /// The `--mem-trace <path>` value: like [`BenchArgs::trace`], but
+    /// selects the memory-and-bandwidth trace variant — the same time
+    /// tracks plus stacked per-device `"memory (bytes)"` counter tracks
+    /// and per-link `"pp MB/s"` / `"dp MB/s"` bandwidth counters (see
+    /// `bfpp_exec::memprof`). `None` when the flag is absent or has no
+    /// value.
     pub fn mem_trace(&self) -> Option<String> {
-        crate::mem_trace_arg(&self.args)
+        self.value("--mem-trace").map(str::to_string)
     }
 
     /// Whether a boolean switch (e.g. `--ethernet`) is present.
@@ -62,13 +72,15 @@ impl BenchArgs {
         self.args.iter().any(|a| a == name)
     }
 
+    /// The argument following the first `name`, if any.
+    fn value(&self, name: &str) -> Option<&str> {
+        let i = self.args.iter().position(|a| a == name)?;
+        self.args.get(i + 1).map(String::as_str)
+    }
+
     /// The parsed `u64` value following `name`, if present and valid.
     fn valued_u64(&self, name: &str) -> Option<u64> {
-        self.args
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.args.get(i + 1))
-            .and_then(|v| v.parse().ok())
+        self.value(name).and_then(|v| v.parse().ok())
     }
 
     /// The `--deadline-ms N` search budget: stop at the bound with the
@@ -133,6 +145,50 @@ mod tests {
         assert_eq!(b.positional_or("52b"), "52b");
         assert!(b.flag("--ethernet"));
         assert!(!b.flag("--quick"));
+    }
+
+    #[test]
+    fn threads_parses_the_flag() {
+        assert_eq!(BenchArgs::new(["--threads", "4"]).threads(), 4);
+        assert_eq!(
+            BenchArgs::new(["52b", "--threads", "2", "--x"]).threads(),
+            2
+        );
+        assert_eq!(BenchArgs::new(["52b"]).threads(), 0);
+        assert_eq!(BenchArgs::new(["--threads"]).threads(), 0);
+        assert_eq!(BenchArgs::new(["--threads", "lots"]).threads(), 0);
+        assert_eq!(BenchArgs::new(Vec::<String>::new()).threads(), 0);
+    }
+
+    #[test]
+    fn trace_parses_the_flag() {
+        assert_eq!(
+            BenchArgs::new(["--trace", "out.json"]).trace(),
+            Some("out.json".to_string())
+        );
+        assert_eq!(
+            BenchArgs::new(["52b", "--threads", "2", "--trace", "t.json"]).trace(),
+            Some("t.json".to_string())
+        );
+        assert_eq!(BenchArgs::new(["52b"]).trace(), None);
+        assert_eq!(BenchArgs::new(["--trace"]).trace(), None);
+        assert_eq!(BenchArgs::new(Vec::<String>::new()).trace(), None);
+    }
+
+    #[test]
+    fn mem_trace_parses_the_flag() {
+        assert_eq!(
+            BenchArgs::new(["--mem-trace", "mem.json"]).mem_trace(),
+            Some("mem.json".to_string())
+        );
+        assert_eq!(
+            BenchArgs::new(["52b", "--trace", "t.json", "--mem-trace", "m.json"]).mem_trace(),
+            Some("m.json".to_string())
+        );
+        // `--trace` and `--mem-trace` are independent flags.
+        assert_eq!(BenchArgs::new(["--trace", "t.json"]).mem_trace(), None);
+        assert_eq!(BenchArgs::new(["--mem-trace"]).mem_trace(), None);
+        assert_eq!(BenchArgs::new(Vec::<String>::new()).mem_trace(), None);
     }
 
     #[test]

@@ -269,20 +269,17 @@ pub fn figure5_sweep_with(
 /// Renders sweep rows in the Figure 5 shape (utilization vs batch),
 /// with the search's observability counters as trailing columns.
 pub fn figure5_table(rows: &[SweepRow], num_gpus: u32) -> Table {
-    let mut t = Table::new([
-        "method",
-        "batch",
-        "beta",
-        "tflops_per_gpu",
-        "utilization_pct",
-        "enumerated",
-        "pruned_memory",
-        "pruned_throughput",
-        "simulated",
-        "search_ms",
-        "robust_tflops",
-        "retention_pct",
-    ]);
+    let mut t = Table::new(
+        [
+            "method",
+            "batch",
+            "beta",
+            "tflops_per_gpu",
+            "utilization_pct",
+        ]
+        .into_iter()
+        .chain(SearchReport::csv_header().split(',')),
+    );
     for r in rows {
         let head = [
             r.method.label().to_string(),

@@ -1,5 +1,6 @@
 //! Drivers for the paper's tables (5.1 and E.1–E.3).
 
+use bfpp_exec::search::SearchReport;
 use bfpp_model::{presets, TransformerConfig};
 
 use crate::figures::SweepRow;
@@ -38,26 +39,23 @@ fn push_model(t: &mut Table, m: &TransformerConfig) {
 /// batch), with the same columns the paper reports, plus the search's
 /// observability counters as trailing columns.
 pub fn table_e(rows: &[SweepRow]) -> Table {
-    let mut t = Table::new([
-        "method",
-        "batch",
-        "schedule",
-        "pipeline_parallel",
-        "tensor_parallel",
-        "microbatch_size",
-        "sequential_microbatches",
-        "stages_per_device",
-        "sharded",
-        "tflops_per_gpu",
-        "memory_gib",
-        "enumerated",
-        "pruned_memory",
-        "pruned_throughput",
-        "simulated",
-        "search_ms",
-        "robust_tflops",
-        "retention_pct",
-    ]);
+    let mut t = Table::new(
+        [
+            "method",
+            "batch",
+            "schedule",
+            "pipeline_parallel",
+            "tensor_parallel",
+            "microbatch_size",
+            "sequential_microbatches",
+            "stages_per_device",
+            "sharded",
+            "tflops_per_gpu",
+            "memory_gib",
+        ]
+        .into_iter()
+        .chain(SearchReport::csv_header().split(',')),
+    );
     for r in rows {
         let Some(res) = &r.result else {
             continue;

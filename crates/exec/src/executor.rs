@@ -1,13 +1,24 @@
-//! A long-lived, work-stealing worker pool for candidate evaluation.
+//! A long-lived worker pool for candidate evaluation: one FIFO job
+//! queue behind one lock.
 //!
 //! The search engine used to spawn a fresh set of scoped threads for
 //! every evaluated chunk (`crossbeam::thread::scope`); a planning
 //! *service* evaluating many concurrent requests cannot afford a thread
 //! spawn per chunk, nor per-request pools that fight each other for
-//! cores. This module provides the databend-`PipelineThreadsExecutor`
-//! shape instead: one `Arc`'d executor created once, a fixed set of
-//! worker threads each running an `execute_with_single_worker`-style
-//! loop over its own queue, stealing from siblings when idle.
+//! cores. So one `Arc`'d executor is created once, and its fixed set of
+//! workers serves every request in the process.
+//!
+//! One queue is enough because callers balance their work before they
+//! submit it. The evaluate stage carves class groups longest-first into
+//! at most `threads` tasks, and a Fig. 5 sweep runs at most `threads`
+//! lanes that pull cells from a shared cursor, so every scope is a
+//! handful of already-balanced tasks (two at most on a two-worker
+//! pool). Per-worker deques and work stealing would balance traffic that
+//! never arrives. Workers take jobs oldest-first from one `VecDeque`
+//! under one mutex and sleep on one condvar waited on under that same
+//! lock. Every push, chaos ticket and shutdown changes the queue under
+//! the lock before it notifies, so a worker that finds nothing to do
+//! and waits cannot miss a wake-up, and no wait needs a timeout.
 //!
 //! Determinism: the executor never reorders *results*. Callers submit
 //! tasks that write into caller-owned, order-indexed slots and reduce
@@ -19,15 +30,20 @@
 //! [`Executor::scope_run`] erases the lifetime to enqueue, then blocks
 //! until every task of the scope has completed before returning — the
 //! same guarantee `std::thread::scope` gives, on persistent workers.
-//! The submitting thread also *helps*: while its scope has queued tasks,
-//! it executes them itself, so a scope makes progress even on a pool
-//! with zero free workers (or, transitively, when a worker submits a
-//! nested scope).
+//! The submitting thread also *helps*: it runs its scope's first job
+//! itself, wakes one worker for each job it queues, and then runs any
+//! of its jobs still queued (only those), so a scope makes progress
+//! even on a pool with zero free workers (or, transitively, when a
+//! worker submits a nested scope). A scope of at most one task has
+//! nothing to share and is not a job at all: it runs on the caller, is
+//! counted in neither [`Executor::tasks_executed`] nor the busy totals,
+//! and its panic unwinds straight to the caller.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -36,25 +52,31 @@ use bfpp_sim::MetricsRegistry;
 /// A borrowed task: runs once on some worker (or the submitter itself).
 pub type ScopedTask<'env> = Box<dyn FnOnce() + Send + 'env>;
 
-/// One submitted scope: how many of its tasks are still outstanding,
-/// the condvar its submitter sleeps on, and the first panic any of its
-/// tasks raised (re-raised on the submitter after the barrier).
-struct ScopeState {
-    remaining: AtomicUsize,
-    done: Mutex<()>,
-    done_cv: Condvar,
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
+/// Locks `m`, recovering from poisoning: no lock here is held while a
+/// task runs, so a poisoned guard still protects consistent state.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-impl ScopeState {
-    fn new(tasks: usize) -> Self {
-        ScopeState {
-            remaining: AtomicUsize::new(tasks),
-            done: Mutex::new(()),
-            done_cv: Condvar::new(),
-            panic: Mutex::new(None),
-        }
+/// `threads`, or the machine's available parallelism when it is `0` —
+/// the one spelling of that rule, which
+/// [`SearchOptions::effective_threads`](crate::search::SearchOptions::effective_threads)
+/// shares.
+pub(crate) fn resolve_threads(threads: usize) -> usize {
+    match threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
     }
+}
+
+/// One submitted scope's barrier: its outstanding job count and the
+/// first panic any of its jobs raised (re-raised on the submitter after
+/// the barrier), behind a lock the submitter sleeps on.
+struct ScopeState {
+    state: Mutex<(usize, Option<Box<dyn Any + Send>>)>,
+    /// Signalled when the count reaches zero; the submitter is its only
+    /// waiter.
+    done: Condvar,
 }
 
 /// A queued unit of work: a lifetime-erased task plus the scope it
@@ -64,177 +86,120 @@ struct Job {
     task: Box<dyn FnOnce() + Send + 'static>,
 }
 
+/// Everything an idle worker checks before it sleeps, behind the pool's
+/// one lock.
+#[derive(Default)]
+struct Queue {
+    /// Queued jobs, oldest first.
+    jobs: VecDeque<Job>,
+    shutdown: bool,
+    /// Chaos hook: each ticket makes one worker exit its loop as if its
+    /// thread had died.
+    exit_tickets: usize,
+    /// Chaos hook: each ticket makes one worker sleep for the given
+    /// duration before taking its next job (a transient stall, not a
+    /// death — the worker stays live and resumes).
+    stall_tickets: Vec<Duration>,
+}
+
 /// State shared by the workers and every submitter.
+#[derive(Default)]
 struct Shared {
-    /// One queue per worker. Owners pop the front; thieves (sibling
-    /// workers and helping submitters) take from wherever they find
-    /// work. Plain mutexed deques: the search submits a handful of
-    /// coarse tasks per chunk, so queue traffic is far off the hot path.
-    queues: Vec<Mutex<VecDeque<Job>>>,
-    /// Sleep/wake for idle workers. The queue check is re-done under
-    /// this lock before waiting, so a push (which happens before the
-    /// notify) is never missed.
-    idle: Mutex<()>,
+    queue: Mutex<Queue>,
+    /// Idle workers wait here, under `queue`'s lock.
     wake: Condvar,
-    shutdown: AtomicBool,
-    /// Round-robin cursor for task placement across queues.
-    next: AtomicUsize,
     /// Workers currently running their loop. Falls below the pool size
     /// when a worker dies (today only via an injected exit ticket; the
     /// job path never unwinds) and is restored by the supervisor
     /// ([`Executor::respawn_dead`]).
     live: AtomicUsize,
-    /// Chaos hook: each ticket makes one worker exit its loop as if its
-    /// thread had died. Claimed at the top of the worker loop.
-    exit_tickets: AtomicUsize,
-    /// Chaos hook: each ticket makes one worker sleep for the given
-    /// duration before taking its next job (a transient stall, not a
-    /// death — the worker stays live and resumes).
-    stall_tickets: Mutex<Vec<Duration>>,
     /// How many dead workers the supervisor has replaced.
     respawned: AtomicUsize,
-    /// Jobs taken from a sibling's queue rather than the popper's own —
-    /// the work-stealing traffic a telemetry snapshot reports.
-    steals: AtomicU64,
     /// Jobs executed, by workers and helping submitters alike.
     tasks_run: AtomicU64,
-    /// Cumulative job-execution time per worker *queue slot*, in
-    /// nanoseconds. Indexed like `queues`; a respawned worker inherits
-    /// its predecessor's slot and keeps accumulating. Helping
-    /// submitters are not workers and account separately
-    /// ([`Shared::helper_busy_ns`]).
-    busy_ns: Vec<AtomicU64>,
+    /// Job-execution time spent by workers, in nanoseconds.
+    busy_ns: AtomicU64,
     /// Job-execution time spent by helping submitters.
     helper_busy_ns: AtomicU64,
 }
 
 impl Shared {
-    /// Claims one injected-fault ticket, if any are pending.
-    fn claim_exit(&self) -> bool {
-        self.exit_tickets
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
-            .is_ok()
-    }
-
-    fn claim_stall(&self) -> Option<Duration> {
-        match self.stall_tickets.lock() {
-            Ok(mut g) => g.pop(),
-            Err(poisoned) => poisoned.into_inner().pop(),
+    /// Runs one job, counts it, books its time into `busy`, and then
+    /// reports its completion (and any panic) to its scope — so a scope
+    /// that has returned has had all of its jobs booked. Never unwinds:
+    /// a panicking task must not take a pooled worker down with it.
+    fn run_job(&self, job: Job, busy: &AtomicU64) {
+        let Job { scope, task } = job;
+        let t0 = Instant::now();
+        self.tasks_run.fetch_add(1, Ordering::Relaxed);
+        let result = catch_unwind(AssertUnwindSafe(task));
+        busy.fetch_add(
+            u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            Ordering::Relaxed,
+        );
+        let mut state = lock(&scope.state);
+        if let Err(payload) = result {
+            // First panic wins; later ones are dropped (same as
+            // `std::thread::scope`, which re-raises one).
+            state.1.get_or_insert(payload);
+        }
+        state.0 -= 1;
+        if state.0 == 0 {
+            scope.done.notify_one();
         }
     }
-}
 
-impl Shared {
-    fn lock_queue(&self, i: usize) -> MutexGuard<'_, VecDeque<Job>> {
-        match self.queues[i].lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Pops work for worker `me`: own queue first (front), then steal a
-    /// sibling's most recently queued job (back) — the classic deque
-    /// discipline, which keeps a worker on its own stream of tasks and
-    /// sends thieves to the cold end.
-    fn pop_or_steal(&self, me: usize) -> Option<Job> {
-        if let Some(job) = self.lock_queue(me).pop_front() {
-            return Some(job);
-        }
-        let n = self.queues.len();
-        for off in 1..n {
-            if let Some(job) = self.lock_queue((me + off) % n).pop_back() {
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    /// Pops a job belonging to `scope` from any queue (for the helping
-    /// submitter, which must not run other scopes' work — it would delay
-    /// its own return behind an unrelated, possibly long task).
+    /// Takes the oldest queued job of `scope`, for its helping
+    /// submitter, which must not run other scopes' work — that would
+    /// delay its own return behind an unrelated, possibly long task.
     fn pop_scope_job(&self, scope: &Arc<ScopeState>) -> Option<Job> {
-        for i in 0..self.queues.len() {
-            let mut q = self.lock_queue(i);
-            if let Some(pos) = q.iter().position(|j| Arc::ptr_eq(&j.scope, scope)) {
-                return q.remove(pos);
-            }
-        }
-        None
+        let mut queue = lock(&self.queue);
+        let pos = queue
+            .jobs
+            .iter()
+            .position(|j| Arc::ptr_eq(&j.scope, scope))?;
+        queue.jobs.remove(pos)
     }
 }
 
-/// Runs one job and reports its completion (and any panic) to its
-/// scope. Never unwinds: a panicking task must not take a pooled worker
-/// down with it.
-fn run_job(job: Job) {
-    let Job { scope, task } = job;
-    if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
-        let mut slot = match scope.panic.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        // First panic wins; later ones are dropped (same as
-        // `std::thread::scope`, which re-raises one).
-        slot.get_or_insert(payload);
-    }
-    if scope.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        // Last task out: wake the submitter. Lock/unlock pairs the
-        // notify with the submitter's check-then-wait.
-        drop(scope.done.lock());
-        scope.done_cv.notify_all();
-    }
-}
-
-/// The worker body: the databend `execute_with_single_worker` loop —
-/// drain own queue, steal, then sleep until new work arrives. Returns
-/// `true` if the worker died to an injected exit ticket (the chaos
-/// path), `false` on orderly shutdown; either way the caller's guard
-/// marks the worker no longer live.
-fn execute_with_single_worker(shared: &Shared, me: usize) -> bool {
+/// The worker body: claim a pending chaos ticket, else run the oldest
+/// job, else sleep until the queue changes. Returns on shutdown or to
+/// an injected exit ticket; either way the caller's guard marks the
+/// worker no longer live.
+fn work(shared: &Shared) {
+    let mut queue = lock(&shared.queue);
     loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return false;
+        if queue.shutdown {
+            return;
         }
-        if shared.claim_exit() {
+        if queue.exit_tickets > 0 {
             // Simulated worker death: leave without draining. Queued
-            // jobs stay claimable by siblings and helping submitters,
-            // so no scope is stranded even before the supervisor
-            // replaces this worker.
-            return true;
+            // jobs stay claimable by the survivors and by helping
+            // submitters, so no scope is stranded even before the
+            // supervisor replaces this worker.
+            queue.exit_tickets -= 1;
+            return;
         }
-        if let Some(stall) = shared.claim_stall() {
+        if let Some(stall) = queue.stall_tickets.pop() {
+            drop(queue);
             std::thread::sleep(stall);
-        }
-        if let Some(job) = shared.pop_or_steal(me) {
-            let t0 = Instant::now();
-            shared.tasks_run.fetch_add(1, Ordering::Relaxed);
-            run_job(job);
-            shared.busy_ns[me].fetch_add(
-                u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                Ordering::Relaxed,
-            );
-            continue;
-        }
-        let guard = match shared.idle.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if shared.shutdown.load(Ordering::Acquire) {
-            return false;
-        }
-        // Re-check under the idle lock: pushes happen before notifies,
-        // so either we see the job here or the notify reaches the wait.
-        // The timeout is belt-and-braces against lost wakeups.
-        if (0..shared.queues.len()).all(|i| shared.lock_queue(i).is_empty()) {
-            let _ = shared.wake.wait_timeout(guard, Duration::from_millis(50));
+            queue = lock(&shared.queue);
+        } else if let Some(job) = queue.jobs.pop_front() {
+            drop(queue);
+            shared.run_job(job, &shared.busy_ns);
+            queue = lock(&shared.queue);
+        } else {
+            queue = shared
+                .wake
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
 
-/// Spawns one worker thread on queue `me`. The worker decrements
-/// `live` when its loop exits for any reason, so supervision reads an
-/// accurate census even if a future worker body gains a panic path.
+/// Spawns worker number `me`. The worker decrements `live` when its
+/// loop exits for any reason, so supervision reads an accurate census
+/// even if a future worker body gains a panic path.
 fn spawn_worker(shared: &Arc<Shared>, me: usize) -> JoinHandle<()> {
     shared.live.fetch_add(1, Ordering::AcqRel);
     let shared = Arc::clone(shared);
@@ -248,15 +213,15 @@ fn spawn_worker(shared: &Arc<Shared>, me: usize) -> JoinHandle<()> {
                 }
             }
             let census = Census(&shared);
-            execute_with_single_worker(&shared, me);
+            work(&shared);
             drop(census);
         })
         .expect("spawning an executor worker")
 }
 
-/// A fixed pool of worker threads with per-worker queues and work
-/// stealing, shared (`Arc`'d) by every search request in the process.
-/// See the module docs for the determinism and borrowing contracts.
+/// A fixed pool of worker threads over one job queue, shared (`Arc`'d)
+/// by every search request in the process. See the module docs for the
+/// determinism and borrowing contracts.
 pub struct Executor {
     shared: Arc<Shared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -276,28 +241,8 @@ impl Executor {
     /// available parallelism). Workers start immediately and live until
     /// the executor is dropped.
     pub fn new(threads: usize) -> Arc<Executor> {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        };
-        let shared = Arc::new(Shared {
-            queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            idle: Mutex::new(()),
-            wake: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            next: AtomicUsize::new(0),
-            live: AtomicUsize::new(0),
-            exit_tickets: AtomicUsize::new(0),
-            stall_tickets: Mutex::new(Vec::new()),
-            respawned: AtomicUsize::new(0),
-            steals: AtomicU64::new(0),
-            tasks_run: AtomicU64::new(0),
-            busy_ns: (0..threads).map(|_| AtomicU64::new(0)).collect(),
-            helper_busy_ns: AtomicU64::new(0),
-        });
+        let threads = resolve_threads(threads);
+        let shared = Arc::new(Shared::default());
         let workers = (0..threads).map(|me| spawn_worker(&shared, me)).collect();
         Arc::new(Executor {
             shared,
@@ -330,18 +275,10 @@ impl Executor {
         self.shared.respawned.load(Ordering::Acquire)
     }
 
-    /// Jobs currently queued across every worker queue (a point-in-time
-    /// depth; the next instant may differ).
+    /// Jobs currently queued (a point-in-time depth; the next instant
+    /// may differ).
     pub fn queue_depth(&self) -> usize {
-        (0..self.shared.queues.len())
-            .map(|i| self.shared.lock_queue(i).len())
-            .sum()
-    }
-
-    /// Jobs taken from a sibling's queue instead of the popper's own
-    /// since the pool started.
-    pub fn steals(&self) -> u64 {
-        self.shared.steals.load(Ordering::Relaxed)
+        lock(&self.shared.queue).jobs.len()
     }
 
     /// Jobs executed since the pool started (workers and helping
@@ -350,15 +287,11 @@ impl Executor {
         self.shared.tasks_run.load(Ordering::Relaxed)
     }
 
-    /// Cumulative job-execution nanoseconds per worker queue slot. A
-    /// respawned worker inherits its slot's total. Excludes helping
-    /// submitters ([`Executor::helper_busy_ns`]).
-    pub fn worker_busy_ns(&self) -> Vec<u64> {
-        self.shared
-            .busy_ns
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
+    /// Cumulative job-execution nanoseconds of the workers, respawned
+    /// ones included. Excludes helping submitters
+    /// ([`Executor::helper_busy_ns`]).
+    pub fn worker_busy_ns(&self) -> u64 {
+        self.shared.busy_ns.load(Ordering::Relaxed)
     }
 
     /// Cumulative job-execution nanoseconds spent by helping
@@ -368,26 +301,23 @@ impl Executor {
     }
 
     /// Mirrors the pool's telemetry into a registry: point-in-time
-    /// gauges (`executor_queue_depth`, `executor_live_workers`) and
-    /// monotonic totals (`executor_steals_total`,
-    /// `executor_tasks_total`, `executor_workers_respawned_total`,
-    /// busy-time per worker slot and in total). Call at snapshot time —
-    /// the pool itself never touches a registry on its hot paths.
+    /// gauges (`executor_threads`, `executor_live_workers`,
+    /// `executor_queue_depth`) and monotonic totals
+    /// (`executor_tasks_total`, `executor_workers_respawned_total`,
+    /// `executor_busy_ns_total` for the workers and
+    /// `executor_helper_busy_ns_total` for helping submitters). Call at
+    /// snapshot time — the pool itself never touches a registry on its
+    /// hot paths.
     pub fn export_metrics(&self, m: &MetricsRegistry) {
         m.gauge_set("executor_threads", self.threads as i64);
         m.gauge_set("executor_live_workers", self.live_workers() as i64);
         m.gauge_set("executor_queue_depth", self.queue_depth() as i64);
-        m.counter_set("executor_steals_total", self.steals());
         m.counter_set("executor_tasks_total", self.tasks_executed());
         m.counter_set(
             "executor_workers_respawned_total",
             self.workers_respawned() as u64,
         );
-        let per_worker = self.worker_busy_ns();
-        m.counter_set("executor_busy_ns_total", per_worker.iter().sum());
-        for (i, ns) in per_worker.into_iter().enumerate() {
-            m.counter_set(&format!("executor_busy_ns_worker_{i}"), ns);
-        }
+        m.counter_set("executor_busy_ns_total", self.worker_busy_ns());
         m.counter_set("executor_helper_busy_ns_total", self.helper_busy_ns());
     }
 
@@ -397,9 +327,8 @@ impl Executor {
     /// capacity drops until the supervisor respawns the dead (which
     /// [`Executor::scope_run`] triggers on its next submission).
     pub fn inject_worker_exit(&self, n: usize) {
-        self.shared.exit_tickets.fetch_add(n, Ordering::AcqRel);
+        lock(&self.shared.queue).exit_tickets += n;
         // Wake sleepers so parked workers notice their tickets.
-        drop(self.shared.idle.lock());
         self.shared.wake.notify_all();
     }
 
@@ -407,35 +336,26 @@ impl Executor {
     /// next job — a transient stall (hung NIC, page fault storm), not a
     /// death. The stalled workers stay live and resume by themselves.
     pub fn inject_worker_stall(&self, stall: Duration, n: usize) {
-        {
-            let mut tickets = match self.shared.stall_tickets.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            tickets.extend(std::iter::repeat_n(stall, n));
-        }
-        drop(self.shared.idle.lock());
+        lock(&self.shared.queue)
+            .stall_tickets
+            .extend(std::iter::repeat_n(stall, n));
         self.shared.wake.notify_all();
     }
 
     /// The supervisor: joins every worker whose thread has exited and
-    /// spawns a replacement on the same queue, restoring the pool to
-    /// its configured capacity. Returns how many workers were replaced.
-    /// Called automatically at the top of [`Executor::scope_run`], so
-    /// capacity self-heals on the next submission; callers may also
-    /// invoke it directly (e.g. a service health check).
+    /// spawns a replacement under the same number, restoring the pool
+    /// to its configured capacity. Returns how many workers were
+    /// replaced. Called automatically at the top of
+    /// [`Executor::scope_run`], so capacity self-heals on the next
+    /// submission; callers may also invoke it directly (e.g. a service
+    /// health check).
     pub fn respawn_dead(&self) -> usize {
-        if self.shared.shutdown.load(Ordering::Acquire)
-            || self.shared.live.load(Ordering::Acquire) >= self.threads
-        {
+        if self.shared.live.load(Ordering::Acquire) >= self.threads {
             return 0;
         }
-        let mut workers = match self.workers.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        // Re-check under the lock: another supervisor call may have
-        // already healed the pool.
+        // Checked per handle under the lock: another supervisor call
+        // may have already healed the pool.
+        let mut workers = lock(&self.workers);
         let mut replaced = 0;
         for (me, slot) in workers.iter_mut().enumerate() {
             if slot.is_finished() {
@@ -451,11 +371,8 @@ impl Executor {
     /// Runs every task to completion and then returns. Tasks may borrow
     /// from the caller's stack; the first panic raised by any task is
     /// re-raised here after *all* tasks have finished, leaving the pool
-    /// healthy.
+    /// healthy. A scope of at most one task runs on the calling thread.
     pub fn scope_run<'env>(&self, tasks: Vec<ScopedTask<'env>>) {
-        if tasks.is_empty() {
-            return;
-        }
         // Self-healing: replace any worker that died since the last
         // submission, so capacity is restored before new work queues.
         // (Even at zero live workers the scope would still complete —
@@ -463,52 +380,57 @@ impl Executor {
         if self.shared.live.load(Ordering::Acquire) < self.threads {
             self.respawn_dead();
         }
-        let scope = Arc::new(ScopeState::new(tasks.len()));
-        for task in tasks {
+        if tasks.len() <= 1 {
+            // Nothing to share: the task runs here, as no job, and a
+            // panic unwinds straight to the caller.
+            tasks.into_iter().for_each(|task| task());
+            return;
+        }
+        let n = tasks.len();
+        let scope = Arc::new(ScopeState {
+            state: Mutex::new((n, None)),
+            done: Condvar::new(),
+        });
+        let mut jobs = tasks.into_iter().map(|task| {
             // SAFETY: the borrow-carrying closure is re-typed as
             // `'static` only to live in the queue; it is guaranteed to
             // have *run* (or been dropped by `run_job`'s panic path)
             // before `scope_run` returns, because this function blocks
-            // until `scope.remaining == 0` and every queued job
-            // decrements it exactly once. Hence no borrow outlives the
-            // caller's frame — the `std::thread::scope` argument.
+            // until the scope's count reaches zero and every job
+            // decrements it exactly once, after its task is gone. Hence
+            // no borrow outlives the caller's frame — the
+            // `std::thread::scope` argument.
             let task: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(task) };
-            let i = self.shared.next.fetch_add(1, Ordering::Relaxed) % self.shared.queues.len();
-            self.shared.lock_queue(i).push_back(Job {
+            Job {
                 scope: Arc::clone(&scope),
                 task,
-            });
+            }
+        });
+        let first = jobs.next().expect("a scope of two or more tasks");
+        lock(&self.shared.queue).jobs.extend(jobs);
+        // This thread runs the first job itself: wake one worker for
+        // each queued one. A wake-up that finds no worker waiting is
+        // not needed, since every worker checks the queue before it
+        // waits, and this thread takes what is still queued.
+        for _ in 1..n {
+            self.shared.wake.notify_one();
         }
-        // Wake sleeping workers (push happens-before notify).
-        drop(self.shared.idle.lock());
-        self.shared.wake.notify_all();
+        self.shared.run_job(first, &self.shared.helper_busy_ns);
 
-        // Help with this scope's own tasks, then wait out stragglers
-        // that workers already claimed.
-        while scope.remaining.load(Ordering::Acquire) > 0 {
-            if let Some(job) = self.shared.pop_scope_job(&scope) {
-                let t0 = Instant::now();
-                self.shared.tasks_run.fetch_add(1, Ordering::Relaxed);
-                run_job(job);
-                self.shared.helper_busy_ns.fetch_add(
-                    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                    Ordering::Relaxed,
-                );
-                continue;
-            }
-            let guard = match scope.done.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            if scope.remaining.load(Ordering::Acquire) > 0 {
-                let _ = scope.done_cv.wait_timeout(guard, Duration::from_millis(50));
-            }
+        // Help with this scope's own jobs, then wait out the ones
+        // workers claimed.
+        while let Some(job) = self.shared.pop_scope_job(&scope) {
+            self.shared.run_job(job, &self.shared.helper_busy_ns);
         }
-        let payload = match scope.panic.lock() {
-            Ok(mut g) => g.take(),
-            Err(poisoned) => poisoned.into_inner().take(),
-        };
-        if let Some(payload) = payload {
+        let mut state = lock(&scope.state);
+        while state.0 > 0 {
+            state = scope
+                .done
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        if let Some(payload) = state.1.take() {
+            drop(state);
             resume_unwind(payload);
         }
     }
@@ -516,13 +438,12 @@ impl Executor {
 
 impl Drop for Executor {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        drop(self.shared.idle.lock());
+        lock(&self.shared.queue).shutdown = true;
         self.shared.wake.notify_all();
-        let mut workers = match self.workers.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let workers = self
+            .workers
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
         for handle in workers.drain(..) {
             // A worker that panicked outside a job (impossible today)
             // must not abort teardown.
@@ -534,7 +455,6 @@ impl Drop for Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn scope_runs_borrowing_tasks_to_completion() {
@@ -730,20 +650,64 @@ mod tests {
         }
         assert_eq!(pool.tasks_executed(), 32, "every job is counted once");
         assert_eq!(pool.queue_depth(), 0, "scopes drain their queues");
-        assert_eq!(pool.worker_busy_ns().len(), 2);
         let m = MetricsRegistry::new();
         pool.export_metrics(&m);
         assert_eq!(m.counter("executor_tasks_total"), 32);
         assert_eq!(m.gauge("executor_threads"), 2);
         assert_eq!(m.gauge("executor_queue_depth"), 0);
         assert_eq!(m.counter("executor_workers_respawned_total"), 0);
-        // Busy time splits across worker slots and the helping
-        // submitter; the export carries whatever was attributed.
-        let busy = m.counter("executor_busy_ns_total") + m.counter("executor_helper_busy_ns_total");
-        let _ = busy; // tasks are near-instant; totals may round to 0 ns
-                      // Steal traffic is scheduling-dependent — just exercise the
-                      // accessor and its export.
-        assert_eq!(m.counter("executor_steals_total"), pool.steals());
+        // A job books its time before its scope can return, so the
+        // totals have settled once the scopes are done.
+        assert_eq!(m.counter("executor_busy_ns_total"), pool.worker_busy_ns());
+        assert_eq!(
+            m.counter("executor_helper_busy_ns_total"),
+            pool.helper_busy_ns()
+        );
+    }
+
+    #[test]
+    fn a_lone_task_runs_on_the_caller_as_no_job() {
+        let pool = Executor::new(2);
+        let caller = std::thread::current().id();
+        let ran_on = Mutex::new(None);
+        let tasks: Vec<ScopedTask<'_>> = vec![Box::new(|| {
+            *ran_on.lock().unwrap() = Some(std::thread::current().id());
+        })];
+        pool.scope_run(tasks);
+        assert_eq!(*ran_on.lock().unwrap(), Some(caller));
+        assert_eq!(pool.tasks_executed(), 0, "a lone task is not a job");
+        assert_eq!(pool.worker_busy_ns() + pool.helper_busy_ns(), 0);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let tasks: Vec<ScopedTask<'_>> = vec![Box::new(|| panic!("lone boom"))];
+            pool.scope_run(tasks);
+        }));
+        let payload = result.expect_err("the lone task's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"lone boom"));
+        assert_eq!(pool.tasks_executed(), 0);
+    }
+
+    #[test]
+    fn a_parked_worker_wakes_for_a_scope_the_submitter_cannot_finish() {
+        let pool = Executor::new(2);
+        eventually("2 workers up", || pool.live_workers() == 2);
+        for _ in 0..20 {
+            // Let both workers park on the empty queue.
+            std::thread::sleep(Duration::from_millis(10));
+            // Each task waits for the other, and the submitter runs only
+            // one of them: a parked worker must wake for the second.
+            // Waits carry no timeout, so a lost wake-up hangs here.
+            let both = std::sync::Barrier::new(2);
+            let tasks: Vec<ScopedTask<'_>> = (0..2)
+                .map(|_| {
+                    let task: ScopedTask<'_> = Box::new(|| {
+                        both.wait();
+                    });
+                    task
+                })
+                .collect();
+            pool.scope_run(tasks);
+        }
+        assert_eq!(pool.tasks_executed(), 40);
     }
 
     #[test]

@@ -165,13 +165,7 @@ impl SearchOptions {
     /// The worker count to actually use: `threads`, or the machine's
     /// available parallelism when `threads == 0`.
     pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
-        }
+        crate::executor::resolve_threads(self.threads)
     }
 }
 
@@ -376,37 +370,6 @@ impl SearchReport {
             robust,
             retention
         )
-    }
-
-    /// Accumulates another report's counters (for sweep-level totals).
-    /// `best`/`robust_tflops` keep the larger of the two; `retention`
-    /// keeps the smaller (a sweep is as robust as its most fragile cell).
-    pub fn accumulate(&mut self, other: &SearchReport) {
-        self.enumerated += other.enumerated;
-        self.pruned_memory += other.pruned_memory;
-        self.pruned_throughput += other.pruned_throughput;
-        self.simulated += other.simulated;
-        self.wall_time += other.wall_time;
-        self.best = match (self.best, other.best) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-        self.robust_tflops = match (self.robust_tflops, other.robust_tflops) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-        self.retention = match (self.retention, other.retention) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.warm_start |= other.warm_start;
-        self.warm_hits += other.warm_hits;
-        self.cancelled |= other.cancelled;
-        self.timed_out |= other.timed_out;
-        self.phases.enumerate += other.phases.enumerate;
-        self.phases.prune += other.phases.prune;
-        self.phases.evaluate += other.phases.evaluate;
-        self.phases.probe += other.phases.probe;
     }
 }
 
@@ -883,28 +846,22 @@ impl<'a> Request<'a> {
         // Each class is resolved by exactly one task — groups never
         // split across tasks. Tasks are capped so each gets a few
         // simulations — queueing a task for one candidate costs more
-        // than simulating it. This affects only scheduling, never
-        // results.
+        // than simulating it — and a lone task runs inline on this
+        // thread. This affects only scheduling, never results.
         let tasks = self
             .threads
             .min(survivors.len().div_ceil(4))
             .min(groups.len());
-        if tasks <= 1 {
-            self.eval_groups(&mut groups, perturbation);
-        } else {
-            let costs: Vec<u64> = groups.iter().map(group_cost).collect();
-            let mut bins: Vec<Vec<&mut Group>> = (0..tasks).map(|_| Vec::new()).collect();
-            for (group, bin) in groups.iter_mut().zip(carve(&costs, tasks)) {
-                bins[bin].push(group);
-            }
-            self.env.executor.scope_run(
-                bins.into_iter()
-                    .map(|bin| {
-                        Box::new(move || self.eval_groups(bin, perturbation)) as ScopedTask<'_>
-                    })
-                    .collect(),
-            );
+        let costs: Vec<u64> = groups.iter().map(group_cost).collect();
+        let mut bins: Vec<Vec<&mut Group>> = (0..tasks).map(|_| Vec::new()).collect();
+        for (group, bin) in groups.iter_mut().zip(carve(&costs, tasks)) {
+            bins[bin].push(group);
         }
+        self.env.executor.scope_run(
+            bins.into_iter()
+                .map(|bin| Box::new(move || self.eval_groups(bin, perturbation)) as ScopedTask<'_>)
+                .collect(),
+        );
 
         let mut slots: Vec<Option<Measurement>> = vec![None; survivors.len()];
         let mut hits = 0;
@@ -928,11 +885,7 @@ impl<'a> Request<'a> {
     /// one replay span (`search_class_fill_ns`, `search_class_replay_ns`,
     /// replay including measurement) — one clock pair per group and
     /// stage, none per op or row.
-    fn eval_groups<'g>(
-        &self,
-        groups: impl IntoIterator<Item = &'g mut Group>,
-        perturbation: &Perturbation,
-    ) {
+    fn eval_groups(&self, groups: Vec<&mut Group>, perturbation: &Perturbation) {
         let metrics = self.env.metrics.as_deref();
         let mut scratch = RowScratch::default();
         let mut solve_stats = crate::batch::empty_stats();
@@ -1731,20 +1684,6 @@ mod tests {
             empty.csv_row().split(',').count()
         );
         assert!(empty.csv_row().ends_with("-,-"));
-
-        let mut total = SearchReport::default();
-        total.accumulate(&report);
-        total.accumulate(&SearchReport {
-            enumerated: 10,
-            best: Some(60.0),
-            robust_tflops: Some(40.0),
-            retention: Some(0.66),
-            ..SearchReport::default()
-        });
-        assert_eq!(total.enumerated, 110);
-        assert_eq!(total.best, Some(60.0));
-        assert_eq!(total.robust_tflops, Some(45.2), "max of the cells");
-        assert_eq!(total.retention, Some(0.66), "most fragile cell");
     }
 
     #[test]
@@ -1777,13 +1716,6 @@ mod tests {
                 "missing phase span {phase}: {report:?}"
             );
         }
-
-        // Accumulation folds the spans like the other columns.
-        let mut total = SearchReport::default();
-        total.accumulate(&report);
-        total.accumulate(&report);
-        assert_eq!(total.simulated, 2 * report.simulated);
-        assert_eq!(total.phases.evaluate, 2 * report.phases.evaluate);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   and the [`bfpp_exec::WarmCache`] of replayable sweep records (each
 //!   a cold search's classified candidate outcomes, no bases);
 //! * a [`PlanRequest`] is one unit of demand: model + cluster +
-//!   [`Method`] + batch + [`Objective`] + [`SearchOptions`] (which
+//!   [`Method`] + batch + [`SearchOptions`] (which
 //!   carries the perturbation — the "what if device 4 runs 1.5× slow"
 //!   re-planning axis — and the request's deadline/candidate budgets);
 //! * [`Planner::submit`] runs the request on its own session thread and
@@ -154,19 +154,6 @@ pub use elastic::{ClusterChange, ClusterDelta};
 /// boundary, milliseconds away.
 pub const DEFAULT_DROP_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// What a request optimizes. The engine ranks by simulated throughput
-/// (the paper's selection rule); the field exists on the wire so future
-/// objectives (e.g. robust throughput under a probe set) extend the
-/// request format instead of breaking it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum Objective {
-    /// Maximize simulated Tflop/s per GPU under the request's
-    /// perturbation — the paper's §5.1 rule.
-    #[default]
-    Throughput,
-}
-
 /// One unit of planning demand: everything the engine needs to search
 /// one (method, batch) cell of one model on one cluster.
 #[derive(Debug, Clone)]
@@ -185,15 +172,13 @@ pub struct PlanRequest {
     /// and the perturbation (the duration-affecting axis a warm start
     /// may vary).
     pub opts: SearchOptions,
-    /// What to optimize.
-    pub objective: Objective,
     /// Injected sabotage, for supervision tests. `None` (the default)
     /// runs the session clean; see [`chaos::SessionFault`].
     pub fault: Option<SessionFault>,
 }
 
 impl PlanRequest {
-    /// A request with default options and objective.
+    /// A request with default options.
     pub fn new(
         model: TransformerConfig,
         cluster: ClusterSpec,
@@ -208,7 +193,6 @@ impl PlanRequest {
             global_batch,
             kernel,
             opts: SearchOptions::default(),
-            objective: Objective::Throughput,
             fault: None,
         }
     }
@@ -374,12 +358,6 @@ impl PlanHandle {
     /// emitter polls this between events.
     pub fn progress(&self) -> ProgressSnapshot {
         self.progress.snapshot()
-    }
-
-    /// The shared progress cell itself, for observers that outlive a
-    /// borrow of the handle (the daemon's pump threads).
-    pub fn progress_cell(&self) -> Arc<SearchProgress> {
-        Arc::clone(&self.progress)
     }
 
     /// Drains the stream to completion and returns the final result —
@@ -559,7 +537,7 @@ impl Planner {
     /// A full telemetry snapshot: planner lifecycle counters and
     /// histograms (outcomes, leaked sessions, quarantine drops, elastic
     /// deltas), engine search metrics, plus point-in-time mirrors of
-    /// the executor (queue depth, steals, per-worker busy time) and the
+    /// the executor (queue depth, live workers, tasks, busy time) and the
     /// process-global topology-class cache. Outcome counters reconcile
     /// exactly — `planner_requests_submitted_total` equals the sum of
     /// the four terminal outcome counters once all sessions are

@@ -247,7 +247,6 @@ fn build_request(v: &Value) -> Result<PlanRequest, String> {
         global_batch,
         kernel,
         opts,
-        objective: Default::default(),
         fault: None,
     })
 }

@@ -203,7 +203,8 @@ fn chaos_soak_planner_survives_a_seeded_storm() {
 
         // Mid-storm, sabotage the pool itself: two workers die, one
         // stalls. Searches must still complete (the submitting session
-        // helps; survivors steal) and the pool must heal afterwards.
+        // helps; survivors take the dead workers' share from the one
+        // queue) and the pool must heal afterwards.
         let executor = &storm_planner.env().executor;
         executor.inject_worker_exit(2);
         executor.inject_worker_stall(Duration::from_millis(20), 1);

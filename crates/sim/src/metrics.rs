@@ -12,7 +12,7 @@
 //! — is recorded into a [`MetricsRegistry`]:
 //!
 //! * **Counters** are monotonic `u64` totals
-//!   (`planner_requests_completed_total`, `executor_steals_total`).
+//!   (`planner_requests_completed_total`, `executor_tasks_total`).
 //!   **Gauges** are signed instantaneous values (`planner_in_flight`).
 //! * **Histograms** bucket `u64` observations (by convention
 //!   nanoseconds, metric names ending `_ns`) into *fixed power-of-two
@@ -245,7 +245,7 @@ impl MetricsRegistry {
 
     /// Sets the named counter to `v` if that does not decrease it — for
     /// exporters mirroring an external monotonic source (e.g. the
-    /// executor's steal total) into the registry at snapshot time.
+    /// executor's task total) into the registry at snapshot time.
     pub fn counter_set(&self, name: &str, v: u64) {
         let mut shard = self.shard(name);
         let slot = shard.counters.entry(name.to_string()).or_insert(0);
