@@ -276,7 +276,9 @@ pub fn loop_counts(method: Method, n_pp: u32, num_layers: u32, max_loop: u32) ->
 
 /// Lazily enumerates every valid [`Candidate`] for `method` at
 /// `global_batch`, in [`Candidate::order_key`] order. Divisor lists are
-/// computed once per enumeration level, not per inner iteration.
+/// computed once per enumeration level, not per inner iteration. A model
+/// with a zero dimension ([`TransformerConfig::check`]) has no valid
+/// candidate: the sizing rules downstream divide by its dimensions.
 pub fn enumerate(
     model: &TransformerConfig,
     cluster: &ClusterSpec,
@@ -286,6 +288,7 @@ pub fn enumerate(
 ) -> impl Iterator<Item = Candidate> {
     let num_gpus = cluster.num_gpus();
     let spn = cluster.node.gpus_per_node;
+    let model_ok = model.check().is_ok();
     let num_layers = model.num_layers;
     let max_microbatch = opts.max_microbatch;
     let max_loop = opts.max_loop;
@@ -301,7 +304,7 @@ pub fn enumerate(
 
     divisors(spn)
         .into_iter()
-        .filter(move |&n_tp| tensor_width_is_valid(num_gpus, n_tp))
+        .filter(move |&n_tp| model_ok && tensor_width_is_valid(num_gpus, n_tp))
         .flat_map(move |n_tp| {
             let rest = num_gpus / n_tp;
             pipeline_depths(method, rest, num_layers)

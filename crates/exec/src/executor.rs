@@ -61,10 +61,14 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// `threads`, or the machine's available parallelism when it is `0` —
 /// the one spelling of that rule, which
 /// [`SearchOptions::effective_threads`](crate::search::SearchOptions::effective_threads)
-/// shares.
+/// shares. The parallelism is read once per process (the query costs
+/// ~20 µs, and a service resolves `0` on every request), so a later
+/// change to the affinity mask or cgroup CPU quota is not seen — as the
+/// global pool, sized at first use, does not see it either.
 pub(crate) fn resolve_threads(threads: usize) -> usize {
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
     match threads {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        0 => *AVAILABLE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
         n => n,
     }
 }

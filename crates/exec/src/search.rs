@@ -15,7 +15,9 @@
 //! 2. **prune** — [`crate::prune`]'s closed-form memory and Eq. (3)/(7)
 //!    throughput bounds drop what cannot fit or cannot beat the best;
 //! 3. **evaluate** — survivors are grouped by topology class
-//!    ([`crate::batch`]) and re-timed on a scoped worker pool;
+//!    ([`crate::batch`]) and re-timed on a scoped worker pool (a warm
+//!    survivor the perturbation leaves untouched takes its record's
+//!    clean measurement instead);
 //! 4. **reduce** — serially in candidate order, so the winner (and every
 //!    [`SearchReport`] counter) is bit-identical to the exhaustive serial
 //!    reference ([`best_config_exhaustive`]) for any thread count;
@@ -48,7 +50,7 @@ use crate::lower::Durations;
 use crate::measure::{simulate_perturbed, Measurement};
 use crate::overlap::OverlapConfig;
 use crate::prune::{exceeds_device_memory, lower_bound_tflops};
-use crate::warm::{self, Outcome, WarmCache};
+use crate::warm::{self, Outcome, Record, Slot, WarmCache};
 
 /// The four methods compared in Figure 5 and Tables E.1–E.3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -195,9 +197,10 @@ pub struct SearchEnv {
     /// The worker pool candidate evaluation runs on.
     pub executor: Arc<Executor>,
     /// Topology-class base cache, the one store of class bases: every
-    /// survivor, cold or warm, is evaluated through its class's base,
-    /// found here or built and offered here (warm records keep
-    /// outcomes only). Bases are model/cluster/kernel-independent, so
+    /// survivor a search re-times, cold or warm, is evaluated through
+    /// its class's base, found here or built and offered here (warm
+    /// records keep outcomes and measurements, never a base). Bases are
+    /// model/cluster/kernel-independent, so
     /// the process-wide [`ClassCache::global`] is the default even for
     /// private environments — a hit skips the class build (op walk into
     /// the dependency index, discovery pass) but can never change a
@@ -275,7 +278,11 @@ pub struct SearchReport {
     /// Rejected because their throughput upper bound cannot beat the
     /// best simulated result so far.
     pub pruned_throughput: u64,
-    /// Candidates handed to the simulator.
+    /// Candidates that survived both bounds and were evaluated: re-timed
+    /// on their class base or, on a warm start whose perturbation leaves
+    /// the candidate's pipeline untouched, given the clean measurement
+    /// its record kept ([`crate::warm`]). Either way it equals a fresh
+    /// search's count.
     pub simulated: u64,
     /// Wall-clock time of the whole search.
     pub wall_time: Duration,
@@ -291,14 +298,15 @@ pub struct SearchReport {
     /// Whether the search replayed a warm-start record instead of
     /// enumerating afresh. Not a CSV column.
     pub warm_start: bool,
-    /// Simulations a warm start ran on a topology-class base it did not
-    /// build: one found in the class cache when the request first saw
-    /// its class. Always `0` for a cold search or a [`SearchEnv`]
-    /// without a warm store. Not a CSV column (single-request CSV
-    /// output is byte-stable across engine versions), and excluded from
-    /// the bit-stability guarantee across *concurrent* requests sharing
-    /// one class cache; within one request it is
-    /// thread-count-invariant.
+    /// Survivors a warm start evaluated without building a class base:
+    /// from its record's clean measurement, or on a base found in the
+    /// class cache when the request first saw its class. An identity
+    /// replay takes every survivor from the record. Always `0` for a
+    /// cold search or a [`SearchEnv`] without a warm store. Not a CSV
+    /// column (single-request CSV output is byte-stable across engine
+    /// versions), and excluded from the bit-stability guarantee across
+    /// *concurrent* requests sharing one class cache or racing to record
+    /// one cell; within one request it is thread-count-invariant.
     pub warm_hits: u64,
     /// Whether the search was cancelled before visiting every candidate.
     /// A cancelled report's counters describe the completed prefix only,
@@ -511,6 +519,7 @@ pub fn search(
         env,
         overlap: method.overlap(),
         threads: opts.effective_threads(),
+        untouched: opts.perturbation.untouched_devices(),
     };
 
     // The "enumerate" span covers a warm record's lookup in place of
@@ -569,27 +578,31 @@ pub fn search(
             report.warm_hits += hits;
         }
 
+        plan.remember(&pruned.survivors, &slots, req.untouched);
         req.reduce(&pruned.survivors, slots, &mut best, &mut hooks.on_improve);
         if let Some(p) = hooks.progress {
             p.publish(&report, best.as_ref().map(|(_, b)| b));
         }
     }
 
-    // Only a *completed* search records and probes: a cancelled or
+    // Only a *completed* search probes and records: a cancelled or
     // timed-out prefix would replay as a wrong candidate set, and its
     // caller asked for the fastest exit with best-so-far.
     let completed = !report.cancelled && !report.timed_out;
-    if completed {
-        record(plan);
-    }
     report.best = best.as_ref().map(|(_, b)| b.measurement.tflops_per_gpu);
+    let mut probed = None;
     if let (Some((cand, b)), true) = (&best, completed) {
         let phase = Instant::now();
-        if let Some(m) = req.probe(cand, &mut table) {
+        let slot = req.probe(cand, &plan, &mut table);
+        if let Some(m) = &slot {
             report.robust_tflops = Some(m.tflops_per_gpu);
             report.retention = Some(m.tflops_per_gpu / b.measurement.tflops_per_gpu);
         }
         report.phases.probe = phase.elapsed();
+        probed = Some((*cand, slot));
+    }
+    if completed {
+        record(plan, probed);
     }
     report.wall_time = start.elapsed();
     req.book(&report);
@@ -613,6 +626,10 @@ struct Request<'a> {
     env: &'a SearchEnv,
     overlap: OverlapConfig,
     threads: usize,
+    /// The perturbation's untouched device count
+    /// ([`Perturbation::untouched_devices`]): a candidate with
+    /// `grid.n_pp` at most this re-times to its clean measurement.
+    untouched: u32,
 }
 
 /// How one request traverses the candidate space.
@@ -625,24 +642,57 @@ enum Plan<'a> {
         outcomes: Vec<Outcome>,
         publish: Option<(&'a WarmCache, String)>,
     },
-    /// A replay of a prior cold search's outcomes.
-    Warm(Arc<[Outcome]>),
+    /// A replay of a prior cold search's record.
+    Warm(Arc<Record>),
 }
 
 impl Plan<'_> {
     fn len(&self) -> usize {
         match self {
             Plan::Cold { cands, .. } => cands.len(),
-            Plan::Warm(outcomes) => outcomes.len(),
+            Plan::Warm(record) => record.outcomes.len(),
         }
     }
+
+    /// After a chunk's evaluate stage: a cold plan that will publish
+    /// keeps the slot of each survivor its perturbation left untouched
+    /// (`n_pp` within `untouched`) — a clean measurement — in that
+    /// survivor's outcome.
+    fn remember(&mut self, survivors: &[Survivor], slots: &[Slot], untouched: u32) {
+        let Plan::Cold {
+            outcomes,
+            publish: Some(_),
+            ..
+        } = self
+        else {
+            return;
+        };
+        for (survivor, slot) in survivors.iter().zip(slots) {
+            if survivor.cand.grid.n_pp > untouched {
+                continue;
+            }
+            if let Outcome::Feasible { measured, .. } = &mut outcomes[survivor.idx] {
+                *measured = Some(Box::new(slot.clone()));
+            }
+        }
+    }
+}
+
+/// A candidate the prune stage kept: its enumeration index, and the
+/// recorded slot a warm plan hands it when the request's perturbation
+/// leaves it untouched.
+#[derive(Debug, PartialEq)]
+struct Survivor {
+    idx: usize,
+    cand: Candidate,
+    recorded: Option<Slot>,
 }
 
 /// What the prune stage kept of one chunk, and how many it dropped by
 /// each bound.
 #[derive(Debug, Default, PartialEq)]
 struct Pruned {
-    survivors: Vec<Candidate>,
+    survivors: Vec<Survivor>,
     memory: u64,
     throughput: u64,
 }
@@ -655,13 +705,20 @@ struct Pruned {
 /// *counted* as pruned. Under a jittery perturbation an op can run up
 /// to `speedup` (`max_speedup()`) times faster than its analytic
 /// duration, so the throughput bound is widened by that factor to stay
-/// sound (exactly 1.0 for identity).
-fn filter(outcomes: &[Outcome], incumbent: Option<f64>, speedup: f64) -> Pruned {
+/// sound (exactly 1.0 for identity). A survivor whose `n_pp` is within
+/// `untouched` takes its outcome's recorded slot, if any.
+fn filter(
+    outcomes: &[Outcome],
+    chunk: Range<usize>,
+    incumbent: Option<f64>,
+    speedup: f64,
+    untouched: u32,
+) -> Pruned {
     let mut pruned = Pruned {
-        survivors: Vec::with_capacity(outcomes.len()),
+        survivors: Vec::with_capacity(chunk.len()),
         ..Pruned::default()
     };
-    for outcome in outcomes {
+    for (idx, outcome) in chunk.clone().zip(&outcomes[chunk]) {
         match outcome {
             Outcome::Memory => pruned.memory += 1,
             Outcome::Feasible { ub_tflops, .. }
@@ -669,7 +726,14 @@ fn filter(outcomes: &[Outcome], incumbent: Option<f64>, speedup: f64) -> Pruned 
             {
                 pruned.throughput += 1
             }
-            Outcome::Feasible { cand, .. } => pruned.survivors.push(*cand),
+            Outcome::Feasible { cand, measured, .. } => pruned.survivors.push(Survivor {
+                idx,
+                cand: *cand,
+                recorded: measured
+                    .as_deref()
+                    .filter(|_| cand.grid.n_pp <= untouched)
+                    .cloned(),
+            }),
         }
     }
     pruned
@@ -776,7 +840,6 @@ impl<'a> Request<'a> {
         let (model, cluster, overlap, kernel) =
             (self.model, self.cluster, self.overlap, self.kernel);
         let outcomes: &[Outcome] = match plan {
-            Plan::Warm(outcomes) => outcomes,
             Plan::Cold {
                 cands, outcomes, ..
             } => {
@@ -786,18 +849,25 @@ impl<'a> Request<'a> {
                         return Outcome::Memory;
                     }
                     let ub_tflops = lower_bound_tflops(model, cluster, &cand, overlap, kernel);
-                    Outcome::Feasible { cand, ub_tflops }
+                    Outcome::Feasible {
+                        cand,
+                        ub_tflops,
+                        measured: None,
+                    }
                 }));
                 outcomes
             }
+            Plan::Warm(record) => &record.outcomes,
         };
         let speedup = self.opts.perturbation.max_speedup();
-        filter(&outcomes[chunk], incumbent, speedup)
+        filter(outcomes, chunk, incumbent, speedup, self.untouched)
     }
 
     /// Evaluate stage: one measurement slot per survivor (empty where
-    /// lowering would fail), plus how many ran on a base this request
-    /// found in the class cache. A serial pre-pass validates survivors,
+    /// lowering would fail), plus how many it filled without building a
+    /// class base — from a recorded slot, or on a base this request
+    /// found in the class cache. A serial pre-pass fills each survivor
+    /// that carries a recorded slot directly; it validates the rest,
     /// groups them by topology class in first-seen order, and resolves
     /// every class it can without building one: from the class table,
     /// else the class cache (one cache lookup per first sight, so the
@@ -811,12 +881,20 @@ impl<'a> Request<'a> {
     /// ([`best_config_exhaustive`]).
     fn evaluate(
         &self,
-        survivors: &[Candidate],
+        survivors: &[Survivor],
         perturbation: &Perturbation,
         table: &mut ClassTable,
-    ) -> (Vec<Option<Measurement>>, u64) {
+    ) -> (Vec<Slot>, u64) {
+        let mut slots: Vec<Slot> = vec![None; survivors.len()];
+        let mut reused = 0;
         let mut groups: Vec<Group> = Vec::new();
-        for (idx, cand) in survivors.iter().enumerate() {
+        for (idx, survivor) in survivors.iter().enumerate() {
+            if let Some(slot) = &survivor.recorded {
+                slots[idx] = slot.clone();
+                reused += 1;
+                continue;
+            }
+            let cand = &survivor.cand;
             let cfg = cand.config_on(self.model, self.cluster);
             if cfg.validate(self.model, self.cluster).is_err() {
                 // Slot stays empty — lowering fails the same candidate.
@@ -848,10 +926,8 @@ impl<'a> Request<'a> {
         // simulations — queueing a task for one candidate costs more
         // than simulating it — and a lone task runs inline on this
         // thread. This affects only scheduling, never results.
-        let tasks = self
-            .threads
-            .min(survivors.len().div_ceil(4))
-            .min(groups.len());
+        let pending = survivors.len() - reused;
+        let tasks = self.threads.min(pending.div_ceil(4)).min(groups.len());
         let costs: Vec<u64> = groups.iter().map(group_cost).collect();
         let mut bins: Vec<Vec<&mut Group>> = (0..tasks).map(|_| Vec::new()).collect();
         for (group, bin) in groups.iter_mut().zip(carve(&costs, tasks)) {
@@ -863,8 +939,7 @@ impl<'a> Request<'a> {
                 .collect(),
         );
 
-        let mut slots: Vec<Option<Measurement>> = vec![None; survivors.len()];
-        let mut hits = 0;
+        let mut hits = reused as u64;
         for group in groups {
             if let Some(resolved) = group.resolved {
                 if resolved.1 {
@@ -957,13 +1032,13 @@ impl<'a> Request<'a> {
     /// in deterministic candidate order.
     fn reduce(
         &self,
-        survivors: &[Candidate],
-        slots: Vec<Option<Measurement>>,
+        survivors: &[Survivor],
+        slots: Vec<Slot>,
         best: &mut Option<(Candidate, SearchResult)>,
         on_improve: &mut Option<&mut (dyn FnMut(&SearchResult) + Send)>,
     ) {
         let capacity = self.cluster.min_memory_bytes();
-        for (cand, m) in survivors.iter().zip(slots) {
+        for (Survivor { cand, .. }, m) in survivors.iter().zip(slots) {
             let Some(m) = m.filter(|m| competes(m, capacity)) else {
                 continue;
             };
@@ -987,13 +1062,26 @@ impl<'a> Request<'a> {
         }
     }
 
-    /// Probe stage: the winner re-simulated under the standardized
-    /// reference straggler. It is a duration-only delta, so it runs
-    /// through the evaluate stage on the winner's already-resolved class
-    /// — no lowering and no class build.
-    fn probe(&self, winner: &Candidate, table: &mut ClassTable) -> Option<Measurement> {
+    /// Probe stage: the winner's slot under the standardized reference
+    /// straggler. The probe does not depend on the request, so a warm
+    /// plan whose record's winner is this winner reuses the recorded
+    /// slot. Otherwise it is a duration-only delta, run through the
+    /// evaluate stage on the winner's class — already resolved unless a
+    /// recorded slot stood in for its evaluation, so no lowering, and a
+    /// class build only where neither table nor cache holds the class.
+    fn probe(&self, winner: &Candidate, plan: &Plan<'_>, table: &mut ClassTable) -> Slot {
+        if let Plan::Warm(record) = plan {
+            if let Some((_, slot)) = record.probe.as_ref().filter(|(cand, _)| cand == winner) {
+                return slot.clone();
+            }
+        }
+        let survivor = Survivor {
+            idx: 0,
+            cand: *winner,
+            recorded: None,
+        };
         let probe = Perturbation::reference_probe();
-        let (mut slots, _) = self.evaluate(std::slice::from_ref(winner), &probe, table);
+        let (mut slots, _) = self.evaluate(std::slice::from_ref(&survivor), &probe, table);
         slots.pop().flatten()
     }
 
@@ -1045,17 +1133,19 @@ fn competes(m: &Measurement, capacity: u64) -> bool {
 }
 
 /// Record stage: a completed cold search through a warm-capable env
-/// publishes its classified outcomes as they are. Outcomes are
-/// perturbation-independent, so even a perturbed cold run records them;
-/// the class bases a replay needs stay in the class cache.
-fn record(plan: Plan<'_>) {
+/// publishes its classified outcomes, with the clean slots it kept
+/// ([`Plan::remember`]), and its winner's probe slot. Outcomes and the
+/// probe are perturbation-independent, so even a perturbed cold run
+/// records them; the class bases a replay needs stay in the class
+/// cache.
+fn record(plan: Plan<'_>, probe: Option<(Candidate, Slot)>) {
     if let Plan::Cold {
         outcomes,
         publish: Some((warm, key)),
         ..
     } = plan
     {
-        warm.insert(key, outcomes);
+        warm.insert(key, Record { outcomes, probe });
     }
 }
 
@@ -1232,15 +1322,17 @@ mod tests {
     }
 
     /// What `prune_reason`, run candidate by candidate, decides for
-    /// `cands` against `incumbent`.
+    /// `cands[chunk]` against `incumbent`: survivors carry their
+    /// enumeration index and no recorded slot.
     fn pruned_one_by_one(
         req: &Request<'_>,
         cands: &[Candidate],
+        chunk: Range<usize>,
         incumbent: Option<f64>,
         speedup: f64,
     ) -> Pruned {
         let mut expected = Pruned::default();
-        for cand in cands {
+        for (idx, cand) in chunk.clone().zip(&cands[chunk]) {
             match prune_reason(
                 req.model,
                 req.cluster,
@@ -1252,10 +1344,28 @@ mod tests {
             ) {
                 Some(PruneReason::Memory) => expected.memory += 1,
                 Some(PruneReason::Throughput) => expected.throughput += 1,
-                None => expected.survivors.push(*cand),
+                None => expected.survivors.push(Survivor {
+                    idx,
+                    cand: *cand,
+                    recorded: None,
+                }),
             }
         }
         expected
+    }
+
+    /// A distinguishable stand-in for the clean measurement a record
+    /// keeps for the candidate at `idx`.
+    fn marker(idx: usize) -> Measurement {
+        Measurement {
+            batch_seconds: idx as f64,
+            tflops_per_gpu: 1.0,
+            utilization: 0.01,
+            compute_busy: 0.5,
+            memory_bytes: 0.0,
+            global_batch: 48,
+            batch_per_gpu: 0.75,
+        }
     }
 
     #[test]
@@ -1268,12 +1378,14 @@ mod tests {
         for perturbation in [
             Perturbation::none(),
             Perturbation::with_seed(3).with_jitter(0.5),
+            Perturbation::with_seed(5).with_straggler(4, 1.5),
         ] {
             let opts = SearchOptions {
                 perturbation,
                 ..quick_opts()
             };
             let speedup = opts.perturbation.max_speedup();
+            let untouched = opts.perturbation.untouched_devices();
             let req = Request {
                 model: &model,
                 cluster: &cluster,
@@ -1283,6 +1395,7 @@ mod tests {
                 env: &env,
                 overlap: method.overlap(),
                 threads: 1,
+                untouched,
             };
             let cands: Vec<Candidate> = enumerate(&model, &cluster, method, 48, &opts).collect();
             let chunks: Vec<Range<usize>> = (0..cands.len())
@@ -1307,7 +1420,7 @@ mod tests {
                 let mut plan = req.plan(48);
                 for chunk in &chunks {
                     let expected =
-                        pruned_one_by_one(&req, &cands[chunk.clone()], incumbent, speedup);
+                        pruned_one_by_one(&req, &cands, chunk.clone(), incumbent, speedup);
                     let pruned = req.prune(&mut plan, chunk.clone(), incumbent);
                     assert_eq!(pruned, expected, "cold chunk {chunk:?} at {incumbent:?}");
                     totals.memory += pruned.memory;
@@ -1325,15 +1438,43 @@ mod tests {
             );
 
             // A warm plan over the classified outcomes decides every
-            // incumbent the same way.
-            let mut warm = Plan::Warm(classified.into());
+            // incumbent the same way. Its record keeps a clean slot for
+            // every other feasible candidate, and a survivor takes its
+            // slot exactly when its pipeline is within the untouched
+            // count.
+            for (idx, outcome) in classified.iter_mut().enumerate() {
+                if let Outcome::Feasible { measured, .. } = outcome {
+                    *measured = (idx % 2 == 0).then(|| Box::new(Some(marker(idx))));
+                }
+            }
+            let mut warm = Plan::Warm(Arc::new(Record {
+                outcomes: classified,
+                probe: None,
+            }));
+            let (mut handed, mut kept) = (0, 0);
             for incumbent in incumbents {
                 for chunk in &chunks {
+                    let mut pruned = req.prune(&mut warm, chunk.clone(), incumbent);
+                    for survivor in &mut pruned.survivors {
+                        let within = survivor.cand.grid.n_pp <= untouched;
+                        let want =
+                            (within && survivor.idx % 2 == 0).then(|| Some(marker(survivor.idx)));
+                        assert_eq!(survivor.recorded.take(), want, "{survivor:?}");
+                        handed += u32::from(want.is_some());
+                        kept += u32::from(!within && survivor.idx % 2 == 0);
+                    }
                     let expected =
-                        pruned_one_by_one(&req, &cands[chunk.clone()], incumbent, speedup);
-                    let pruned = req.prune(&mut warm, chunk.clone(), incumbent);
+                        pruned_one_by_one(&req, &cands, chunk.clone(), incumbent, speedup);
                     assert_eq!(pruned, expected, "warm chunk {chunk:?} at {incumbent:?}");
                 }
+            }
+            match untouched {
+                0 => assert_eq!(handed, 0, "{:?} touches every pipeline", opts.perturbation),
+                u32::MAX => assert_eq!(kept, 0, "identity touches nothing"),
+                _ => assert!(
+                    handed > 0 && kept > 0,
+                    "both sides of the boundary are exercised"
+                ),
             }
         }
     }
@@ -1357,9 +1498,16 @@ mod tests {
             env: &env,
             overlap: method.overlap(),
             threads: 1,
+            untouched: u32::MAX,
         };
-        let cands: Vec<Candidate> = enumerate(&model, &cluster, method, 48, &opts)
+        let survivors: Vec<Survivor> = enumerate(&model, &cluster, method, 48, &opts)
             .take(2)
+            .enumerate()
+            .map(|(idx, cand)| Survivor {
+                idx,
+                cand,
+                recorded: None,
+            })
             .collect();
         let finite = Measurement {
             batch_seconds: 1.0,
@@ -1377,9 +1525,9 @@ mod tests {
             };
             let mut best = None;
             let slots = vec![Some(skipped), Some(finite.clone())];
-            req.reduce(&cands, slots, &mut best, &mut None);
+            req.reduce(&survivors, slots, &mut best, &mut None);
             let (cand, result) = best.expect("the finite slot competes");
-            assert_eq!(cand, cands[1], "{bad}");
+            assert_eq!(cand, survivors[1].cand, "{bad}");
             assert_eq!(result.measurement, finite, "{bad}");
         }
     }
@@ -1390,11 +1538,12 @@ mod tests {
         let cluster = presets::dgx1_v100(8);
         let k = KernelModel::v100();
         let method = Method::BreadthFirst;
-        // A cold search, its identity warm replay, and a second replay
-        // after the class cache is emptied, through a fresh service env
-        // over a private class cache: (the first replay's warm hits and
-        // simulations, the second replay's warm hits, the class builds
-        // the second replay ran).
+        // A cold search, its identity warm replay, a second identity
+        // replay after the class cache is emptied, and a replay under a
+        // straggler on device 0 — in every pipeline — through a fresh
+        // service env over a private class cache: (the first replay's
+        // warm hits and simulations, the straggler replay's warm hits,
+        // the class builds it ran).
         let run = |threads: usize| {
             let opts = SearchOptions {
                 threads,
@@ -1406,39 +1555,88 @@ mod tests {
                 ..SearchEnv::service()
             };
             let metrics = env.metrics.clone().expect("a service env has a registry");
-            let plan = || {
+            let plan = |opts: &SearchOptions| {
                 search(
                     &model,
                     &cluster,
                     method,
                     16,
                     &k,
-                    &opts,
+                    opts,
                     &env,
                     SearchHooks::default(),
                 )
             };
-            let (cold, cold_rep) = plan();
+            let (cold, cold_rep) = plan(&opts);
             assert!(cold.is_some() && !cold_rep.warm_start);
-            let (replay, rep) = plan();
+            let (replay, rep) = plan(&opts);
             assert!(rep.warm_start);
             assert_eq!(replay, cold, "threads {threads}: replay == cold");
             assert_eq!(
                 rep.warm_hits, rep.simulated,
-                "threads {threads}: every base is in the class cache"
+                "threads {threads}: every survivor is evaluated without a build"
             );
 
+            // Identity touches no pipeline: every survivor and the probe
+            // take the record's slots, so no base is needed.
             classes.clear();
             let builds = metrics.counter("search_class_builds_total");
-            let (rebuilt, rebuilt_rep) = plan();
-            assert!(rebuilt_rep.warm_start, "a replay without bases warm-starts");
+            let (again, again_rep) = plan(&opts);
             assert_eq!(
-                rebuilt, cold,
+                again, cold,
                 "threads {threads}: replay after the clear == cold"
             );
             assert_eq!(
+                (
+                    again_rep.simulated,
+                    again_rep.warm_hits,
+                    again_rep.robust_tflops
+                ),
+                (
+                    cold_rep.simulated,
+                    cold_rep.simulated,
+                    cold_rep.robust_tflops
+                ),
+                "threads {threads}: same counters, every survivor from the record"
+            );
+            assert_eq!(metrics.counter("search_class_builds_total"), builds);
+            assert!(classes.is_empty(), "threads {threads}: nothing built");
+
+            // Device 0 is in every pipeline: nothing is reused, and the
+            // missing bases are rebuilt.
+            let slow = SearchOptions {
+                perturbation: Perturbation::with_seed(3).with_straggler(0, 1.5),
+                ..opts.clone()
+            };
+            let (rebuilt, rebuilt_rep) = plan(&slow);
+            assert!(rebuilt_rep.warm_start, "a replay without bases warm-starts");
+            let (fresh, fresh_rep) = search(
+                &model,
+                &cluster,
+                method,
+                16,
+                &k,
+                &slow,
+                &SearchEnv::private(),
+                SearchHooks::default(),
+            );
+            assert_eq!(rebuilt, fresh, "threads {threads}: replay == fresh search");
+            assert_eq!(
+                (
+                    rebuilt_rep.simulated,
+                    rebuilt_rep.robust_tflops,
+                    rebuilt_rep.retention
+                ),
+                (
+                    fresh_rep.simulated,
+                    fresh_rep.robust_tflops,
+                    fresh_rep.retention
+                ),
+                "threads {threads}"
+            );
+            assert_eq!(
                 rebuilt_rep.warm_hits, 0,
-                "threads {threads}: no base to find"
+                "threads {threads}: no base to find, no slot to reuse"
             );
             let rebuilds = metrics.counter("search_class_builds_total") - builds;
             assert!(rebuilds > 0, "threads {threads}: missing bases are rebuilt");

@@ -15,20 +15,40 @@
 //!
 //! So the prune stage classifies every cold candidate into an `Outcome`
 //! (memory-pruned, or feasible with its throughput bound), and a
-//! completed cold search records those outcomes as they are. A warm
-//! request replays that record — same chunking, same filter, same
-//! reduction — and only the simulations run, each as a row fill and
-//! trace replay over its class's base. A record holds no bases: the
-//! class cache ([`crate::ClassCache`]) is the one store of them, and a
-//! warm start resolves each class there or builds it, exactly as a cold
-//! search does. Bases are built from the class key alone, so they hold
-//! under any perturbation, and row fill + replay is bit-identical to
-//! lowering and solving the member (tested in `batch` and
-//! `tests/batch_equivalence.rs`), which is what makes a warm search
+//! completed cold search records those outcomes. A warm request replays
+//! that record — same chunking, same filter, same reduction — and only
+//! the simulations run, each as a row fill and trace replay over its
+//! class's base. The class cache ([`crate::ClassCache`]) is the one
+//! store of bases: a warm start resolves each class there or builds it,
+//! exactly as a cold search does. Bases are built from the class key
+//! alone, so they hold under any perturbation, and row fill + replay is
+//! bit-identical to lowering and solving the member (tested in `batch`
+//! and `tests/batch_equivalence.rs`), which is what makes a warm search
 //! return *exactly* what the cold search would have.
 //!
+//! A record also keeps two kinds of answer the cold search measured:
+//!
+//! * the measurement slot of every candidate it evaluated whose
+//!   pipeline its perturbation left untouched (`grid.n_pp` within
+//!   [`untouched_devices`](bfpp_sim::Perturbation::untouched_devices)):
+//!   that candidate's clean measurement;
+//! * its winner's slot under
+//!   [`reference_probe`](bfpp_sim::Perturbation::reference_probe), which
+//!   does not depend on the request.
+//!
+//! The reuse rule: a warm survivor whose `n_pp` is within its own
+//! request's untouched count takes the recorded slot instead of being
+//! re-timed, and the probe reuses the recorded one when the winner is
+//! the record's winner. Both are exact: every op of a lowering sits on a
+//! pipeline device `0..n_pp`, a factor of 1 returns the base duration
+//! bit-for-bit, and replay is deterministic, so the re-timed row — and
+//! its measurement — would equal the recorded one. The request key fixes
+//! everything else a measurement depends on. A reused survivor still
+//! counts as simulated, so every counter equals a fresh search's.
+//!
 //! The record cache is bounded by entry count (FIFO eviction): a record
-//! is one outcome per enumerated candidate and holds no class base.
+//! is one outcome per enumerated candidate plus the probe, and holds no
+//! class base.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -38,7 +58,12 @@ use bfpp_model::TransformerConfig;
 
 use crate::candidates::Candidate;
 use crate::kernel::KernelModel;
+use crate::measure::Measurement;
 use crate::search::{Method, SearchOptions};
+
+/// One evaluated candidate's measurement, empty where lowering would
+/// fail the candidate.
+pub(crate) type Slot = Option<Measurement>;
 
 /// The perturbation-independent fate of one enumerated candidate, in
 /// enumeration order (so chunk boundaries replay exactly).
@@ -50,7 +75,26 @@ pub(crate) enum Outcome {
     /// Feasible, with its throughput upper bound (Tflop/s per GPU,
     /// unwidened). Cold and warm searches re-decide throughput pruning
     /// from it per request: the best-so-far depends on the perturbation.
-    Feasible { cand: Candidate, ub_tflops: f64 },
+    /// `measured` is the slot the recording search evaluated the
+    /// candidate into, kept only where its perturbation left the
+    /// candidate untouched: a clean measurement. Boxed, since a record
+    /// keeps one for only the few candidates its cold search evaluated.
+    Feasible {
+        cand: Candidate,
+        ub_tflops: f64,
+        measured: Option<Box<Slot>>,
+    },
+}
+
+/// A completed cold search, as warm requests replay it. Immutable once
+/// published.
+#[derive(Debug)]
+pub(crate) struct Record {
+    /// One outcome per enumerated candidate, in enumeration order.
+    pub(crate) outcomes: Vec<Outcome>,
+    /// The cold winner and its slot under the reference probe, if
+    /// anything won.
+    pub(crate) probe: Option<(Candidate, Slot)>,
 }
 
 /// The request signature a warm start must match exactly: everything
@@ -86,14 +130,14 @@ fn scope_prefix(model: &TransformerConfig, cluster: &ClusterSpec) -> String {
 }
 
 struct Entries {
-    map: HashMap<String, Arc<[Outcome]>>,
+    map: HashMap<String, Arc<Record>>,
     /// Insertion order for FIFO eviction (deterministic, unlike
     /// hash-map iteration order).
     order: Vec<String>,
 }
 
-/// A bounded, process-wide store of completed cold searches' outcome
-/// lists, keyed by request signature and shared by every request of a
+/// A bounded, process-wide store of completed cold searches' records,
+/// keyed by request signature and shared by every request of a
 /// planner. Concurrency-safe; an evicted or invalidated record stays
 /// valid for searches already holding its `Arc`.
 #[derive(Debug)]
@@ -135,13 +179,13 @@ impl WarmCache {
         }
     }
 
-    pub(crate) fn lookup(&self, key: &str) -> Option<Arc<[Outcome]>> {
+    pub(crate) fn lookup(&self, key: &str) -> Option<Arc<Record>> {
         self.lock().map.get(key).cloned()
     }
 
-    pub(crate) fn insert(&self, key: String, outcomes: Vec<Outcome>) {
+    pub(crate) fn insert(&self, key: String, record: Record) {
         let mut entries = self.lock();
-        if entries.map.insert(key.clone(), outcomes.into()).is_none() {
+        if entries.map.insert(key.clone(), Arc::new(record)).is_none() {
             entries.order.push(key);
             while entries.order.len() > self.max_entries {
                 let evicted = entries.order.remove(0);

@@ -34,4 +34,4 @@ pub use memory::{
     activation_memory_bytes, checkpoint_memory_per_layer_bytes, state_memory_dp0_bytes,
     state_memory_fs_bytes, state_memory_ps_bytes, StateMemoryRange,
 };
-pub use transformer::TransformerConfig;
+pub use transformer::{TransformerConfig, ZeroDimension};

@@ -61,18 +61,41 @@ impl TransformerConfig {
             seq_length,
             vocab_size,
         };
-        cfg.validate();
+        if let Err(zero) = cfg.check() {
+            panic!("{zero}");
+        }
         cfg
     }
 
-    fn validate(&self) {
-        assert!(self.num_layers > 0, "num_layers must be positive");
-        assert!(self.num_heads > 0, "num_heads must be positive");
-        assert!(self.head_size > 0, "head_size must be positive");
-        assert!(self.hidden_size > 0, "hidden_size must be positive");
-        assert!(self.mlp_size > 0, "mlp_size must be positive");
-        assert!(self.seq_length > 0, "seq_length must be positive");
-        assert!(self.vocab_size > 0, "vocab_size must be positive");
+    /// Checks that every dimension is positive, naming the first that
+    /// is zero. The fields are public, so a struct literal skips the
+    /// check [`TransformerConfig::new`] panics on; code that must not
+    /// panic on such a model (the configuration search yields no
+    /// candidate for it) calls this instead.
+    ///
+    /// ```
+    /// use bfpp_model::{presets, TransformerConfig, ZeroDimension};
+    ///
+    /// let flat = TransformerConfig {
+    ///     num_layers: 0,
+    ///     ..presets::bert_6_6b()
+    /// };
+    /// assert_eq!(flat.check(), Err(ZeroDimension("num_layers")));
+    /// assert_eq!(presets::bert_6_6b().check(), Ok(()));
+    /// ```
+    pub fn check(&self) -> Result<(), ZeroDimension> {
+        [
+            ("num_layers", self.num_layers),
+            ("num_heads", self.num_heads),
+            ("head_size", self.head_size),
+            ("hidden_size", self.hidden_size),
+            ("mlp_size", self.mlp_size),
+            ("seq_length", self.seq_length),
+            ("vocab_size", self.vocab_size),
+        ]
+        .into_iter()
+        .find(|&(_, value)| value == 0)
+        .map_or(Ok(()), |(field, _)| Err(ZeroDimension(field)))
     }
 
     /// Parameters of one transformer layer: `4·h²` for attention
@@ -155,6 +178,19 @@ impl TransformerConfig {
     }
 }
 
+/// A [`TransformerConfig`] dimension that must be positive but is zero,
+/// by field name ([`TransformerConfig::check`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ZeroDimension(pub &'static str);
+
+impl fmt::Display for ZeroDimension {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} must be positive", self.0)
+    }
+}
+
+impl std::error::Error for ZeroDimension {}
+
 impl fmt::Display for TransformerConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -234,6 +270,32 @@ mod tests {
     #[should_panic(expected = "num_layers")]
     fn rejects_zero_layers() {
         TransformerConfig::new("bad", 0, 8, 16, 128, 1000);
+    }
+
+    #[test]
+    fn check_names_each_zero_field() {
+        let zeroed = |zero: fn(&mut TransformerConfig)| {
+            let mut m = toy();
+            zero(&mut m);
+            m
+        };
+        let cases = [
+            ("num_layers", zeroed(|m| m.num_layers = 0)),
+            ("num_heads", zeroed(|m| m.num_heads = 0)),
+            ("head_size", zeroed(|m| m.head_size = 0)),
+            ("hidden_size", zeroed(|m| m.hidden_size = 0)),
+            ("mlp_size", zeroed(|m| m.mlp_size = 0)),
+            ("seq_length", zeroed(|m| m.seq_length = 0)),
+            ("vocab_size", zeroed(|m| m.vocab_size = 0)),
+        ];
+        assert_eq!(toy().check(), Ok(()));
+        for (field, m) in cases {
+            assert_eq!(m.check(), Err(ZeroDimension(field)));
+            assert_eq!(
+                m.check().unwrap_err().to_string(),
+                format!("{field} must be positive")
+            );
+        }
     }
 
     #[test]

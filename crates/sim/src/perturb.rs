@@ -196,6 +196,38 @@ impl Perturbation {
             && self.stragglers.iter().all(|&(_, m)| m == 1.0)
     }
 
+    /// How many leading devices this perturbation leaves bit-for-bit
+    /// unchanged: every op on a device below the count keeps its base
+    /// duration. `0` when it draws per-op randomness
+    /// ([`Perturbation::has_randomness`]) or degrades links (comm ops on
+    /// every device take that factor); otherwise the lowest device whose
+    /// straggler multiplier is not 1, or `u32::MAX` when nothing is
+    /// slowed. Devices are `u32` indices, so a pipeline of `n` devices is
+    /// untouched iff `n` is at most the count — which also holds for a
+    /// straggler on device `u32::MAX`, though that perturbation is not
+    /// [the identity](Perturbation::is_identity).
+    ///
+    /// ```
+    /// use bfpp_sim::Perturbation;
+    ///
+    /// assert_eq!(Perturbation::none().untouched_devices(), u32::MAX);
+    /// let p = Perturbation::with_seed(1)
+    ///     .with_straggler(5, 1.5)
+    ///     .with_straggler(3, 1.2)
+    ///     .with_straggler(1, 1.0); // a factor of 1 slows nothing
+    /// assert_eq!(p.untouched_devices(), 3, "devices 0, 1 and 2 are untouched");
+    /// assert_eq!(p.with_jitter(0.1).untouched_devices(), 0);
+    /// ```
+    pub fn untouched_devices(&self) -> u32 {
+        if self.has_randomness() || self.link_degradation != 1.0 {
+            return 0;
+        }
+        self.stragglers
+            .iter()
+            .find(|&&(_, m)| m != 1.0)
+            .map_or(u32::MAX, |&(d, _)| d)
+    }
+
     /// A stable 64-bit digest of every field, usable as a cache /
     /// candidate-identity key: two perturbations with the same
     /// fingerprint produce the same timeline for the same graph.
@@ -575,6 +607,81 @@ mod tests {
         assert!(!p.is_identity());
         assert_eq!(p.straggler_multiplier(0), 1.5);
         assert_eq!(p.max_speedup(), 1.0, "the probe must not speed anything up");
+    }
+
+    #[test]
+    fn untouched_devices_counts_the_leading_unslowed_devices() {
+        let p = Perturbation::with_seed(4);
+        assert_eq!(p.untouched_devices(), u32::MAX, "identity: all devices");
+        assert_eq!(Perturbation::none().untouched_devices(), u32::MAX);
+        // The lowest slowed straggler decides, whatever the insertion
+        // order; a factor-1 straggler slows nothing.
+        let q = p
+            .clone()
+            .with_straggler(9, 2.0)
+            .with_straggler(0, 1.0)
+            .with_straggler(6, 1.5);
+        assert_eq!(q.untouched_devices(), 6);
+        assert_eq!(q.clone().with_straggler(6, 1.0).untouched_devices(), 9);
+        assert_eq!(p.clone().with_straggler(0, 1.2).untouched_devices(), 0);
+        // A straggler beyond every u32-indexed pipeline keeps the count
+        // exact, but the perturbation is not the identity.
+        let last = p.clone().with_straggler(u32::MAX, 2.0);
+        assert_eq!(last.untouched_devices(), u32::MAX);
+        assert!(!last.is_identity());
+        // Link degradation reaches comm ops on every device, and
+        // per-op randomness any op.
+        for p in [
+            q.clone().with_link_degradation(1.1),
+            q.clone().with_jitter(0.2),
+            q.clone().with_stalls(0.1, SimDuration::from_millis(1)),
+        ] {
+            assert_eq!(p.untouched_devices(), 0, "{p:?}");
+        }
+        // Inactive stalls and a factor-1 link draw nothing.
+        let inert = q
+            .with_stalls(0.0, SimDuration::from_millis(1))
+            .with_link_degradation(1.0);
+        assert_eq!(inert.untouched_devices(), 6);
+        assert_eq!(Perturbation::reference_probe().untouched_devices(), 0);
+    }
+
+    proptest::proptest! {
+        /// Every op on a device below the untouched count keeps its
+        /// base duration bit-for-bit.
+        #[test]
+        fn ops_below_the_untouched_count_keep_their_duration(
+            seed in 0u64..1 << 20,
+            stragglers in proptest::collection::vec((0u32..12, 1.0f64..3.0), 0..4),
+            ones in proptest::collection::vec(0u32..12, 0..3),
+            link in proptest::sample::select(vec![1.0, 1.0, 1.3]),
+            jitter in proptest::sample::select(vec![0.0, 0.0, 0.2]),
+            stall in proptest::sample::select(vec![0.0, 0.3]),
+            ops in proptest::collection::vec(
+                (0u64..1 << 30, 0u32..14, proptest::any::<bool>(), 0u64..1 << 40),
+                1..64,
+            ),
+        ) {
+            let mut p = Perturbation::with_seed(seed)
+                .with_link_degradation(link)
+                .with_jitter(jitter)
+                .with_stalls(stall, SimDuration::from_micros(50));
+            for (device, factor) in stragglers {
+                p = p.with_straggler(device, factor);
+            }
+            for device in ones {
+                p = p.with_straggler(device, 1.0);
+            }
+            let untouched = p.untouched_devices();
+            for (ns, device, compute, salt) in ops {
+                if device >= untouched {
+                    continue;
+                }
+                let class = if compute { OpClass::Compute } else { OpClass::Communication };
+                let base = SimDuration::from_nanos(ns);
+                proptest::prop_assert_eq!(p.perturb(base, class, device, salt), base, "{:?}", &p);
+            }
+        }
     }
 
     #[test]
