@@ -3,7 +3,8 @@
 //! Benches the solver core against the round-robin reference
 //! oracle (`reference-solver` feature) across pipeline shapes, plus the
 //! duration-only re-solve fast path, the shared-workspace trace replay
-//! behind topology-class candidate evaluation, and the robustness-sweep
+//! of (kind × resource) duration tables behind topology-class candidate
+//! evaluation, and the robustness-sweep
 //! pattern they accelerate (lower once + re-solve vs. re-lower + solve
 //! per point). Headline numbers are recorded in `BENCH_solver.json` at
 //! the repo root; regenerate them by re-running
@@ -15,12 +16,16 @@ use bfpp_core::ScheduleKind;
 use bfpp_exec::{lower, KernelModel, OverlapConfig, Perturbation};
 use bfpp_model::presets::bert_52b;
 use bfpp_parallel::{BatchConfig, DataParallelism, Grid, ParallelConfig, Placement};
-use bfpp_sim::{OpGraph, OpId, ReplayWorkspace, SimDuration, SolveStats, Solver};
+use bfpp_sim::{DurationTable, OpGraph, OpId, ReplayWorkspace, SimDuration, SolveStats, Solver};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 /// How many microbatches a device runs ahead of the backward wave — the
 /// 1F1B in-flight window (small, as in the paper's memory-bound regime).
 const WINDOW: usize = 4;
+
+/// Every compute op's duration, and every send's, in nanoseconds.
+const COMPUTE_NS: u64 = 10;
+const SEND_NS: u64 = 3;
 
 /// Builds a pipeline-shaped graph mirroring what `exec::lower` emits:
 /// `devices` pipeline devices, each with a compute resource plus a link
@@ -66,17 +71,27 @@ fn pipeline_graph(devices: usize, len: usize) -> OpGraph<u32> {
                 } else {
                     Vec::new()
                 };
-                let f = g.add_op(compute[d], SimDuration::from_nanos(10), &deps, m as u32);
+                let f = g.add_op(
+                    compute[d],
+                    SimDuration::from_nanos(COMPUTE_NS),
+                    &deps,
+                    m as u32,
+                );
                 if d + 1 < devices {
                     fwd_send[d][m] =
-                        Some(g.add_op(link[d], SimDuration::from_nanos(3), &[f], m as u32));
+                        Some(g.add_op(link[d], SimDuration::from_nanos(SEND_NS), &[f], m as u32));
                 }
             } else {
-                let b = g.add_op(compute[d], SimDuration::from_nanos(10), &[], m as u32);
+                let b = g.add_op(
+                    compute[d],
+                    SimDuration::from_nanos(COMPUTE_NS),
+                    &[],
+                    m as u32,
+                );
                 bwd[d][m] = Some(b);
                 if d > 0 {
                     bwd_send[d][m] =
-                        Some(g.add_op(link[d], SimDuration::from_nanos(3), &[b], m as u32));
+                        Some(g.add_op(link[d], SimDuration::from_nanos(SEND_NS), &[b], m as u32));
                 }
             }
         }
@@ -141,16 +156,27 @@ fn bench_solver(c: &mut Criterion) {
                 b.iter(|| solver.solve_stats_with_durations(&durations).unwrap())
             },
         );
-        // The topology-class evaluation pattern: 8 member rows, one
-        // contiguous `8 × n_ops` buffer, re-timed through one immutable
-        // replay workspace. Per-candidate cost is this arm divided by 8.
+        // The topology-class evaluation pattern: 8 members, each a
+        // (kind × resource) duration table — a compute kind and a send
+        // kind here — re-timed through one immutable replay workspace
+        // whose ops carry their kinds. Per-candidate cost is this arm
+        // divided by 8.
         group.bench_with_input(
             BenchmarkId::new("replay_batch8", format!("{chains}x{len}")),
             &g,
             |b, g| {
-                let ws = workspace(g);
-                let rows: Vec<SimDuration> = (1..=8u64)
-                    .flat_map(|k| g.op_ids().map(move |id| g.op(id).duration() * k))
+                // Compute resources come first (`0..chains`), links after.
+                let kinds = g
+                    .op_ids()
+                    .map(|id| u8::from(g.op(id).resource().index() >= chains))
+                    .collect();
+                let ws = workspace(g).with_kinds(2, kinds);
+                let tables: Vec<SimDuration> = (1..=8u64)
+                    .flat_map(|k| {
+                        [COMPUTE_NS, SEND_NS].into_iter().flat_map(move |ns| {
+                            std::iter::repeat_n(SimDuration::from_nanos(ns * k), g.num_resources())
+                        })
+                    })
                     .collect();
                 let mut stats = SolveStats {
                     makespan: SimDuration::ZERO,
@@ -159,8 +185,8 @@ fn bench_solver(c: &mut Criterion) {
                 };
                 b.iter(|| {
                     let mut acc = SimDuration::ZERO;
-                    for row in rows.chunks_exact(g.num_ops()) {
-                        ws.replay_stats_into(row, &mut stats);
+                    for cells in tables.chunks_exact(ws.table_len()) {
+                        ws.replay_table_into(DurationTable { cells, draws: None }, &mut stats);
                         acc += stats.makespan;
                     }
                     acc

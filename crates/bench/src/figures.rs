@@ -8,7 +8,7 @@ use bfpp_analytic::tradeoff::{OperatingPoint, TradeoffModel};
 use bfpp_cluster::ClusterSpec;
 use bfpp_core::{Schedule, ScheduleKind};
 use bfpp_exec::executor::ScopedTask;
-use bfpp_exec::search::{Method, SearchOptions, SearchReport, SearchResult};
+use bfpp_exec::search::{Method, SearchEnv, SearchOptions, SearchReport, SearchResult};
 use bfpp_exec::{lower, KernelModel, LoweredGraph, OverlapConfig, TraceBuilder};
 use bfpp_model::TransformerConfig;
 use bfpp_parallel::{BatchConfig, DataParallelism, Grid, ParallelConfig, Placement};
@@ -178,19 +178,23 @@ pub fn figure5_batches(model: &str, ethernet: bool) -> Vec<u64> {
 
 /// Runs the Figure 5 sweep: best configuration per (method, batch).
 ///
-/// A thin client of the planner service: one fresh [`Planner`] serves
-/// every cell over the process-wide topology-class cache and leaves
-/// warm-start records behind for any follow-up request. Each cell's
-/// result and report are value-identical to calling
-/// [`bfpp_exec::search::search`] over a private environment (shared
-/// caches only substitute equal values).
+/// A one-shot client of the planner: a fresh [`Planner`] over a private
+/// environment ([`SearchEnv::private`]) serves every cell over the
+/// process-wide topology-class cache and keeps no warm-start store, so
+/// a sweep whose cells are all distinct publishes no record that
+/// nothing would replay. Each cell's result and report are
+/// value-identical to calling [`bfpp_exec::search::search`] over a
+/// private environment (the shared class cache only substitutes equal
+/// values). [`figure5_sweep_with`] plans on a caller's service planner
+/// instead, for repeat sweeps that warm-start.
 pub fn figure5_sweep(
     model: &TransformerConfig,
     cluster: &ClusterSpec,
     batches: &[u64],
     opts: &SearchOptions,
 ) -> Vec<SweepRow> {
-    figure5_sweep_with(&Planner::new(), model, cluster, batches, opts)
+    let planner = Planner::over(SearchEnv::private());
+    figure5_sweep_with(&planner, model, cluster, batches, opts)
 }
 
 /// [`figure5_sweep`] over a caller-supplied planner — the service path:

@@ -1,5 +1,5 @@
-//! Topology classes: one replay workspace per shape class, one duration
-//! row per member.
+//! Topology classes: one replay workspace per shape class, one
+//! (kind × resource) duration table per member.
 //!
 //! Two enumerated candidates that share a schedule and the same set of
 //! structural lowering decisions produce op graphs that are *identical
@@ -25,42 +25,51 @@
 //! stage-pair transfer rounds to zero — `Durations::emits_sends`), so
 //! a mixed-fleet member and a homogeneous member with the same key still
 //! share one topology. A send's kind says which of its device's two
-//! stage pairs it crosses, so a member's row can be filled from
-//! per-device duration vectors just as cheaply as from the scalar table.
+//! stage pairs it crosses, so a member's durations follow from
+//! per-device duration vectors just as they do from the scalar table.
 //!
 //! So the search builds **one replay workspace per class**, straight
 //! from the key and its schedule: [`ClassBase::build`] walks the
 //! lowering's op-emission rules (`crate::lower::emit_ops`, the same
 //! walk that builds an `OpGraph` for [`crate::lower`]) straight into
-//! the solver's index — each op's resource and its forward dependency
-//! row, with a slot reserved at emission for each late cross-device
-//! dep and filled when the walk wires it — and
+//! the solver's index — each op's resource, its duration *kind*
+//! (fwd/bwd/forward send/backward send/gather/reduce) and its forward
+//! dependency row, with a slot reserved at emission for each late
+//! cross-device dep and filled when the walk wires it — and
 //! [`bfpp_sim::ReplayWorkspace::discover`] validates the rows and
 //! records the replay trace with one discovery pass. No graph, resource
 //! name, tag, memory annotation, duration or reverse index is built for
-//! a class. Every member is then evaluated from its own duration row: a
-//! per-op array maps each op index to its duration *kind*
-//! (fwd/bwd/forward send/backward send/gather/reduce), and with the
-//! workspace's per-op resource that names the op's perturbation slot,
-//! device and send pair, so filling a member's row is two table lookups
-//! per op, and re-timing it is the solver's allocation-free trace
-//! replay. Both
-//! halves are bit-identical to lowering and solving the member
-//! (`fill_row` reproduces [`crate::LoweredGraph::perturbed_durations`]
-//! exactly — same per-op salt, same class/device factors — and trace
-//! replay is bit-identical to a full solve), which is what lets the
-//! batched search return exactly the same winners and counters.
+//! a class.
+//!
+//! A member is then a **duration table**, not a per-op row: an op's
+//! base duration depends only on its kind and its resource (the
+//! resource fixes the device, and the kind and device fix a send's
+//! pair), and so does a randomness-free perturbation's factor (the
+//! device's straggler multiplier for kernels, the link degradation for
+//! transfers). So [`ClassBase::fill_tables`] writes 6 × R cells per
+//! member, R being the class's streams (at most three per pipeline
+//! device), and the solver's allocation-free trace replay reads op
+//! `i`'s duration from cell `kind[i] · R + resource[i]`
+//! ([`bfpp_sim::ReplayWorkspace::replay_table_into`]). Under per-op
+//! randomness (jitter, stalls) the cells hold base durations and the
+//! replay draws each op from its cell with the op's insertion index as
+//! salt, as lowering does. Both halves are bit-identical to lowering and
+//! solving the member (the table, expanded per op, reproduces
+//! [`crate::LoweredGraph::perturbed_durations`] exactly — same per-op
+//! salt, same class/device factors — and trace replay is bit-identical
+//! to a full solve), which is what lets the batched search return
+//! exactly the same winners and counters.
 //!
 //! A `ClassBase` is *graph-free* by construction: it keeps only the
-//! replay workspace, the kind array, and the few per-class scalars the
-//! measurement layer needs. That makes it independent of model, cluster
-//! and kernel — a base built for a key is valid for **any** request that
-//! produces that key, so the process-wide [`ClassCache`] can share bases
-//! across methods, batch sizes, models and planner requests. Results
-//! never depend on cache contents, only on the key — a hit merely skips
-//! the class build. A base is also immutable once built: replay writes
-//! its timing into per-thread buffers, so any number of threads replay
-//! one shared base at once, with no lock.
+//! replay workspace (with each op's kind) and the few per-class scalars
+//! the measurement layer needs. That makes it independent of model,
+//! cluster and kernel — a base built for a key is valid for **any**
+//! request that produces that key, so the process-wide [`ClassCache`]
+//! can share bases across methods, batch sizes, models and planner
+//! requests. Results never depend on cache contents, only on the key —
+//! a hit merely skips the class build. A base is also immutable once
+//! built: replay writes its timing into per-thread buffers, so any
+//! number of threads replay one shared base at once, with no lock.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,7 +80,8 @@ use bfpp_core::{Schedule, ScheduleKind};
 use bfpp_model::TransformerConfig;
 use bfpp_parallel::{DataParallelism, ParallelConfig, Placement};
 use bfpp_sim::{
-    OpClass, Perturbation, ReplayWorkspace, ResourceId, SimDuration, SlotDraw, SolveStats,
+    Draws, DurationTable, OpClass, Perturbation, ReplayWorkspace, ResourceId, SimDuration,
+    SlotDraw, SolveStats,
 };
 
 use crate::candidates::Candidate;
@@ -127,11 +137,11 @@ impl ClassKey {
     }
 }
 
-// Per-op duration kinds of a topology class: each indexes a 6-entry
-// per-candidate duration table. Fwd and bwd are the compute kinds. A
-// forward send crosses the stage pair its device leads, `(dev, dev + 1)`;
-// a backward send the pair below, `(dev - 1, dev)` (both mod N_PP, the
-// pairs `emit_ops` charges).
+// Per-op duration kinds of a topology class: each is a row of a
+// member's (kind × resource) duration table. Fwd and bwd are the compute
+// kinds. A forward send crosses the stage pair its device leads,
+// `(dev, dev + 1)`; a backward send the pair below, `(dev - 1, dev)`
+// (both mod N_PP, the pairs `emit_ops` charges).
 const KIND_FWD: u8 = 0;
 const KIND_BWD: u8 = 1;
 const KIND_SEND_UP: u8 = 2;
@@ -147,10 +157,14 @@ const KINDS: [u8; 6] = [
     KIND_REDUCE,
 ];
 
-/// The perturbation slot of an op of `kind` on `resource`:
-/// `2 * resource + is_compute`, the numbering of [`RowScratch`].
-fn slot(kind: u8, resource: u32) -> usize {
-    2 * resource as usize + (kind <= KIND_BWD) as usize
+/// The perturbation classes, in the row order of
+/// [`MemberTables`]' factors.
+const CLASSES: [OpClass; 2] = [OpClass::Communication, OpClass::Compute];
+
+/// The perturbation class of an op of `kind` (kernels are compute,
+/// everything else communication), as its index in [`CLASSES`].
+fn op_class(kind: u8) -> usize {
+    (kind <= KIND_BWD) as usize
 }
 
 /// The [`OpSink`] of a class build: plain stream and op indices, the
@@ -215,18 +229,62 @@ impl OpSink for ClassSink {
     }
 }
 
-/// Per-slot scratch of [`ClassBase::fill_row`], reused across rows and
-/// classes: each resource slot's class factor, or under randomness its
-/// hoisted draw inputs.
-#[derive(Debug, Default)]
-pub struct RowScratch {
+/// The duration tables of a class group's members under one
+/// perturbation ([`ClassBase::fill_tables`]), reused across groups and
+/// classes. A table has one cell per (kind, resource) — 6 × R cells, R
+/// being the class's streams, at most three per pipeline device — so a
+/// group's tables stay small whatever its op count.
+#[derive(Debug)]
+pub struct MemberTables<'p> {
+    perturbation: &'p Perturbation,
+    /// The perturbation's hoisted draws, under per-op randomness.
+    draws: Option<Draws<'p>>,
+    /// Without randomness, each resource's class factor: a row for
+    /// communication, then one for compute (R each, [`op_class`]
+    /// order). The same for every member of a class.
     factors: Vec<f64>,
-    draws: Vec<SlotDraw>,
+    /// Whether each factor row is all ones (its cells keep their base).
+    unit_rows: [bool; 2],
+    /// Under randomness, each cell's slot draw: likewise per class.
+    slots: Vec<SlotDraw>,
+    /// The members' tables, back to back.
+    cells: Vec<SimDuration>,
+    /// Cells per table.
+    len: usize,
+}
+
+impl<'p> MemberTables<'p> {
+    /// Empty tables for members re-timed under `perturbation`; its
+    /// fingerprint is hashed here, once.
+    pub fn new(perturbation: &'p Perturbation) -> Self {
+        MemberTables {
+            perturbation,
+            draws: perturbation.draws(),
+            factors: Vec::new(),
+            unit_rows: [true; 2],
+            slots: Vec::new(),
+            cells: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// Member `k`'s table (in the order [`ClassBase::fill_tables`] took
+    /// the members), as the replay reads it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `k + 1` tables are filled.
+    pub fn member(&self, k: usize) -> DurationTable<'_> {
+        DurationTable {
+            cells: &self.cells[k * self.len..(k + 1) * self.len],
+            draws: self.draws.map(|draws| (draws, self.slots.as_slice())),
+        }
+    }
 }
 
 /// One topology class's shared evaluation state: the replay workspace
-/// (dependency index + replay trace of the class topology), each op's
-/// duration kind, and the per-class scalars measurement needs.
+/// (dependency index + replay trace of the class topology, each op's
+/// duration kind) and the per-class scalars measurement needs.
 /// Built straight from the key and its schedule — no graph ever exists —
 /// which is what makes a base model/cluster/kernel-independent and
 /// shareable process-wide. Nothing in it changes after the build, so
@@ -242,11 +300,11 @@ pub struct ClassBase {
     reduce_is_all_reduce: bool,
     compute_resources: Vec<ResourceId>,
     resource_device: Vec<u32>,
-    /// Each op's duration kind (`KIND_*`). The op's resource comes from
-    /// the workspace ([`ReplayWorkspace::op_resources`]), and with it
-    /// the op's perturbation slot ([`slot`]) and device; a send's pair
-    /// follows from its kind and device ([`ClassBase::charge`]).
-    kinds: Vec<u8>,
+    /// The dependency index, the replay trace, and each op's duration
+    /// kind (`KIND_*`, [`ReplayWorkspace::op_kinds`]). An op's resource
+    /// ([`ReplayWorkspace::op_resources`]) gives its device, and its
+    /// kind its perturbation class ([`op_class`]); a send's pair follows
+    /// from its kind and device ([`ClassBase::charge`]).
     workspace: ReplayWorkspace,
 }
 
@@ -296,7 +354,9 @@ impl ClassBase {
         }
         kinds.shrink_to_fit();
         let workspace =
-            ReplayWorkspace::discover(resource_device.len(), op_resource, dep_indptr, deps).ok()?;
+            ReplayWorkspace::discover(resource_device.len(), op_resource, dep_indptr, deps)
+                .ok()?
+                .with_kinds(KINDS.len(), kinds);
         Some(ClassBase {
             n_ops,
             kind: key.kind,
@@ -307,7 +367,6 @@ impl ClassBase {
                 .map(|r| ResourceId::from_index(r as usize))
                 .collect(),
             resource_device,
-            kinds,
             workspace,
         })
     }
@@ -337,92 +396,97 @@ impl ClassBase {
         }
     }
 
-    /// Fills one member's duration row, bit-identical to what lowering
-    /// that member under `perturbation` would produce
+    /// Fills `tables` with one (kind × resource) duration table per
+    /// member, in `members` order. Replaying member `k`'s table
+    /// ([`MemberTables::member`]) gives each op exactly the duration
+    /// lowering that member under the tables' perturbation would
     /// ([`crate::LoweredGraph::perturbed_durations`] of its clean
-    /// lowering): the same per-op salt (insertion index), the same
-    /// class/device factors. Everything that does not depend on the op
-    /// is hoisted out of the op loop into `scratch` (caller scratch
-    /// reused across rows): without randomness, one factor per resource
-    /// slot; with it, the perturbation's fingerprint once per row and
-    /// each slot's hash and factor once ([`Perturbation::draws`]), so an
-    /// op hashes only its salt.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len()` is not the class's op count.
-    pub fn fill_row(
+    /// lowering): an op's base duration is a function of its kind and
+    /// its resource (the resource fixes the device, and the kind and
+    /// device a send's pair), and so is its class factor. Without
+    /// randomness a cell is that base with that factor applied; under
+    /// randomness it is the base, and the replay draws each op from it
+    /// with the op's insertion index as salt, as lowering does. What
+    /// does not depend on the member — each cell's factor or slot draw —
+    /// is computed once per call.
+    pub fn fill_tables<'d>(
         &self,
-        d: &Durations,
-        perturbation: &Perturbation,
-        scratch: &mut RowScratch,
-        out: &mut [SimDuration],
+        members: impl IntoIterator<Item = &'d Durations>,
+        tables: &mut MemberTables<'_>,
     ) {
-        assert_eq!(out.len(), self.n_ops, "row sized for this topology");
-        // Each op's kind and resource, in op order.
-        let ops = self
-            .kinds
-            .iter()
-            .copied()
-            .zip(self.workspace.op_resources().iter().copied());
-        // Homogeneous members charge every op from a 6-entry table (no
-        // device or pair enters a scalar duration). A member with
-        // per-device durations reads its base time through the same
-        // rule lowering uses, on the op's device.
-        let table = KINDS.map(|kind| self.charge(kind, 0).base(d, 0));
-        let hetero = d.per_device.is_some();
-        let base = |kind: u8, resource: u32| -> SimDuration {
-            if hetero {
-                let dev = self.resource_device[resource as usize];
-                self.charge(kind, dev).base(d, dev)
-            } else {
-                table[kind as usize]
+        let devices = &self.resource_device;
+        let r_count = devices.len();
+        tables.len = self.workspace.table_len();
+        tables.factors.clear();
+        tables.slots.clear();
+        match &tables.draws {
+            Some(draws) => {
+                for kind in KINDS {
+                    let class = CLASSES[op_class(kind)];
+                    tables
+                        .slots
+                        .extend(devices.iter().map(|&dev| draws.slot(class, dev)));
+                }
             }
-        };
-        // Both scratch vectors follow the slot numbering of [`slot`].
-        let Some(draws) = perturbation.draws() else {
-            let factors = &mut scratch.factors;
-            factors.clear();
-            for &dev in &self.resource_device {
-                factors.push(perturbation.class_factor(OpClass::Communication, dev));
-                factors.push(perturbation.class_factor(OpClass::Compute, dev));
+            None => {
+                for (row, class) in CLASSES.into_iter().enumerate() {
+                    let p = tables.perturbation;
+                    tables
+                        .factors
+                        .extend(devices.iter().map(|&dev| p.class_factor(class, dev)));
+                    tables.unit_rows[row] =
+                        tables.factors[row * r_count..].iter().all(|&f| f == 1.0);
+                }
             }
-            for (out, (kind, resource)) in out.iter_mut().zip(ops) {
-                *out =
-                    Perturbation::apply_factor(base(kind, resource), factors[slot(kind, resource)]);
-            }
-            return;
-        };
-        let slot_draws = &mut scratch.draws;
-        slot_draws.clear();
-        for &dev in &self.resource_device {
-            slot_draws.push(draws.slot(OpClass::Communication, dev));
-            slot_draws.push(draws.slot(OpClass::Compute, dev));
         }
-        for (i, (out, (kind, resource))) in out.iter_mut().zip(ops).enumerate() {
-            let draw = slot_draws[slot(kind, resource)];
-            *out = draws.perturb(base(kind, resource), draw, i as u64);
+        tables.cells.clear();
+        for d in members {
+            for kind in KINDS {
+                let start = tables.cells.len();
+                // A member with per-device durations reads each cell's
+                // base time through the same rule lowering uses, on the
+                // cell's device; a homogeneous one charges a kind the
+                // same on every device.
+                if d.per_device.is_some() {
+                    tables.cells.extend(
+                        devices
+                            .iter()
+                            .map(|&dev| self.charge(kind, dev).base(d, dev)),
+                    );
+                } else {
+                    let base = self.charge(kind, 0).base(d, 0);
+                    tables.cells.resize(start + r_count, base);
+                }
+                let row = op_class(kind);
+                if tables.draws.is_none() && !tables.unit_rows[row] {
+                    let factors = &tables.factors[row * r_count..(row + 1) * r_count];
+                    for (cell, &factor) in tables.cells[start..].iter_mut().zip(factors) {
+                        *cell = Perturbation::apply_factor(*cell, factor);
+                    }
+                }
+            }
         }
     }
 
-    /// The class's replay workspace, for re-timing member rows
-    /// ([`ReplayWorkspace::replay_stats_into`]) from any thread.
+    /// The class's replay workspace, for re-timing member tables
+    /// ([`ReplayWorkspace::replay_table_into`]) from any thread.
     pub fn workspace(&self) -> &ReplayWorkspace {
         &self.workspace
     }
 
-    /// Re-times the class trace under one member's duration row and
+    /// Re-times the class trace under one member's duration table and
     /// derives the paper's metrics — bit-identical to lowering and fully
-    /// solving that member. `stats` is caller scratch reused across rows.
-    pub(crate) fn measure_row(
+    /// solving that member. `stats` is caller scratch reused across
+    /// members.
+    pub(crate) fn measure(
         &self,
         stats: &mut SolveStats,
         model: &TransformerConfig,
         cluster: &ClusterSpec,
         cfg: &ParallelConfig,
-        row: &[SimDuration],
+        table: DurationTable<'_>,
     ) -> Measurement {
-        self.workspace.replay_stats_into(row, stats);
+        self.workspace.replay_table_into(table, stats);
         let compute_busy = stats
             .utilization_over(self.compute_resources.iter().copied())
             .mean;
@@ -655,10 +719,10 @@ mod tests {
     #[test]
     fn direct_build_matches_the_lowered_graph() {
         // The class matches what the lowered graph's own ops say: same
-        // op count, kinds and device map; the perturbation slots and
-        // send pairs derived from each op's kind and resource are the
-        // graph's; and each op's dependency row, late slots filled, is
-        // the graph's, in `add_dep` order.
+        // op count, kinds and device map; each op's resource, and the
+        // perturbation class and send pair derived from its kind and
+        // resource, are the graph's; and each op's dependency row, late
+        // slots filled, is the graph's, in `add_dep` order.
         let a = candidate(4, 2, 1, 12);
         let (_, _, key, lowered) = class_parts(&a);
         let base = build(&key);
@@ -684,23 +748,28 @@ mod tests {
                 OpTag::DpGather { .. } => (KIND_GATHER, None),
                 OpTag::DpReduce { .. } => (KIND_REDUCE, None),
             };
-            let is_compute = matches!(op.tag(), OpTag::Compute(_)) as usize;
+            let class = match op.tag() {
+                OpTag::Compute(_) => OpClass::Compute,
+                _ => OpClass::Communication,
+            };
+            let kinds = base.workspace().op_kinds();
             let resource = base.workspace().op_resources()[i];
             let derived_dev = base.resource_device[resource as usize];
-            let derived_pair = match base.charge(base.kinds[i], derived_dev) {
+            let derived_pair = match base.charge(kinds[i], derived_dev) {
                 Charge::P2p { pair } => Some(pair),
                 _ => None,
             };
-            assert_eq!(base.kinds[i], kind, "op {i}");
+            assert_eq!(kinds[i], kind, "op {i}");
             assert_eq!(derived_pair, pair, "op {i}");
             assert_eq!(
-                slot(base.kinds[i], resource),
-                2 * op.resource().index() + is_compute,
+                (resource as usize, CLASSES[op_class(kinds[i])]),
+                (op.resource().index(), class),
                 "op {i}"
             );
         }
+        let kinds = base.workspace().op_kinds();
         assert!(
-            base.kinds.contains(&KIND_SEND_UP) && base.kinds.contains(&KIND_SEND_DOWN),
+            kinds.contains(&KIND_SEND_UP) && kinds.contains(&KIND_SEND_DOWN),
             "the class must emit both send kinds"
         );
         let replay = base.workspace();
@@ -728,8 +797,7 @@ mod tests {
         let (cfg_b, d_b, kb, lb) = class_parts(&b);
 
         let base = build(&kb);
-        let mut row = vec![SimDuration::ZERO; base.num_ops()];
-        let mut scratch = RowScratch::default();
+        let mut row = Vec::new();
         for p in [
             Perturbation::none(),
             Perturbation::reference_probe(),
@@ -741,15 +809,18 @@ mod tests {
                 .with_jitter(0.5)
                 .with_stalls(0.1, SimDuration::from_micros(50)),
         ] {
-            base.fill_row(&d_b, &p, &mut scratch, &mut row);
-            // Row durations equal the perturbed row of b's own clean
-            // lowering.
+            let mut tables = MemberTables::new(&p);
+            base.fill_tables([&d_b], &mut tables);
+            let table = tables.member(0);
+            // The table's per-op durations, drawn as the replay draws
+            // them, equal the perturbed row of b's own clean lowering.
+            base.workspace().table_durations(table, &mut row);
             let mut expect = Vec::new();
             lb.perturbed_durations(&p, &mut expect);
             assert_eq!(row, expect, "{p:?}");
 
             let mut stats = empty_stats();
-            let m = base.measure_row(&mut stats, &model, &cluster, &cfg_b, &row);
+            let m = base.measure(&mut stats, &model, &cluster, &cfg_b, table);
             let mut solver = Solver::new(&lb.graph);
             let full = solver.solve_stats_with_durations(&row).unwrap();
             assert_eq!(stats.makespan, full.makespan, "{p:?}");

@@ -173,8 +173,8 @@ impl LoweredGraph {
 /// non-overlapped tensor-parallel all-reduce time), stage-boundary
 /// transfers, and the data-parallel gather and reductions. Lowering
 /// charges each op one of these; a topology class
-/// ([`crate::batch::ClassBase::fill_row`]) charges a member's row from
-/// them the same way.
+/// ([`crate::batch::ClassBase::fill_tables`]) charges a member's
+/// (kind × resource) duration table from them the same way.
 ///
 /// On a homogeneous cluster with a uniform layer split the scalar fields
 /// are the whole story (`per_device` is `None`) and every float in them
@@ -287,7 +287,7 @@ impl Durations {
 }
 
 /// Which [`Durations`] entry an op is charged, and where: the one rule
-/// both the graph lowering and a topology class's row fill
+/// both the graph lowering and a topology class's table fill
 /// (`crate::batch`) read an op's base duration through.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Charge {

@@ -40,9 +40,9 @@ use bfpp_cluster::ClusterSpec;
 use bfpp_core::{Schedule, ScheduleKind};
 use bfpp_model::TransformerConfig;
 use bfpp_parallel::{DataParallelism, ParallelConfig};
-use bfpp_sim::{MetricsRegistry, Perturbation, SimDuration};
+use bfpp_sim::{MetricsRegistry, Perturbation};
 
-use crate::batch::{ClassBase, ClassCache, ClassKey, RowScratch};
+use crate::batch::{ClassBase, ClassCache, ClassKey, MemberTables};
 use crate::candidates::{action_count, enumerate, Candidate};
 use crate::executor::{Executor, ScopedTask};
 use crate::kernel::KernelModel;
@@ -757,8 +757,8 @@ struct Group {
     members: Vec<Member>,
 }
 
-/// One survivor: its index, its row-fill inputs, and the measurement its
-/// pool task writes.
+/// One survivor: its index, its duration-table inputs, and the
+/// measurement its pool task writes.
 struct Member {
     idx: usize,
     cfg: ParallelConfig,
@@ -766,17 +766,19 @@ struct Member {
     measurement: Option<Measurement>,
 }
 
-/// What a class build weighs in member rows of the same class, for
-/// [`group_cost`]. Measured on cold jittered requests: a build costs
-/// ~100 ns per op and a jittered row (fill, replay and measurement)
-/// ~38 ns per op, so a build is worth two to three rows. Both scale
+/// What a class build weighs in members of the same class, for
+/// [`group_cost`]. Measured over the feasible classes of the cold 1T and
+/// Fig. 5a requests, one thread: a build costs ~50–70 ns per op and a
+/// jittered member (table fill, and a replay that draws every op)
+/// ~27–35 ns per op, so a build is worth about two members. Both scale
 /// with the op count, which is ≈ 2 × the action count, so actions stand
-/// in for ops.
-const BUILD_ROWS: u64 = 2;
+/// in for ops. A randomness-free member replays in ~6–8 ns per op; its
+/// groups are carved by the same weights.
+const BUILD_MEMBERS: u64 = 2;
 
-/// A group's estimated evaluation cost, in action-rows: its schedule's
-/// [`action_count`] times its member rows, plus [`BUILD_ROWS`] if its
-/// base still has to be built.
+/// A group's estimated evaluation cost, in action-members: its
+/// schedule's [`action_count`] times its members, plus [`BUILD_MEMBERS`]
+/// if its base still has to be built.
 fn group_cost(group: &Group) -> u64 {
     let key = &group.key;
     let actions = action_count(
@@ -785,7 +787,7 @@ fn group_cost(group: &Group) -> u64 {
         key.placement().n_loop(),
     );
     let build = if group.resolved.is_none() {
-        BUILD_ROWS
+        BUILD_MEMBERS
     } else {
         0
     };
@@ -874,9 +876,9 @@ impl<'a> Request<'a> {
     /// cache's hit and miss counts do not depend on the carving). The
     /// groups are then carved longest-first by estimated cost
     /// ([`group_cost`], [`carve`]) into at most `threads` pool tasks,
-    /// which build the remaining bases and re-time members by SoA trace
-    /// replay; a serial scatter books the bases and restores survivor
-    /// order.
+    /// which build the remaining bases and re-time members by trace
+    /// replay of their duration tables; a serial scatter books the bases
+    /// and restores survivor order.
     /// Bit-identical to lowering and solving each candidate
     /// ([`best_config_exhaustive`]).
     fn evaluate(
@@ -955,16 +957,16 @@ impl<'a> Request<'a> {
     }
 
     /// Evaluates class groups in place — the body of one pool task:
-    /// builds each base no lookup found, then fills its members' rows
-    /// and replays them. With a registry, each group books one fill and
-    /// one replay span (`search_class_fill_ns`, `search_class_replay_ns`,
-    /// replay including measurement) — one clock pair per group and
-    /// stage, none per op or row.
+    /// builds each base no lookup found, then fills its members'
+    /// (kind × resource) duration tables and replays them. With a
+    /// registry, each group books one fill and one replay span
+    /// (`search_class_fill_ns` for its tables and slot draws,
+    /// `search_class_replay_ns` for its replays including measurement)
+    /// — one clock pair per group and stage, none per op or member.
     fn eval_groups(&self, groups: Vec<&mut Group>, perturbation: &Perturbation) {
         let metrics = self.env.metrics.as_deref();
-        let mut scratch = RowScratch::default();
+        let mut tables = MemberTables::new(perturbation);
         let mut solve_stats = crate::batch::empty_stats();
-        let mut rows: Vec<SimDuration> = Vec::new();
         for group in groups {
             if group.resolved.is_none() {
                 group.resolved = self.build(&group.key);
@@ -976,23 +978,15 @@ impl<'a> Request<'a> {
                 continue;
             };
             let fill_start = metrics.map(|_| Instant::now());
-            // One contiguous row per member, `members × n_ops`, re-timed
-            // against the class's shared workspace.
-            let n = base.num_ops();
-            rows.clear();
-            rows.resize(group.members.len() * n, SimDuration::ZERO);
-            for (k, member) in group.members.iter().enumerate() {
-                let row = &mut rows[k * n..(k + 1) * n];
-                base.fill_row(&member.d, perturbation, &mut scratch, row);
-            }
+            base.fill_tables(group.members.iter().map(|m| &m.d), &mut tables);
             let replay_start = metrics.map(|_| Instant::now());
             for (k, member) in group.members.iter_mut().enumerate() {
-                member.measurement = Some(base.measure_row(
+                member.measurement = Some(base.measure(
                     &mut solve_stats,
                     self.model,
                     self.cluster,
                     &member.cfg,
-                    &rows[k * n..(k + 1) * n],
+                    tables.member(k),
                 ));
             }
             if let (Some(metrics), Some(fill_start), Some(replay_start)) =

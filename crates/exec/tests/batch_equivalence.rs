@@ -2,19 +2,21 @@
 //!
 //! Per class: a base built straight from `(ClassKey, Schedule)` must
 //! agree with a full `lower_with_schedule` + `Solver` over the member's
-//! `OpGraph` — row fill equals `LoweredGraph::perturbed_durations`,
+//! `OpGraph` — a member's duration table, expanded per op through the
+//! replay's own read, equals `LoweredGraph::perturbed_durations`, its
 //! replay equals `solve_stats_with_durations`, and a class fails exactly
 //! when the graph fails — for random kind, placement, micro-batch
 //! count, DP mode, DP activity, overlap flags and zero/non-zero
-//! transfers, on homogeneous and mixed fleets.
+//! transfers, on homogeneous and mixed fleets. Under a slow-only
+//! perturbation a member never replays shorter than its clean self.
 //!
 //! Per search: for random methods, batch sizes, limits and
 //! perturbations, the engine (pruning, one replay workspace per shape
-//! class, SoA duration rows, trace replay) must be **bit-identical** to
-//! `best_config_exhaustive` (lower + full solve of every candidate) —
-//! same winner, same measurement to the bit, same robustness probe —
-//! with every candidate accounted for and the same counters at every
-//! thread count.
+//! class, (kind × resource) duration tables, trace replay) must be
+//! **bit-identical** to `best_config_exhaustive` (lower + full solve of
+//! every candidate) — same winner, same measurement to the bit, same
+//! robustness probe — with every candidate accounted for and the same
+//! counters at every thread count.
 //!
 //! Per shared base: threads replaying one `Arc<ClassBase>` at once get
 //! exactly the serial answers, since replay never writes to the base.
@@ -24,13 +26,13 @@ use std::sync::{Arc, Barrier};
 use bfpp_cluster::presets::{dgx1_v100, mixed_v100_a100, mixed_v100_a100_asym};
 use bfpp_cluster::ClusterSpec;
 use bfpp_core::{Schedule, ScheduleKind};
-use bfpp_exec::batch::{ClassBase, ClassKey, RowScratch};
+use bfpp_exec::batch::{ClassBase, ClassKey, MemberTables};
 use bfpp_exec::search::{
     best_config_exhaustive, search, Method, SearchEnv, SearchHooks, SearchOptions, SearchResult,
 };
 use bfpp_exec::{
-    lower_with_schedule, simulate_perturbed, Candidate, Durations, KernelModel, OverlapConfig,
-    SplitStrategy,
+    lower_with_schedule, measure_stats, simulate_perturbed, Candidate, Durations, KernelModel,
+    OverlapConfig, SplitStrategy,
 };
 use bfpp_model::presets::bert_6_6b;
 use bfpp_parallel::{BatchConfig, DataParallelism, Grid, Placement};
@@ -210,8 +212,7 @@ proptest! {
         prop_assert!(solved.is_ok(), "graph deadlocks but the class built: {cand:?}");
         prop_assert_eq!(base.num_ops(), lowered.graph.num_ops());
 
-        let mut row = vec![SimDuration::ZERO; base.num_ops()];
-        let mut scratch = RowScratch::default();
+        let mut row = Vec::new();
         let mut expect = Vec::new();
         let mut stats = empty_stats();
         for p in [
@@ -223,14 +224,84 @@ proptest! {
                 .with_jitter(0.5)
                 .with_stalls(0.1, SimDuration::from_micros(50)),
         ] {
-            base.fill_row(&d, &p, &mut scratch, &mut row);
+            let mut tables = MemberTables::new(&p);
+            base.fill_tables([&d], &mut tables);
+            let table = tables.member(0);
+            base.workspace().table_durations(table, &mut row);
             lowered.perturbed_durations(&p, &mut expect);
             prop_assert_eq!(&row, &expect, "{:?} under {:?}", cand, p);
-            base.workspace().replay_stats_into(&row, &mut stats);
+            base.workspace().replay_table_into(table, &mut stats);
             let full = solver.solve_stats_with_durations(&row).expect("solvable");
             prop_assert_eq!(stats.makespan, full.makespan, "{:?} under {:?}", cand, p);
             prop_assert_eq!(&stats.busy, &full.busy, "{:?} under {:?}", cand, p);
         }
+    }
+
+    /// A slow-only perturbation — stragglers and link degradation, every
+    /// factor ≥ 1, no jitter or stalls — never shortens a replay: end
+    /// times are non-decreasing in every duration, and the trace does
+    /// not depend on durations. The member-table replay also equals the
+    /// row-based graph solve of `simulate_perturbed` on the clean
+    /// lowering.
+    #[test]
+    fn slow_only_perturbations_never_shorten_a_replay(
+        case in class_cases(),
+        stragglers in proptest::collection::vec((0u32..8, 1.0f64..3.0), 0..4),
+        link in proptest::sample::select(vec![1.0f64, 1.0, 1.3, 2.0]),
+        seed in 0u64..1_000_000,
+    ) {
+        let model = bert_6_6b();
+        let kernel = KernelModel::v100();
+        let ClassCase { cluster, cand, overlap } = case;
+        if cand.config().validate(&model, &cluster).is_err() {
+            return;
+        }
+        let cfg = cand.config_on(&model, &cluster);
+        if cfg.validate(&model, &cluster).is_err() {
+            return;
+        }
+        let Ok(schedule) = Schedule::generate(cand.kind, cand.placement, cand.batch.num_microbatches) else {
+            return;
+        };
+        let d = Durations::new(&model, &cluster, &cfg, &kernel, overlap);
+        let key = ClassKey::of(&cand, overlap, &d);
+        let Some(base) = ClassBase::build(&key, &schedule) else {
+            return;
+        };
+        let slow = stragglers
+            .iter()
+            .fold(Perturbation::with_seed(seed), |p, &(dev, m)| p.with_straggler(dev, m))
+            .with_link_degradation(link);
+        prop_assert!(!slow.has_randomness() && slow.max_speedup() == 1.0);
+
+        let replay = |p: &Perturbation| {
+            let mut tables = MemberTables::new(p);
+            base.fill_tables([&d], &mut tables);
+            let mut stats = empty_stats();
+            base.workspace().replay_table_into(tables.member(0), &mut stats);
+            stats
+        };
+        let (clean, slowed) = (replay(&Perturbation::none()), replay(&slow));
+        prop_assert!(
+            slowed.makespan >= clean.makespan,
+            "{:?} under {:?}: {:?} < {:?}",
+            cand,
+            slow,
+            slowed.makespan,
+            clean.makespan
+        );
+
+        let lowered = bfpp_exec::lower(&model, &cluster, &cfg, cand.kind, overlap, &kernel)
+            .expect("a class that builds lowers");
+        let graph = simulate_perturbed(&model, &cluster, &cfg, cand.kind, overlap, &kernel, &slow)
+            .expect("a class that builds simulates");
+        prop_assert_eq!(
+            measure_stats(&model, &cluster, &cfg, &lowered, &slowed),
+            graph,
+            "{:?} under {:?}",
+            cand,
+            slow
+        );
     }
 }
 
@@ -343,9 +414,9 @@ fn fig5a_cell_winner_measurement_is_bit_identical() {
 
 /// A cached class base is shared by concurrent sessions with no lock:
 /// replay reads the base and writes only the calling thread's buffers.
-/// Eight jittered member rows replayed from four threads at once, each
-/// starting at a different row, must give every thread the serial
-/// stats bit for bit.
+/// Eight jittered member tables, drawn per op in the replay, replayed
+/// from four threads at once, each starting at a different table, must
+/// give every thread the serial stats bit for bit.
 #[test]
 fn a_shared_base_replays_bit_identically_from_concurrent_threads() {
     let model = bert_6_6b();
@@ -380,42 +451,50 @@ fn a_shared_base_replays_bit_identically_from_concurrent_threads() {
     let schedule = Schedule::generate(key.schedule_kind(), key.placement(), key.num_microbatches())
         .expect("schedulable");
     let base = Arc::new(ClassBase::build(&key, &schedule).expect("acyclic"));
-    let n = base.num_ops();
 
-    let mut rows = vec![SimDuration::ZERO; 8 * n];
-    let mut scratch = RowScratch::default();
-    for (k, row) in rows.chunks_exact_mut(n).enumerate() {
-        let p = Perturbation::with_seed(100 + k as u64)
-            .with_straggler(k as u32 % 4, 1.3)
-            .with_jitter(0.5);
-        base.fill_row(&parts[k % parts.len()].1, &p, &mut scratch, row);
-    }
-    let serial: Vec<SolveStats> = rows
-        .chunks_exact(n)
-        .map(|row| {
+    let perturbations: Vec<Perturbation> = (0..8)
+        .map(|k| {
+            Perturbation::with_seed(100 + k as u64)
+                .with_straggler(k as u32 % 4, 1.3)
+                .with_jitter(0.5)
+        })
+        .collect();
+    let tables: Vec<MemberTables> = perturbations
+        .iter()
+        .enumerate()
+        .map(|(k, p)| {
+            let mut tables = MemberTables::new(p);
+            base.fill_tables([&parts[k % parts.len()].1], &mut tables);
+            tables
+        })
+        .collect();
+    let serial: Vec<SolveStats> = tables
+        .iter()
+        .map(|tables| {
             let mut stats = empty_stats();
-            base.workspace().replay_stats_into(row, &mut stats);
+            base.workspace()
+                .replay_table_into(tables.member(0), &mut stats);
             stats
         })
         .collect();
     assert!(
         serial.windows(2).any(|w| w[0] != w[1]),
-        "the jittered rows time differently"
+        "the jittered tables time differently"
     );
 
     let start = Barrier::new(4);
     let per_thread: Vec<Vec<SolveStats>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..4)
             .map(|t| {
-                let (base, rows, start) = (Arc::clone(&base), &rows, &start);
+                let (base, tables, start) = (Arc::clone(&base), &tables, &start);
                 s.spawn(move || {
                     start.wait();
                     let mut got = vec![empty_stats(); 8];
                     for round in 0..4 {
                         for k in 0..8 {
                             let k = (k + 2 * t + round) % 8;
-                            let row = &rows[k * n..(k + 1) * n];
-                            base.workspace().replay_stats_into(row, &mut got[k]);
+                            base.workspace()
+                                .replay_table_into(tables[k].member(0), &mut got[k]);
                         }
                     }
                     got

@@ -60,7 +60,8 @@ pub use observe::{
 };
 pub use perturb::{Draws, OpClass, Perturbation, SlotDraw};
 pub use solver::{
-    DeadlockError, ReplayWorkspace, ScheduledOp, SolveScratch, SolveStats, Solver, Timeline,
+    DeadlockError, DurationTable, ReplayWorkspace, ScheduledOp, SolveScratch, SolveStats, Solver,
+    Timeline,
 };
 pub use stats::{ResourceStats, UtilizationSummary};
 pub use time::{SimDuration, SimTime};

@@ -2,10 +2,12 @@
 //!
 //! A [`Perturbation`] models a *degraded* cluster: per-op duration
 //! jitter, per-device straggler multipliers, per-link bandwidth
-//! degradation and transient stall events. It is applied to a row of
-//! base op durations (in `bfpp-exec`, a clean lowering's
-//! `perturbed_durations` or a topology class's `fill_row`), so the whole
-//! fault model lives in the durations and the solver stays untouched.
+//! degradation and transient stall events. It is applied to base op
+//! durations (in `bfpp-exec`, a clean lowering's `perturbed_durations`,
+//! or a topology class member's duration table, whose randomness-free
+//! factors fold into its cells and whose per-op draws the replay makes
+//! through [`Draws::perturb`]), so the whole fault model lives in the
+//! durations and the solver's timing rule stays untouched.
 //!
 //! Determinism is the load-bearing property: the factor applied to an
 //! op is a **pure hash** of (perturbation fingerprint, device, op

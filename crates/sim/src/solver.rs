@@ -22,6 +22,7 @@ use std::fmt;
 
 use crate::graph::{OpGraph, OpId, ResourceId};
 use crate::memprof::{MemoryPeaks, MemorySpec};
+use crate::perturb::{Draws, SlotDraw};
 use crate::time::{SimDuration, SimTime};
 
 /// The solved start/end time of one operation.
@@ -249,10 +250,12 @@ struct Discovery {
 /// [`ReplayWorkspace::discover`], it never changes afterwards: replay
 /// reads it through `&self` and writes its timing into per-thread
 /// scratch, so one workspace is shared by any number of threads with no
-/// lock. It holds about 12 bytes per op plus 4 per dependency. It can
-/// only replay, never solve: a trace is always present, so replay needs
-/// no trace check. A [`SolveScratch`] keeps one for the graph it was
-/// last built for, whose trace its first solve discovers.
+/// lock. It holds about 12 bytes per op plus 4 per dependency, and one
+/// more per op once [`ReplayWorkspace::with_kinds`] gives each op a
+/// duration kind. It can only replay, never solve: a trace is always
+/// present, so replay needs no trace check. A [`SolveScratch`] keeps
+/// one for the graph it was last built for, whose trace its first solve
+/// discovers.
 #[derive(Debug, Clone, Default)]
 pub struct ReplayWorkspace {
     /// Per-op resource index.
@@ -269,6 +272,129 @@ pub struct ReplayWorkspace {
     /// duration, so one trace is a valid schedule order for *any*
     /// duration vector over this topology.
     trace: Vec<u32>,
+    /// Per-op duration kind, each `< num_kinds`: the row of a
+    /// [`DurationTable`] an op reads. Empty until
+    /// [`ReplayWorkspace::with_kinds`] sets it.
+    op_kind: Vec<u8>,
+    /// Rows of this workspace's duration tables (0 without kinds).
+    num_kinds: usize,
+}
+
+/// One replay's durations as a (kind × resource) table, for a workspace
+/// whose ops carry kinds ([`ReplayWorkspace::with_kinds`]): op `i` of
+/// kind `k` on resource `r` takes `cells[k * R + r]`, where `R` is the
+/// workspace's resource count. With `draws`, that cell is the op's
+/// *base* duration and the replay draws the op from it as
+/// [`Draws::perturb`]`(cell, slots[k * R + r], i)`: per-op randomness
+/// salted by the op index, as [`crate::Perturbation::perturb`] salts it.
+/// Without per-op randomness every op of one kind on one resource takes
+/// the same duration, so a whole replay reads
+/// [`ReplayWorkspace::table_len`] cells instead of one row entry per
+/// op.
+#[derive(Debug, Clone, Copy)]
+pub struct DurationTable<'a> {
+    /// One duration per (kind, resource) cell, kind-major.
+    pub cells: &'a [SimDuration],
+    /// Under per-op randomness: the draws, and each cell's slot draw
+    /// (as many as `cells`).
+    pub draws: Option<(Draws<'a>, &'a [SlotDraw])>,
+}
+
+/// Where the replay loop reads each op's duration: one row entry per op
+/// ([`Row`]) or a kinded table cell ([`Cells`], [`Drawn`]). A workspace
+/// method makes each source and checks its lengths against that
+/// workspace in O(1) (`row`, `cells`, [`Cells::drawn`]), so the loop
+/// reads a source without bounds checks.
+trait DurationSource {
+    /// Op `i`'s duration; `r` is its resource.
+    ///
+    /// # Safety
+    ///
+    /// `i` must be an op (`< n`) and `r` a resource (`< num_resources`)
+    /// of the workspace that made the source.
+    unsafe fn at(&self, i: usize, r: usize) -> SimDuration;
+}
+
+/// One duration per op, `n` long.
+#[derive(Clone, Copy)]
+struct Row<'a>(&'a [SimDuration]);
+
+impl DurationSource for Row<'_> {
+    #[inline(always)]
+    unsafe fn at(&self, i: usize, _r: usize) -> SimDuration {
+        // SAFETY: `i < n`, the row's length (`ReplayWorkspace::row`).
+        *self.0.get_unchecked(i)
+    }
+}
+
+/// A [`DurationTable`]'s cells, `num_kinds × num_resources` long, read
+/// through the workspace's op kinds (`n` long, each `< num_kinds`).
+#[derive(Clone, Copy)]
+struct Cells<'a> {
+    op_kind: &'a [u8],
+    num_resources: usize,
+    cells: &'a [SimDuration],
+}
+
+impl<'a> Cells<'a> {
+    /// Op `i`'s cell index: `kind * num_resources + r`.
+    ///
+    /// # Safety
+    ///
+    /// As [`DurationSource::at`]; the index is then below
+    /// `num_kinds * num_resources`.
+    #[inline(always)]
+    unsafe fn cell(&self, i: usize, r: usize) -> usize {
+        // SAFETY: `i < n`, the kind array's length (`with_kinds`); the
+        // kind is `< num_kinds` and `r < num_resources`.
+        *self.op_kind.get_unchecked(i) as usize * self.num_resources + r
+    }
+
+    /// These cells as base durations, each op drawn through `draws`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one slot draw per cell.
+    fn drawn(self, draws: Draws<'a>, slots: &'a [SlotDraw]) -> Drawn<'a> {
+        assert_eq!(slots.len(), self.cells.len(), "one slot draw per cell");
+        Drawn {
+            cells: self,
+            draws,
+            slots,
+        }
+    }
+}
+
+impl DurationSource for Cells<'_> {
+    #[inline(always)]
+    unsafe fn at(&self, i: usize, r: usize) -> SimDuration {
+        // SAFETY: the cell index is `< num_kinds * num_resources`, the
+        // cells' length (`ReplayWorkspace::cells`).
+        *self.cells.get_unchecked(self.cell(i, r))
+    }
+}
+
+/// Base-duration cells and their slot draws (as long as the cells):
+/// each op is drawn with its index as salt.
+#[derive(Clone, Copy)]
+struct Drawn<'a> {
+    cells: Cells<'a>,
+    draws: Draws<'a>,
+    slots: &'a [SlotDraw],
+}
+
+impl DurationSource for Drawn<'_> {
+    #[inline(always)]
+    unsafe fn at(&self, i: usize, r: usize) -> SimDuration {
+        // SAFETY: as `Cells::at`; the slot draws are as many as the
+        // cells (`Cells::drawn`).
+        let c = self.cells.cell(i, r);
+        self.draws.perturb(
+            *self.cells.cells.get_unchecked(c),
+            *self.slots.get_unchecked(c),
+            i as u64,
+        )
+    }
 }
 
 /// The timing buffers of one replay, reused across replays and
@@ -366,6 +492,8 @@ impl ReplayWorkspace {
             deps,
             num_resources,
             trace: Vec::with_capacity(n),
+            op_kind: Vec::new(),
+            num_kinds: 0,
         };
         with_transient_scratch(|s| {
             if ws.record_trace(&mut s.discovery) {
@@ -396,6 +524,42 @@ impl ReplayWorkspace {
         &self.deps[self.dep_indptr[op] as usize..self.dep_indptr[op + 1] as usize]
     }
 
+    /// This workspace with each op's duration kind, so that it replays
+    /// [`DurationTable`]s of `num_kinds` rows. The kinds are checked
+    /// here, once: the table replay indexes by them without bounds
+    /// checks.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `num_kinds <= 256` (a `u8` kind names no more
+    /// rows) and `op_kind` holds one kind per op, each `< num_kinds`.
+    pub fn with_kinds(mut self, num_kinds: usize, op_kind: Vec<u8>) -> ReplayWorkspace {
+        // Discovery keeps `num_resources` below `u32::MAX`, so the table
+        // length cannot overflow.
+        assert!(num_kinds <= 256, "at most 256 op kinds, got {num_kinds}");
+        assert_eq!(
+            op_kind.len(),
+            self.num_ops(),
+            "op_kind needs one kind per op"
+        );
+        if let Some(k) = op_kind.iter().find(|&&k| k as usize >= num_kinds) {
+            panic!("op kind {k} out of range ({num_kinds} kinds)");
+        }
+        self.op_kind = op_kind;
+        self.num_kinds = num_kinds;
+        self
+    }
+
+    /// Each op's duration kind, in op order (empty without kinds).
+    pub fn op_kinds(&self) -> &[u8] {
+        &self.op_kind
+    }
+
+    /// Cells of this workspace's [`DurationTable`]s: kinds × resources.
+    pub fn table_len(&self) -> usize {
+        self.num_kinds * self.num_resources
+    }
+
     /// Re-times the recorded trace under `durations`, writing the
     /// makespan and per-resource busy sums into `stats` — bit-identical
     /// to [`SolveScratch::replay_stats_into`] on a scratch built for the
@@ -408,6 +572,90 @@ impl ReplayWorkspace {
     ///
     /// Panics if `durations.len()` differs from the topology's op count.
     pub fn replay_stats_into(&self, durations: &[SimDuration], stats: &mut SolveStats) {
+        self.replay_into(self.row(durations), stats);
+    }
+
+    /// As [`ReplayWorkspace::replay_stats_into`], with each op's
+    /// duration read from `table` — bit-identical to replaying the row
+    /// [`ReplayWorkspace::table_durations`] expands it to, through the
+    /// same loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workspace has no op kinds, or if `table` does not
+    /// hold [`ReplayWorkspace::table_len`] cells (and as many slot
+    /// draws, with draws).
+    pub fn replay_table_into(&self, table: DurationTable<'_>, stats: &mut SolveStats) {
+        let cells = self.cells(table.cells);
+        match table.draws {
+            None => self.replay_into(cells, stats),
+            Some((draws, slots)) => self.replay_into(cells.drawn(draws, slots), stats),
+        }
+    }
+
+    /// Each op's duration under `table`, in op order, through the same
+    /// per-op read as [`ReplayWorkspace::replay_table_into`]: for
+    /// comparing a table with per-op duration rows.
+    ///
+    /// # Panics
+    ///
+    /// As [`ReplayWorkspace::replay_table_into`].
+    pub fn table_durations(&self, table: DurationTable<'_>, out: &mut Vec<SimDuration>) {
+        let cells = self.cells(table.cells);
+        out.clear();
+        match table.draws {
+            None => self.expand(cells, out),
+            Some((draws, slots)) => self.expand(cells.drawn(draws, slots), out),
+        }
+    }
+
+    /// `durations` as a replay source, checked to cover every op.
+    fn row<'a>(&self, durations: &'a [SimDuration]) -> Row<'a> {
+        let n = self.num_ops();
+        assert_eq!(
+            durations.len(),
+            n,
+            "duration override must cover every op (got {}, topology has {n})",
+            durations.len()
+        );
+        Row(durations)
+    }
+
+    /// `cells` as a replay source, checked to be one table of this
+    /// workspace's kinds and resources.
+    fn cells<'a>(&'a self, cells: &'a [SimDuration]) -> Cells<'a> {
+        assert_eq!(
+            self.op_kind.len(),
+            self.num_ops(),
+            "a table replay needs op kinds"
+        );
+        assert_eq!(
+            cells.len(),
+            self.table_len(),
+            "a duration table has one cell per kind and resource"
+        );
+        Cells {
+            op_kind: &self.op_kind,
+            num_resources: self.num_resources,
+            cells,
+        }
+    }
+
+    /// Each op's duration from `durations`, in op order.
+    fn expand(&self, durations: impl DurationSource, out: &mut Vec<SimDuration>) {
+        out.extend(
+            self.op_resource
+                .iter()
+                .enumerate()
+                // SAFETY: `i < n`, and `r` is an `op_resource` entry,
+                // `< num_resources` (see `replay`).
+                .map(|(i, &r)| unsafe { durations.at(i, r as usize) }),
+        );
+    }
+
+    /// One replay on the calling thread's buffers, its makespan and busy
+    /// sums written to `stats`.
+    fn replay_into(&self, durations: impl DurationSource, stats: &mut SolveStats) {
         with_transient_scratch(|s| {
             stats.makespan = self.replay::<false>(durations, &mut s.bufs);
             stats.busy.clear();
@@ -562,29 +810,25 @@ impl ReplayWorkspace {
     /// both from ops that precede it in the trace. An op's start is a
     /// pure function of its resource predecessor and its deps, so these
     /// times are those of every valid processing order — the reference
-    /// solver's included — bit for bit. The times land in `bufs`, which
-    /// may hold any earlier replay's, of any topology. `RECORD`
-    /// additionally fills `bufs.start` (timeline and memory-peak paths;
-    /// `end` is always kept). Callers guarantee `trace` is complete for
-    /// this index.
+    /// solver's included — bit for bit. Each op's duration comes from
+    /// `durations`, a row or a kinded table made (and length-checked) by
+    /// this workspace. The times land in `bufs`, which may hold any
+    /// earlier replay's, of any topology. `RECORD` additionally fills
+    /// `bufs.start` (timeline and memory-peak paths; `end` is always
+    /// kept). Callers guarantee `trace` is complete for this index.
     fn replay<const RECORD: bool>(
         &self,
-        durations: &[SimDuration],
+        durations: impl DurationSource,
         bufs: &mut ReplayBuffers,
     ) -> SimDuration {
         let n = self.num_ops();
-        assert_eq!(
-            durations.len(),
-            n,
-            "duration override must cover every op (got {}, topology has {n})",
-            durations.len()
-        );
         let ReplayWorkspace {
             op_resource,
             dep_indptr,
             deps,
             num_resources,
             trace,
+            ..
         } = self;
         let ReplayBuffers {
             end,
@@ -602,22 +846,30 @@ impl ReplayWorkspace {
         if RECORD {
             start.resize(n, SimTime::ZERO);
         }
-        // SAFETY (for the `get_unchecked` accesses below): both index
-        // builders establish, for any input topology (acyclic or not),
-        // that `op_resource` holds `n` entries `< num_resources`,
-        // `dep_indptr` holds `n + 1` non-decreasing entries from 0 to
-        // `deps.len()`, and every entry of `deps` is `< n`:
-        // `index_graph` copies what `OpGraph::add_op`/`add_dep`
-        // validated, and `ReplayWorkspace::discover` asserts each
-        // property. Every entry of a complete trace is a queue head that
-        // discovery linked from `0..n`, so `i` indexes
-        // `op_resource`/`end`/`durations` (length `n`, asserted above)
-        // and, under `RECORD`, `start`; `i + 1 <= n` indexes
-        // `dep_indptr`, whose row lies within `deps`; each dep indexes
-        // `end`; and `r < num_resources` indexes `free`/`busy`, all
-        // resized above. Rebuilding an index clears its trace, so a trace
-        // can never replay against a differently shaped topology. The
-        // debug assertions re-check this.
+        // SAFETY (for the `get_unchecked` accesses below and the
+        // unchecked reads of `durations.at`): both index builders
+        // establish, for any input topology (acyclic or not), that
+        // `op_resource` holds `n` entries `< num_resources`, `dep_indptr`
+        // holds `n + 1` non-decreasing entries from 0 to `deps.len()`,
+        // and every entry of `deps` is `< n`: `index_graph` copies what
+        // `OpGraph::add_op`/`add_dep` validated, and
+        // `ReplayWorkspace::discover` asserts each property. Every entry
+        // of a complete trace is a queue head that discovery linked from
+        // `0..n`, so `i` indexes `op_resource`/`end` and, under `RECORD`,
+        // `start`; `i + 1 <= n` indexes `dep_indptr`, whose row lies
+        // within `deps`; each dep indexes `end`; and `r < num_resources`
+        // indexes `free`/`busy`, all resized above. So `durations.at`
+        // gets an op and a resource of this workspace, which is all its
+        // contract asks: a row source was checked to hold `n` entries
+        // (`ReplayWorkspace::row`); a table source reads `op_kind[i]`,
+        // which `with_kinds` checked to hold `n` kinds `< num_kinds`, and
+        // then cell `kind * num_resources + r < num_kinds *
+        // num_resources`, the length `ReplayWorkspace::cells` asserted
+        // for the cells and `Cells::drawn` for the slot draws (a
+        // `SolveScratch`'s graph index never has kinds and replays rows
+        // only). Rebuilding an index clears its trace, so a trace can
+        // never replay against a differently shaped topology. The debug
+        // assertions re-check the index.
         for &op in trace.iter() {
             let i = op as usize;
             debug_assert!(i < n);
@@ -636,7 +888,7 @@ impl ReplayWorkspace {
                 debug_assert!((dep as usize) < n);
                 ready_at = ready_at.max(unsafe { *end.get_unchecked(dep as usize) });
             }
-            let d = unsafe { *durations.get_unchecked(i) };
+            let d = unsafe { durations.at(i, r) };
             let finish = ready_at + d;
             *free_at = finish;
             unsafe {
@@ -716,7 +968,7 @@ impl SolveScratch {
             self.trace_ready,
             "replay requires a recorded trace (run one full solve first)"
         );
-        let durations = durations.unwrap_or(&self.op_duration);
+        let durations = self.workspace.row(durations.unwrap_or(&self.op_duration));
         self.workspace.replay::<RECORD>(durations, &mut self.bufs)
     }
 }
@@ -1563,5 +1815,149 @@ mod tests {
     #[should_panic(expected = "must end at deps.len()")]
     fn discover_rejects_a_dep_indptr_ending_short() {
         let _ = ReplayWorkspace::discover(1, vec![0, 0], vec![0, 0, 1], vec![0, 1]);
+    }
+
+    #[test]
+    fn table_replays_equal_their_expanded_rows() {
+        // Three kinds over random topologies: op `i` reads cell
+        // `kind * R + r`, or under draws that cell drawn with salt `i`;
+        // replaying the table equals replaying its expansion as a row.
+        let p = crate::Perturbation::with_seed(3)
+            .with_straggler(1, 1.5)
+            .with_jitter(0.4)
+            .with_stalls(0.2, ns(7));
+        let draws = p.draws().expect("jitter draws");
+        let mut row = Vec::new();
+        let mut stats = SolveStats {
+            makespan: SimDuration::ZERO,
+            busy: Vec::new(),
+            peak_memory: None,
+        };
+        let mut tables = 0;
+        for seed in 0..100 {
+            let (g, op_resource, rows) = random_topology(seed, (seed % 3) as usize);
+            let (dep_indptr, deps) = flatten(&rows);
+            let Ok(ws) =
+                ReplayWorkspace::discover(g.num_resources(), op_resource, dep_indptr, deps)
+            else {
+                continue;
+            };
+            let kinds: Vec<u8> = (0..g.num_ops()).map(|i| (i * 7 % 3) as u8).collect();
+            let ws = ws.with_kinds(3, kinds.clone());
+            let r_count = g.num_resources();
+            assert_eq!(ws.table_len(), 3 * r_count);
+            let cells: Vec<SimDuration> = (0..ws.table_len() as u64)
+                .map(|c| ns(1 + (c * 5 + seed) % 11))
+                .collect();
+            let slots: Vec<crate::SlotDraw> = (0..ws.table_len())
+                .map(|c| {
+                    let class = if c % 2 == 0 {
+                        crate::OpClass::Compute
+                    } else {
+                        crate::OpClass::Communication
+                    };
+                    draws.slot(class, (c % r_count) as u32)
+                })
+                .collect();
+            for drawn in [false, true] {
+                let table = DurationTable {
+                    cells: &cells,
+                    draws: drawn.then_some((draws, slots.as_slice())),
+                };
+                ws.table_durations(table, &mut row);
+                for (i, &d) in row.iter().enumerate() {
+                    let c = kinds[i] as usize * r_count + ws.op_resources()[i] as usize;
+                    let want = if drawn {
+                        draws.perturb(cells[c], slots[c], i as u64)
+                    } else {
+                        cells[c]
+                    };
+                    assert_eq!(d, want, "seed {seed} op {i}");
+                }
+                ws.replay_table_into(table, &mut stats);
+                let by_row = {
+                    let mut s = stats.clone();
+                    ws.replay_stats_into(&row, &mut s);
+                    s
+                };
+                assert_eq!(stats, by_row, "seed {seed} drawn {drawn}");
+                tables += 1;
+            }
+        }
+        assert!(tables > 100, "most random topologies replay");
+    }
+
+    #[test]
+    #[should_panic(expected = "op kind 2 out of range")]
+    fn with_kinds_rejects_an_out_of_range_kind() {
+        let ws = ReplayWorkspace::discover(1, vec![0, 0], vec![0, 0, 1], vec![0]).unwrap();
+        let _ = ws.with_kinds(2, vec![0, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one kind per op")]
+    fn with_kinds_rejects_a_short_kind_array() {
+        let ws = ReplayWorkspace::discover(1, vec![0, 0], vec![0, 0, 1], vec![0]).unwrap();
+        let _ = ws.with_kinds(2, vec![0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 256 op kinds")]
+    fn with_kinds_rejects_more_kinds_than_a_u8_names() {
+        let ws = ReplayWorkspace::discover(1, vec![0], vec![0, 0], vec![]).unwrap();
+        let _ = ws.with_kinds(257, vec![0]);
+    }
+
+    fn replay_table(ws: &ReplayWorkspace, table: DurationTable<'_>) {
+        let mut stats = SolveStats {
+            makespan: SimDuration::ZERO,
+            busy: Vec::new(),
+            peak_memory: None,
+        };
+        ws.replay_table_into(table, &mut stats);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs op kinds")]
+    fn a_table_replay_needs_op_kinds() {
+        let ws = ReplayWorkspace::discover(1, vec![0], vec![0, 0], vec![]).unwrap();
+        replay_table(
+            &ws,
+            DurationTable {
+                cells: &[],
+                draws: None,
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "one cell per kind and resource")]
+    fn a_table_replay_rejects_a_short_table() {
+        let ws = ReplayWorkspace::discover(2, vec![0, 1], vec![0, 0, 1], vec![0])
+            .unwrap()
+            .with_kinds(2, vec![0, 1]);
+        replay_table(
+            &ws,
+            DurationTable {
+                cells: &[ns(1); 3],
+                draws: None,
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "one slot draw per cell")]
+    fn a_drawn_table_replay_rejects_missing_slot_draws() {
+        let ws = ReplayWorkspace::discover(1, vec![0], vec![0, 0], vec![])
+            .unwrap()
+            .with_kinds(1, vec![0]);
+        let p = crate::Perturbation::with_seed(1).with_jitter(0.1);
+        replay_table(
+            &ws,
+            DurationTable {
+                cells: &[ns(1)],
+                draws: Some((p.draws().unwrap(), &[])),
+            },
+        );
     }
 }
