@@ -37,10 +37,8 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-use parking_lot::{Condvar, Mutex, MutexGuard};
 
 /// How long a rank waits at a rendezvous before declaring the group dead.
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(30);
@@ -162,11 +160,24 @@ struct Shared {
 }
 
 impl Shared {
+    /// Locks the round state, recovering it if a rank panicked while
+    /// holding the lock. The recovery is load-bearing: a rank panics
+    /// under the lock when `compute` meets mismatched lengths or `round`
+    /// catches a mismatched op, root or double join. Its handle's `Drop`
+    /// (or a harness that caught the panic, via [`CommHandle::poison`])
+    /// then takes this lock to poison the group, and a second panic
+    /// inside that `Drop` would abort the process. The recovered state
+    /// is safe to use: such a panic leaves a round that cannot complete,
+    /// and the waiters leave it as soon as the group is poisoned.
+    fn lock(&self) -> MutexGuard<'_, RoundState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Records the group's first failure and wakes every waiter. Later
     /// poisonings are ignored — the first failure wins, so every rank
     /// reports the same culprit.
     fn poison(&self, rank: usize, reason: PoisonReason) {
-        let mut st = self.state.lock();
+        let mut st = self.lock();
         if st.poison.is_none() {
             st.poison = Some((rank, reason));
         }
@@ -279,15 +290,16 @@ impl CommHandle {
     }
 
     /// One bounded wait step: returns `Err(Timeout)` (after poisoning
-    /// the group) once `deadline` passes, `Ok(())` otherwise. Spurious
-    /// wakeups are fine — callers loop on their predicate.
-    fn wait_step(
+    /// the group) once `deadline` passes, the re-acquired guard
+    /// otherwise, recovered from poisoning as in [`Shared::lock`].
+    /// Spurious wakeups are fine — callers loop on their predicate.
+    fn wait_step<'a>(
         &self,
         cv: &Condvar,
-        st: &mut MutexGuard<'_, RoundState>,
+        mut st: MutexGuard<'a, RoundState>,
         deadline: Instant,
         op: OpKind,
-    ) -> Result<(), CollectiveError> {
+    ) -> Result<MutexGuard<'a, RoundState>, CollectiveError> {
         let now = Instant::now();
         if now >= deadline {
             if st.poison.is_none() {
@@ -301,8 +313,10 @@ impl CommHandle {
                 waited: self.shared.timeout,
             });
         }
-        let _ = cv.wait_for(st, deadline - now);
-        Ok(())
+        let (st, _) = cv
+            .wait_timeout(st, deadline - now)
+            .unwrap_or_else(PoisonError::into_inner);
+        Ok(st)
     }
 
     /// One rendezvous round: deposit `input`, let the last arriving rank
@@ -323,7 +337,7 @@ impl CommHandle {
     ) -> Result<Vec<f32>, CollectiveError> {
         let shared = &*self.shared;
         let deadline = Instant::now() + shared.timeout;
-        let mut st = shared.state.lock();
+        let mut st = shared.lock();
         // Wait for the previous round to fully drain before starting a new
         // one (a rank can race ahead to its next collective).
         loop {
@@ -333,7 +347,7 @@ impl CommHandle {
             if st.departed == 0 || st.departed == shared.n {
                 break;
             }
-            self.wait_step(&shared.departed_cv, &mut st, deadline, op)?;
+            st = self.wait_step(&shared.departed_cv, st, deadline, op)?;
         }
         if st.departed == shared.n {
             // Last round fully drained but not yet reset (we are the first
@@ -393,7 +407,7 @@ impl CommHandle {
                 if let Some(p) = st.poison {
                     return Err(self.peer_failed(p));
                 }
-                self.wait_step(&shared.arrived_cv, &mut st, deadline, op)?;
+                st = self.wait_step(&shared.arrived_cv, st, deadline, op)?;
             }
         }
         let out = st.outputs[self.rank].take().expect("output ready");

@@ -142,3 +142,49 @@ fn timeout_is_bounded_and_typed() {
         )));
     });
 }
+
+#[test]
+fn panic_under_the_group_lock_poisons_instead_of_aborting() {
+    // A length mismatch panics inside the rendezvous, on whichever rank
+    // arrives last and runs the reduction while holding the group's
+    // state lock. Its handle then poisons the group while unwinding,
+    // which takes that lock again; a panic there would abort the
+    // process. The long slice moves from rank to rank across groups, so
+    // the rank that passes it is sometimes the last to arrive and
+    // sometimes not, whatever order the threads arrive in.
+    run_with_watchdog(Duration::from_secs(30), || {
+        let n = 3;
+        for g in 0..50 {
+            let long = g % n;
+            let handles = CommGroup::with_timeout(n, Duration::from_secs(60));
+            let joins: Vec<_> = handles
+                .into_iter()
+                .enumerate()
+                .map(|(rank, h)| {
+                    thread::spawn(move || {
+                        let mut v = vec![1.0f32; if rank == long { 5 } else { 4 }];
+                        let reduce = h.try_all_reduce(&mut v).unwrap_err();
+                        (reduce, h.try_barrier().unwrap_err())
+                    })
+                })
+                .collect();
+            let results: Vec<_> = joins.into_iter().map(|j| j.join()).collect();
+            let panicked: Vec<usize> = (0..n).filter(|&r| results[r].is_err()).collect();
+            assert_eq!(panicked.len(), 1, "group {g}: exactly one rank panics");
+            let culprit = panicked[0];
+            for (rank, res) in results.into_iter().enumerate() {
+                if rank == culprit {
+                    continue;
+                }
+                let expected = CollectiveError::PeerFailed {
+                    rank,
+                    peer: culprit,
+                    reason: PoisonReason::Panicked,
+                };
+                let (reduce, barrier) = res.expect("only the reducing rank panics");
+                assert_eq!(reduce, expected, "group {g}: rank {rank}'s all_reduce");
+                assert_eq!(barrier, expected, "group {g}: rank {rank}'s next barrier");
+            }
+        }
+    });
+}

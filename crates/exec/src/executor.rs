@@ -1,12 +1,11 @@
 //! A long-lived worker pool for candidate evaluation: one FIFO job
 //! queue behind one lock.
 //!
-//! The search engine used to spawn a fresh set of scoped threads for
-//! every evaluated chunk (`crossbeam::thread::scope`); a planning
-//! *service* evaluating many concurrent requests cannot afford a thread
-//! spawn per chunk, nor per-request pools that fight each other for
-//! cores. So one `Arc`'d executor is created once, and its fixed set of
-//! workers serves every request in the process.
+//! A planning *service* evaluating many concurrent requests cannot
+//! afford a thread spawn per evaluated chunk, nor per-request pools
+//! that fight each other for cores. So one `Arc`'d executor is created
+//! once, and its fixed set of workers serves every request in the
+//! process.
 //!
 //! One queue is enough because callers balance their work before they
 //! submit it. The evaluate stage carves class groups longest-first into

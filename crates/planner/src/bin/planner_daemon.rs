@@ -93,6 +93,7 @@
 //! ended with their terminal event.
 
 use std::io::{BufRead, Write};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -103,7 +104,6 @@ use bfpp_planner::wire::{
 };
 use bfpp_planner::{CancelToken, PlanEvent, Planner};
 use bfpp_sim::MetricsSnapshot;
-use crossbeam::channel::RecvTimeoutError;
 
 /// Default admission cap: enough for every realistic interactive load,
 /// small enough that a runaway client gets `rejected` lines instead of

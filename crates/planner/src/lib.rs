@@ -126,6 +126,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -137,7 +138,6 @@ use bfpp_exec::search::{
 };
 use bfpp_exec::{Executor, KernelModel, MetricsRegistry, MetricsSnapshot, WarmCache};
 use bfpp_model::TransformerConfig;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::chaos::{PanicPoint, SessionFault};
 
@@ -344,8 +344,8 @@ impl PlanHandle {
         self.events.recv().ok()
     }
 
-    /// The event stream itself, for callers that want to `clone` it or
-    /// poll with `try_recv` / `recv_timeout`.
+    /// The event stream itself, for callers that poll with `try_recv` /
+    /// `recv_timeout`.
     pub fn events(&self) -> &Receiver<PlanEvent> {
         &self.events
     }
@@ -631,7 +631,7 @@ impl Planner {
             .counter_incr("planner_requests_submitted_total");
         self.metrics.gauge_add("planner_in_flight", 1);
         let submitted = Instant::now();
-        let (tx, rx) = unbounded::<PlanEvent>();
+        let (tx, rx) = channel::<PlanEvent>();
         let cancel = CancelToken::new();
         let progress = Arc::new(SearchProgress::new());
         let planner = Arc::clone(self);

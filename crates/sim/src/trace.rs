@@ -3,7 +3,7 @@
 
 use std::fmt::Write as _;
 
-use crate::graph::{OpGraph, ResourceId};
+use crate::graph::OpGraph;
 use crate::solver::Timeline;
 use crate::time::SimTime;
 
@@ -123,11 +123,6 @@ impl Timeline {
         }
         out
     }
-}
-
-/// Renders `ResourceId` labels compactly (used by debug helpers).
-pub(crate) fn _resource_label(r: ResourceId) -> String {
-    format!("r{}", r.index())
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! schedules for real: an f32 tensor library with hand-written backward
 //! passes ([`tensor`], [`layers`]), a serial reference implementation
 //! ([`serial`]), and a multi-threaded pipeline executor ([`pipeline`])
-//! with one OS thread per simulated device, crossbeam channels for the
+//! with one OS thread per simulated device, std `mpsc` channels for the
 //! stage boundaries, and the shared-memory collectives of
 //! [`bfpp_collectives::thread`] for data parallelism.
 //!

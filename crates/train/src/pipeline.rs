@@ -3,7 +3,7 @@
 //! One OS thread per (pipeline device, data-parallel replica). Each
 //! thread executes its device's [`bfpp_core::Schedule`] action list
 //! **verbatim**: forward actions receive activations from the upstream
-//! stage over a crossbeam channel, run the stage, and send downstream;
+//! stage over a std `mpsc` channel, run the stage, and send downstream;
 //! backward actions mirror this with gradients. Data parallelism uses the
 //! deterministic thread collectives of [`bfpp_collectives::thread`]:
 //!
@@ -45,6 +45,7 @@ use std::error::Error;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -53,7 +54,6 @@ use bfpp_collectives::thread::{CollectiveError, CommGroup, CommHandle, PoisonRea
 use bfpp_core::{Direction, Schedule, ScheduleKind};
 use bfpp_parallel::{DataParallelism, Placement, StageId};
 use bfpp_sim::MetricsRegistry;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::layers::Stage;
 use crate::loss::mse;
@@ -383,8 +383,8 @@ pub fn try_run_batch_stateful(
             bwd_recv: Vec::new(),
         };
         for _ in 0..n_stage.saturating_sub(1) {
-            let (fs, fr) = unbounded();
-            let (bs, br) = unbounded();
+            let (fs, fr) = channel();
+            let (bs, br) = channel();
             w.fwd_send.push(Some(fs));
             w.fwd_recv.push(Some(fr));
             w.bwd_send.push(Some(bs));
@@ -429,8 +429,10 @@ pub fn try_run_batch_stateful(
                 let wiring = &mut wirings[r as usize];
                 let n_bounds = wiring.fwd_send.len();
                 let mut fwd_send: Vec<Option<Sender<Packet>>> = vec![None; n_bounds];
-                let mut bwd_recv: Vec<Option<Receiver<Packet>>> = vec![None; n_bounds];
-                let mut fwd_recv: Vec<Option<Receiver<Packet>>> = vec![None; n_bounds];
+                let mut bwd_recv: Vec<Option<Receiver<Packet>>> =
+                    (0..n_bounds).map(|_| None).collect();
+                let mut fwd_recv: Vec<Option<Receiver<Packet>>> =
+                    (0..n_bounds).map(|_| None).collect();
                 let mut bwd_send: Vec<Option<Sender<Packet>>> = vec![None; n_bounds];
                 for b in 0..n_bounds as u32 {
                     // Boundary b sits between stage b and stage b+1.
